@@ -59,8 +59,7 @@ class Disconnected(ValueError):
 class SchrodingerOperator:
     """A graph together with a matrix in its sign-pattern class.
 
-    Certificate fields start as None and are filled by the checks, so a
-    populated operator carries its own audit trail.
+    inertia and corank start as None and are filled by check_membership.
     """
 
     graph: SimpleGraph
@@ -68,8 +67,6 @@ class SchrodingerOperator:
     epsilon: Fraction | None = None
     inertia: Inertia | None = None
     corank: int | None = None
-    sap: bool | None = None
-    sap_rank: int | None = None
 
     def to_json_dict(self) -> dict:
         edges = self.graph.edges
@@ -101,13 +98,17 @@ class SchrodingerOperator:
             ) from exc
         if len(diagonal) != graph.n:
             raise ValueError("diagonal length does not match the graph")
+        off_diagonal = data.get("off_diagonal", {})
+        if not isinstance(off_diagonal, dict):
+            raise ValueError(
+                "off_diagonal data must be a JSON object mapping 'u,v' to a scalar"
+            )
         overrides = {}
-        edge_set = set(graph.edges)
-        for key, text in data.get("off_diagonal", {}).items():
+        for key, text in off_diagonal.items():
             u, v = (int(t) for t in key.split(","))
             if u > v:
                 u, v = v, u
-            if (u, v) not in edge_set:
+            if not graph.has_edge(u, v):
                 raise ValueError(f"off-diagonal override {key} is not an edge")
             overrides[(u, v)] = parse_scalar(text)
         return build_operator(graph, diagonal, overrides)
@@ -179,17 +180,29 @@ def check_membership(op: SchrodingerOperator) -> Inertia:
 
 @dataclass(frozen=True)
 class SapSystem:
-    """The transversality system as an explicit matrix.
+    """The transversality system as sparse rows.
 
     Rows are ordered pairs (u, w) with u != w; columns are non-adjacent
     unordered pairs {a, b}.  Entry ((u, w), {a, b}) is M[u][t] where t is
     the member of {a, b} distinct from w, or zero if neither member is w.
-    Full column rank means no nonzero admissible X solves M*X = 0.
+    Row i is stored as {column: entry} with the zeros left out.  Full
+    column rank means no nonzero admissible X solves M*X = 0.
     """
 
-    matrix: ExactMatrix
+    row_entries: tuple
     row_pairs: tuple
     col_pairs: tuple
+
+    @property
+    def rows(self) -> int:
+        return len(self.row_pairs)
+
+    @property
+    def cols(self) -> int:
+        return len(self.col_pairs)
+
+    def sparse_rows(self) -> tuple:
+        return self.row_entries
 
 
 def build_sap_system(op: SchrodingerOperator) -> SapSystem:
@@ -202,25 +215,24 @@ def build_sap_system(op: SchrodingerOperator) -> SapSystem:
         if b not in adj[a]
     ]
     col_id = {pair: i for i, pair in enumerate(col_pairs)}
-    ncols = len(col_pairs)
     # Row (u, w) only touches columns whose pair contains w, so grouping
     # rows by w keeps the elimination inside one column cluster at a time.
     row_pairs = [(u, w) for w in range(n) for u in range(n) if u != w]
-    entries = []
     M = op.matrix
     support = [sorted(adj[u] | {u}) for u in range(n)]
+    row_entries = []
     for u, w in row_pairs:
-        row = [ZERO] * ncols
+        row = {}
         for t in support[u]:
             if t == w:
                 continue
-            pair = (t, w) if t < w else (w, t)
-            col = col_id.get(pair)
-            if col is not None:
-                row[col] = M.entry(u, t)
-        entries.extend(row)
-    matrix = ExactMatrix(len(row_pairs), ncols, entries, M.radicand)
-    return SapSystem(matrix, tuple(row_pairs), tuple(col_pairs))
+            col = col_id.get((t, w) if t < w else (w, t))
+            # Entries can be zero (a bipartite operator's diagonal off S);
+            # rows store nonzeros only.
+            if col is not None and (e := M.entry(u, t)):
+                row[col] = e
+        row_entries.append(row)
+    return SapSystem(tuple(row_entries), tuple(row_pairs), tuple(col_pairs))
 
 
 @dataclass(frozen=True)
@@ -239,23 +251,20 @@ def check_sap(op: SchrodingerOperator, progress=None) -> SapCertificate:
     """Decide full rank of the transversality system exactly.
 
     Runs membership first if the operator has no inertia certificate yet.
-    On rank deficiency the first kernel vector is reassembled into X and
-    re-verified entry by entry before being reported.
+    One elimination gives the kernel of the system, and the rank is the
+    column count minus its dimension.  On rank deficiency the first kernel
+    vector is reassembled into X and re-verified entry by entry before
+    being reported.  `progress` is passed on to kernel_basis.
     """
     if op.inertia is None:
         check_membership(op)
     system = build_sap_system(op)
-    r = rank(system.matrix, progress=progress)
-    cert_rows, cert_cols = system.matrix.rows, system.matrix.cols
-    if r == cert_cols:
-        op.sap = True
-        op.sap_rank = r
-        return SapCertificate(True, r, cert_rows, cert_cols)
-    vec = kernel_basis(system.matrix)[0]
-    witness = _assemble_witness(op, system, vec)
-    op.sap = False
-    op.sap_rank = r
-    return SapCertificate(False, r, cert_rows, cert_cols, witness)
+    basis = kernel_basis(system, progress=progress)
+    r = system.cols - len(basis)
+    if not basis:
+        return SapCertificate(True, r, system.rows, system.cols)
+    witness = _assemble_witness(op, system, basis[0])
+    return SapCertificate(False, r, system.rows, system.cols, witness)
 
 
 def _assemble_witness(op: SchrodingerOperator, system: SapSystem, vec) -> ExactMatrix:

@@ -88,16 +88,6 @@ def _heartbeat(enabled: bool, label: str):
     return hook
 
 
-def _genus10_operator():
-    presentation = groups.gamma10()
-    table = groups.coset_enumerate(presentation)
-    surface = maps.genus10_map(presentation, table)
-    shift = 1 + QuadScalar.root(7)
-    return presentation, table, surface, cdvcore.build_shift_operator(
-        surface.graph, shift
-    )
-
-
 def cmd_genus10(args, report: RunReport) -> None:
     progress = args.progress
     with _Stage(report, "enumerate", progress):

@@ -9,7 +9,6 @@ certified paths.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -179,9 +178,6 @@ class QuadScalar:
             k >>= 1
         return out
 
-    def conjugate(self) -> "QuadScalar":
-        return QuadScalar(self.a, -self.b, self.d)
-
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}, decided by comparing a^2 against d*b^2."""
         sa, sb = _sgn(self.a), _sgn(self.b)
@@ -229,9 +225,6 @@ class QuadScalar:
     def __ge__(self, other):
         return self._cmp(other) >= 0
 
-    def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
     def render(self) -> str:
         """Canonical text form, re-parseable by parse_scalar."""
         if self.b == 0:
@@ -262,34 +255,6 @@ ZERO = QuadScalar(0)
 ONE = QuadScalar(1)
 QuadScalar.ZERO = ZERO
 QuadScalar.ONE = ONE
-
-
-def quad_add(x: QuadScalar, y: QuadScalar) -> QuadScalar:
-    return x + y
-
-
-def quad_sub(x: QuadScalar, y: QuadScalar) -> QuadScalar:
-    return x - y
-
-
-def quad_mul(x: QuadScalar, y: QuadScalar) -> QuadScalar:
-    return x * y
-
-
-def quad_neg(x: QuadScalar) -> QuadScalar:
-    return -x
-
-
-def quad_inv(x: QuadScalar) -> QuadScalar:
-    return x.inverse()
-
-
-def quad_div(x: QuadScalar, y: QuadScalar) -> QuadScalar:
-    return x / y
-
-
-def quad_sign(x: QuadScalar) -> int:
-    return x.sign()
 
 
 _TOKEN = re.compile(
@@ -406,6 +371,8 @@ class _Parser:
 
 def parse_scalar(text: str) -> QuadScalar:
     """Parse an exact scalar expression like '1 + sqrt(7)' or '-3/4'."""
+    if not isinstance(text, str):
+        raise ParseError(f"scalar data must be text, got {type(text).__name__}", 0)
     if not text.strip():
         raise ParseError("empty scalar", 0)
     return _Parser(text).parse()

@@ -136,22 +136,6 @@ class ExactMatrix:
             and self.entries == other.entries
         )
 
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        entries = [x + y for x, y in zip(self.entries, other.entries)]
-        return ExactMatrix(self.rows, self.cols, entries)
-
-    def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        entries = [x - y for x, y in zip(self.entries, other.entries)]
-        return ExactMatrix(self.rows, self.cols, entries)
-
-    def scale(self, factor) -> "ExactMatrix":
-        f = _coerce(factor)
-        return ExactMatrix(self.rows, self.cols, [f * x for x in self.entries])
-
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -184,17 +168,11 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return not any(self.entries)
 
-    @classmethod
-    def stack(cls, matrices: list) -> "ExactMatrix":
-        cols = matrices[0].cols
-        entries = []
-        rows = 0
-        for m in matrices:
-            if m.cols != cols:
-                raise ValueError("shape mismatch")
-            entries.extend(m.entries)
-            rows += m.rows
-        return cls(rows, cols, entries)
+    def sparse_rows(self) -> list:
+        """One {column: entry} dict per row, zeros left out."""
+        return [
+            {j: e for j, e in enumerate(self.row(i)) if e} for i in range(self.rows)
+        ]
 
     def to_json_dict(self) -> dict:
         return {
@@ -254,21 +232,6 @@ def _pair_sign(x, d) -> int:
     return sa if a * a - d * b * b > 0 else sb
 
 
-def _sparse_rows(matrix: ExactMatrix) -> list:
-    cols = matrix.cols
-    out = []
-    for i in range(matrix.rows):
-        base = i * cols
-        out.append(
-            {
-                j: e
-                for j in range(cols)
-                if (e := matrix.entries[base + j])
-            }
-        )
-    return out
-
-
 def _reduce_row(row: dict, pivot: dict, c) -> dict:
     """row - row[c]*pivot for a pivot row normalized to pivot[c] == 1."""
     f = row[c]
@@ -320,19 +283,20 @@ class _Echelon:
         return True
 
 
-def _echelon_of(matrix: ExactMatrix, progress=None, stop_at_full=False) -> _Echelon:
+def _echelon_of(matrix, progress=None) -> _Echelon:
     # The reduced form is canonical whatever the insertion order, so callers
     # that know their row structure can order rows for locality; clustered
     # rows resolve cluster by cluster and collapse to near-singleton pivot
-    # rows, which keeps later reductions cheap.
+    # rows, which keeps later reductions cheap.  Once every column has a
+    # pivot no further row can change the form, so elimination stops there.
     ech = _Echelon()
-    rows = [r for r in _sparse_rows(matrix) if r]
+    rows = [r for r in matrix.sparse_rows() if r]
     ncols = matrix.cols
     for done, row in enumerate(rows):
         ech.insert(row)
         if progress is not None and (done + 1) % 64 == 0:
             progress(done + 1, len(rows), len(ech.pivots))
-        if stop_at_full and len(ech.pivots) == ncols:
+        if len(ech.pivots) == ncols:
             break
     return ech
 
@@ -340,7 +304,7 @@ def _echelon_of(matrix: ExactMatrix, progress=None, stop_at_full=False) -> _Eche
 def _rank_markowitz(matrix: ExactMatrix) -> int:
     """Destructive elimination picking the sparsest column, then the
     sparsest row within it.  Independent of the echelon path."""
-    live = [r for r in _sparse_rows(matrix) if r]
+    live = [r for r in matrix.sparse_rows() if r]
     rank = 0
     while live:
         counts: dict = {}
@@ -365,7 +329,8 @@ def _rank_markowitz(matrix: ExactMatrix) -> int:
 
 
 def _rank_dense(matrix: ExactMatrix) -> int:
-    """Textbook dense elimination over the field; the slow oracle."""
+    """Textbook dense elimination over the field; the slow oracle.  Kept,
+    with _rank_markowitz, as a test oracle for the echelon path."""
     work = [matrix.row(i) for i in range(matrix.rows)]
     rank = 0
     for col in range(matrix.cols):
@@ -382,23 +347,21 @@ def _rank_dense(matrix: ExactMatrix) -> int:
     return rank
 
 
-def rank(matrix: ExactMatrix, strategy: str = "echelon", progress=None) -> int:
-    """Exact rank.  Strategies: 'echelon' (sparse reduced echelon with
-    back-reduction, the default), 'markowitz' (sparsest-column pivoting),
-    'dense' (naive textbook elimination, for cross-checks)."""
-    if strategy == "echelon":
-        return len(_echelon_of(matrix, progress, stop_at_full=True).pivots)
-    if strategy == "markowitz":
-        return _rank_markowitz(matrix)
-    if strategy == "dense":
-        return _rank_dense(matrix)
-    raise ValueError(f"unknown strategy {strategy!r}")
+def rank(matrix: ExactMatrix) -> int:
+    """Exact rank by sparse reduced echelon with back-reduction."""
+    return len(_echelon_of(matrix).pivots)
 
 
-def kernel_basis(matrix: ExactMatrix) -> list:
+def kernel_basis(matrix, progress=None) -> list:
     """Basis of the right kernel as lists of QuadScalar, one per free column
-    of the reduced echelon form.  Deterministic for a given matrix."""
-    ech = _echelon_of(matrix)
+    of the reduced echelon form.  Deterministic for a given matrix.
+
+    `matrix` is an ExactMatrix or anything else with `cols` and a
+    `sparse_rows()` list of {column: nonzero entry} dicts.  `progress`, if
+    given, is called as progress(rows_done, nonzero_rows, pivots) every
+    64 rows.
+    """
+    ech = _echelon_of(matrix, progress)
     basis = []
     for free in range(matrix.cols):
         if free in ech.pivots:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .groups import CosetTable, Presentation, left_action, orbit_partition
 
@@ -37,6 +37,7 @@ class SimpleGraph:
 
     n: int
     edges: tuple
+    _edge_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -48,6 +49,7 @@ class SimpleGraph:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        object.__setattr__(self, "_edge_set", frozenset(seen))
 
     @property
     def edge_count(self) -> int:
@@ -89,7 +91,7 @@ class SimpleGraph:
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
-        return (u, v) in set(self.edges)
+        return (u, v) in self._edge_set
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
@@ -102,9 +104,6 @@ class SimpleGraph:
             raise ValueError(
                 "graph data must be a JSON object with 'n' and 'edges'"
             ) from exc
-
-    def edge_list_text(self) -> str:
-        return "\n".join(f"{u} {v}" for u, v in self.edges) + "\n"
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -13,6 +13,7 @@ from cdvcert.cdvcore import (
     build_bipartite_operator,
     build_operator,
     build_q1_graph,
+    build_sap_system,
     build_sap_witness,
     build_shift_operator,
     check_membership,
@@ -24,7 +25,7 @@ from cdvcert.cdvcore import (
     verify_sap_witness,
 )
 from cdvcert.exactfield import QuadScalar
-from cdvcert.exactlinalg import ExactMatrix, kernel_basis, rank
+from cdvcert.exactlinalg import ExactMatrix, _rank_dense, kernel_basis
 from cdvcert.maps import SimpleGraph
 
 PATH4 = SimpleGraph(4, ((0, 1), (1, 2), (2, 3)))
@@ -34,6 +35,41 @@ def cycle(n):
     return SimpleGraph(
         n, tuple(tuple(sorted((i, (i + 1) % n))) for i in range(n))
     )
+
+
+# Cycles shifted by an eigenvalue of multiplicity two: corank 2.
+CYCLE_SHIFTS = [
+    (4, QuadScalar.ZERO),
+    (5, QuadScalar(Fraction(-1, 2), Fraction(1, 2), 5)),
+    (6, QuadScalar(Fraction(1))),
+    (8, QuadScalar.root(2)),
+]
+
+
+def _dense_sap_matrix(op):
+    """The transversality system entry by entry from the SapSystem
+    docstring: ((u, w), {a, b}) is M[u][t] for t the member of {a, b}
+    other than w, and zero when neither member is w."""
+    n = op.graph.n
+    cols = [
+        (a, b)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if not op.graph.has_edge(a, b)
+    ]
+    rows = []
+    for w in range(n):
+        for u in range(n):
+            if u == w:
+                continue
+            row = []
+            for a, b in cols:
+                if w in (a, b):
+                    row.append(op.matrix.entry(u, b if w == a else a))
+                else:
+                    row.append(QuadScalar.ZERO)
+            rows.append(row)
+    return ExactMatrix.from_rows(rows)
 
 
 class TestOperator:
@@ -65,7 +101,20 @@ class TestOperator:
         with pytest.raises(ValueError):
             build_operator(PATH4, [0] * 4, overrides={(0, 3): Fraction(-1)})
 
-    @pytest.mark.parametrize("data", [{}, {"graph": {"n": 1, "edges": []}}, [3]])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {},
+            {"graph": {"n": 1, "edges": []}},
+            [3],
+            {
+                "graph": {"n": 2, "edges": [[0, 1]]},
+                "diagonal": ["0", "0"],
+                "off_diagonal": [1],
+            },
+            {"graph": {"n": 1, "edges": []}, "diagonal": [0.5]},
+        ],
+    )
     def test_malformed_json_dict_raises_value_error(self, data):
         with pytest.raises(ValueError, match="data must be"):
             SchrodingerOperator.from_json_dict(data)
@@ -133,20 +182,31 @@ class TestSap:
         with pytest.raises(ValueError):
             verify_sap_witness(op, eye)
 
-    @pytest.mark.parametrize(
-        "n,shift",
-        [
-            (4, QuadScalar.ZERO),
-            (5, QuadScalar(Fraction(-1, 2), Fraction(1, 2), 5)),
-            (6, QuadScalar(Fraction(1))),
-            (8, QuadScalar.root(2)),
-        ],
-    )
+    @pytest.mark.parametrize("n,shift", CYCLE_SHIFTS)
     def test_cycle_corank_two_has_sap(self, n, shift):
         op = build_shift_operator(cycle(n), shift)
         check_membership(op)
         assert op.corank == 2
         assert check_sap(op).full_rank
+
+    def test_sparse_system_matches_definition(self):
+        operators = []
+        for n, shift in CYCLE_SHIFTS:
+            op = build_shift_operator(cycle(n), shift)
+            check_membership(op)
+            operators.append(op)
+        # The star has a zero diagonal, so its operator holds zero entries.
+        operators.append(build_bipartite_operator(1, 4, frozenset()))
+        operators.append(build_sap_witness(3, 4)[0])
+        for op in operators:
+            system = build_sap_system(op)
+            assert all(e for row in system.sparse_rows() for e in row.values())
+            dense = _dense_sap_matrix(op)
+            assert list(system.sparse_rows()) == dense.sparse_rows()
+            fields = dict(vars(op))
+            entries = list(op.matrix.entries)
+            assert check_sap(op).rank == _rank_dense(dense)
+            assert vars(op) == fields and op.matrix.entries == entries
 
 
 class TestBipartite:

@@ -91,6 +91,25 @@ class TestBipartite:
         assert code == 1
         assert report["verdict"]["completed"] is False
 
+    @pytest.mark.parametrize(
+        "operator",
+        [
+            {
+                "graph": {"n": 2, "edges": [[0, 1]]},
+                "diagonal": ["0", "0"],
+                "off_diagonal": [1],
+            },
+            {"graph": {"n": 1, "edges": []}, "diagonal": [0.5]},
+        ],
+    )
+    def test_malformed_operator_is_reported(self, capsys, tmp_path, operator):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(operator))
+        code, report = run(capsys, "sap", str(path), "--no-timings")
+        assert code == 1
+        assert report["passed"] is False
+        assert report["results"]["error"]["stage"] == "setup"
+
     def test_non_operator_json_is_reported(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"not": "an operator"}')

@@ -9,6 +9,8 @@ from cdvcert.exactlinalg import (
     IntPolynomial,
     NonIntegerEntries,
     NotSymmetric,
+    _rank_dense,
+    _rank_markowitz,
     charpoly,
     count_positive_real_roots,
     determinant,
@@ -78,14 +80,6 @@ class TestExactMatrix:
     def test_transpose_involution(self, m):
         assert m.transpose().transpose() == m
 
-    @given(matrices(5, max_side=3), matrices(5, max_side=3))
-    def test_addition_needs_matching_shape(self, x, y):
-        if (x.rows, x.cols) == (y.rows, y.cols):
-            assert (x + y) - y == x
-        else:
-            with pytest.raises(ValueError):
-                x + y
-
     def test_symmetry_check(self):
         assert ExactMatrix.from_rows([[0, 1], [1, 0]]).is_symmetric()
         assert not ExactMatrix.from_rows([[0, 1], [2, 0]]).is_symmetric()
@@ -131,8 +125,8 @@ class TestRankKernel:
     @settings(max_examples=60)
     def test_strategies_agree(self, m):
         r = rank(m)
-        assert rank(m, strategy="markowitz") == r
-        assert rank(m, strategy="dense") == r
+        assert _rank_markowitz(m) == r
+        assert _rank_dense(m) == r
 
     @given(st.sampled_from([1, 2, 5]).flatmap(lambda d: matrices(d, max_side=4)))
     @settings(max_examples=60)
@@ -144,10 +138,6 @@ class TestRankKernel:
         if basis:
             stacked = ExactMatrix.from_rows(basis)
             assert rank(stacked) == len(basis)
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            rank(ExactMatrix.identity(1), strategy="nope")
 
 
 class TestInertia:

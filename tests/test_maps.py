@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from cdvcert.groups import coset_enumerate, parse_presentation
 from cdvcert.maps import (
@@ -13,6 +14,18 @@ from cdvcert.maps import (
     heawood_gamma,
     map_report,
     validate_rotary_type,
+)
+
+
+random_graphs = st.integers(min_value=2, max_value=7).flatmap(
+    lambda n: st.sets(
+        st.tuples(
+            st.integers(min_value=0, max_value=n - 1),
+            st.integers(min_value=0, max_value=n - 1),
+        )
+        .filter(lambda e: e[0] != e[1])
+        .map(lambda e: tuple(sorted(e)))
+    ).map(lambda edges: SimpleGraph(n, tuple(edges)))
 )
 
 
@@ -45,6 +58,13 @@ class TestSimpleGraph:
         g = SimpleGraph(3, ((0, 1), (1, 2)))
         assert g.degrees() == [1, 2, 1]
         assert g.has_edge(1, 0) and not g.has_edge(0, 2)
+
+    @given(random_graphs)
+    def test_has_edge_agrees_with_adjacency(self, g):
+        adj = g.adjacency()
+        for u in range(g.n):
+            for v in range(g.n):
+                assert g.has_edge(u, v) == g.has_edge(v, u) == (v in adj[u])
 
     def test_connectivity(self):
         path = SimpleGraph(3, ((0, 1), (1, 2)))
