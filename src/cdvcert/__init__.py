@@ -10,7 +10,6 @@ from .exactfield import (
     MixedRadicals,
     ParseError,
     QuadScalar,
-    Rational,
     parse_scalar,
 )
 from .exactlinalg import (
@@ -32,7 +31,6 @@ from .groups import (
     element_order,
     gamma10,
     left_action,
-    orbit_coset_table,
     parse_presentation,
 )
 from .maps import (
@@ -65,7 +63,6 @@ __all__ = [
     "MixedRadicals",
     "ParseError",
     "QuadScalar",
-    "Rational",
     "parse_scalar",
     "ExactMatrix",
     "Inertia",
@@ -83,7 +80,6 @@ __all__ = [
     "element_order",
     "gamma10",
     "left_action",
-    "orbit_coset_table",
     "parse_presentation",
     "CombinatorialMap",
     "SimpleGraph",

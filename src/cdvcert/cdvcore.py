@@ -55,6 +55,10 @@ class Disconnected(ValueError):
     """Operation that requires a connected graph."""
 
 
+# Halvings of the bipartite diagonal weight eps before EpsilonSearchFailed.
+MAX_HALVINGS = 20
+
+
 @dataclass
 class SchrodingerOperator:
     """A graph together with a matrix in its sign-pattern class.
@@ -90,11 +94,13 @@ class SchrodingerOperator:
     def from_json_dict(cls, data: dict) -> "SchrodingerOperator":
         try:
             graph = SimpleGraph.from_json_dict(data["graph"])
+            if not isinstance(data["diagonal"], list):
+                raise TypeError("'diagonal' must be a list")
             diagonal = [parse_scalar(s) for s in data["diagonal"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(
-                "operator data must be a JSON object with 'graph' and "
-                "'diagonal'"
+                "operator data must be a JSON object with 'graph' and a "
+                "'diagonal' list"
             ) from exc
         if len(diagonal) != graph.n:
             raise ValueError("diagonal length does not match the graph")
@@ -325,9 +331,7 @@ def _check_sides(a: int, b: int, s_set) -> tuple:
     return s_set, side_a, side_b
 
 
-def build_bipartite_operator(
-    a: int, b: int, s_set, max_halvings: int = 20
-) -> SchrodingerOperator:
+def build_bipartite_operator(a: int, b: int, s_set) -> SchrodingerOperator:
     """eps*1_S - A on the complete bipartite graph, with eps found by
     halving from 1/(4(a+b)) until the corank hits a + b - 2 - |S|.
 
@@ -338,7 +342,7 @@ def build_bipartite_operator(
     graph = complete_bipartite(a, b)
     target = a + b - 2 - len(s_set)
     eps = Fraction(1, 4 * (a + b))
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         diagonal = [eps if v in s_set else 0 for v in range(a + b)]
         op = build_operator(graph, diagonal)
         op.epsilon = eps

@@ -12,10 +12,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-# Canonical reduced p/q rationals come straight from the stdlib.
-Rational = Fraction
-
-
 class DivisionByZero(ZeroDivisionError):
     """Inverse or quotient of an exact zero."""
 
@@ -89,10 +85,6 @@ class QuadScalar:
         """sqrt(n) for a positive integer n, reduced to squarefree form."""
         s, d = squarefree_split(n)
         return cls(0, s, d) if d > 1 else cls(s)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def _match(self, other) -> tuple["QuadScalar", "QuadScalar"]:
         if isinstance(other, (int, Fraction)):

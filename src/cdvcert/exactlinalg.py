@@ -185,13 +185,16 @@ class ExactMatrix:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExactMatrix":
         try:
-            entries = [parse_scalar(s) for s in data["entries"]]
-            m = cls(int(data["rows"]), int(data["cols"]), entries)
-            declared = int(data["field_d"])
+            rows, cols, declared = data["rows"], data["cols"], data["field_d"]
+            if any(type(x) is not int for x in (rows, cols, declared)):
+                raise TypeError("'rows', 'cols' and 'field_d' must be ints")
+            if not isinstance(data["entries"], list):
+                raise TypeError("'entries' must be a list")
+            m = cls(rows, cols, [parse_scalar(s) for s in data["entries"]])
         except (KeyError, TypeError) as exc:
             raise ValueError(
-                "matrix data must be a JSON object with 'rows', 'cols', "
-                "'entries', and 'field_d'"
+                "matrix data must be a JSON object with int 'rows', 'cols' "
+                "and 'field_d' and an 'entries' list"
             ) from exc
         if declared != m.radicand and not (m.radicand == 1):
             raise ValueError(
@@ -394,19 +397,6 @@ def _swap_symmetric(W: list, i: int, j: int) -> None:
         row[i], row[j] = row[j], row[i]
 
 
-def _strip_block(W: list) -> None:
-    g = 0
-    for row in W:
-        for a, b in row:
-            g = math.gcd(g, a, b)
-            if g == 1:
-                return
-    if g > 1:
-        for row in W:
-            for k, (a, b) in enumerate(row):
-                row[k] = (a // g, b // g)
-
-
 def _pdiv_exact(x, y, d):
     """Exact quotient x / y in Z[sqrt(d)]; raises if the division leaves a
     remainder, which would mean the elimination chain is broken."""
@@ -429,14 +419,15 @@ def _pdiv_exact(x, y, d):
 def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     """Exact (negatives, zeros, positives) by congruence elimination.
 
-    Uses 1x1 pivots from the diagonal when available and hyperbolic 2x2
-    pivots when the whole diagonal vanishes.  Each 1x1 Schur step scales by
-    |pivot| and divides by the previous |pivot|; the division is exact by
-    Sylvester's identity and keeps entries at minor size instead of letting
-    them compound.  Both operations are positive scalings, hence
-    congruences, so inertia is preserved throughout.  Hyperbolic steps have
-    no matching exact divisor, so they reset the chain; they only occur
-    while the whole diagonal is zero.
+    Each step takes a 1x1 pivot p from the diagonal of the remaining block,
+    scales the Schur step by |p| and divides by the previous |p|.  The
+    block then holds |leading minor| times the Schur complement, so the
+    division is exact (Bareiss) and entries stay at minor size; the scaling
+    is positive, hence a congruence.  When the whole diagonal vanishes but
+    W[i][j] does not, adding row and column j to row and column i makes
+    W[i][i] = 2 W[i][j].  That is a congruence by a unimodular integer
+    matrix on rows not yet eliminated, so it keeps the inertia and the
+    leading minors, and the next division stays exact.
     """
     _require_symmetric(matrix)
     d = matrix.radicand
@@ -457,70 +448,43 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     while W:
         m = len(W)
         k = next((i for i in range(m) if W[i][i] != (0, 0)), None)
-        if k is not None:
-            if k:
-                _swap_symmetric(W, 0, k)
-            p = W[0][0]
-            sp = _pair_sign(p, d)
-            if sp < 0:
-                neg += 1
-            else:
-                pos += 1
-            s = p if sp > 0 else (-p[0], -p[1])
-            col = [W[i][0] for i in range(m)]
-            W = [
-                [
-                    _pdiv_exact(
-                        _psub(
-                            _pmul(W[i][j], s, d),
-                            _pscale(_pmul(col[i], col[j], d), sp),
-                        ),
-                        prev,
-                        d,
-                    )
-                    for j in range(1, m)
-                ]
-                for i in range(1, m)
-            ]
-            prev = s
-            continue
-        hot = None
-        for i in range(m):
-            j = next((j for j in range(i + 1, m) if W[i][j] != (0, 0)), None)
-            if j is not None:
-                hot = (i, j)
+        if k is None:
+            hot = next(
+                ((i, j) for i in range(m) for j in range(m) if W[i][j] != (0, 0)),
+                None,
+            )
+            if hot is None:
+                zero += m
                 break
-        if hot is None:
-            zero += m
-            break
-        i0, j0 = hot
-        if i0 != 0:
-            _swap_symmetric(W, 0, i0)
-            if j0 == 0:
-                j0 = i0
-        if j0 != 1:
-            _swap_symmetric(W, 1, j0)
-        c = W[0][1]
-        sc = _pair_sign(c, d)
-        neg += 1
-        pos += 1
-        s = c if sc > 0 else (-c[0], -c[1])
-        u = [W[i][0] for i in range(m)]
-        w = [W[i][1] for i in range(m)]
+            k, j = hot
+            W[k] = [_padd(x, y) for x, y in zip(W[k], W[j])]
+            for row in W:
+                row[k] = _padd(row[k], row[j])
+        if k:
+            _swap_symmetric(W, 0, k)
+        p = W[0][0]
+        sp = _pair_sign(p, d)
+        if sp < 0:
+            neg += 1
+        else:
+            pos += 1
+        s = p if sp > 0 else (-p[0], -p[1])
+        col = [W[i][0] for i in range(m)]
         W = [
             [
-                _psub(
-                    _pmul(W[i][j], s, d),
-                    _pscale(
-                        _padd(_pmul(u[i], w[j], d), _pmul(w[i], u[j], d)), sc
+                _pdiv_exact(
+                    _psub(
+                        _pmul(W[i][j], s, d),
+                        _pscale(_pmul(col[i], col[j], d), sp),
                     ),
+                    prev,
+                    d,
                 )
-                for j in range(2, m)
+                for j in range(1, m)
             ]
-            for i in range(2, m)
+            for i in range(1, m)
         ]
-        prev = (1, 0)
-        _strip_block(W)
+        prev = s
     return Inertia(neg, zero, pos)
 
 
@@ -587,10 +551,6 @@ class IntPolynomial:
                 raise TypeError(f"coefficients must be int, got {type(c).__name__}")
         object.__setattr__(self, "coeffs", coeffs)
 
-    @classmethod
-    def monomial(cls, degree: int, coefficient: int = 1) -> "IntPolynomial":
-        return cls((0,) * degree + (coefficient,))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -598,31 +558,6 @@ class IntPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> int:
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
-    def is_monic(self) -> bool:
-        return not self.is_zero and self.leading == 1
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __neg__(self):
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -655,9 +590,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def __str__(self):
         if self.is_zero:

@@ -62,11 +62,6 @@ class Presentation:
         """Parse a word like 'z^2*y^-1' over this presentation's alphabet."""
         return _WordParser(text, self.generators).parse()
 
-    def generator_word(self, name: str) -> Word:
-        if name not in self.generators:
-            raise UnknownGenerator(f"unknown generator {name!r}", 0)
-        return (self.generators.index(name) + 1,)
-
 
 _PRES_TOKEN = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<op>[<>|,*^()=\-]))"
@@ -293,8 +288,11 @@ def coset_enumerate(
 ) -> CosetTable:
     """Enumerate right cosets of <subgroup> by relator tracing.
 
-    Coincidences collapse rows immediately through a union-find, so memory
-    stays proportional to rows ever allocated; the cap bounds that count.
+    One scan takes each live coset in order, traces every relator from it
+    and then, if it is still live, defines its empty slots; the scan
+    reaches the cosets so defined in turn.  Coincidences collapse rows
+    immediately through a union-find, so memory stays proportional to rows
+    ever allocated; the cap bounds that count.
     """
     width = 2 * len(presentation.generators)
     relators = [_symbols(r) for r in presentation.relators]
@@ -366,26 +364,11 @@ def coset_enumerate(
         if find(v) == v:
             for rel in relators:
                 unify(trace(v, rel), v)
-        v += 1
-    # A generator missing from every relator leaves gaps; fill and re-close
-    # until the table is stable.
-    while True:
-        filled = False
-        for v in range(len(labels)):
-            if find(v) != v:
-                continue
+        if find(v) == v:
             for s in range(width):
                 if neighbors[v][s] == SENTINEL:
                     follow(v, s)
-                    filled = True
-        if not filled:
-            break
-        v = 0
-        while v < len(labels):
-            if find(v) == v:
-                for rel in relators:
-                    unify(trace(v, rel), v)
-            v += 1
+        v += 1
 
     roots = [v for v in range(len(labels)) if find(v) == v]
     index = {root: i for i, root in enumerate(roots)}
@@ -398,11 +381,10 @@ def coset_enumerate(
     return table
 
 
-def element_order(presentation: Presentation, word, max_cosets: int = 100000,
-                  table: CosetTable | None = None) -> int:
+def element_order(presentation: Presentation, word, table: CosetTable | None = None) -> int:
     """Order of the element in the enumerated group (regular action)."""
     if table is None:
-        table = coset_enumerate(presentation, (), max_cosets)
+        table = coset_enumerate(presentation)
     elif table.subgroup_words:
         raise ValueError("element order needs the regular table")
     perm = table.permutation(word)
@@ -471,34 +453,6 @@ def orbit_partition(n: int, perms) -> list:
     for x in range(n):
         groups.setdefault(find(x), []).append(x)
     return [sorted(groups[root]) for root in sorted(groups)]
-
-
-def orbit_coset_table(table: CosetTable, subgroup_words) -> CosetTable:
-    """Coset table of <subgroup_words> induced on orbits of the regular
-    table under left multiplication, instead of a fresh enumeration."""
-    if table.subgroup_words:
-        raise ValueError("orbit cosets need the regular table")
-    perms = [left_action(table, w) for w in subgroup_words]
-    orbits = orbit_partition(table.count, perms)
-    orbit_of = [0] * table.count
-    for i, orbit in enumerate(orbits):
-        for x in orbit:
-            orbit_of[x] = i
-    width = 2 * len(table.generators)
-    action = []
-    for orbit in orbits:
-        row = []
-        for s in range(width):
-            targets = {orbit_of[table.action[x][s]] for x in orbit}
-            if len(targets) != 1:
-                raise ValueError(f"orbit action is not well defined at slot {s}")
-            row.append(targets.pop())
-        action.append(tuple(row))
-    return CosetTable(
-        table.generators,
-        tuple(free_reduce(w) for w in subgroup_words),
-        tuple(action),
-    )
 
 
 GAMMA10_TEXT = (

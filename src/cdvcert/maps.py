@@ -99,10 +99,14 @@ class SimpleGraph:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimpleGraph":
         try:
-            return cls(int(data["n"]), tuple(tuple(e) for e in data["edges"]))
+            n, edges = data["n"], data["edges"]
+            if type(n) is not int or not isinstance(edges, list):
+                raise TypeError("'n' must be an int and 'edges' a list")
+            return cls(n, tuple(tuple(e) for e in edges))
         except (KeyError, TypeError) as exc:
             raise ValueError(
-                "graph data must be a JSON object with 'n' and 'edges'"
+                "graph data must be a JSON object with an int 'n' and an "
+                "'edges' list"
             ) from exc
 
     def save(self, path) -> None:
@@ -122,9 +126,7 @@ class CombinatorialMap:
     vertex_count: int
     edge_count: int
     face_count: int
-    vertex_edge: tuple
     edge_face: tuple
-    vertex_face: tuple
     graph: SimpleGraph
 
 
@@ -150,7 +152,6 @@ def build_map_from_cosets(
     (v_orbits, vertex_of), (e_orbits, edge_of), (f_orbits, face_of) = classes
 
     edges = []
-    vertex_edge = set()
     edge_face = set()
     for ei, orbit in enumerate(e_orbits):
         ends = sorted({vertex_of[p] for p in orbit})
@@ -164,21 +165,15 @@ def build_map_from_cosets(
                 f"edge orbit {ei} meets {len(sides)} faces, expected 2"
             )
         edges.append((ends[0], ends[1]))
-        vertex_edge.update((w, ei) for w in ends)
         edge_face.update((ei, f) for f in sides)
     if len(set(edges)) != len(edges):
         raise MalformedIncidence("two edge orbits join the same vertex pair")
-    vertex_face = {
-        (vertex_of[p], face_of[p]) for p in range(table.count)
-    }
     graph = SimpleGraph(len(v_orbits), tuple(edges))
     return CombinatorialMap(
         vertex_count=len(v_orbits),
         edge_count=len(e_orbits),
         face_count=len(f_orbits),
-        vertex_edge=tuple(sorted(vertex_edge)),
         edge_face=tuple(sorted(edge_face)),
-        vertex_face=tuple(sorted(vertex_face)),
         graph=graph,
     )
 

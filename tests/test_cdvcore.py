@@ -113,6 +113,8 @@ class TestOperator:
                 "off_diagonal": [1],
             },
             {"graph": {"n": 1, "edges": []}, "diagonal": [0.5]},
+            {"graph": {"n": 2, "edges": [[0, 1]]}, "diagonal": "00"},
+            {"graph": {"n": 2.7, "edges": [[0, 1]]}, "diagonal": ["0", "0"]},
         ],
     )
     def test_malformed_json_dict_raises_value_error(self, data):

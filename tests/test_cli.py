@@ -100,6 +100,7 @@ class TestBipartite:
                 "off_diagonal": [1],
             },
             {"graph": {"n": 1, "edges": []}, "diagonal": [0.5]},
+            {"graph": {"n": 2, "edges": [[0, 1]]}, "diagonal": "00"},
         ],
     )
     def test_malformed_operator_is_reported(self, capsys, tmp_path, operator):

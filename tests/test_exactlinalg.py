@@ -59,6 +59,27 @@ def symmetric_int_matrices(max_side=5, lo=-4, hi=4):
     )
 
 
+def zero_diagonal(m):
+    return ExactMatrix.from_rows(
+        [[0 if i == j else e for j, e in enumerate(m.row(i))] for i in range(m.rows)]
+    )
+
+
+def descartes_inertia(m):
+    """(negatives, zeros, positives) read off the charpoly's coefficient
+    signs.  The charpoly of a symmetric matrix is real-rooted, so Descartes'
+    rule of signs counts its positive and negative roots exactly."""
+
+    def sign_changes(coeffs):
+        signs = [c > 0 for c in coeffs if c]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    coeffs = charpoly(m).coeffs
+    zeros = next(i for i, c in enumerate(coeffs) if c)
+    negatives = sign_changes([-c if i % 2 else c for i, c in enumerate(coeffs)])
+    return negatives, zeros, sign_changes(coeffs)
+
+
 class TestExactMatrix:
     def test_mixed_radicands_rejected(self):
         with pytest.raises(FieldMismatch):
@@ -99,7 +120,17 @@ class TestExactMatrix:
         assert all(isinstance(e, str) for e in data["entries"])
 
     @pytest.mark.parametrize(
-        "data", [{}, {"rows": 1}, [1, 2, 3], {"rows": 1, "cols": 1, "entries": "0"}]
+        "data",
+        [
+            {},
+            {"rows": 1},
+            [1, 2, 3],
+            {"rows": 1, "cols": 1, "entries": "0"},
+            {"rows": 1, "cols": 2, "field_d": 1, "entries": "12"},
+            {"rows": True, "cols": 1, "field_d": 1, "entries": ["1"]},
+            {"rows": 1, "cols": 1.0, "field_d": 1, "entries": ["1"]},
+            {"rows": 1, "cols": 1, "field_d": "1", "entries": ["1"]},
+        ],
     )
     def test_malformed_json_dict_raises_value_error(self, data):
         with pytest.raises(ValueError, match="matrix data"):
@@ -173,6 +204,25 @@ class TestInertia:
     def test_counts_sum_to_size(self, m):
         inertia = inertia_symmetric(m)
         assert inertia.negatives + inertia.zeros + inertia.positives == m.rows
+
+    def test_diagonal_vanishes_after_first_pivot(self):
+        # The block left after the pivot 2 is [[0, 2], [2, 0]]; its zero
+        # diagonal forces the unimodular step, then division by prev = 2.
+        m = ExactMatrix.from_rows([[2, 2, 0], [2, 2, 1], [0, 1, 0]])
+        inertia = inertia_symmetric(m)
+        counts = (inertia.negatives, inertia.zeros, inertia.positives)
+        assert counts == descartes_inertia(m) == (1, 0, 2)
+
+    @given(
+        st.tuples(symmetric_int_matrices(max_side=6), st.booleans()).map(
+            lambda t: zero_diagonal(t[0]) if t[1] else t[0]
+        )
+    )
+    @settings(max_examples=150)
+    def test_matches_descartes_oracle(self, m):
+        inertia = inertia_symmetric(m)
+        counts = (inertia.negatives, inertia.zeros, inertia.positives)
+        assert counts == descartes_inertia(m)
 
     @given(symmetric_int_matrices(max_side=4))
     @settings(max_examples=60)

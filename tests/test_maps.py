@@ -83,7 +83,19 @@ class TestSimpleGraph:
         g.save(path)
         assert SimpleGraph.load(path) == g
 
-    @pytest.mark.parametrize("data", [{}, {"n": 3}, {"n": 3, "edges": [0, 1]}, "nope"])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {},
+            {"n": 3},
+            {"n": 3, "edges": [0, 1]},
+            "nope",
+            {"n": 2.7, "edges": []},
+            {"n": True, "edges": []},
+            {"n": "3", "edges": []},
+            {"n": 2, "edges": "01"},
+        ],
+    )
     def test_malformed_json_dict_raises_value_error(self, data):
         with pytest.raises(ValueError, match="graph data"):
             SimpleGraph.from_json_dict(data)
