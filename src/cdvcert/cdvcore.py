@@ -12,6 +12,7 @@ is what makes the corank a genuine lower-bound certificate.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,12 @@ from .exactlinalg import (
     rank,
 )
 from .maps import SimpleGraph
+
+
+_OFF_DIAGONAL_FORMAT = (
+    "off_diagonal data must be a JSON object that maps each edge at most "
+    "once, as 'u,v' with decimal vertex numbers, to a scalar"
+)
 
 
 class SignPatternViolation(ValueError):
@@ -106,17 +113,16 @@ class SchrodingerOperator:
             raise ValueError("diagonal length does not match the graph")
         off_diagonal = data.get("off_diagonal", {})
         if not isinstance(off_diagonal, dict):
-            raise ValueError(
-                "off_diagonal data must be a JSON object mapping 'u,v' to a scalar"
-            )
+            raise ValueError(_OFF_DIAGONAL_FORMAT)
         overrides = {}
         for key, text in off_diagonal.items():
-            u, v = (int(t) for t in key.split(","))
-            if u > v:
-                u, v = v, u
-            if not graph.has_edge(u, v):
+            m = re.fullmatch(r"([0-9]+),([0-9]+)", key)
+            edge = tuple(sorted(int(t) for t in m.groups())) if m else None
+            if edge is None or edge in overrides:
+                raise ValueError(f"{_OFF_DIAGONAL_FORMAT}; got key {key!r}")
+            if not graph.has_edge(*edge):
                 raise ValueError(f"off-diagonal override {key} is not an edge")
-            overrides[(u, v)] = parse_scalar(text)
+            overrides[edge] = parse_scalar(text)
         return build_operator(graph, diagonal, overrides)
 
     def save(self, path) -> None:
@@ -466,16 +472,6 @@ class Q1Report:
     scaled_identity: bool
     positive_roots: int
     samples: tuple
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.graph_ok
-            and self.factored_identity
-            and self.scaled_identity
-            and self.positive_roots == 0
-            and all(s.gap_nonzero and s.pattern_ok for s in self.samples)
-        )
 
 
 def verify_q1_counterexample() -> Q1Report:

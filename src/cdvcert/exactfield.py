@@ -21,7 +21,7 @@ class FieldMismatch(ValueError):
 
 
 class ParseError(ValueError):
-    """Scalar text that does not match the expression grammar."""
+    """Scalar, presentation or word text that does not match its grammar."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -249,43 +249,34 @@ QuadScalar.ZERO = ZERO
 QuadScalar.ONE = ONE
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<sqrt>sqrt)|(?P<op>[()+\-*/]))"
-)
+class Tokens:
+    """Cursor over the tokens of one text.
 
+    `pattern` matches one token after optional whitespace and names its
+    kind by the named group that matched.  A token is (kind, value,
+    position); an 'int' token's value is an int, any other is its text.
+    """
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-                raise ParseError(f"unexpected character {text[bad]!r}", bad)
-            break
-        if m.group("int"):
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        elif m.group("sqrt"):
-            tokens.append(("sqrt", "sqrt", m.start("sqrt")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    """Recursive descent over: expr := term (('+'|'-') term)*,
-    term := factor (('*'|'/') factor)*, factor := ['-'] atom,
-    atom := integer | sqrt '(' integer ')' | '(' expr ')'."""
-
-    def __init__(self, text: str):
+    def __init__(self, pattern: re.Pattern, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.items = []
         self.i = 0
+        pos = 0
+        while pos < len(text):
+            m = pattern.match(text, pos)
+            if m is None:
+                rest = text[pos:].lstrip()
+                if rest:
+                    bad = len(text) - len(rest)
+                    raise ParseError(f"unexpected character {rest[0]!r}", bad)
+                break
+            kind = m.lastgroup
+            value = int(m.group(kind)) if kind == "int" else m.group(kind)
+            self.items.append((kind, value, m.start(kind)))
+            pos = m.end()
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        return self.items[self.i] if self.i < len(self.items) else None
 
     def take(self):
         tok = self.peek()
@@ -294,71 +285,79 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op: str):
+    def accept(self, ops: str):
+        """Take the next token if it is one of the operators in ops."""
+        tok = self.peek()
+        if tok is not None and tok[0] == "op" and tok[1] in ops:
+            self.i += 1
+            return tok
+        return None
+
+    def expect(self, op: str, message: str):
         tok = self.take()
         if tok[0] != "op" or tok[1] != op:
-            raise ParseError(f"expected {op!r}", tok[2])
+            raise ParseError(message, tok[2])
 
-    def _apply(self, op, x, y, pos) -> QuadScalar:
-        try:
-            return op(x, y)
-        except FieldMismatch as exc:
-            raise MixedRadicals(str(exc), pos) from exc
-
-    def parse(self) -> QuadScalar:
-        value = self.expr()
+    def finish(self) -> None:
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+
+
+# sqrt(n) factors n by trial division up to sqrt(n); this bound keeps that
+# under 25,000 steps and covers every radicand the certificates use.
+MAX_RADICAND = 2**31
+
+_SCALAR = re.compile(r"\s*(?:(?P<int>\d+)|(?P<sqrt>sqrt)|(?P<op>[()+\-*/]))")
+
+_ARITHMETIC = {
+    "+": QuadScalar.__add__,
+    "-": QuadScalar.__sub__,
+    "*": QuadScalar.__mul__,
+    "/": QuadScalar.__truediv__,
+}
+
+
+def _binary(tokens: Tokens, ops: str, operand) -> QuadScalar:
+    """Left fold of operand (op operand)* over the operators in ops."""
+    value = operand(tokens)
+    while tok := tokens.accept(ops):
+        rhs = operand(tokens)
+        try:
+            value = _ARITHMETIC[tok[1]](value, rhs)
+        except FieldMismatch as exc:
+            raise MixedRadicals(str(exc), tok[2]) from exc
+        except DivisionByZero as exc:
+            raise ParseError(str(exc), tok[2]) from exc
+    return value
+
+
+def _expr(tokens: Tokens) -> QuadScalar:
+    """expr := term (('+'|'-') term)*; term := factor (('*'|'/') factor)*."""
+    return _binary(tokens, "+-", lambda t: _binary(t, "*/", _factor))
+
+
+def _factor(tokens: Tokens) -> QuadScalar:
+    """factor := '-' factor | integer | sqrt '(' integer ')' | '(' expr ')'."""
+    if tokens.accept("-"):
+        return -_factor(tokens)
+    kind, value, pos = tokens.take()
+    if kind == "int":
+        return QuadScalar(value)
+    if kind == "sqrt":
+        tokens.expect("(", "expected '('")
+        kind, value, pos = tokens.take()
+        if kind != "int" or value < 1:
+            raise ParseError("sqrt takes a positive integer literal", pos)
+        if value > MAX_RADICAND:
+            raise ParseError(f"radicand above the limit {MAX_RADICAND}", pos)
+        tokens.expect(")", "expected ')'")
+        return QuadScalar.root(value)
+    if value == "(":
+        value = _expr(tokens)
+        tokens.expect(")", "expected ')'")
         return value
-
-    def expr(self) -> QuadScalar:
-        value = self.term()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.take()
-                rhs = self.term()
-                op = QuadScalar.__add__ if tok[1] == "+" else QuadScalar.__sub__
-                value = self._apply(op, value, rhs, tok[2])
-            else:
-                return value
-
-    def term(self) -> QuadScalar:
-        value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "*/":
-                self.take()
-                rhs = self.factor()
-                op = QuadScalar.__mul__ if tok[1] == "*" else QuadScalar.__truediv__
-                value = self._apply(op, value, rhs, tok[2])
-            else:
-                return value
-
-    def factor(self) -> QuadScalar:
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
-            self.take()
-            return -self.factor()
-        return self.atom()
-
-    def atom(self) -> QuadScalar:
-        tok = self.take()
-        if tok[0] == "int":
-            return QuadScalar(tok[1])
-        if tok[0] == "sqrt":
-            self.expect_op("(")
-            arg = self.take()
-            if arg[0] != "int" or arg[1] < 1:
-                raise ParseError("sqrt takes a positive integer literal", arg[2])
-            self.expect_op(")")
-            return QuadScalar.root(arg[1])
-        if tok[0] == "op" and tok[1] == "(":
-            value = self.expr()
-            self.expect_op(")")
-            return value
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+    raise ParseError(f"unexpected token {value!r}", pos)
 
 
 def parse_scalar(text: str) -> QuadScalar:
@@ -367,4 +366,7 @@ def parse_scalar(text: str) -> QuadScalar:
         raise ParseError(f"scalar data must be text, got {type(text).__name__}", 0)
     if not text.strip():
         raise ParseError("empty scalar", 0)
-    return _Parser(text).parse()
+    tokens = Tokens(_SCALAR, text)
+    value = _expr(tokens)
+    tokens.finish()
+    return value

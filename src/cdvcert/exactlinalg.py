@@ -39,10 +39,6 @@ class Inertia:
     zeros: int
     positives: int
 
-    @property
-    def size(self) -> int:
-        return self.negatives + self.zeros + self.positives
-
 
 def _coerce(value) -> QuadScalar:
     if isinstance(value, QuadScalar):

@@ -12,17 +12,16 @@ import math
 import re
 from dataclasses import dataclass
 
+from .exactfield import ParseError, Tokens
+
 SENTINEL = -1
 
 Word = tuple
 
-
-class ParseError(ValueError):
-    """Presentation or word text that does not match the grammar."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+# The most letters one parsed word may hold, and all relators of one
+# parsed presentation together; a piece's length is checked before its
+# power is built, so nested powers cannot outgrow it.
+MAX_WORD_LENGTH = 100_000
 
 
 class UnknownGenerator(ParseError):
@@ -60,163 +59,95 @@ class Presentation:
 
     def word(self, text: str) -> Word:
         """Parse a word like 'z^2*y^-1' over this presentation's alphabet."""
-        return _WordParser(text, self.generators).parse()
+        tokens = Tokens(_PRESENTATION, text)
+        word = _word(tokens, self.generators)
+        tokens.finish()
+        return word
 
 
-_PRES_TOKEN = re.compile(
+_PRESENTATION = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<op>[<>|,*^()=\-]))"
 )
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _PRES_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-                raise ParseError(f"unexpected character {text[bad]!r}", bad)
-            break
-        for kind in ("name", "int", "op"):
-            if m.group(kind):
-                value = m.group(kind)
-                tokens.append((kind, int(value) if kind == "int" else value, m.start(kind)))
-                break
-        pos = m.end()
-    return tokens
+def _word(tokens: Tokens, generators) -> Word:
+    """word := piece ('*' piece)*, freely reduced."""
+    out = list(_piece(tokens, generators))
+    while tok := tokens.accept("*"):
+        out.extend(_piece(tokens, generators))
+        if len(out) > MAX_WORD_LENGTH:
+            raise ParseError(f"word longer than {MAX_WORD_LENGTH} letters", tok[2])
+    return free_reduce(out)
 
 
-class _WordParser:
-    """word := '1' | piece ('*' piece)*; piece := atom ['^' ['-'] int];
-    atom := name | '(' word ')'."""
-
-    def __init__(self, text: str, generators, tokens=None, start=0):
-        self.text = text
-        self.generators = generators
-        self.tokens = _tokenize(text) if tokens is None else tokens
-        self.i = start
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.i += 1
-        return tok
-
-    def parse(self) -> Word:
-        word = self.word()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-        return word
-
-    def word(self) -> Word:
-        out = list(self.piece())
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] == "*":
-                self.take()
-                out.extend(self.piece())
-            else:
-                return free_reduce(out)
-
-    def piece(self) -> Word:
-        atom = self.atom()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.take()
-            sign = 1
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] == "-":
-                self.take()
-                sign = -1
-            tok = self.take()
-            if tok[0] != "int":
-                raise ParseError("exponent must be an integer", tok[2])
-            e = sign * tok[1]
-            if e < 0:
-                atom = invert_word(atom)
-                e = -e
-            return atom * e
+def _piece(tokens: Tokens, generators) -> Word:
+    """piece := (name | '1' | '(' word ')') ['^' ['-'] integer]."""
+    kind, value, pos = tokens.take()
+    if kind == "name":
+        if value not in generators:
+            raise UnknownGenerator(f"unknown generator {value!r}", pos)
+        atom = (generators.index(value) + 1,)
+    elif kind == "int" and value == 1:
+        atom = ()
+    elif value == "(":
+        atom = _word(tokens, generators)
+        tokens.expect(")", "expected ')'")
+    else:
+        raise ParseError(f"unexpected token {value!r}", pos)
+    if not tokens.accept("^"):
         return atom
-
-    def atom(self) -> Word:
-        tok = self.take()
-        if tok[0] == "name":
-            if tok[1] not in self.generators:
-                raise UnknownGenerator(f"unknown generator {tok[1]!r}", tok[2])
-            return (self.generators.index(tok[1]) + 1,)
-        if tok[0] == "int" and tok[1] == 1:
-            return ()
-        if tok[0] == "op" and tok[1] == "(":
-            inner = self.word()
-            close = self.take()
-            if close[0] != "op" or close[1] != ")":
-                raise ParseError("expected ')'", close[2])
-            return inner
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+    if tokens.accept("-"):
+        atom = invert_word(atom)
+    kind, e, pos = tokens.take()
+    if kind != "int":
+        raise ParseError("exponent must be an integer", pos)
+    if e * max(len(atom), 1) > MAX_WORD_LENGTH:
+        raise ParseError(f"power longer than {MAX_WORD_LENGTH} letters", pos)
+    return atom * e
 
 
 def parse_presentation(text: str) -> Presentation:
     """Parse '< gens | relations >' where relations are comma separated and
     each relation is a word or a chain of '='-joined words."""
-    tokens = _tokenize(text)
-    if not tokens or tokens[0][1] != "<":
+    tokens = Tokens(_PRESENTATION, text)
+    if not tokens.accept("<"):
         raise ParseError("presentation must start with '<'", 0)
-    i = 1
     names = []
-    while True:
-        if i >= len(tokens):
-            raise ParseError("unexpected end of input", len(text))
-        kind, value, pos = tokens[i]
-        if kind == "name":
-            if value in names:
-                raise ParseError(f"duplicate generator {value!r}", pos)
-            names.append(value)
-            i += 1
-            if i < len(tokens) and tokens[i][1] == ",":
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "name":
-                    raise ParseError(
-                        "expected a generator name after ','",
-                        tokens[i][2] if i < len(tokens) else len(text),
-                    )
-                continue
-        if i < len(tokens) and tokens[i][1] == "|":
-            i += 1
-            break
-        raise ParseError("expected generator list then '|'", tokens[i][2] if i < len(tokens) else len(text))
+    tok = tokens.take()
+    if tok[0] == "name":
+        names.append(tok[1])
+        while tokens.accept(","):
+            tok = tokens.take()
+            if tok[0] != "name":
+                raise ParseError("expected a generator name after ','", tok[2])
+            if tok[1] in names:
+                raise ParseError(f"duplicate generator {tok[1]!r}", tok[2])
+            names.append(tok[1])
+        tok = tokens.take()
+    if tok[1] != "|":
+        raise ParseError("expected generator list then '|'", tok[2])
     if not names:
         raise ParseError("empty generator list", 0)
     relators = []
-    while i < len(tokens) and tokens[i][1] != ">":
-        chain = []
-        parser = _WordParser(text, tuple(names), tokens, i)
-        chain.append(parser.word())
-        i = parser.i
-        while i < len(tokens) and tokens[i][1] == "=":
-            parser.i = i + 1
-            chain.append(parser.word())
-            i = parser.i
+    letters = 0
+    while not tokens.accept(">"):
+        start = tokens.peek()
+        chain = [_word(tokens, names)]
+        while tokens.accept("="):
+            chain.append(_word(tokens, names))
         if len(chain) == 1:
-            relators.append(chain[0])
-        else:
-            for left, right in zip(chain, chain[1:]):
-                relators.append(free_reduce(left + invert_word(right)))
-        if i < len(tokens) and tokens[i][1] == ",":
-            i += 1
-        elif i < len(tokens) and tokens[i][1] != ">":
-            raise ParseError(f"expected ',' or '>', got {tokens[i][1]!r}", tokens[i][2])
-    if i >= len(tokens) or tokens[i][1] != ">":
-        raise ParseError("presentation must end with '>'", len(text))
-    if tokens[i + 1 :]:
-        raise ParseError(f"trailing input {tokens[i + 1][1]!r}", tokens[i + 1][2])
-    relators = [r for r in (free_reduce(r) for r in relators) if r]
-    return Presentation(tuple(names), tuple(relators))
+            chain.append(())  # a lone word w is the relation w = 1
+        for left, right in zip(chain, chain[1:]):
+            relators.append(free_reduce(left + invert_word(right)))
+            letters += len(relators[-1])
+        if letters > MAX_WORD_LENGTH:
+            raise ParseError(f"relators longer than {MAX_WORD_LENGTH} letters", start[2])
+        if not tokens.accept(","):
+            tok = tokens.peek()
+            if tok is not None and tok[1] != ">":
+                raise ParseError(f"expected ',' or '>', got {tok[1]!r}", tok[2])
+    tokens.finish()
+    return Presentation(tuple(names), tuple(r for r in relators if r))
 
 
 def _symbols(word) -> tuple:

@@ -102,11 +102,15 @@ class SimpleGraph:
             n, edges = data["n"], data["edges"]
             if type(n) is not int or not isinstance(edges, list):
                 raise TypeError("'n' must be an int and 'edges' a list")
+            for e in edges:
+                if not (isinstance(e, list) and len(e) == 2
+                        and all(type(x) is int for x in e)):
+                    raise TypeError(f"edge {e!r} is not a list of two ints")
             return cls(n, tuple(tuple(e) for e in edges))
         except (KeyError, TypeError) as exc:
             raise ValueError(
                 "graph data must be a JSON object with an int 'n' and an "
-                "'edges' list"
+                "'edges' list of int pairs"
             ) from exc
 
     def save(self, path) -> None:

@@ -101,6 +101,24 @@ class TestBipartite:
             },
             {"graph": {"n": 1, "edges": []}, "diagonal": [0.5]},
             {"graph": {"n": 2, "edges": [[0, 1]]}, "diagonal": "00"},
+            {"graph": {"n": 2, "edges": [[0, 1]]}, "field_d": 1, "diagonal": ["1/0", "0"]},
+            {"graph": {"n": 3, "edges": [[0.5, 1]]}, "diagonal": ["0"] * 3},
+            {"graph": {"n": 3, "edges": [[True, 2]]}, "diagonal": ["0"] * 3},
+            {
+                "graph": {"n": 2, "edges": [[0, 1]]},
+                "diagonal": ["0", "0"],
+                "off_diagonal": {"0_0,1": "-2"},
+            },
+            {
+                "graph": {"n": 2, "edges": [[0, 1]]},
+                "diagonal": ["0", "0"],
+                "off_diagonal": {" +0 , 1 ": "-2"},
+            },
+            {
+                "graph": {"n": 2, "edges": [[0, 1]]},
+                "diagonal": ["0", "0"],
+                "off_diagonal": {"0,1": "-2", "1,0": "-3"},
+            },
         ],
     )
     def test_malformed_operator_is_reported(self, capsys, tmp_path, operator):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cdvcert.exactfield import (
+    MAX_RADICAND,
     FieldMismatch,
     MixedRadicals,
     ParseError,
@@ -171,12 +172,24 @@ class TestParseRender:
         "text",
         [
             "", "1 +", "sqrt(-3)", "sqrt(x)", "sqrt(4/9)", "1/(2-2)", "(1", "1..2", "2^3",
-            0.5, 3, None,
+            0.5, 3, None, "1/0", "sqrt(2147483649)", "sqrt(1000000000000037)",
         ],
     )
     def test_rejects_malformed(self, text):
-        with pytest.raises((ParseError, ZeroDivisionError)):
+        with pytest.raises(ParseError):
             parse_scalar(text)
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [("1/(2-2)", 1), ("sqrt(2)*3/0", 9), ("sqrt(2147483649)", 5), ("2*sqrt(1" + "0" * 40 + "1)", 7)],
+    )
+    def test_divisor_and_radicand_errors_carry_position(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse_scalar(text)
+        assert err.value.position == position
+
+    def test_largest_radicand_is_accepted(self):
+        assert parse_scalar(f"sqrt({MAX_RADICAND})") == QuadScalar.root(MAX_RADICAND)
 
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as err:

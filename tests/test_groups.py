@@ -1,6 +1,8 @@
 import pytest
 
+from cdvcert import exactfield
 from cdvcert.groups import (
+    MAX_WORD_LENGTH,
     CapExceeded,
     ParseError,
     Presentation,
@@ -45,11 +47,31 @@ class TestParsing:
         assert isinstance(err.value.position, int)
 
     @pytest.mark.parametrize(
-        "text", ["a | b", "< a", "< a | (a >", "< | a >", "< a, | >"]
+        "text",
+        [
+            "a | b", "< a", "< a | (a >", "< | a >", "< a, | >",
+            "< a | a^1000000000 >", "< a | ((a^1000)^1000)^1000 >",
+            "< a | 1^100000000000000000000 >",
+            "< a | " + ", ".join(["a^60000"] * 2) + " >",
+        ],
     )
     def test_malformed(self, text):
         with pytest.raises(ParseError):
             parse_presentation(text)
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [("a^100001", 2), ("(a*a)^50001", 6), ("a^60000*a^60000", 7)],
+    )
+    def test_word_length_is_bounded(self, text, position):
+        pres = parse_presentation("< a | >")
+        assert len(pres.word(f"a^{MAX_WORD_LENGTH}")) == MAX_WORD_LENGTH
+        with pytest.raises(ParseError) as err:
+            pres.word(text)
+        assert err.value.position == position
+
+    def test_one_parse_error_class(self):
+        assert ParseError is exactfield.ParseError
 
 
 KNOWN_ORDERS = [

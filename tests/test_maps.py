@@ -94,6 +94,9 @@ class TestSimpleGraph:
             {"n": True, "edges": []},
             {"n": "3", "edges": []},
             {"n": 2, "edges": "01"},
+            {"n": 3, "edges": [[0.5, 1]]},
+            {"n": 3, "edges": [[True, 2]]},
+            {"n": 3, "edges": [[0, 1, 2]]},
         ],
     )
     def test_malformed_json_dict_raises_value_error(self, data):
