@@ -2,18 +2,19 @@
 
 An operator M on a graph G is symmetric, strictly negative on edges, zero
 on non-adjacent pairs, unconstrained on the diagonal, and must have
-exactly one negative eigenvalue.  The certified quantities are its corank,
-and full rank of the transversality system: the linear map sending a
-symmetric matrix X supported on non-adjacent pairs to the off-diagonal
-entries of M*X.  Full rank rules out any nonzero such X with M*X = 0 and
-is what makes the corank a genuine lower-bound certificate.
+exactly one negative eigenvalue.  It is stored as what is free in it: the
+graph, the diagonal and one weight per edge.  The certified quantities
+are its corank, and full rank of the transversality system: the linear
+map sending a symmetric matrix X supported on non-adjacent pairs to the
+off-diagonal entries of M*X.  Full rank rules out any nonzero such X with
+M*X = 0 and is what makes the corank a genuine lower-bound certificate.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactfield import ONE, ZERO, QuadScalar, parse_scalar
@@ -54,44 +55,59 @@ class BadS(ValueError):
     """Diagonal support set incompatible with the bipartite construction."""
 
 
-class EpsilonSearchFailed(RuntimeError):
-    """No admissible diagonal weight found within the halving budget."""
-
-
 class Disconnected(ValueError):
     """Operation that requires a connected graph."""
 
 
-# Halvings of the bipartite diagonal weight eps before EpsilonSearchFailed.
-MAX_HALVINGS = 20
+# Largest vertex count an operator file may declare.  The operator matrix
+# has n*n entries, and the genus-10 certificate needs 54 vertices.
+MAX_OPERATOR_VERTICES = 1000
+
+_MINUS_ONE = QuadScalar(-1)
+
+
+def _scalars(values) -> tuple:
+    return tuple(x if isinstance(x, QuadScalar) else QuadScalar(x) for x in values)
 
 
 @dataclass
 class SchrodingerOperator:
-    """A graph together with a matrix in its sign-pattern class.
+    """A graph, its diagonal, and one weight per edge in graph.edges order.
 
-    inertia and corank start as None and are filled by check_membership.
+    Every other off-diagonal entry is zero by construction.  `matrix` is
+    built once from these fields.  inertia and corank start as None and
+    are filled by check_membership.
     """
 
     graph: SimpleGraph
-    matrix: ExactMatrix
+    diagonal: tuple
+    weights: tuple
     epsilon: Fraction | None = None
     inertia: Inertia | None = None
     corank: int | None = None
+    matrix: ExactMatrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.diagonal = _scalars(self.diagonal)
+        self.weights = _scalars(self.weights)
+        if len(self.diagonal) != self.graph.n:
+            raise ValueError("diagonal length does not match the graph")
+        if len(self.weights) != self.graph.edge_count:
+            raise ValueError("weights length does not match the edge count")
+        entries = dict(zip(self.graph.edges, self.weights))
+        entries.update(((i, i), x) for i, x in enumerate(self.diagonal))
+        self.matrix = ExactMatrix.symmetric(self.graph.n, entries)
 
     def to_json_dict(self) -> dict:
-        edges = self.graph.edges
-        off = {}
-        for u, v in edges:
-            e = self.matrix.entry(u, v)
-            if e != -1:
-                off[f"{u},{v}"] = e.render()
+        off = {
+            f"{u},{v}": w.render()
+            for (u, v), w in zip(self.graph.edges, self.weights)
+            if w != -1
+        }
         data = {
             "graph": self.graph.to_json_dict(),
             "field_d": self.matrix.radicand,
-            "diagonal": [
-                self.matrix.entry(i, i).render() for i in range(self.graph.n)
-            ],
+            "diagonal": [x.render() for x in self.diagonal],
         }
         if off:
             data["off_diagonal"] = off
@@ -101,6 +117,11 @@ class SchrodingerOperator:
     def from_json_dict(cls, data: dict) -> "SchrodingerOperator":
         try:
             graph = SimpleGraph.from_json_dict(data["graph"])
+            if graph.n > MAX_OPERATOR_VERTICES:
+                raise ValueError(
+                    f"operator data must be on at most {MAX_OPERATOR_VERTICES} "
+                    f"vertices, got {graph.n}"
+                )
             if not isinstance(data["diagonal"], list):
                 raise TypeError("'diagonal' must be a list")
             diagonal = [parse_scalar(s) for s in data["diagonal"]]
@@ -109,8 +130,9 @@ class SchrodingerOperator:
                 "operator data must be a JSON object with 'graph' and a "
                 "'diagonal' list"
             ) from exc
-        if len(diagonal) != graph.n:
-            raise ValueError("diagonal length does not match the graph")
+        declared = data.get("field_d")
+        if "field_d" in data and type(declared) is not int:
+            raise ValueError("operator data must be an object whose 'field_d' is an int")
         off_diagonal = data.get("off_diagonal", {})
         if not isinstance(off_diagonal, dict):
             raise ValueError(_OFF_DIAGONAL_FORMAT)
@@ -123,7 +145,14 @@ class SchrodingerOperator:
             if not graph.has_edge(*edge):
                 raise ValueError(f"off-diagonal override {key} is not an edge")
             overrides[edge] = parse_scalar(text)
-        return build_operator(graph, diagonal, overrides)
+        op = build_operator(graph, diagonal, overrides)
+        d = op.matrix.radicand
+        if declared is not None and d != 1 and d != declared:
+            raise ValueError(
+                f"operator data must be over its declared field_d {declared}, "
+                f"but entries use sqrt({d})"
+            )
+        return op
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -136,26 +165,13 @@ class SchrodingerOperator:
 
 
 def build_operator(graph: SimpleGraph, diagonal, overrides=None) -> SchrodingerOperator:
-    """Assemble the matrix: given diagonal, -1 on edges unless overridden,
-    zero elsewhere."""
+    """The given diagonal, and weight -1 on each edge not in overrides."""
     overrides = overrides or {}
     for key in overrides:
         if not graph.has_edge(*key):
             raise ValueError(f"override key {key} is not an edge")
-    n = graph.n
-    entries = [ZERO] * (n * n)
-    minus_one = QuadScalar(-1)
-    for u, v in graph.edges:
-        e = overrides.get((u, v), minus_one)
-        if not isinstance(e, QuadScalar):
-            e = QuadScalar(e)
-        entries[u * n + v] = e
-        entries[v * n + u] = e
-    for i, x in enumerate(diagonal):
-        if not isinstance(x, QuadScalar):
-            x = QuadScalar(x)
-        entries[i * n + i] = x
-    return SchrodingerOperator(graph, ExactMatrix(n, n, entries))
+    weights = [overrides.get(e, _MINUS_ONE) for e in graph.edges]
+    return SchrodingerOperator(graph, diagonal, weights)
 
 
 def build_shift_operator(graph: SimpleGraph, shift) -> SchrodingerOperator:
@@ -164,24 +180,14 @@ def build_shift_operator(graph: SimpleGraph, shift) -> SchrodingerOperator:
 
 
 def check_membership(op: SchrodingerOperator) -> Inertia:
-    """Certify the sign pattern and the one-negative-eigenvalue condition;
-    fills inertia and corank on success."""
-    n = op.graph.n
-    if op.matrix.rows != n or op.matrix.cols != n:
-        raise SignPatternViolation("matrix shape does not match the graph")
-    adj = op.graph.adjacency()
-    for u in range(n):
-        for v in range(u + 1, n):
-            e = op.matrix.entry(u, v)
-            if v in adj[u]:
-                if e.sign() >= 0:
-                    raise SignPatternViolation(
-                        f"edge ({u},{v}) entry {e.render()} is not negative"
-                    )
-            elif e:
-                raise SignPatternViolation(
-                    f"non-adjacent pair ({u},{v}) entry {e.render()} is not zero"
-                )
+    """Certify negative edge weights and exactly one negative eigenvalue;
+    fills inertia and corank on success.  Entries off the graph are zero
+    by construction."""
+    for (u, v), w in zip(op.graph.edges, op.weights):
+        if w.sign() >= 0:
+            raise SignPatternViolation(
+                f"edge ({u},{v}) entry {w.render()} is not negative"
+            )
     inertia = inertia_symmetric(op.matrix)
     if inertia.negatives != 1:
         raise NotOneNegative(inertia)
@@ -280,12 +286,7 @@ def check_sap(op: SchrodingerOperator, progress=None) -> SapCertificate:
 
 
 def _assemble_witness(op: SchrodingerOperator, system: SapSystem, vec) -> ExactMatrix:
-    n = op.graph.n
-    entries = [ZERO] * (n * n)
-    for (a, b), x in zip(system.col_pairs, vec):
-        entries[a * n + b] = x
-        entries[b * n + a] = x
-    witness = ExactMatrix(n, n, entries)
+    witness = ExactMatrix.symmetric(op.graph.n, dict(zip(system.col_pairs, vec)))
     verify_sap_witness(op, witness)
     return witness
 
@@ -338,31 +339,26 @@ def _check_sides(a: int, b: int, s_set) -> tuple:
 
 
 def build_bipartite_operator(a: int, b: int, s_set) -> SchrodingerOperator:
-    """eps*1_S - A on the complete bipartite graph, with eps found by
-    halving from 1/(4(a+b)) until the corank hits a + b - 2 - |S|.
+    """M = eps*1_S - A on the complete bipartite graph, eps = 1/(4(a+b)).
 
-    Membership can fail only for unluckily resonant eps, so the loop
-    almost always exits on the first try.
+    Any eps with 0 < eps*(a+b) < 2ab gives one negative eigenvalue and
+    corank a + b - 2 - |S|:
+    - M x = 0 makes each side's sum vanish, since each side keeps a vertex
+      outside S; then eps*x_v = 0 on S.  So the kernel is the vectors that
+      vanish on S and sum to zero on each side.
+    - -A has one negative eigenvalue, and adding eps*I_S >= 0 adds none.
+    - The all-ones vector gives 1^T M 1 <= eps*(a+b) - 2ab < 0.
+    check_membership certifies the operator exactly all the same.
     """
     s_set, _, _ = _check_sides(a, b, s_set)
-    graph = complete_bipartite(a, b)
-    target = a + b - 2 - len(s_set)
     eps = Fraction(1, 4 * (a + b))
-    for _ in range(MAX_HALVINGS):
-        diagonal = [eps if v in s_set else 0 for v in range(a + b)]
-        op = build_operator(graph, diagonal)
-        op.epsilon = eps
-        try:
-            check_membership(op)
-        except NotOneNegative:
-            eps /= 2
-            continue
-        if op.corank == target:
-            return op
-        eps /= 2
-    raise EpsilonSearchFailed(
-        f"no eps reached corank {target} for a={a}, b={b}, |S|={len(s_set)}"
-    )
+    diagonal = [eps if v in s_set else 0 for v in range(a + b)]
+    op = build_operator(complete_bipartite(a, b), diagonal)
+    op.epsilon = eps
+    check_membership(op)
+    if op.corank != a + b - 2 - len(s_set):
+        raise RuntimeError(f"corank {op.corank} contradicts a + b - 2 - |S|")
+    return op
 
 
 def bipartite_kernel_basis(a: int, b: int, s_set) -> list:
@@ -405,21 +401,12 @@ def build_sap_witness(a: int, b: int) -> tuple:
         raise BadS(f"witness construction needs a >= 3 and b >= 4, got ({a}, {b})")
     s_set = frozenset(range(a - 2)) | frozenset(range(a, a + b - 4))
     op = build_bipartite_operator(a, b, s_set)
-    n = a + b
     v1, v2, v3, v4 = range(a + b - 4, a + b)
-    entries = [ZERO] * (n * n)
-
-    def put(i, j, val):
-        entries[i * n + j] = val
-        entries[j * n + i] = val
-
     # X = x y^T + y x^T with x = e1 - e2, y = e3 - e4 touches only the
     # large side, which is an independent set.
-    put(v1, v3, ONE)
-    put(v2, v4, ONE)
-    put(v1, v4, -ONE)
-    put(v2, v3, -ONE)
-    witness = ExactMatrix(n, n, entries)
+    witness = ExactMatrix.symmetric(
+        a + b, {(v1, v3): ONE, (v2, v4): ONE, (v1, v4): -ONE, (v2, v3): -ONE}
+    )
     verify_sap_witness(op, witness)
     return op, witness
 
@@ -441,19 +428,21 @@ def build_q1_graph() -> SimpleGraph:
     return SimpleGraph(7, edges)
 
 
-def _q1_matrix(a: Fraction, x: Fraction) -> ExactMatrix:
+def _q1_operator(graph: SimpleGraph, a: Fraction, x: Fraction) -> SchrodingerOperator:
     """The one-parameter family of candidate operators forced by symmetry:
     triangle rows carry (a, a, a, a4), leaf rows (a, a, a) plus a4/3 on
     their own block, the center row a4 with diagonal -a4^3/(3a^2)."""
     a4 = x * a
-    rows = []
-    for _ in range(3):
-        rows.append([0, 0, 0, a, a, a, a4])
-    for i in range(3):
-        row = [a, a, a, a4 / 3, a4 / 3, a4 / 3, 0]
-        rows.append(row)
-    rows.append([a4, a4, a4, 0, 0, 0, -(a4**3) / (3 * a * a)])
-    return ExactMatrix.from_rows(rows)
+    overrides = {}
+    for u, v in graph.edges:
+        if v == 6:
+            overrides[u, v] = a4
+        elif u >= 3:
+            overrides[u, v] = a4 / 3
+        else:
+            overrides[u, v] = a
+    diagonal = [0, 0, 0, a4 / 3, a4 / 3, a4 / 3, -(a4**3) / (3 * a * a)]
+    return build_operator(graph, diagonal, overrides)
 
 
 @dataclass(frozen=True)
@@ -502,7 +491,6 @@ def verify_q1_counterexample() -> Q1Report:
     ]
     positive_roots = count_positive_real_roots(cubic)
 
-    adj = graph.adjacency()
     samples = []
     for a in (Fraction(-1), Fraction(-1, 2), Fraction(-2)):
         for x in (
@@ -513,15 +501,9 @@ def verify_q1_counterexample() -> Q1Report:
             Fraction(3),
             Fraction(5),
         ):
-            m = _q1_matrix(a, x)
-            pattern_ok = True
-            for u in range(7):
-                for v in range(u + 1, 7):
-                    e = m.entry(u, v)
-                    if v in adj[u]:
-                        pattern_ok = pattern_ok and e.sign() < 0
-                    else:
-                        pattern_ok = pattern_ok and not e
+            op = _q1_operator(graph, a, x)
+            m = op.matrix
+            pattern_ok = all(w.sign() < 0 for w in op.weights)
             first = sum((m.entry(0, j) for j in range(7)), ZERO)
             last = sum((m.entry(6, j) for j in range(7)), ZERO)
             gap = first - last

@@ -315,8 +315,8 @@ def cmd_coset(args, report: RunReport) -> None:
     )
     report.results["cosets"] = table.count
     if args.word is not None:
-        report.results["coset_of_word"] = groups.coset_of(
-            table, presentation.word(args.word)
+        report.results["coset_of_word"] = table.apply(
+            0, presentation.word(args.word)
         )
     report.verdict("enumerated", True)
 

@@ -249,19 +249,28 @@ QuadScalar.ZERO = ZERO
 QuadScalar.ONE = ONE
 
 
+# Both grammars descend one call level per '(', so nesting is bounded well
+# inside the interpreter's recursion limit.
+MAX_NESTING = 100
+# Longer integer literals are rejected before int() converts them.
+MAX_INT_DIGITS = 1000
+
+
 class Tokens:
     """Cursor over the tokens of one text.
 
     `pattern` matches one token after optional whitespace and names its
     kind by the named group that matched.  A token is (kind, value,
     position); an 'int' token's value is an int, any other is its text.
+    Parentheses nested deeper than MAX_NESTING and integer literals longer
+    than MAX_INT_DIGITS are parse errors.
     """
 
     def __init__(self, pattern: re.Pattern, text: str):
         self.text = text
         self.items = []
         self.i = 0
-        pos = 0
+        pos = depth = 0
         while pos < len(text):
             m = pattern.match(text, pos)
             if m is None:
@@ -271,8 +280,19 @@ class Tokens:
                     raise ParseError(f"unexpected character {rest[0]!r}", bad)
                 break
             kind = m.lastgroup
-            value = int(m.group(kind)) if kind == "int" else m.group(kind)
-            self.items.append((kind, value, m.start(kind)))
+            value = m.group(kind)
+            start = m.start(kind)
+            if kind == "int":
+                if len(value) > MAX_INT_DIGITS:
+                    raise ParseError(f"integer longer than {MAX_INT_DIGITS} digits", start)
+                value = int(value)
+            elif value == "(":
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", start)
+            elif value == ")":
+                depth -= 1
+            self.items.append((kind, value, start))
             pos = m.end()
 
     def peek(self):
@@ -339,12 +359,13 @@ def _expr(tokens: Tokens) -> QuadScalar:
 
 def _factor(tokens: Tokens) -> QuadScalar:
     """factor := '-' factor | integer | sqrt '(' integer ')' | '(' expr ')'."""
-    if tokens.accept("-"):
-        return -_factor(tokens)
+    negate = False
+    while tokens.accept("-"):
+        negate = not negate
     kind, value, pos = tokens.take()
     if kind == "int":
-        return QuadScalar(value)
-    if kind == "sqrt":
+        value = QuadScalar(value)
+    elif kind == "sqrt":
         tokens.expect("(", "expected '('")
         kind, value, pos = tokens.take()
         if kind != "int" or value < 1:
@@ -352,12 +373,13 @@ def _factor(tokens: Tokens) -> QuadScalar:
         if value > MAX_RADICAND:
             raise ParseError(f"radicand above the limit {MAX_RADICAND}", pos)
         tokens.expect(")", "expected ')'")
-        return QuadScalar.root(value)
-    if value == "(":
+        value = QuadScalar.root(value)
+    elif value == "(":
         value = _expr(tokens)
         tokens.expect(")", "expected ')'")
-        return value
-    raise ParseError(f"unexpected token {value!r}", pos)
+    else:
+        raise ParseError(f"unexpected token {value!r}", pos)
+    return -value if negate else value
 
 
 def parse_scalar(text: str) -> QuadScalar:

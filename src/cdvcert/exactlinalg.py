@@ -11,12 +11,11 @@ real-root counting from Sturm chains.  No floating point anywhere.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactfield import ONE, ZERO, FieldMismatch, QuadScalar, parse_scalar
+from .exactfield import ONE, ZERO, FieldMismatch, QuadScalar
 
 
 class NotSymmetric(ValueError):
@@ -95,6 +94,15 @@ class ExactMatrix:
         for i in range(n):
             entries[i * n + i] = ONE
         return cls(n, n, entries)
+
+    @classmethod
+    def symmetric(cls, n: int, entries: dict) -> "ExactMatrix":
+        """n x n matrix with x at (i, j) and at (j, i) for each (i, j): x in
+        entries, and zero everywhere else."""
+        out = [ZERO] * (n * n)
+        for (i, j), x in entries.items():
+            out[i * n + j] = out[j * n + i] = _coerce(x)
+        return cls(n, n, out)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
@@ -177,35 +185,6 @@ class ExactMatrix:
             "field_d": self.radicand,
             "entries": [e.render() for e in self.entries],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExactMatrix":
-        try:
-            rows, cols, declared = data["rows"], data["cols"], data["field_d"]
-            if any(type(x) is not int for x in (rows, cols, declared)):
-                raise TypeError("'rows', 'cols' and 'field_d' must be ints")
-            if not isinstance(data["entries"], list):
-                raise TypeError("'entries' must be a list")
-            m = cls(rows, cols, [parse_scalar(s) for s in data["entries"]])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(
-                "matrix data must be a JSON object with int 'rows', 'cols' "
-                "and 'field_d' and an 'entries' list"
-            ) from exc
-        if declared != m.radicand and not (m.radicand == 1):
-            raise ValueError(
-                f"declared field_d {declared} but entries use sqrt({m.radicand})"
-            )
-        return m
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "ExactMatrix":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

@@ -334,10 +334,6 @@ def element_order(presentation: Presentation, word, table: CosetTable | None = N
     return order
 
 
-def coset_of(table: CosetTable, word) -> int:
-    return table.apply(0, word)
-
-
 def left_action(table: CosetTable, word) -> list:
     """Left multiplication by the word as a permutation of group elements.
 

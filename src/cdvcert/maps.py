@@ -8,7 +8,6 @@ incidence data to check regularity and compute genus exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -112,15 +111,6 @@ class SimpleGraph:
                 "graph data must be a JSON object with an int 'n' and an "
                 "'edges' list of int pairs"
             ) from exc
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "SimpleGraph":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

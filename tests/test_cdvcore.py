@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cdvcert.cdvcore import (
+    MAX_OPERATOR_VERTICES,
     BadS,
     Disconnected,
     NotOneNegative,
@@ -97,6 +98,13 @@ class TestOperator:
         assert loaded.matrix == op.matrix
         assert loaded.graph == op.graph
 
+    @pytest.mark.parametrize(
+        "diagonal,weights", [([0] * 3, [-1] * 3), ([0] * 4, [-1] * 2)]
+    )
+    def test_lengths_must_match_the_graph(self, diagonal, weights):
+        with pytest.raises(ValueError, match="length"):
+            SchrodingerOperator(PATH4, diagonal, weights)
+
     def test_override_keys_must_be_edges(self):
         with pytest.raises(ValueError):
             build_operator(PATH4, [0] * 4, overrides={(0, 3): Fraction(-1)})
@@ -132,6 +140,13 @@ class TestOperator:
                 "diagonal": ["0", "0"],
                 "off_diagonal": {"0,1": "-2", "1,0": "-3"},
             },
+            {
+                "graph": {"n": MAX_OPERATOR_VERTICES + 1, "edges": []},
+                "diagonal": ["0"] * (MAX_OPERATOR_VERTICES + 1),
+            },
+            {"graph": {"n": 1, "edges": []}, "field_d": "x", "diagonal": ["0"]},
+            {"graph": {"n": 1, "edges": []}, "field_d": True, "diagonal": ["sqrt(7)"]},
+            {"graph": {"n": 1, "edges": []}, "field_d": 5, "diagonal": ["sqrt(7)"]},
         ],
     )
     def test_malformed_json_dict_raises_value_error(self, data):
@@ -228,7 +243,26 @@ class TestSap:
             assert vars(op) == fields and op.matrix.entries == entries
 
 
+@st.composite
+def bipartite_cases(draw):
+    """Admissible (a, b, S) with a <= b <= 6: S leaves a vertex on each side."""
+    b = draw(st.integers(1, 6))
+    a = draw(st.integers(1, b))
+    on_a = draw(st.sets(st.integers(0, a - 1), max_size=a - 1))
+    on_b = draw(st.sets(st.integers(a, a + b - 1), max_size=b - 1))
+    return a, b, frozenset(on_a | on_b)
+
+
 class TestBipartite:
+    @given(bipartite_cases())
+    @settings(max_examples=60)
+    def test_fixed_epsilon_gives_the_corank_formula(self, case):
+        a, b, s_set = case
+        op = build_bipartite_operator(a, b, s_set)
+        assert op.epsilon == Fraction(1, 4 * (a + b))
+        assert op.inertia.negatives == 1
+        assert op.corank == a + b - 2 - len(s_set)
+
     def test_complete_bipartite_shape(self):
         g = complete_bipartite(2, 3)
         assert g.n == 5 and g.edge_count == 6

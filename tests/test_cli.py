@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cdvcert import cli
+from cdvcert.cdvcore import MAX_OPERATOR_VERTICES
 
 
 def run(capsys, *argv):
@@ -119,6 +120,13 @@ class TestBipartite:
                 "diagonal": ["0", "0"],
                 "off_diagonal": {"0,1": "-2", "1,0": "-3"},
             },
+            {
+                "graph": {"n": MAX_OPERATOR_VERTICES + 1, "edges": []},
+                "diagonal": ["0"] * (MAX_OPERATOR_VERTICES + 1),
+            },
+            {"graph": {"n": 1, "edges": []}, "field_d": "x", "diagonal": ["0"]},
+            {"graph": {"n": 1, "edges": []}, "field_d": True, "diagonal": ["sqrt(7)"]},
+            {"graph": {"n": 1, "edges": []}, "field_d": 5, "diagonal": ["sqrt(7)"]},
         ],
     )
     def test_malformed_operator_is_reported(self, capsys, tmp_path, operator):

@@ -173,6 +173,8 @@ class TestParseRender:
         [
             "", "1 +", "sqrt(-3)", "sqrt(x)", "sqrt(4/9)", "1/(2-2)", "(1", "1..2", "2^3",
             0.5, 3, None, "1/0", "sqrt(2147483649)", "sqrt(1000000000000037)",
+            pytest.param("(" * 400 + "1" + ")" * 400, id="deep-nesting"),
+            pytest.param("1" * 5000, id="long-literal"),
         ],
     )
     def test_rejects_malformed(self, text):

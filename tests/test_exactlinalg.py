@@ -105,36 +105,17 @@ class TestExactMatrix:
         assert ExactMatrix.from_rows([[0, 1], [1, 0]]).is_symmetric()
         assert not ExactMatrix.from_rows([[0, 1], [2, 0]]).is_symmetric()
 
-    def test_json_roundtrip(self, tmp_path):
-        m = ExactMatrix.from_rows(
-            [[1 + QuadScalar.root(7), Fraction(-1, 3)], [0, 5]]
+    def test_symmetric_writes_both_halves(self):
+        m = ExactMatrix.symmetric(3, {(0, 2): Fraction(-1, 2), (1, 1): 4})
+        assert m == ExactMatrix.from_rows(
+            [[0, 0, Fraction(-1, 2)], [0, 4, 0], [Fraction(-1, 2), 0, 0]]
         )
-        path = tmp_path / "m.json"
-        m.save(path)
-        assert ExactMatrix.load(path) == m
 
     def test_json_dict_uses_render_strings(self):
         m = ExactMatrix.from_rows([[QuadScalar.root(2)]])
         data = m.to_json_dict()
         assert data["field_d"] == 2
         assert all(isinstance(e, str) for e in data["entries"])
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            {},
-            {"rows": 1},
-            [1, 2, 3],
-            {"rows": 1, "cols": 1, "entries": "0"},
-            {"rows": 1, "cols": 2, "field_d": 1, "entries": "12"},
-            {"rows": True, "cols": 1, "field_d": 1, "entries": ["1"]},
-            {"rows": 1, "cols": 1.0, "field_d": 1, "entries": ["1"]},
-            {"rows": 1, "cols": 1, "field_d": "1", "entries": ["1"]},
-        ],
-    )
-    def test_malformed_json_dict_raises_value_error(self, data):
-        with pytest.raises(ValueError, match="matrix data"):
-            ExactMatrix.from_json_dict(data)
 
 
 class TestRankKernel:

@@ -15,7 +15,6 @@ from hypothesis import example, given, strategies as st
 from cdvcert import cli
 from cdvcert.cdvcore import SchrodingerOperator
 from cdvcert.exactfield import ParseError, parse_scalar
-from cdvcert.exactlinalg import ExactMatrix
 from cdvcert.groups import Presentation, parse_presentation
 from cdvcert.maps import SimpleGraph
 
@@ -98,18 +97,10 @@ OPERATORS = (
     well_formed_operators()
     | st.fixed_dictionaries(
         {"graph": GRAPHS, "diagonal": st.lists(SCALARS, max_size=6) | JSON},
-        optional={"off_diagonal": st.dictionaries(KEYS, SCALARS, max_size=3) | JSON},
-    )
-    | JSON
-)
-MATRICES = (
-    st.fixed_dictionaries(
-        {
-            "rows": st.integers(0, 3) | LEAVES,
-            "cols": st.integers(0, 3) | LEAVES,
+        optional={
+            "off_diagonal": st.dictionaries(KEYS, SCALARS, max_size=3) | JSON,
             "field_d": st.sampled_from([1, 2, 7]) | LEAVES,
-            "entries": st.lists(SCALARS, max_size=9) | JSON,
-        }
+        },
     )
     | JSON
 )
@@ -133,16 +124,6 @@ def test_graph_loader_loads_or_raises_value_error(data):
         return
     assert _int_edges(graph)
     assert SimpleGraph.from_json_dict(graph.to_json_dict()) == graph
-
-
-@example({"rows": 1, "cols": 1, "field_d": 1, "entries": ["1/0"]})
-@given(MATRICES)
-def test_matrix_loader_loads_or_raises_value_error(data):
-    try:
-        matrix = ExactMatrix.from_json_dict(data)
-    except ValueError:
-        return
-    assert ExactMatrix.from_json_dict(matrix.to_json_dict()) == matrix
 
 
 @example(FLOAT_EDGE)

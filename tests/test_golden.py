@@ -1,8 +1,12 @@
-"""CLI reports under --no-timings match the stored ones byte for byte.
+"""CLI reports under --no-timings and operator files written by
+--out-operator match the stored ones byte for byte.
 
 A stored report is regenerated with
 `PYTHONPATH=src python -m cdvcert.cli ARGS --no-timings > tests/golden/NAME.json`,
-only when a verdict or the report format is meant to change.
+and a stored operator file with
+`PYTHONPATH=src python -m cdvcert.cli ARGS --out-operator tests/golden/operator_NAME.json`,
+only when a verdict, the report format or the operator file format is
+meant to change.
 """
 
 from pathlib import Path
@@ -29,3 +33,12 @@ def test_report_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["bipartite_2_3", "bipartite_4_5_s_0_4"])
+def test_operator_file_matches_golden(capsys, tmp_path, name):
+    path = tmp_path / "operator.json"
+    code = cli.main([*COMMANDS[name], "--out-operator", str(path)])
+    capsys.readouterr()
+    assert code == 0
+    assert path.read_bytes() == (GOLDEN / f"operator_{name}.json").read_bytes()

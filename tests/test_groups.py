@@ -8,7 +8,6 @@ from cdvcert.groups import (
     Presentation,
     UnknownGenerator,
     coset_enumerate,
-    coset_of,
     element_order,
     gamma10,
     left_action,
@@ -53,6 +52,8 @@ class TestParsing:
             "< a | a^1000000000 >", "< a | ((a^1000)^1000)^1000 >",
             "< a | 1^100000000000000000000 >",
             "< a | " + ", ".join(["a^60000"] * 2) + " >",
+            pytest.param("< a | a^" + "1" * 5000 + " >", id="long-exponent"),
+            pytest.param("< a | " + "(" * 400 + "a" + ")" * 400 + " >", id="deep-nesting"),
         ],
     )
     def test_malformed(self, text):
@@ -106,7 +107,7 @@ class TestEnumeration:
         pres = parse_presentation("< a | a^5 >")
         table = coset_enumerate(pres, (pres.word("a"),))
         assert table.count == 1
-        assert coset_of(table, pres.word("a^3")) == 0
+        assert table.apply(0, pres.word("a^3")) == 0
 
     def test_cap_attribute(self):
         pres = parse_presentation("< a, b | >")
