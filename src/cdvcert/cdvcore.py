@@ -13,6 +13,7 @@ M*X = 0 and is what makes the corank a genuine lower-bound certificate.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,6 +27,7 @@ from .exactlinalg import (
     inertia_symmetric,
     kernel_basis,
     rank,
+    rank_mod_p,
 )
 from .maps import SimpleGraph
 
@@ -59,9 +61,31 @@ class Disconnected(ValueError):
     """Operation that requires a connected graph."""
 
 
+class SystemTooLarge(ValueError):
+    """Transversality system above MAX_SAP_SLOTS, refused before it is built."""
+
+
 # Largest vertex count an operator file may declare.  The operator matrix
 # has n*n entries, and the genus-10 certificate needs 54 vertices.
 MAX_OPERATOR_VERTICES = 1000
+
+# Largest rows x cols of a transversality system check_sap builds.  The
+# genus-10 primal system has 2862 x 1215 = 3,477,330 slots.
+MAX_SAP_SLOTS = 5_000_000
+
+# Primes p = 3 (mod 4) below 2^30 for the dual rank: sqrt(d) mod p is
+# d^((p+1)/4) whenever d is a square mod p, and residue products stay
+# under 2^60.  Each radicand is a square mod about half of them.
+SAP_PRIMES = (
+    1073741783,
+    1073741723,
+    1073741719,
+    1073741671,
+    1073741663,
+    1073741651,
+    1073741567,
+    1073741527,
+)
 
 _MINUS_ONE = QuadScalar(-1)
 
@@ -256,26 +280,72 @@ def build_sap_system(op: SchrodingerOperator) -> SapSystem:
 @dataclass(frozen=True)
 class SapCertificate:
     """Outcome of the transversality check: either full column rank, or a
-    verified nonzero witness X with M*X = 0 and the admissible pattern."""
+    verified nonzero witness X with M*X = 0 and the admissible pattern.
+
+    rows, cols and rank describe the primal system of build_sap_system
+    whichever way the verdict was reached.  prime and dual_shape are set
+    when full rank was certified on the dual system mod prime, and None
+    on the exact primal path.
+    """
 
     full_rank: bool
     rank: int
     rows: int
     cols: int
     witness: ExactMatrix | None = None
+    prime: int | None = None
+    dual_shape: tuple | None = None
 
 
 def check_sap(op: SchrodingerOperator, progress=None) -> SapCertificate:
     """Decide full rank of the transversality system exactly.
 
     Runs membership first if the operator has no inertia certificate yet.
-    One elimination gives the kernel of the system, and the rank is the
-    column count minus its dimension.  On rank deficiency the first kernel
-    vector is reassembled into X and re-verified entry by entry before
-    being reported.  `progress` is passed on to kernel_basis.
+
+    For a connected graph and corank c >= 1 it first tries the dual
+    system.  Lemma: the primal kernel is {admissible X : M*X = 0}.  A
+    kernel element satisfies M*X = D for a diagonal D; transposing gives
+    X*M = D, so D*M = M*X*M = M*D, and since M is nonzero on every edge,
+    D is constant on each edge, hence D = d*I on a connected graph; a
+    kernel vector v of M gives 0 = v^T*M*X = d*v^T, so d = 0.  With K an
+    exact n x c kernel basis of M, each such X is K*S*K^T for a unique
+    symmetric c x c matrix S with k_i^T*S*k_j = 0 for i = j and for each
+    edge ij (k_i is row i of K).  So primal nullity equals the nullity of
+    this dual system of n + |E| rows and c(c+1)/2 columns, and the primal
+    rank is its column count minus that nullity.
+
+    The dual is ranked mod a prime p from SAP_PRIMES that divides no
+    denominator of K and for which d (the operator's radicand) has a
+    square root r mod p.  Sending a + b*sqrt(d) to a + b*r mod p is a ring
+    homomorphism on the elements whose denominators avoid p.  It maps
+    each maximal minor of the dual to the same minor mod p, so full rank
+    mod p proves full rank over the field.
+
+    Every other case takes the exact primal path: c = 0, a disconnected
+    graph, no usable prime, or a rank drop mod p.  One elimination gives
+    the kernel of the primal system, and the rank is the column count
+    minus its dimension.  On rank deficiency the first kernel vector is
+    reassembled into X and re-verified entry by entry before being
+    reported.  `progress` is passed on to that elimination's
+    kernel_basis.
+
+    Raises SystemTooLarge before building a system with more than
+    MAX_SAP_SLOTS rows x cols.
     """
     if op.inertia is None:
         check_membership(op)
+    n, edges = op.graph.n, op.graph.edge_count
+    rows, cols = n * (n - 1), n * (n - 1) // 2 - edges
+    c = op.corank
+    if c and op.graph.is_connected():
+        dual_shape = (n + edges, c * (c + 1) // 2)
+        _check_slots(*dual_shape)
+        prime = _dual_full_rank_prime(op)
+        if prime is not None:
+            return SapCertificate(
+                True, cols, rows, cols, prime=prime, dual_shape=dual_shape
+            )
+    _check_slots(rows, cols)
     system = build_sap_system(op)
     basis = kernel_basis(system, progress=progress)
     r = system.cols - len(basis)
@@ -283,6 +353,62 @@ def check_sap(op: SchrodingerOperator, progress=None) -> SapCertificate:
         return SapCertificate(True, r, system.rows, system.cols)
     witness = _assemble_witness(op, system, basis[0])
     return SapCertificate(False, r, system.rows, system.cols, witness)
+
+
+def _check_slots(rows: int, cols: int) -> None:
+    if rows * cols > MAX_SAP_SLOTS:
+        raise SystemTooLarge(
+            f"transversality system {rows}x{cols} has {rows * cols} slots, "
+            f"above MAX_SAP_SLOTS = {MAX_SAP_SLOTS}"
+        )
+
+
+def _dual_full_rank_prime(op: SchrodingerOperator) -> int | None:
+    """The first usable prime of SAP_PRIMES if the dual system has full
+    column rank mod that prime; None if no prime is usable or the rank
+    drops there."""
+    basis = kernel_basis(op.matrix)
+    c = len(basis)
+    if c != op.corank:
+        raise RuntimeError(f"kernel dimension {c} contradicts corank {op.corank}")
+    d = op.matrix.radicand
+    denominators = math.lcm(
+        *(part.denominator for vec in basis for x in vec for part in (x.a, x.b))
+    )
+    for p in SAP_PRIMES:
+        r = pow(d, (p + 1) // 4, p)
+        if denominators % p == 0 or r * r % p != d % p:
+            continue
+        # k[i][a] is entry i of kernel vector a mod p, with sqrt(d) -> r.
+        k = [[_mod_p(vec[i], p, r) for vec in basis] for i in range(op.graph.n)]
+        pairs = [(i, i) for i in range(op.graph.n)] + list(op.graph.edges)
+        dual = [_dual_row(k[i], k[j], c, p) for i, j in pairs]
+        return p if rank_mod_p(dual, p) == c * (c + 1) // 2 else None
+    return None
+
+
+def _mod_p(x: QuadScalar, p: int, r: int) -> int:
+    a, b = x.a, x.b
+    return (
+        a.numerator * pow(a.denominator, -1, p)
+        + b.numerator * pow(b.denominator, -1, p) * r
+    ) % p
+
+
+def _dual_row(ki: list, kj: list, c: int, p: int) -> list:
+    """Coefficients of k_i^T*S*k_j in the unknowns S[a][b], a <= b, mod p:
+    k_i[a]*k_j[a] on the diagonal and k_i[a]*k_j[b] + k_i[b]*k_j[a]
+    off it."""
+    row = [0] * (c * (c + 1) // 2)
+    for a, x in enumerate(ki):
+        if not x:
+            continue
+        for b, y in enumerate(kj):
+            if y:
+                lo, hi = (a, b) if a <= b else (b, a)
+                col = lo * c - lo * (lo - 1) // 2 + hi - lo
+                row[col] = (row[col] + x * y) % p
+    return row
 
 
 def _assemble_witness(op: SchrodingerOperator, system: SapSystem, vec) -> ExactMatrix:

@@ -119,11 +119,10 @@ def cmd_genus10(args, report: RunReport) -> None:
 
     with _Stage(report, "charpoly", progress):
         graph = surface.graph
-        n = graph.n
         adjacency = exactlinalg.ExactMatrix.from_rows(
             [
-                [1 if graph.has_edge(i, j) else 0 for j in range(n)]
-                for i in range(n)
+                [1 if j in neighbours else 0 for j in range(graph.n)]
+                for neighbours in graph.adjacency()
             ]
         )
         observed = exactlinalg.charpoly(adjacency)
@@ -350,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--skip-sap",
         action="store_true",
-        help="stop after the corank stage; skip the long rank computation",
+        help="stop after the corank stage; skip the transversality check",
     )
     p.set_defaults(func=cmd_genus10)
 

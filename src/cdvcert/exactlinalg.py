@@ -3,7 +3,8 @@
 Matrices hold QuadScalar entries.  Rank and kernel computations run on a
 sparse reduced echelon form with arithmetic directly in the field; pivot
 rows are normalized and back-reduced, which keeps every stored entry a
-ratio of minors.  Inertia comes from symmetric congruence elimination on
+ratio of minors.  A rank over a prime field F_p runs on plain integer
+residues.  Inertia comes from symmetric congruence elimination on
 cleared-denominator integer pairs with exact pivot division, the
 characteristic polynomial from the division-free Berkowitz scheme, and
 real-root counting from Sturm chains.  No floating point anywhere.
@@ -351,6 +352,28 @@ def kernel_basis(matrix, progress=None) -> list:
                 vec[c] = -prow[free]
         basis.append(vec)
     return basis
+
+
+def rank_mod_p(rows: list, p: int) -> int:
+    """Rank over F_p of a matrix given as equal-length lists of residues
+    in [0, p).  Forward elimination against pivot rows normalized to
+    leading entry 1; it stops once every column has a pivot."""
+    ncols = len(rows[0]) if rows else 0
+    pivots: dict = {}
+    for row in rows:
+        for lead in range(ncols):
+            x = row[lead]
+            if not x:
+                continue
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(x, -1, p)
+                pivots[lead] = [v * inv % p for v in row]
+                break
+            row = [(v - x * w) % p for v, w in zip(row, pivot)]
+        if len(pivots) == ncols:
+            break
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ def test_criterion_5_transversality_certificate():
         ok,
         f"system {cert.rows}x{cert.cols}, rank {cert.rank}",
         elapsed,
-        budget=3 * 3600,
+        budget=60,
     )
 
 

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
+from cdvcert import cdvcore, groups, maps
 from cdvcert.cdvcore import (
     MAX_OPERATOR_VERTICES,
     BadS,
@@ -241,6 +242,148 @@ class TestSap:
             entries = list(op.matrix.entries)
             assert check_sap(op).rank == _rank_dense(dense)
             assert vars(op) == fields and op.matrix.entries == entries
+
+    def test_klein_dual_matches_the_primal(self):
+        presentation = groups.parse_presentation(
+            "< y, z | y^3, z^7, (y*z)^2, (z^-1*y^-1*z*y)^4 >"
+        )
+        table = groups.coset_enumerate(presentation)
+        surface = maps.build_map_from_cosets(
+            table,
+            [presentation.word("z")],
+            [presentation.word("y*z")],
+            [presentation.word("y")],
+        )
+        op = build_shift_operator(surface.graph, QuadScalar.root(7))
+        check_membership(op)
+        assert op.corank == 8
+        system = build_sap_system(op)
+        cert = check_sap(op)
+        assert (cert.rows, cert.cols) == (system.rows, system.cols) == (552, 192)
+        assert cert.rank == system.cols - len(kernel_basis(system)) == 192
+        assert cert.full_rank and cert.prime is not None
+        assert cert.dual_shape == (24 + 84, 36)
+
+    @pytest.mark.parametrize(
+        "u,v",
+        [
+            # Full rank, but the dual has rank 9 of 10 mod 3.
+            ((1, 1, 1), (1, 2, 3)),
+            # Full rank, and 3 divides the denominator of K's entries -1/3.
+            ((1, 1, 1), (3, 1, 1)),
+            # A four-leaf star: rank deficient, and K has entries -1/3.
+            ((1,), (3, 1, 1, 1)),
+        ],
+    )
+    def test_unlucky_prime_takes_the_exact_fallback(self, monkeypatch, u, v):
+        op = _rank_one_bipartite(u, v)
+        check_membership(op)
+        system = build_sap_system(op)
+        nullity = len(kernel_basis(system))
+        if nullity == 0:
+            assert check_sap(op).prime is not None
+        monkeypatch.setattr(cdvcore, "SAP_PRIMES", (3,))
+        built = []
+        monkeypatch.setattr(
+            cdvcore, "build_sap_system", lambda o: built.append(o) or system
+        )
+        cert = check_sap(op)
+        assert built == [op]
+        assert cert.prime is None and cert.dual_shape is None
+        assert cert.rank == system.cols - nullity
+        assert cert.full_rank == (nullity == 0)
+        if nullity:
+            verify_sap_witness(op, cert.witness)
+
+
+def _rank_one_bipartite(u, v):
+    """Zero diagonal and weight -u_i * v_j on the edges of K_{a,b}:
+    corank a + b - 2 and one negative eigenvalue."""
+    a = len(u)
+    overrides = {(i, a + j): -x * y for i, x in enumerate(u) for j, y in enumerate(v)}
+    return build_operator(complete_bipartite(a, len(v)), [0] * (a + len(v)), overrides)
+
+
+@st.composite
+def sap_operators(draw):
+    """Operators over Q or Q[sqrt 5] of three kinds, most with one
+    negative eigenvalue:
+    - rank-one weights on K_{a,b} with a zero diagonal: corank a + b - 2;
+    - a diagonal that puts a chosen vector x into the kernel: corank >= 1;
+    - the same with x positive, which makes M positive semidefinite,
+      then one diagonal entry lowered: corank 0 as a rule.
+    Half of them get a weighted path Laplacian as a second component:
+    disconnected, with one more kernel vector and no negative
+    eigenvalue."""
+    d = draw(st.sampled_from([1, 5]))
+    positive = st.builds(
+        lambda a, b: QuadScalar(a, b, d),
+        st.integers(1, 3),
+        st.integers(0, 3 if d == 5 else 0),
+    )
+    kind = draw(st.sampled_from(["rank_one", "kernel", "lowered"]))
+    if kind == "rank_one":
+        b = draw(st.integers(1, 4))
+        a = draw(st.integers(1, min(b, 3)))
+        u = draw(st.lists(positive, min_size=a, max_size=a))
+        v = draw(st.lists(positive, min_size=b, max_size=b))
+        op = _rank_one_bipartite(u, v)
+        graph, diagonal = op.graph, list(op.diagonal)
+        weights = dict(zip(graph.edges, op.weights))
+    else:
+        graph = _assemble_graph(draw(connected_graphs))
+        weights = {e: -draw(positive) for e in graph.edges}
+        values = [1, 2, 3] if kind == "lowered" else [-2, -1, 1, 2, 3]
+        x = draw(st.lists(st.sampled_from(values), min_size=graph.n, max_size=graph.n))
+        # Row i of M*x vanishes: diagonal_i * x_i = -sum_j w_ij * x_j.
+        diagonal = [QuadScalar.ZERO] * graph.n
+        for (i, j), w in weights.items():
+            diagonal[i] -= w * x[j] / x[i]
+            diagonal[j] -= w * x[i] / x[j]
+        if kind == "lowered":
+            diagonal[0] -= draw(positive)
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 3))
+        # Weighted Laplacian of a path: positive semidefinite, kernel the
+        # constant vector.
+        n = graph.n
+        path = {(n + k, n + k + 1): -draw(positive) for k in range(m - 1)}
+        laplacian = [QuadScalar.ZERO] * m
+        for (i, j), w in path.items():
+            laplacian[i - n] -= w
+            laplacian[j - n] -= w
+        graph = SimpleGraph(n + m, graph.edges + tuple(path))
+        diagonal = diagonal + laplacian
+        weights.update(path)
+    return build_operator(graph, diagonal, weights)
+
+
+class TestDualAgainstPrimal:
+    @given(sap_operators())
+    @settings(max_examples=150)
+    def test_verdict_and_rank_match_the_primal_oracle(self, op):
+        try:
+            check_membership(op)
+        except NotOneNegative:
+            assume(False)
+        system = build_sap_system(op)
+        nullity = len(kernel_basis(system))
+        cert = check_sap(op)
+        connected = op.graph.is_connected()
+        event(f"corank {min(op.corank, 2)}{'+' if op.corank >= 2 else ''}")
+        event("connected" if connected else "disconnected")
+        event("dual" if cert.prime else "primal")
+        assert (cert.rows, cert.cols) == (system.rows, system.cols)
+        assert cert.rank == system.cols - nullity
+        assert cert.full_rank == (nullity == 0)
+        if cert.prime is not None:
+            assert cert.full_rank and connected and op.corank >= 1
+            c = op.corank
+            assert cert.dual_shape == (op.graph.n + op.graph.edge_count, c * (c + 1) // 2)
+        else:
+            assert cert.dual_shape is None
+        if not cert.full_rank:
+            verify_sap_witness(op, cert.witness)
 
 
 @st.composite

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from cdvcert import cli
-from cdvcert.cdvcore import MAX_OPERATOR_VERTICES
+from cdvcert import cdvcore, cli
+from cdvcert.cdvcore import MAX_OPERATOR_VERTICES, MAX_SAP_SLOTS
 
 
 def run(capsys, *argv):
@@ -147,6 +147,28 @@ class TestBipartite:
         assert error["stage"] == "setup"
         assert "operator data" in error["detail"]
 
+    def test_oversized_transversality_system_is_refused_before_build(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Edgeless, so disconnected: the primal path, 4830 x 2415 slots.
+        n = 70
+        path = tmp_path / "op.json"
+        path.write_text(
+            json.dumps({"graph": {"n": n, "edges": []}, "diagonal": ["-1"] + ["1"] * (n - 1)})
+        )
+        assert n * (n - 1) * n * (n - 1) // 2 > MAX_SAP_SLOTS
+
+        def refuse(op):
+            raise AssertionError("system built before the size check")
+
+        monkeypatch.setattr(cdvcore, "build_sap_system", refuse)
+        code, report = run(capsys, "sap", str(path), "--no-timings")
+        assert code == 1
+        assert report["passed"] is False
+        error = report["results"]["error"]
+        assert error["stage"] == "transversality"
+        assert "SystemTooLarge" in error["detail"]
+
 
 class TestWitness:
     def test_three_four(self, capsys):
@@ -236,3 +258,4 @@ class TestReportShape:
         captured = capsys.readouterr()
         assert "[verify]" in captured.err
         json.loads(captured.out)
+

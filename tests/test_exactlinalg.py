@@ -18,6 +18,7 @@ from cdvcert.exactlinalg import (
     kernel_basis,
     poly_expand_product,
     rank,
+    rank_mod_p,
 )
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -150,6 +151,30 @@ class TestRankKernel:
         if basis:
             stacked = ExactMatrix.from_rows(basis)
             assert rank(stacked) == len(basis)
+
+    @given(
+        st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+            lambda shape: st.lists(
+                st.lists(st.integers(-5, 5), min_size=shape[1], max_size=shape[1]),
+                min_size=shape[0],
+                max_size=shape[0],
+            )
+        )
+    )
+    @settings(max_examples=100)
+    def test_rank_mod_large_prime_is_exact_rank(self, rows):
+        # Hadamard: every minor is at most (5 * sqrt(6))^6 < 3.4e6 in size,
+        # so no nonzero minor vanishes mod a prime above that.
+        p = 1073741783
+        assert rank_mod_p([[x % p for x in r] for r in rows], p) == rank(
+            ExactMatrix.from_rows(rows)
+        )
+
+    def test_rank_mod_p_drops_at_a_prime_dividing_the_determinant(self):
+        rows = [[1, 2], [3, 1]]  # determinant -5
+        assert rank_mod_p([[x % 5 for x in r] for r in rows], 5) == 1
+        assert rank_mod_p([[x % 7 for x in r] for r in rows], 7) == 2
+        assert rank_mod_p([], 7) == 0
 
 
 class TestInertia:
