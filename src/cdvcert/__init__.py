@@ -18,7 +18,6 @@ from .exactlinalg import (
     IntPolynomial,
     charpoly,
     count_positive_real_roots,
-    determinant,
     inertia_symmetric,
     kernel_basis,
     poly_expand_product,
@@ -52,7 +51,6 @@ from .cdvcore import (
     check_membership,
     check_sap,
     complete_bipartite,
-    perron_check,
     verify_q1_counterexample,
     verify_sap_witness,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "IntPolynomial",
     "charpoly",
     "count_positive_real_roots",
-    "determinant",
     "inertia_symmetric",
     "kernel_basis",
     "poly_expand_product",
@@ -97,7 +94,6 @@ __all__ = [
     "check_membership",
     "check_sap",
     "complete_bipartite",
-    "perron_check",
     "verify_q1_counterexample",
     "verify_sap_witness",
     "__version__",

@@ -57,10 +57,6 @@ class BadS(ValueError):
     """Diagonal support set incompatible with the bipartite construction."""
 
 
-class Disconnected(ValueError):
-    """Operation that requires a connected graph."""
-
-
 class SystemTooLarge(ValueError):
     """Transversality system above MAX_SAP_SLOTS, refused before it is built."""
 
@@ -284,8 +280,9 @@ class SapCertificate:
 
     rows, cols and rank describe the primal system of build_sap_system
     whichever way the verdict was reached.  prime and dual_shape are set
-    when full rank was certified on the dual system mod prime, and None
-    on the exact primal path.
+    when full rank was certified on the dual system mod prime.  Both are
+    None for corank 0, where full rank holds by proof and no system is
+    built, and on the exact primal path.
     """
 
     full_rank: bool
@@ -297,22 +294,23 @@ class SapCertificate:
     dual_shape: tuple | None = None
 
 
-def check_sap(op: SchrodingerOperator, progress=None) -> SapCertificate:
+def check_sap(op: SchrodingerOperator) -> SapCertificate:
     """Decide full rank of the transversality system exactly.
 
     Runs membership first if the operator has no inertia certificate yet.
 
-    For a connected graph and corank c >= 1 it first tries the dual
-    system.  Lemma: the primal kernel is {admissible X : M*X = 0}.  A
-    kernel element satisfies M*X = D for a diagonal D; transposing gives
-    X*M = D, so D*M = M*X*M = M*D, and since M is nonzero on every edge,
-    D is constant on each edge, hence D = d*I on a connected graph; a
-    kernel vector v of M gives 0 = v^T*M*X = d*v^T, so d = 0.  With K an
-    exact n x c kernel basis of M, each such X is K*S*K^T for a unique
-    symmetric c x c matrix S with k_i^T*S*k_j = 0 for i = j and for each
-    edge ij (k_i is row i of K).  So primal nullity equals the nullity of
-    this dual system of n + |E| rows and c(c+1)/2 columns, and the primal
-    rank is its column count minus that nullity.
+    Lemma: the primal kernel is {admissible X : M*X = 0}, admissible
+    meaning symmetric and zero on the diagonal and on edges.  The system
+    fixes the off-diagonal entries of M*X, and (M*X)_uu = sum_t M_ut*X_tu
+    vanishes term by term: M is nonzero only on the diagonal and on edges,
+    where X is zero.
+
+    So for corank c = 0, M is invertible, X = 0, and the system has full
+    column rank without being built.  For c >= 1, with K an exact n x c
+    kernel basis of M, each such X is K*S*K^T for a unique symmetric
+    c x c matrix S with k_i^T*S*k_j = 0 for i = j and for each edge ij
+    (k_i is row i of K).  Primal nullity equals the nullity of this dual
+    system of n + |E| rows and c(c+1)/2 columns.
 
     The dual is ranked mod a prime p from SAP_PRIMES that divides no
     denominator of K and for which d (the operator's radicand) has a
@@ -321,13 +319,11 @@ def check_sap(op: SchrodingerOperator, progress=None) -> SapCertificate:
     each maximal minor of the dual to the same minor mod p, so full rank
     mod p proves full rank over the field.
 
-    Every other case takes the exact primal path: c = 0, a disconnected
-    graph, no usable prime, or a rank drop mod p.  One elimination gives
-    the kernel of the primal system, and the rank is the column count
-    minus its dimension.  On rank deficiency the first kernel vector is
-    reassembled into X and re-verified entry by entry before being
-    reported.  `progress` is passed on to that elimination's
-    kernel_basis.
+    Only when no prime is usable or the rank drops mod p does the exact
+    primal elimination run.  Its kernel gives the rank as the column
+    count minus its dimension; on rank deficiency the first kernel vector
+    is reassembled into X and re-verified entry by entry before being
+    reported.
 
     Raises SystemTooLarge before building a system with more than
     MAX_SAP_SLOTS rows x cols.
@@ -337,17 +333,18 @@ def check_sap(op: SchrodingerOperator, progress=None) -> SapCertificate:
     n, edges = op.graph.n, op.graph.edge_count
     rows, cols = n * (n - 1), n * (n - 1) // 2 - edges
     c = op.corank
-    if c and op.graph.is_connected():
-        dual_shape = (n + edges, c * (c + 1) // 2)
-        _check_slots(*dual_shape)
-        prime = _dual_full_rank_prime(op)
-        if prime is not None:
-            return SapCertificate(
-                True, cols, rows, cols, prime=prime, dual_shape=dual_shape
-            )
+    if not c:
+        return SapCertificate(True, cols, rows, cols)
+    dual_shape = (n + edges, c * (c + 1) // 2)
+    _check_slots(*dual_shape)
+    prime = _dual_full_rank_prime(op)
+    if prime is not None:
+        return SapCertificate(
+            True, cols, rows, cols, prime=prime, dual_shape=dual_shape
+        )
     _check_slots(rows, cols)
     system = build_sap_system(op)
-    basis = kernel_basis(system, progress=progress)
+    basis = kernel_basis(system)
     r = system.cols - len(basis)
     if not basis:
         return SapCertificate(True, r, system.rows, system.cols)
@@ -654,21 +651,3 @@ def verify_q1_counterexample() -> Q1Report:
         positive_roots=positive_roots,
         samples=tuple(samples),
     )
-
-
-def perron_check(op: SchrodingerOperator, vector) -> bool:
-    """True when the vector is strictly positive and an exact eigenvector
-    of the operator with negative eigenvalue.  The graph must be
-    connected for the bottom eigenvector to have a sign."""
-    if not op.graph.is_connected():
-        raise Disconnected("Perron check needs a connected graph")
-    vec = [v if isinstance(v, QuadScalar) else QuadScalar(v) for v in vector]
-    if len(vec) != op.graph.n:
-        raise ValueError("vector length does not match the graph")
-    if any(v.sign() <= 0 for v in vec):
-        return False
-    image = op.matrix.matvec(vec)
-    theta = image[0] / vec[0]
-    if theta.sign() >= 0:
-        return False
-    return all(image[i] == theta * vec[i] for i in range(len(vec)))

@@ -72,22 +72,6 @@ class _Stage:
         return False
 
 
-def _heartbeat(enabled: bool, label: str):
-    if not enabled:
-        return None
-    start = time.monotonic()
-
-    def hook(done, total, pivots):
-        print(
-            f"[{label}] {done}/{total} rows, {pivots} pivots, "
-            f"{time.monotonic() - start:.0f}s",
-            file=sys.stderr,
-            flush=True,
-        )
-
-    return hook
-
-
 def cmd_genus10(args, report: RunReport) -> None:
     progress = args.progress
     with _Stage(report, "enumerate", progress):
@@ -162,9 +146,7 @@ def cmd_genus10(args, report: RunReport) -> None:
         report.results["transversality"] = "skipped"
     else:
         with _Stage(report, "transversality", progress):
-            cert = cdvcore.check_sap(
-                operator, progress=_heartbeat(progress, "transversality")
-            )
+            cert = cdvcore.check_sap(operator)
         report.results["transversality"] = {
             "rows": cert.rows,
             "cols": cert.cols,
@@ -199,9 +181,7 @@ def cmd_sap(args, report: RunReport) -> None:
     ]
     report.results["corank"] = operator.corank
     with _Stage(report, "transversality", args.progress):
-        cert = cdvcore.check_sap(
-            operator, progress=_heartbeat(args.progress, "transversality")
-        )
+        cert = cdvcore.check_sap(operator)
     report.results["transversality"] = {
         "rows": cert.rows,
         "cols": cert.cols,
@@ -337,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--progress",
         action="store_true",
-        help="print stage heartbeats to stderr",
+        help="print each stage's name to stderr as it starts",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

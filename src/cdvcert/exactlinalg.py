@@ -124,14 +124,6 @@ class ExactMatrix:
             for j in range(i + 1, self.cols)
         )
 
-    def transpose(self) -> "ExactMatrix":
-        entries = [
-            self.entries[i * self.cols + j]
-            for j in range(self.cols)
-            for i in range(self.rows)
-        ]
-        return ExactMatrix(self.cols, self.rows, entries, self.radicand)
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -156,19 +148,6 @@ class ExactMatrix:
                             acc = acc + x * y
                 out.append(acc)
         return ExactMatrix(self.rows, other.cols, out)
-
-    def matvec(self, vec: list) -> list:
-        if len(vec) != self.cols:
-            raise ValueError("shape mismatch")
-        vec = [_coerce(x) for x in vec]
-        out = []
-        for i in range(self.rows):
-            acc = ZERO
-            for x, y in zip(self.row(i), vec):
-                if x and y:
-                    acc = acc + x * y
-            out.append(acc)
-        return out
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -262,68 +241,18 @@ class _Echelon:
         return True
 
 
-def _echelon_of(matrix, progress=None) -> _Echelon:
+def _echelon_of(matrix) -> _Echelon:
     # The reduced form is canonical whatever the insertion order, so callers
     # that know their row structure can order rows for locality; clustered
     # rows resolve cluster by cluster and collapse to near-singleton pivot
     # rows, which keeps later reductions cheap.  Once every column has a
     # pivot no further row can change the form, so elimination stops there.
     ech = _Echelon()
-    rows = [r for r in matrix.sparse_rows() if r]
-    ncols = matrix.cols
-    for done, row in enumerate(rows):
+    for row in matrix.sparse_rows():
         ech.insert(row)
-        if progress is not None and (done + 1) % 64 == 0:
-            progress(done + 1, len(rows), len(ech.pivots))
-        if len(ech.pivots) == ncols:
+        if len(ech.pivots) == matrix.cols:
             break
     return ech
-
-
-def _rank_markowitz(matrix: ExactMatrix) -> int:
-    """Destructive elimination picking the sparsest column, then the
-    sparsest row within it.  Independent of the echelon path."""
-    live = [r for r in matrix.sparse_rows() if r]
-    rank = 0
-    while live:
-        counts: dict = {}
-        for r in live:
-            for c in r:
-                counts[c] = counts.get(c, 0) + 1
-        col = min(counts, key=lambda c: (counts[c], c))
-        pick = min(
-            (i for i, r in enumerate(live) if col in r),
-            key=lambda i: (len(live[i]), i),
-        )
-        pivot = live.pop(pick)
-        inv = pivot[col].inverse()
-        pivot = {c: v * inv for c, v in pivot.items()}
-        pivot[col] = ONE
-        rank += 1
-        live = [
-            _reduce_row(r, pivot, col) if col in r else r for r in live
-        ]
-        live = [r for r in live if r]
-    return rank
-
-
-def _rank_dense(matrix: ExactMatrix) -> int:
-    """Textbook dense elimination over the field; the slow oracle.  Kept,
-    with _rank_markowitz, as a test oracle for the echelon path."""
-    work = [matrix.row(i) for i in range(matrix.rows)]
-    rank = 0
-    for col in range(matrix.cols):
-        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for i in range(rank + 1, len(work)):
-            if work[i][col]:
-                f = work[i][col] / pv
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
 
 
 def rank(matrix: ExactMatrix) -> int:
@@ -331,16 +260,15 @@ def rank(matrix: ExactMatrix) -> int:
     return len(_echelon_of(matrix).pivots)
 
 
-def kernel_basis(matrix, progress=None) -> list:
+def kernel_basis(matrix) -> list:
     """Basis of the right kernel as lists of QuadScalar, one per free column
     of the reduced echelon form.  Deterministic for a given matrix.
 
     `matrix` is an ExactMatrix or anything else with `cols` and a
-    `sparse_rows()` list of {column: nonzero entry} dicts.  `progress`, if
-    given, is called as progress(rows_done, nonzero_rows, pivots) every
-    64 rows.
+    `sparse_rows()` list of {column: nonzero entry} dicts, such as a
+    cdvcore.SapSystem.
     """
-    ech = _echelon_of(matrix, progress)
+    ech = _echelon_of(matrix)
     basis = []
     for free in range(matrix.cols):
         if free in ech.pivots:
@@ -496,29 +424,6 @@ def _psub(x, y):
 
 def _pscale(x, k: int):
     return (k * x[0], k * x[1])
-
-
-def determinant(matrix: ExactMatrix) -> QuadScalar:
-    """Exact determinant by dense elimination; meant for small matrices."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = matrix.rows
-    work = [matrix.row(i) for i in range(n)]
-    det = ONE
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if work[i][col]), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        pv = work[col][col]
-        det = det * pv
-        for i in range(col + 1, n):
-            if work[i][col]:
-                f = work[i][col] / pv
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return det
 
 
 # ---------------------------------------------------------------------------

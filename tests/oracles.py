@@ -1,0 +1,95 @@
+"""Slow, independent oracles for the exact linear algebra: two rank
+eliminations, a determinant, a transpose and a matrix-vector product.
+The library needs none of them; the tests check the library's rank,
+inertia and kernels against them.
+"""
+
+from cdvcert.exactfield import ONE, ZERO
+from cdvcert.exactlinalg import ExactMatrix
+
+
+def transpose(matrix: ExactMatrix) -> ExactMatrix:
+    entries = [
+        matrix.entries[i * matrix.cols + j]
+        for j in range(matrix.cols)
+        for i in range(matrix.rows)
+    ]
+    return ExactMatrix(matrix.cols, matrix.rows, entries, matrix.radicand)
+
+
+def matvec(matrix: ExactMatrix, vec: list) -> list:
+    return [
+        sum((x * y for x, y in zip(matrix.row(i), vec)), ZERO)
+        for i in range(matrix.rows)
+    ]
+
+
+def rank_markowitz(matrix: ExactMatrix) -> int:
+    """Destructive sparse elimination picking the sparsest column, then
+    the sparsest row within it."""
+    live = [r for r in matrix.sparse_rows() if r]
+    rank = 0
+    while live:
+        counts: dict = {}
+        for r in live:
+            for c in r:
+                counts[c] = counts.get(c, 0) + 1
+        col = min(counts, key=lambda c: (counts[c], c))
+        pick = min(
+            (i for i, r in enumerate(live) if col in r),
+            key=lambda i: (len(live[i]), i),
+        )
+        pivot = live.pop(pick)
+        rank += 1
+        reduced = []
+        for r in live:
+            if col in r:
+                f = r[col] / pivot[col]
+                r = {
+                    c: v
+                    for c in r.keys() | pivot.keys()
+                    if (v := r.get(c, ZERO) - f * pivot.get(c, ZERO))
+                }
+            if r:
+                reduced.append(r)
+        live = reduced
+    return rank
+
+
+def rank_dense(matrix: ExactMatrix) -> int:
+    """Textbook dense elimination over the field."""
+    work = [matrix.row(i) for i in range(matrix.rows)]
+    rank = 0
+    for col in range(matrix.cols):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        pv = work[rank][col]
+        for i in range(rank + 1, len(work)):
+            if work[i][col]:
+                f = work[i][col] / pv
+                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def determinant(matrix: ExactMatrix):
+    """Exact determinant by dense elimination; for small square matrices."""
+    n = matrix.rows
+    work = [matrix.row(i) for i in range(n)]
+    det = ONE
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if work[i][col]), None)
+        if pivot is None:
+            return ZERO
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        pv = work[col][col]
+        det = det * pv
+        for i in range(col + 1, n):
+            if work[i][col]:
+                f = work[i][col] / pv
+                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
+    return det

@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
+from oracles import rank_dense
 from cdvcert import cdvcore, groups, maps
 from cdvcert.cdvcore import (
     MAX_OPERATOR_VERTICES,
     BadS,
-    Disconnected,
     NotOneNegative,
     SchrodingerOperator,
     SignPatternViolation,
@@ -21,13 +21,12 @@ from cdvcert.cdvcore import (
     check_membership,
     check_sap,
     complete_bipartite,
-    perron_check,
     spans_match,
     verify_q1_counterexample,
     verify_sap_witness,
 )
 from cdvcert.exactfield import QuadScalar
-from cdvcert.exactlinalg import ExactMatrix, _rank_dense, kernel_basis
+from cdvcert.exactlinalg import ExactMatrix, kernel_basis
 from cdvcert.maps import SimpleGraph
 
 PATH4 = SimpleGraph(4, ((0, 1), (1, 2), (2, 3)))
@@ -240,7 +239,7 @@ class TestSap:
             assert list(system.sparse_rows()) == dense.sparse_rows()
             fields = dict(vars(op))
             entries = list(op.matrix.entries)
-            assert check_sap(op).rank == _rank_dense(dense)
+            assert check_sap(op).rank == rank_dense(dense)
             assert vars(op) == fields and op.matrix.entries == entries
 
     def test_klein_dual_matches_the_primal(self):
@@ -369,21 +368,43 @@ class TestDualAgainstPrimal:
         system = build_sap_system(op)
         nullity = len(kernel_basis(system))
         cert = check_sap(op)
-        connected = op.graph.is_connected()
         event(f"corank {min(op.corank, 2)}{'+' if op.corank >= 2 else ''}")
-        event("connected" if connected else "disconnected")
+        event("connected" if op.graph.is_connected() else "disconnected")
         event("dual" if cert.prime else "primal")
         assert (cert.rows, cert.cols) == (system.rows, system.cols)
         assert cert.rank == system.cols - nullity
         assert cert.full_rank == (nullity == 0)
         if cert.prime is not None:
-            assert cert.full_rank and connected and op.corank >= 1
+            assert cert.full_rank and op.corank >= 1
             c = op.corank
             assert cert.dual_shape == (op.graph.n + op.graph.edge_count, c * (c + 1) // 2)
         else:
             assert cert.dual_shape is None
         if not cert.full_rank:
             verify_sap_witness(op, cert.witness)
+
+    @given(sap_operators())
+    @settings(max_examples=100)
+    def test_every_primal_kernel_vector_solves_mx_zero(self, op):
+        # The system fixes only the off-diagonal entries of M*X; the
+        # diagonal ones vanish for every admissible X, on any graph.
+        system = build_sap_system(op)
+        for vec in kernel_basis(system):
+            x = ExactMatrix.symmetric(op.graph.n, dict(zip(system.col_pairs, vec)))
+            verify_sap_witness(op, x)
+
+    def test_corank_zero_builds_no_system(self, monkeypatch):
+        op = build_operator(PATH4, [-1, 2, 2, 2])
+        check_membership(op)
+        assert op.corank == 0
+
+        def refuse(o):
+            raise AssertionError("system built for corank 0")
+
+        monkeypatch.setattr(cdvcore, "build_sap_system", refuse)
+        cert = check_sap(op)
+        assert cert.full_rank and (cert.rows, cert.cols, cert.rank) == (12, 3, 3)
+        assert cert.prime is None and cert.dual_shape is None
 
 
 @st.composite
@@ -474,31 +495,6 @@ class TestQ1:
         assert report.positive_roots == 0
         assert len(report.samples) == 18
         assert all(s.gap_nonzero and s.pattern_ok for s in report.samples)
-
-
-class TestPerron:
-    def test_regular_graph_ones_vector(self):
-        op = build_shift_operator(cycle(4), 0)
-        assert perron_check(op, [Fraction(1)] * 4)
-
-    def test_genus10_ones_vector(self, g10_operator):
-        ones = [Fraction(1)] * 54
-        assert perron_check(g10_operator, ones)
-
-    def test_rejects_disconnected(self):
-        g = SimpleGraph(4, ((0, 1), (2, 3)))
-        op = build_shift_operator(g, 0)
-        with pytest.raises(Disconnected):
-            perron_check(op, [Fraction(1)] * 4)
-
-    def test_rejects_sign_changing_vector(self):
-        op = build_shift_operator(cycle(4), 0)
-        assert not perron_check(op, [1, -1, 1, -1])
-
-    def test_rejects_non_eigenvector(self):
-        op = build_shift_operator(PATH4, 0)
-        # positive, but P4 is not regular so ones is not an eigenvector
-        assert not perron_check(op, [Fraction(1)] * 4)
 
 
 connected_graphs = st.integers(min_value=2, max_value=6).flatmap(

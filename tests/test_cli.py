@@ -150,24 +150,45 @@ class TestBipartite:
     def test_oversized_transversality_system_is_refused_before_build(
         self, capsys, tmp_path, monkeypatch
     ):
-        # Edgeless, so disconnected: the primal path, 4830 x 2415 slots.
-        n = 70
-        path = tmp_path / "op.json"
-        path.write_text(
-            json.dumps({"graph": {"n": n, "edges": []}, "diagonal": ["-1"] + ["1"] * (n - 1)})
-        )
-        assert n * (n - 1) * n * (n - 1) // 2 > MAX_SAP_SLOTS
-
-        def refuse(op):
-            raise AssertionError("system built before the size check")
-
-        monkeypatch.setattr(cdvcore, "build_sap_system", refuse)
-        code, report = run(capsys, "sap", str(path), "--no-timings")
+        # Edgeless with corank 69: the 70 x 2415 dual has fewer rows than
+        # columns, so its rank drops, and the 4830 x 2415 primal is too big.
+        code, report = _run_edgeless(capsys, tmp_path, monkeypatch, "0")
         assert code == 1
         assert report["passed"] is False
         error = report["results"]["error"]
         assert error["stage"] == "transversality"
         assert "SystemTooLarge" in error["detail"]
+
+    def test_oversized_corank_zero_system_is_full_rank_unbuilt(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        code, report = _run_edgeless(capsys, tmp_path, monkeypatch, "1")
+        assert code == 0
+        assert report["passed"] is True
+        assert report["results"]["corank"] == 0
+        assert report["results"]["transversality"] == {
+            "rows": 4830,
+            "cols": 2415,
+            "rank": 2415,
+            "full_rank": True,
+        }
+
+
+def _run_edgeless(capsys, tmp_path, monkeypatch, rest):
+    """`cdvcert sap` on 70 isolated vertices with diagonal (-1, rest, ...,
+    rest), with build_sap_system made to fail if it is called."""
+    n = 70
+    path = tmp_path / "op.json"
+    path.write_text(
+        json.dumps({"graph": {"n": n, "edges": []}, "diagonal": ["-1"] + [rest] * (n - 1)})
+    )
+    assert n * (n - 1) * n * (n - 1) // 2 > MAX_SAP_SLOTS
+
+    def refuse(op):
+        raise AssertionError("build_sap_system called")
+
+    monkeypatch.setattr(cdvcore, "build_sap_system", refuse)
+    return run(capsys, "sap", str(path), "--no-timings")
 
 
 class TestWitness:

@@ -3,17 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import determinant, matvec, rank_dense, rank_markowitz, transpose
 from cdvcert.exactfield import FieldMismatch, QuadScalar
 from cdvcert.exactlinalg import (
     ExactMatrix,
     IntPolynomial,
     NonIntegerEntries,
     NotSymmetric,
-    _rank_dense,
-    _rank_markowitz,
     charpoly,
     count_positive_real_roots,
-    determinant,
     inertia_symmetric,
     kernel_basis,
     poly_expand_product,
@@ -100,7 +98,7 @@ class TestExactMatrix:
 
     @given(matrices(2, max_side=4))
     def test_transpose_involution(self, m):
-        assert m.transpose().transpose() == m
+        assert transpose(transpose(m)) == m
 
     def test_symmetry_check(self):
         assert ExactMatrix.from_rows([[0, 1], [1, 0]]).is_symmetric()
@@ -132,14 +130,14 @@ class TestRankKernel:
 
     @given(matrices(2, max_side=4))
     def test_rank_of_transpose(self, m):
-        assert rank(m) == rank(m.transpose())
+        assert rank(m) == rank(transpose(m))
 
     @given(st.sampled_from([1, 2, 5, 7]).flatmap(lambda d: matrices(d, max_side=4)))
     @settings(max_examples=60)
     def test_strategies_agree(self, m):
         r = rank(m)
-        assert _rank_markowitz(m) == r
-        assert _rank_dense(m) == r
+        assert rank_markowitz(m) == r
+        assert rank_dense(m) == r
 
     @given(st.sampled_from([1, 2, 5]).flatmap(lambda d: matrices(d, max_side=4)))
     @settings(max_examples=60)
@@ -147,7 +145,7 @@ class TestRankKernel:
         basis = kernel_basis(m)
         assert len(basis) == m.cols - rank(m)
         for vec in basis:
-            assert m.matvec(vec) == [QuadScalar.ZERO] * m.rows
+            assert matvec(m, vec) == [QuadScalar.ZERO] * m.rows
         if basis:
             stacked = ExactMatrix.from_rows(basis)
             assert rank(stacked) == len(basis)
