@@ -62,7 +62,8 @@ class SystemTooLarge(ValueError):
 
 
 # Largest vertex count an operator file may declare.  The operator matrix
-# has n*n entries, and the genus-10 certificate needs 54 vertices.
+# stores only its nonzeros, but inertia copies it into a dense n x n table
+# of integer pairs; the genus-10 certificate needs 54 vertices.
 MAX_OPERATOR_VERTICES = 1000
 
 # Largest rows x cols of a transversality system check_sap builds.  The
@@ -218,59 +219,43 @@ def check_membership(op: SchrodingerOperator) -> Inertia:
 
 @dataclass(frozen=True)
 class SapSystem:
-    """The transversality system as sparse rows.
+    """The transversality system as an ExactMatrix.
 
-    Rows are ordered pairs (u, w) with u != w; columns are non-adjacent
-    unordered pairs {a, b}.  Entry ((u, w), {a, b}) is M[u][t] where t is
-    the member of {a, b} distinct from w, or zero if neither member is w.
-    Row i is stored as {column: entry} with the zeros left out.  Full
-    column rank means no nonzero admissible X solves M*X = 0.
+    Rows are the ordered pairs (u, w) with u != w, grouped by w; columns
+    are the non-adjacent unordered pairs {a, b} of `col_pairs`.  Entry
+    ((u, w), {a, b}) is M[u][t] where t is the member of {a, b} distinct
+    from w, or zero if neither member is w.  Full column rank means no
+    nonzero admissible X solves M*X = 0.
     """
 
-    row_entries: tuple
-    row_pairs: tuple
+    matrix: ExactMatrix
     col_pairs: tuple
-
-    @property
-    def rows(self) -> int:
-        return len(self.row_pairs)
-
-    @property
-    def cols(self) -> int:
-        return len(self.col_pairs)
-
-    def sparse_rows(self) -> tuple:
-        return self.row_entries
 
 
 def build_sap_system(op: SchrodingerOperator) -> SapSystem:
     n = op.graph.n
     adj = op.graph.adjacency()
-    col_pairs = [
+    col_pairs = tuple(
         (a, b)
         for a in range(n)
         for b in range(a + 1, n)
         if b not in adj[a]
-    ]
+    )
     col_id = {pair: i for i, pair in enumerate(col_pairs)}
     # Row (u, w) only touches columns whose pair contains w, so grouping
     # rows by w keeps the elimination inside one column cluster at a time.
-    row_pairs = [(u, w) for w in range(n) for u in range(n) if u != w]
-    M = op.matrix
-    support = [sorted(adj[u] | {u}) for u in range(n)]
-    row_entries = []
-    for u, w in row_pairs:
-        row = {}
-        for t in support[u]:
-            if t == w:
-                continue
-            col = col_id.get((t, w) if t < w else (w, t))
-            # Entries can be zero (a bipartite operator's diagonal off S);
-            # rows store nonzeros only.
-            if col is not None and (e := M.entry(u, t)):
-                row[col] = e
-        row_entries.append(row)
-    return SapSystem(tuple(row_entries), tuple(row_pairs), tuple(col_pairs))
+    # The pair {t, w} is a column only for t != w not adjacent to w.
+    row_dicts = [
+        {
+            col: e
+            for t, e in op.matrix.row_dicts[u].items()
+            if (col := col_id.get((t, w) if t < w else (w, t))) is not None
+        }
+        for w in range(n)
+        for u in range(n)
+        if u != w
+    ]
+    return SapSystem(ExactMatrix(len(col_pairs), row_dicts), col_pairs)
 
 
 @dataclass(frozen=True)
@@ -344,12 +329,12 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
         )
     _check_slots(rows, cols)
     system = build_sap_system(op)
-    basis = kernel_basis(system)
-    r = system.cols - len(basis)
+    basis = kernel_basis(system.matrix)
+    r = cols - len(basis)
     if not basis:
-        return SapCertificate(True, r, system.rows, system.cols)
+        return SapCertificate(True, r, rows, cols)
     witness = _assemble_witness(op, system, basis[0])
-    return SapCertificate(False, r, system.rows, system.cols, witness)
+    return SapCertificate(False, r, rows, cols, witness)
 
 
 def _check_slots(rows: int, cols: int) -> None:
@@ -425,11 +410,11 @@ def verify_sap_witness(op: SchrodingerOperator, witness: ExactMatrix) -> None:
     if not witness.is_symmetric():
         raise ValueError("witness is not symmetric")
     adj = op.graph.adjacency()
-    for u in range(n):
-        if witness.entry(u, u):
-            raise ValueError(f"witness has nonzero diagonal at {u}")
-        for v in adj[u]:
-            if witness.entry(u, v):
+    for u, row in enumerate(witness.row_dicts):
+        for v in row:
+            if v == u:
+                raise ValueError(f"witness has nonzero diagonal at {u}")
+            if v in adj[u]:
                 raise ValueError(f"witness is nonzero on edge ({u},{v})")
     if not op.matrix.matmul(witness).is_zero():
         raise ValueError("M*X is not zero")

@@ -170,8 +170,8 @@ def cmd_genus10(args, report: RunReport) -> None:
 
 
 def cmd_sap(args, report: RunReport) -> None:
-    operator = cdvcore.SchrodingerOperator.load(args.operator)
     report.inputs["operator"] = args.operator
+    operator = cdvcore.SchrodingerOperator.load(args.operator)
     with _Stage(report, "membership", args.progress):
         inertia = cdvcore.check_membership(operator)
     report.results["inertia"] = [

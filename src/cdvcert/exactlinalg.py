@@ -1,13 +1,14 @@
 """Exact linear algebra over Q[sqrt(d)]: rank, kernels, inertia, charpoly.
 
-Matrices hold QuadScalar entries.  Rank and kernel computations run on a
-sparse reduced echelon form with arithmetic directly in the field; pivot
-rows are normalized and back-reduced, which keeps every stored entry a
-ratio of minors.  A rank over a prime field F_p runs on plain integer
-residues.  Inertia comes from symmetric congruence elimination on
-cleared-denominator integer pairs with exact pivot division, the
-characteristic polynomial from the division-free Berkowitz scheme, and
-real-root counting from Sturm chains.  No floating point anywhere.
+Matrices store each row's nonzero QuadScalar entries.  Rank and kernel
+computations read those rows directly into a sparse reduced echelon form
+with arithmetic in the field; pivot rows are normalized and
+back-reduced, which keeps every stored entry a ratio of minors.  A rank
+over a prime field F_p runs on plain integer residues.  Inertia comes
+from symmetric congruence elimination on cleared-denominator integer
+pairs with exact pivot division, the characteristic polynomial from the
+division-free Berkowitz scheme, and real-root counting from Sturm
+chains.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -49,30 +50,37 @@ def _coerce(value) -> QuadScalar:
 
 
 class ExactMatrix:
-    """Dense matrix of QuadScalar entries, stored row-major.
+    """Sparse matrix of QuadScalar entries: `row_dicts` holds one
+    {column: nonzero entry} dict per row, and every other entry is zero.
 
     All irrational entries must share one radicand d; `radicand` is that d,
     or 1 for a rational matrix.  Instances are not mutated after build.
     """
 
-    __slots__ = ("rows", "cols", "entries", "radicand")
+    __slots__ = ("rows", "cols", "row_dicts", "radicand")
 
-    def __init__(self, rows: int, cols: int, entries: list, radicand: int | None = None):
-        if rows < 0 or cols < 0 or len(entries) != rows * cols:
-            raise ValueError("entry list does not match the declared shape")
+    def __init__(self, cols: int, row_dicts, radicand: int | None = None):
+        row_dicts = tuple(row_dicts)
+        for row in row_dicts:
+            for j, e in row.items():
+                if not 0 <= j < cols:
+                    raise ValueError(f"column {j} is outside [0, {cols})")
+                if not e:
+                    raise ValueError(f"zero stored at column {j}")
         if radicand is None:
             radicand = 1
-            for e in entries:
-                if e.b != 0:
-                    if radicand == 1:
-                        radicand = e.d
-                    elif e.d != radicand:
-                        raise FieldMismatch(
-                            f"entries mix sqrt({radicand}) and sqrt({e.d})"
-                        )
-        object.__setattr__(self, "rows", rows)
+            for row in row_dicts:
+                for e in row.values():
+                    if e.b != 0:
+                        if radicand == 1:
+                            radicand = e.d
+                        elif e.d != radicand:
+                            raise FieldMismatch(
+                                f"entries mix sqrt({radicand}) and sqrt({e.d})"
+                            )
+        object.__setattr__(self, "rows", len(row_dicts))
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "row_dicts", row_dicts)
         object.__setattr__(self, "radicand", radicand)
 
     def __setattr__(self, name, value):
@@ -80,90 +88,64 @@ class ExactMatrix:
 
     @classmethod
     def from_rows(cls, rows: list) -> "ExactMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        entries = []
+        ncols = len(rows[0]) if rows else 0
+        row_dicts = []
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            entries.extend(_coerce(x) for x in r)
-        return cls(nrows, ncols, entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        entries = [ZERO] * (n * n)
-        for i in range(n):
-            entries[i * n + i] = ONE
-        return cls(n, n, entries)
+            row_dicts.append({j: e for j, x in enumerate(r) if (e := _coerce(x))})
+        return cls(ncols, row_dicts)
 
     @classmethod
     def symmetric(cls, n: int, entries: dict) -> "ExactMatrix":
         """n x n matrix with x at (i, j) and at (j, i) for each (i, j): x in
         entries, and zero everywhere else."""
-        out = [ZERO] * (n * n)
+        row_dicts = [{} for _ in range(n)]
         for (i, j), x in entries.items():
-            out[i * n + j] = out[j * n + i] = _coerce(x)
-        return cls(n, n, out)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [ZERO] * (rows * cols))
+            if e := _coerce(x):
+                row_dicts[i][j] = row_dicts[j][i] = e
+        return cls(n, row_dicts)
 
     def entry(self, i: int, j: int) -> QuadScalar:
-        return self.entries[i * self.cols + j]
+        return self.row_dicts[i].get(j, ZERO)
 
     def row(self, i: int) -> list:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        r = self.row_dicts[i]
+        return [r.get(j, ZERO) for j in range(self.cols)]
 
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.entry(i, j) == self.entry(j, i)
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
+        return self.rows == self.cols and all(
+            self.row_dicts[j].get(i) == e
+            for i, row in enumerate(self.row_dicts)
+            for j, e in row.items()
         )
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return self.cols == other.cols and self.row_dicts == other.row_dicts
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = ZERO
-                for k, x in enumerate(ri):
-                    if x:
-                        y = other.entries[k * other.cols + j]
-                        if y:
-                            acc = acc + x * y
-                out.append(acc)
-        return ExactMatrix(self.rows, other.cols, out)
+        for ri in self.row_dicts:
+            acc = {}
+            for k, x in ri.items():
+                for j, y in other.row_dicts[k].items():
+                    acc[j] = acc.get(j, ZERO) + x * y
+            out.append({j: e for j, e in acc.items() if e})
+        return ExactMatrix(other.cols, out)
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
-
-    def sparse_rows(self) -> list:
-        """One {column: entry} dict per row, zeros left out."""
-        return [
-            {j: e for j, e in enumerate(self.row(i)) if e} for i in range(self.rows)
-        ]
+        return not any(self.row_dicts)
 
     def to_json_dict(self) -> dict:
         return {
             "rows": self.rows,
             "cols": self.cols,
             "field_d": self.radicand,
-            "entries": [e.render() for e in self.entries],
+            "entries": [e.render() for i in range(self.rows) for e in self.row(i)],
         }
 
 
@@ -241,14 +223,14 @@ class _Echelon:
         return True
 
 
-def _echelon_of(matrix) -> _Echelon:
+def _echelon_of(matrix: ExactMatrix) -> _Echelon:
     # The reduced form is canonical whatever the insertion order, so callers
     # that know their row structure can order rows for locality; clustered
     # rows resolve cluster by cluster and collapse to near-singleton pivot
     # rows, which keeps later reductions cheap.  Once every column has a
     # pivot no further row can change the form, so elimination stops there.
     ech = _Echelon()
-    for row in matrix.sparse_rows():
+    for row in matrix.row_dicts:
         ech.insert(row)
         if len(ech.pivots) == matrix.cols:
             break
@@ -260,13 +242,10 @@ def rank(matrix: ExactMatrix) -> int:
     return len(_echelon_of(matrix).pivots)
 
 
-def kernel_basis(matrix) -> list:
+def kernel_basis(matrix: ExactMatrix) -> list:
     """Basis of the right kernel as lists of QuadScalar, one per free column
-    of the reduced echelon form.  Deterministic for a given matrix.
-
-    `matrix` is an ExactMatrix or anything else with `cols` and a
-    `sparse_rows()` list of {column: nonzero entry} dicts, such as a
-    cdvcore.SapSystem.
+    of the reduced echelon form.  Deterministic for a given matrix.  The
+    elimination reads the matrix's row dicts as they are stored.
     """
     ech = _echelon_of(matrix)
     basis = []
@@ -308,15 +287,6 @@ def rank_mod_p(rows: list, p: int) -> int:
 # Inertia by symmetric congruence.
 
 
-def _require_symmetric(matrix: ExactMatrix) -> None:
-    if matrix.rows != matrix.cols:
-        raise NotSymmetric(f"matrix is {matrix.rows}x{matrix.cols}")
-    for i in range(matrix.rows):
-        for j in range(i + 1, matrix.cols):
-            if matrix.entry(i, j) != matrix.entry(j, i):
-                raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-
-
 def _swap_symmetric(W: list, i: int, j: int) -> None:
     W[i], W[j] = W[j], W[i]
     for row in W:
@@ -355,12 +325,14 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     matrix on rows not yet eliminated, so it keeps the inertia and the
     leading minors, and the next division stays exact.
     """
-    _require_symmetric(matrix)
+    if not matrix.is_symmetric():
+        raise NotSymmetric(f"the {matrix.rows}x{matrix.cols} matrix is not symmetric")
     d = matrix.radicand
     scale = 1
-    for e in matrix.entries:
-        for den in (e.a.denominator, e.b.denominator):
-            scale = scale * den // math.gcd(scale, den)
+    for row in matrix.row_dicts:
+        for e in row.values():
+            for den in (e.a.denominator, e.b.denominator):
+                scale = scale * den // math.gcd(scale, den)
     n = matrix.rows
     W = [
         [

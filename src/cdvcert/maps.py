@@ -99,8 +99,8 @@ class SimpleGraph:
     def from_json_dict(cls, data: dict) -> "SimpleGraph":
         try:
             n, edges = data["n"], data["edges"]
-            if type(n) is not int or not isinstance(edges, list):
-                raise TypeError("'n' must be an int and 'edges' a list")
+            if type(n) is not int or n < 0 or not isinstance(edges, list):
+                raise TypeError("'n' must be a non-negative int and 'edges' a list")
             for e in edges:
                 if not (isinstance(e, list) and len(e) == 2
                         and all(type(x) is int for x in e)):
@@ -108,8 +108,8 @@ class SimpleGraph:
             return cls(n, tuple(tuple(e) for e in edges))
         except (KeyError, TypeError) as exc:
             raise ValueError(
-                "graph data must be a JSON object with an int 'n' and an "
-                "'edges' list of int pairs"
+                "graph data must be a JSON object with a non-negative int 'n' "
+                "and an 'edges' list of int pairs"
             ) from exc
 
 

@@ -1,7 +1,7 @@
 """Slow, independent oracles for the exact linear algebra: two rank
-eliminations, a determinant, a transpose and a matrix-vector product.
-The library needs none of them; the tests check the library's rank,
-inertia and kernels against them.
+eliminations, a determinant, a transpose, a matrix-vector product and a
+dense matrix product.  The library needs none of them; the tests check
+the library's rank, inertia, kernels and sparse product against them.
 """
 
 from cdvcert.exactfield import ONE, ZERO
@@ -9,12 +9,30 @@ from cdvcert.exactlinalg import ExactMatrix
 
 
 def transpose(matrix: ExactMatrix) -> ExactMatrix:
-    entries = [
-        matrix.entries[i * matrix.cols + j]
-        for j in range(matrix.cols)
-        for i in range(matrix.rows)
-    ]
-    return ExactMatrix(matrix.cols, matrix.rows, entries, matrix.radicand)
+    rows = [matrix.row(i) for i in range(matrix.rows)]
+    return ExactMatrix.from_rows(
+        [[rows[i][j] for i in range(matrix.rows)] for j in range(matrix.cols)]
+    )
+
+
+def matmul_dense(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
+    """The product by the textbook triple loop over dense rows."""
+    if left.cols != right.rows:
+        raise ValueError("shape mismatch")
+    out = []
+    for i in range(left.rows):
+        ri = left.row(i)
+        row = []
+        for j in range(right.cols):
+            acc = ZERO
+            for k, x in enumerate(ri):
+                if x:
+                    y = right.entry(k, j)
+                    if y:
+                        acc = acc + x * y
+            row.append(acc)
+        out.append(row)
+    return ExactMatrix.from_rows(out)
 
 
 def matvec(matrix: ExactMatrix, vec: list) -> list:
@@ -27,7 +45,7 @@ def matvec(matrix: ExactMatrix, vec: list) -> list:
 def rank_markowitz(matrix: ExactMatrix) -> int:
     """Destructive sparse elimination picking the sparsest column, then
     the sparsest row within it."""
-    live = [r for r in matrix.sparse_rows() if r]
+    live = [r for r in matrix.row_dicts if r]
     rank = 0
     while live:
         counts: dict = {}

@@ -91,6 +91,7 @@ class TestBipartite:
         code, report = run(capsys, "sap", "/nonexistent/op.json", "--no-timings")
         assert code == 1
         assert report["verdict"]["completed"] is False
+        assert report["inputs"]["operator"] == "/nonexistent/op.json"
 
     @pytest.mark.parametrize(
         "operator",
@@ -135,6 +136,7 @@ class TestBipartite:
         code, report = run(capsys, "sap", str(path), "--no-timings")
         assert code == 1
         assert report["passed"] is False
+        assert report["inputs"]["operator"] == str(path)
         assert report["results"]["error"]["stage"] == "setup"
 
     def test_non_operator_json_is_reported(self, capsys, tmp_path):
@@ -143,6 +145,7 @@ class TestBipartite:
         code, report = run(capsys, "sap", str(path), "--no-timings")
         assert code == 1
         assert report["verdict"]["completed"] is False
+        assert report["inputs"]["operator"] == str(path)
         error = report["results"]["error"]
         assert error["stage"] == "setup"
         assert "operator data" in error["detail"]

@@ -3,7 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import determinant, matvec, rank_dense, rank_markowitz, transpose
+from oracles import (
+    determinant,
+    matmul_dense,
+    matvec,
+    rank_dense,
+    rank_markowitz,
+    transpose,
+)
 from cdvcert.exactfield import FieldMismatch, QuadScalar
 from cdvcert.exactlinalg import (
     ExactMatrix,
@@ -38,6 +45,28 @@ def matrices(d, max_side=5, square=False):
             max_size=shape[0],
         ).map(ExactMatrix.from_rows)
     )
+
+
+def sparse_matrices(d, rows, cols):
+    """rows x cols matrices over Q[sqrt(d)], mostly zero, with some rows
+    all zero."""
+    entry = st.one_of(st.just(0), st.just(0), scalars(d))
+    row = st.one_of(
+        st.just([0] * cols), st.lists(entry, min_size=cols, max_size=cols)
+    )
+    return st.lists(row, min_size=rows, max_size=rows).map(ExactMatrix.from_rows)
+
+
+product_cases = st.tuples(
+    st.sampled_from([1, 2, 5, 7]),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 4),
+).flatmap(
+    lambda t: st.tuples(
+        sparse_matrices(t[0], t[1], t[2]), sparse_matrices(t[0], t[2], t[3])
+    )
+)
 
 
 def symmetric_int_matrices(max_side=5, lo=-4, hi=4):
@@ -90,11 +119,24 @@ class TestExactMatrix:
         m = ExactMatrix.from_rows([[1, QuadScalar.root(7)], [0, 2]])
         assert m.radicand == 7
 
+    @pytest.mark.parametrize(
+        "row", [{0: QuadScalar(0)}, {2: QuadScalar(1)}, {-1: QuadScalar(1)}]
+    )
+    def test_rejects_a_stored_zero_and_an_outside_column(self, row):
+        with pytest.raises(ValueError, match="zero stored|outside"):
+            ExactMatrix(2, [{1: QuadScalar(1)}, row])
+
     def test_identity_is_neutral(self):
         m = ExactMatrix.from_rows([[1, 2], [3, 4]])
-        eye = ExactMatrix.identity(2)
+        eye = ExactMatrix.symmetric(2, {(0, 0): 1, (1, 1): 1})
         assert m.matmul(eye) == m
         assert eye.matmul(m) == m
+
+    @given(product_cases)
+    @settings(max_examples=100)
+    def test_matmul_matches_the_dense_product(self, case):
+        left, right = case
+        assert left.matmul(right) == matmul_dense(left, right)
 
     @given(matrices(2, max_side=4))
     def test_transpose_involution(self, m):
@@ -103,6 +145,7 @@ class TestExactMatrix:
     def test_symmetry_check(self):
         assert ExactMatrix.from_rows([[0, 1], [1, 0]]).is_symmetric()
         assert not ExactMatrix.from_rows([[0, 1], [2, 0]]).is_symmetric()
+        assert not ExactMatrix.from_rows([[0, 1], [0, 0]]).is_symmetric()
 
     def test_symmetric_writes_both_halves(self):
         m = ExactMatrix.symmetric(3, {(0, 2): Fraction(-1, 2), (1, 1): 4})
@@ -119,8 +162,8 @@ class TestExactMatrix:
 
 class TestRankKernel:
     def test_zero_and_identity(self):
-        assert rank(ExactMatrix.zeros(3, 4)) == 0
-        assert rank(ExactMatrix.identity(5)) == 5
+        assert rank(ExactMatrix.from_rows([[0] * 4] * 3)) == 0
+        assert rank(ExactMatrix.symmetric(5, {(i, i): 1 for i in range(5)})) == 5
 
     def test_known_rank_over_radical_field(self):
         r = QuadScalar.root(2)
@@ -189,7 +232,7 @@ class TestInertia:
         assert (inertia.negatives, inertia.zeros, inertia.positives) == (1, 0, 1)
 
     def test_zero_matrix(self):
-        inertia = inertia_symmetric(ExactMatrix.zeros(4, 4))
+        inertia = inertia_symmetric(ExactMatrix.symmetric(4, {}))
         assert (inertia.negatives, inertia.zeros, inertia.positives) == (0, 4, 0)
 
     def test_requires_symmetry(self):

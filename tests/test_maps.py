@@ -95,6 +95,7 @@ class TestSimpleGraph:
             {"n": 3, "edges": [[0.5, 1]]},
             {"n": 3, "edges": [[True, 2]]},
             {"n": 3, "edges": [[0, 1, 2]]},
+            {"n": -1, "edges": []},
         ],
     )
     def test_malformed_json_dict_raises_value_error(self, data):
