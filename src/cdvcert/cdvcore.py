@@ -13,7 +13,6 @@ M*X = 0 and is what makes the corank a genuine lower-bound certificate.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,6 +27,7 @@ from .exactlinalg import (
     kernel_basis,
     rank,
     rank_mod_p,
+    residue_rows,
 )
 from .maps import SimpleGraph
 
@@ -353,44 +353,33 @@ def _dual_full_rank_prime(op: SchrodingerOperator) -> int | None:
     c = len(basis)
     if c != op.corank:
         raise RuntimeError(f"kernel dimension {c} contradicts corank {op.corank}")
-    d = op.matrix.radicand
-    denominators = math.lcm(
-        *(part.denominator for vec in basis for x in vec for part in (x.a, x.b))
+    n, d = op.graph.n, op.matrix.radicand
+    # Row i of kernel holds entry i of each kernel vector.
+    kernel = ExactMatrix(
+        c, [{a: v[i] for a, v in enumerate(basis) if v[i]} for i in range(n)]
     )
     for p in SAP_PRIMES:
         r = pow(d, (p + 1) // 4, p)
-        if denominators % p == 0 or r * r % p != d % p:
+        if r * r % p != d % p or (k := residue_rows(kernel, p, r)) is None:
             continue
-        # k[i][a] is entry i of kernel vector a mod p, with sqrt(d) -> r.
-        k = [[_mod_p(vec[i], p, r) for vec in basis] for i in range(op.graph.n)]
-        pairs = [(i, i) for i in range(op.graph.n)] + list(op.graph.edges)
+        pairs = [(i, i) for i in range(n)] + list(op.graph.edges)
+        cols = c * (c + 1) // 2
         dual = [_dual_row(k[i], k[j], c, p) for i, j in pairs]
-        return p if rank_mod_p(dual, p) == c * (c + 1) // 2 else None
+        return p if rank_mod_p(dual, cols, p) == cols else None
     return None
 
 
-def _mod_p(x: QuadScalar, p: int, r: int) -> int:
-    a, b = x.a, x.b
-    return (
-        a.numerator * pow(a.denominator, -1, p)
-        + b.numerator * pow(b.denominator, -1, p) * r
-    ) % p
-
-
-def _dual_row(ki: list, kj: list, c: int, p: int) -> list:
-    """Coefficients of k_i^T*S*k_j in the unknowns S[a][b], a <= b, mod p:
-    k_i[a]*k_j[a] on the diagonal and k_i[a]*k_j[b] + k_i[b]*k_j[a]
+def _dual_row(ki: dict, kj: dict, c: int, p: int) -> dict:
+    """Nonzero coefficients of k_i^T*S*k_j in the unknowns S[a][b], a <= b,
+    mod p: k_i[a]*k_j[a] on the diagonal and k_i[a]*k_j[b] + k_i[b]*k_j[a]
     off it."""
-    row = [0] * (c * (c + 1) // 2)
-    for a, x in enumerate(ki):
-        if not x:
-            continue
-        for b, y in enumerate(kj):
-            if y:
-                lo, hi = (a, b) if a <= b else (b, a)
-                col = lo * c - lo * (lo - 1) // 2 + hi - lo
-                row[col] = (row[col] + x * y) % p
-    return row
+    row = {}
+    for a, x in ki.items():
+        for b, y in kj.items():
+            lo, hi = (a, b) if a <= b else (b, a)
+            col = lo * c - lo * (lo - 1) // 2 + hi - lo
+            row[col] = (row.get(col, 0) + x * y) % p
+    return {col: v for col, v in row.items() if v}
 
 
 def _assemble_witness(op: SchrodingerOperator, system: SapSystem, vec) -> ExactMatrix:

@@ -1,10 +1,12 @@
 """Exact linear algebra over Q[sqrt(d)]: rank, kernels, inertia, charpoly.
 
-Matrices store each row's nonzero QuadScalar entries.  Rank and kernel
-computations read those rows directly into a sparse reduced echelon form
-with arithmetic in the field; pivot rows are normalized and
-back-reduced, which keeps every stored entry a ratio of minors.  A rank
-over a prime field F_p runs on plain integer residues.  Inertia comes
+Matrices store each row's nonzero QuadScalar entries.  Rank reads those
+rows directly into a sparse reduced echelon form with arithmetic in the
+field; pivot rows are normalized and back-reduced, which keeps every
+stored entry a ratio of minors.  The same echelon runs over a prime
+field F_p on plain integer residues: it gives ranks mod p, and kernels,
+which are rebuilt from their residues by rational reconstruction and
+proved by an exact check that the matrix annihilates them.  Inertia comes
 from symmetric congruence elimination on cleared-denominator integer
 pairs with exact pivot division, the characteristic polynomial from the
 division-free Berkowitz scheme, and real-root counting from Sturm
@@ -244,9 +246,39 @@ def rank(matrix: ExactMatrix) -> int:
 
 def kernel_basis(matrix: ExactMatrix) -> list:
     """Basis of the right kernel as lists of QuadScalar, one per free column
-    of the reduced echelon form.  Deterministic for a given matrix.  The
-    elimination reads the matrix's row dicts as they are stored.
+    of the reduced echelon form over the field: vector f has 1 at free
+    column f, 0 at the other free columns, and minus the pivot rows' entries
+    in column f at the pivot columns.  This canonical basis depends only on
+    the matrix.
+
+    It is computed mod one prime p of KERNEL_PRIMES and proved exactly.  p
+    must divide no denominator of M, and d (the radicand) must have a root
+    r with r^2 = d mod p.  The reduced echelon form is computed mod p under
+    sqrt(d) -> r and, for d > 1, under sqrt(d) -> -r; each a + b*sqrt(d)
+    entry of K is rebuilt from its two images by rational reconstruction,
+    and MK = 0 is then checked exactly on cleared-denominator integer
+    pairs.  Soundness:
+
+    - Reduction mod p is a ring homomorphism on the entries of M, so
+      rank_p <= rank_Q and nullity_p >= nullity_Q.
+    - Each v_f of K has 1 at its free column f and 0 at the other free
+      columns; its other entries sit at pivot columns before f.
+    - So MK = 0 gives nullity_Q >= |F| = nullity_p >= nullity_Q, where F
+      is the set of free columns mod p.
+    - Each v_f makes column f a combination of earlier columns over the
+      field, so f is free there too.  F is the free set over the field,
+      and K is the unique canonical basis of the exact elimination.
+    - When the rank mod p is full, nullity is 0 and nothing needs checking.
+
+    No usable prime, pivot sets that differ between the two images, a
+    failed reconstruction or MK != 0 send the matrix to the exact
+    elimination in the field, which returns the same basis.
     """
+    basis = _kernel_basis_mod_p(matrix)
+    return _kernel_basis_exact(matrix) if basis is None else basis
+
+
+def _kernel_basis_exact(matrix: ExactMatrix) -> list:
     ech = _echelon_of(matrix)
     basis = []
     for free in range(matrix.cols):
@@ -261,26 +293,189 @@ def kernel_basis(matrix: ExactMatrix) -> list:
     return basis
 
 
-def rank_mod_p(rows: list, p: int) -> int:
-    """Rank over F_p of a matrix given as equal-length lists of residues
-    in [0, p).  Forward elimination against pivot rows normalized to
-    leading entry 1; it stops once every column has a pivot."""
-    ncols = len(rows[0]) if rows else 0
+# ---------------------------------------------------------------------------
+# The same elimination over F_p, on {column: residue} rows.
+
+# The eight largest primes p = 3 (mod 4) below 2^61 - 1.  sqrt(d) mod p is
+# d^((p+1)/4) whenever d is a square mod p; each radicand is a square mod
+# about half of them.  Rational reconstruction mod p recovers numerators
+# and denominators up to sqrt(p/2), about 2^30.
+KERNEL_PRIMES = (
+    2305843009213693907,
+    2305843009213693723,
+    2305843009213693487,
+    2305843009213693123,
+    2305843009213692967,
+    2305843009213692799,
+    2305843009213692671,
+    2305843009213692527,
+)
+
+
+def _subtract_mod_p(row: dict, f: int, pivot: dict, p: int) -> None:
+    """row -= f*pivot over F_p, in place, with no zero left stored."""
+    for col, w in pivot.items():
+        # f and w are nonzero mod p, so a column new to row gets a nonzero
+        # entry; only an existing one can cancel.
+        v = (row.get(col, 0) - f * w) % p
+        if v:
+            row[col] = v
+        else:
+            del row[col]
+
+
+def _echelon_mod_p(rows, cols: int, p: int) -> dict:
+    """Reduced echelon form over F_p of rows given as {column: residue}
+    dicts with residues in (0, p): the pivot rows by leading column, each
+    normalized to leading entry 1 and back-reduced, by the same rule as
+    _Echelon.  The input dicts are not modified.  It stops once every
+    column has a pivot."""
     pivots: dict = {}
     for row in rows:
-        for lead in range(ncols):
-            x = row[lead]
-            if not x:
-                continue
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = pow(x, -1, p)
-                pivots[lead] = [v * inv % p for v in row]
-                break
-            row = [(v - x * w) % p for v, w in zip(row, pivot)]
-        if len(pivots) == ncols:
+        row = dict(row)
+        for c in sorted(row):
+            pivot = pivots.get(c)
+            if pivot is not None and c in row:
+                _subtract_mod_p(row, row[c], pivot, p)
+        if not row:
+            continue
+        lead = min(row)
+        inv = pow(row[lead], -1, p)
+        row = {col: v * inv % p for col, v in row.items()}
+        for prow in pivots.values():
+            if lead in prow:
+                _subtract_mod_p(prow, prow[lead], row, p)
+        pivots[lead] = row
+        if len(pivots) == cols:
             break
-    return len(pivots)
+    return pivots
+
+
+def rank_mod_p(rows, cols: int, p: int) -> int:
+    """Rank over F_p of a matrix with `cols` columns whose rows are
+    {column: residue} dicts, residues in (0, p)."""
+    return len(_echelon_mod_p(rows, cols, p))
+
+
+def residue_rows(matrix: ExactMatrix, p: int, r: int) -> list | None:
+    """The rows of matrix as {column: residue} dicts mod p under
+    sqrt(d) -> r, zero residues dropped; None if p divides a denominator."""
+    inverses = {1: 1}
+    out = []
+    for row in matrix.row_dicts:
+        res = {}
+        for j, e in row.items():
+            x = 0
+            for part, scale in ((e.a, 1), (e.b, r)):
+                if not part:
+                    continue
+                den = part.denominator
+                inv = inverses.get(den)
+                if inv is None:
+                    if den % p == 0:
+                        return None
+                    inv = inverses[den] = pow(den, -1, p)
+                x += part.numerator * inv * scale
+            if x := x % p:
+                res[j] = x
+        out.append(res)
+    return out
+
+
+def _reconstruct(u: int, p: int) -> Fraction | None:
+    """The fraction n/m with |n|, m <= sqrt(p/2) and n = u*m mod p, or None.
+    Such a fraction is unique when it exists (Wang's half extended
+    Euclidean algorithm)."""
+    bound = math.isqrt(p // 2)
+    r0, r1, s0, s1 = p, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _kernel_basis_mod_p(matrix: ExactMatrix) -> list | None:
+    """kernel_basis through the first usable prime, or None on any failure."""
+    d, cols = matrix.radicand, matrix.cols
+    for p in KERNEL_PRIMES:
+        # r = 0 (p divides d) would give two equal images.
+        r = pow(d, (p + 1) // 4, p)
+        if r and r * r % p == d % p:
+            rows = residue_rows(matrix, p, r)
+            if rows is not None:
+                break
+    else:
+        return None
+    plus = _echelon_mod_p(rows, cols, p)
+    if len(plus) == cols:
+        return []
+    minus = plus
+    if d != 1:
+        minus = _echelon_mod_p(residue_rows(matrix, p, p - r), cols, p)
+        if minus.keys() != plus.keys():
+            return None
+    # Pivot row c holds some a + b*sqrt(d) at column f, with images
+    # u = a + b*r and w = a - b*r mod p; v_f[c] is its negative.
+    half, half_root = pow(2, -1, p), pow(2 * r, -1, p)
+    basis = []
+    for free in range(cols):
+        if free in plus:
+            continue
+        vec = [ZERO] * cols
+        vec[free] = ONE
+        for c, prow in plus.items():
+            u, w = prow.get(free, 0), minus[c].get(free, 0)
+            if not (u or w):
+                continue
+            a = _reconstruct(-(u + w) * half % p, p)
+            b = _reconstruct(-(u - w) * half_root % p, p) if d != 1 else 0
+            if a is None or b is None:
+                return None
+            vec[c] = QuadScalar(a, b, d)
+        basis.append(vec)
+    return basis if _annihilates(matrix, basis) else None
+
+
+def _cleared(xs) -> list:
+    """(a*L, b*L) as int pairs for the scalars xs, with L the lcm of all
+    their denominators."""
+    xs = list(xs)
+    # One lcm call per scalar: math.lcm(*generator) builds its argument
+    # tuple by resizing, which leaves the freed tuples in the interpreter's
+    # free lists and raised the peak memory of the bipartite sweep by 1 MB.
+    scale = 1
+    for x in xs:
+        scale = math.lcm(scale, x.a.denominator, x.b.denominator)
+    return [
+        (
+            x.a.numerator * (scale // x.a.denominator),
+            x.b.numerator * (scale // x.b.denominator),
+        )
+        for x in xs
+    ]
+
+
+def _annihilates(matrix: ExactMatrix, basis: list) -> bool:
+    """Exact test of M*K = 0 on integer pairs, each row of M and each
+    vector of K cleared of its denominators."""
+    d = matrix.radicand
+    at_column = [[] for _ in range(matrix.cols)]
+    for k, vec in enumerate(basis):
+        support = [j for j, x in enumerate(vec) if x]
+        for j, (ka, kb) in zip(support, _cleared(vec[j] for j in support)):
+            at_column[j].append((k, ka, kb))
+    for row in matrix.row_dicts:
+        acc = {}
+        for j, (ma, mb) in zip(row, _cleared(row.values())):
+            for k, ka, kb in at_column[j]:
+                sa, sb = acc.get(k, (0, 0))
+                acc[k] = (sa + ma * ka + d * mb * kb, sb + ma * kb + mb * ka)
+        if any(pair != (0, 0) for pair in acc.values()):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ class SimpleGraph:
     _edge_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"vertex count {self.n} is negative")
         seen = set()
         for e in self.edges:
             u, v = e

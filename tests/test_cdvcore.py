@@ -262,6 +262,14 @@ class TestSap:
         assert cert.full_rank and cert.prime is not None
         assert cert.dual_shape == (24 + 84, 36)
 
+    def test_genus10_primal_agrees_with_the_dual(self, monkeypatch, g10_operator):
+        dual = check_sap(g10_operator)
+        monkeypatch.setattr(cdvcore, "SAP_PRIMES", ())
+        primal = check_sap(g10_operator)
+        assert dual.prime is not None and primal.prime is None
+        assert (primal.rows, primal.cols, primal.rank) == (2862, 1215, 1215)
+        assert primal.full_rank and dual.full_rank and dual.rank == primal.rank
+
     @pytest.mark.parametrize(
         "u,v",
         [

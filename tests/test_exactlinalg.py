@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     rank_markowitz,
     transpose,
 )
+from cdvcert import exactlinalg
 from cdvcert.exactfield import FieldMismatch, QuadScalar
 from cdvcert.exactlinalg import (
     ExactMatrix,
@@ -207,15 +209,115 @@ class TestRankKernel:
         # Hadamard: every minor is at most (5 * sqrt(6))^6 < 3.4e6 in size,
         # so no nonzero minor vanishes mod a prime above that.
         p = 1073741783
-        assert rank_mod_p([[x % p for x in r] for r in rows], p) == rank(
+        assert rank_mod_p(_residues(rows, p), len(rows[0]), p) == rank(
             ExactMatrix.from_rows(rows)
         )
 
     def test_rank_mod_p_drops_at_a_prime_dividing_the_determinant(self):
         rows = [[1, 2], [3, 1]]  # determinant -5
-        assert rank_mod_p([[x % 5 for x in r] for r in rows], 5) == 1
-        assert rank_mod_p([[x % 7 for x in r] for r in rows], 7) == 2
-        assert rank_mod_p([], 7) == 0
+        assert rank_mod_p(_residues(rows, 5), 2, 5) == 1
+        assert rank_mod_p(_residues(rows, 7), 2, 7) == 2
+        assert rank_mod_p([], 2, 7) == 0
+
+
+def _residues(rows, p):
+    return [{j: x % p for j, x in enumerate(row) if x % p} for row in rows]
+
+
+exact_kernel = exactlinalg._kernel_basis_exact
+
+
+class TestKernelModP:
+    """kernel_basis runs mod a prime and falls back to the exact
+    elimination; both must give the same basis."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            exactlinalg,
+            "_kernel_basis_exact",
+            lambda matrix: calls.append(matrix) or exact_kernel(matrix),
+        )
+        return calls
+
+    @given(
+        st.tuples(
+            st.sampled_from([1, 2, 7]), st.integers(1, 6), st.integers(1, 6)
+        ).flatmap(lambda t: sparse_matrices(*t))
+    )
+    @settings(max_examples=150)
+    def test_matches_the_exact_elimination(self, m):
+        assert kernel_basis(m) == exact_kernel(m)
+
+    @given(
+        st.tuples(st.sampled_from([1, 2, 7]), st.integers(1, 5)).flatmap(
+            lambda t: sparse_matrices(t[0], t[1], t[1] + 2)
+        )
+    )
+    @settings(max_examples=50)
+    def test_matches_the_exact_elimination_when_rank_deficient(self, m):
+        # Two more columns than rows, so the kernel is never empty.
+        basis = kernel_basis(m)
+        assert basis == exact_kernel(m) and len(basis) >= 2
+
+    def test_genus10_kernel_takes_no_fallback(self, g10_operator, fallbacks):
+        basis = kernel_basis(g10_operator.matrix)
+        assert fallbacks == []
+        assert basis == exact_kernel(g10_operator.matrix)
+        assert len(basis) == 16
+
+    def test_denominator_divisible_by_every_prime(self, fallbacks):
+        p = math.prod(exactlinalg.KERNEL_PRIMES)
+        m = ExactMatrix.from_rows([[Fraction(1, p), 1, 0], [0, 2, 1]])
+        assert kernel_basis(m) == exact_kernel(m)
+        assert fallbacks == [m]
+
+    def test_entry_above_the_reconstruction_bound(self, fallbacks):
+        m = ExactMatrix.from_rows([[1, -(2**40 + 1), 0], [0, 0, 1]])
+        basis = kernel_basis(m)
+        assert basis == [[QuadScalar(2**40 + 1), QuadScalar(1), QuadScalar(0)]]
+        assert fallbacks == [m]
+
+    def test_pivot_set_that_differs_mod_p(self, fallbacks):
+        p = exactlinalg.KERNEL_PRIMES[0]
+        # Column 0 is the pivot over Q and column 1 mod p.
+        m = ExactMatrix.from_rows([[p, 1]])
+        assert kernel_basis(m) == [[QuadScalar(Fraction(-1, p)), QuadScalar(1)]]
+        assert fallbacks == [m]
+
+    def test_pivot_sets_that_differ_between_the_images(self, monkeypatch, fallbacks):
+        p = exactlinalg.KERNEL_PRIMES[2]
+        r = pow(2, (p + 1) // 4, p)
+        assert r * r % p == 2
+        monkeypatch.setattr(exactlinalg, "KERNEL_PRIMES", (p,))
+        # -r + sqrt(2) vanishes mod p under sqrt(2) -> r, not under -r.
+        m = ExactMatrix.from_rows([[QuadScalar(-r, 1, 2), 1]])
+        assert kernel_basis(m) == exact_kernel(m)
+        assert fallbacks == [m]
+
+    def test_radicand_without_a_root_mod_any_prime(self, monkeypatch, fallbacks):
+        # 7 is not a square mod 11 or mod 23.
+        monkeypatch.setattr(exactlinalg, "KERNEL_PRIMES", (11, 23))
+        r7 = QuadScalar.root(7)
+        m = ExactMatrix.from_rows([[1, r7, 2], [r7, 7, 2 * r7]])
+        basis = kernel_basis(m)
+        assert fallbacks == [m]
+        assert basis == exact_kernel(m)
+        one, zero = QuadScalar(1), QuadScalar(0)
+        assert basis == [[-r7, one, zero], [QuadScalar(-2), zero, one]]
+
+    def test_full_rank_is_decided_from_one_image(self, monkeypatch, fallbacks):
+        images = []
+        echelon = exactlinalg._echelon_mod_p
+        monkeypatch.setattr(
+            exactlinalg,
+            "_echelon_mod_p",
+            lambda *args: images.append(args) or echelon(*args),
+        )
+        r7 = QuadScalar.root(7)
+        assert kernel_basis(ExactMatrix.from_rows([[1, r7], [r7, 1]])) == []
+        assert len(images) == 1 and fallbacks == []
 
 
 class TestInertia:

@@ -54,6 +54,10 @@ class TestSimpleGraph:
         with pytest.raises(ValueError):
             SimpleGraph(2, ((0, 5),))
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="negative"):
+            SimpleGraph(-3, ())
+
     def test_adjacency_and_degrees(self):
         g = SimpleGraph(3, ((0, 1), (1, 2)))
         assert g.degrees() == [1, 2, 1]
