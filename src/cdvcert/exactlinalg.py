@@ -1,16 +1,16 @@
 """Exact linear algebra over Q[sqrt(d)]: rank, kernels, inertia, charpoly.
 
-Matrices store each row's nonzero QuadScalar entries.  Rank reads those
-rows directly into a sparse reduced echelon form with arithmetic in the
-field; pivot rows are normalized and back-reduced, which keeps every
-stored entry a ratio of minors.  The same echelon runs over a prime
-field F_p on plain integer residues: it gives ranks mod p, and kernels,
-which are rebuilt from their residues by rational reconstruction and
-proved by an exact check that the matrix annihilates them.  Inertia comes
-from symmetric congruence elimination on cleared-denominator integer
-pairs with exact pivot division, the characteristic polynomial from the
-division-free Berkowitz scheme, and real-root counting from Sturm
-chains.  No floating point anywhere.
+Matrices store each row's nonzero QuadScalar entries.  One sparse reduced
+echelon, with normalized and back-reduced pivot rows, runs on two
+arithmetics.  In the field it gives the exact rank, and every stored
+entry stays a ratio of minors.  Over a prime field F_p, on plain integer
+residues, it gives ranks mod p and kernels, which are rebuilt from their
+residues by rational reconstruction and proved by an exact check that
+the matrix annihilates them.  Inertia comes from symmetric congruence
+elimination on cleared-denominator integer pairs with exact pivot
+division, the characteristic polynomial from the division-free Berkowitz
+scheme, and real-root counting from Sturm chains.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -152,9 +152,43 @@ class ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Sparse echelon machinery.  Rows are dicts column -> QuadScalar with no
-# zeros stored; arithmetic happens directly in the field, and Fraction
-# reduction keeps every intermediate entry at minor-ratio size.
+# One sparse reduced echelon, for the field and for F_p.  Rows are dicts
+# {column: nonzero}; only the arithmetic differs.  In the field, Fraction
+# reduction keeps every stored entry a ratio of minors.
+
+
+def _echelon(rows, cols: int, subtract, normalize) -> dict:
+    """Reduced echelon form of `rows`: the pivot rows by leading column,
+    each normalized to leading entry 1 and back-reduced, so each pivot
+    column appears in exactly one stored row.  subtract(row, f, pivot) sets
+    row -= f*pivot in place; normalize(row, lead) returns row scaled to 1
+    at lead.  Each input row is copied first, so the input dicts are not
+    modified.
+
+    The reduced form is canonical whatever the row order, so callers that
+    know their row structure can order rows for locality.  Once every
+    column has a pivot no further row can change the form, so elimination
+    stops there."""
+    pivots: dict = {}
+    for row in rows:
+        row = dict(row)
+        for c in sorted(row):
+            # Elimination can only add columns no pivot owns, so a single
+            # pass over the original support reaches a fully reduced row.
+            pivot = pivots.get(c)
+            if pivot is not None and c in row:
+                subtract(row, row[c], pivot)
+        if not row:
+            continue
+        lead = min(row)
+        row = normalize(row, lead)
+        for prow in pivots.values():
+            if lead in prow:
+                subtract(prow, prow[lead], row)
+        pivots[lead] = row
+        if len(pivots) == cols:
+            break
+    return pivots
 
 
 def _pmul(x, y, d):
@@ -174,74 +208,28 @@ def _pair_sign(x, d) -> int:
     return sa if a * a - d * b * b > 0 else sb
 
 
-def _reduce_row(row: dict, pivot: dict, c) -> dict:
-    """row - row[c]*pivot for a pivot row normalized to pivot[c] == 1."""
-    f = row[c]
-    out = {col: v for col, v in row.items() if col != c}
+def _subtract_exact(row: dict, f, pivot: dict) -> None:
+    """row -= f*pivot in the field, in place, with no zero left stored."""
     for col, w in pivot.items():
-        if col == c:
-            continue
-        t = f * w
-        cur = out.get(col)
-        if cur is None:
-            out[col] = -t
+        v = row.get(col, ZERO) - f * w
+        if v:
+            row[col] = v
         else:
-            nv = cur - t
-            if nv:
-                out[col] = nv
-            else:
-                del out[col]
-    return out
+            del row[col]
 
 
-class _Echelon:
-    """Reduced echelon accumulator.  Pivot rows are normalized to leading
-    entry 1 and back-reduced on insert, so each pivot column appears in
-    exactly one stored row."""
-
-    __slots__ = ("pivots",)
-
-    def __init__(self):
-        self.pivots: dict = {}
-
-    def insert(self, row: dict) -> bool:
-        for c in sorted(row):
-            # Elimination can only add columns no pivot owns, so a single
-            # pass over the original support reaches a fully reduced row.
-            if c not in row:
-                continue
-            pivot = self.pivots.get(c)
-            if pivot is not None:
-                row = _reduce_row(row, pivot, c)
-        if not row:
-            return False
-        lead = min(row)
-        inv = row[lead].inverse()
-        row = {col: v * inv for col, v in row.items()}
-        row[lead] = ONE
-        for c in [c for c, p in self.pivots.items() if lead in p]:
-            self.pivots[c] = _reduce_row(self.pivots[c], row, lead)
-        self.pivots[lead] = row
-        return True
+def _normalize_exact(row: dict, lead: int) -> dict:
+    inv = row[lead].inverse()
+    return {col: v * inv for col, v in row.items()}
 
 
-def _echelon_of(matrix: ExactMatrix) -> _Echelon:
-    # The reduced form is canonical whatever the insertion order, so callers
-    # that know their row structure can order rows for locality; clustered
-    # rows resolve cluster by cluster and collapse to near-singleton pivot
-    # rows, which keeps later reductions cheap.  Once every column has a
-    # pivot no further row can change the form, so elimination stops there.
-    ech = _Echelon()
-    for row in matrix.row_dicts:
-        ech.insert(row)
-        if len(ech.pivots) == matrix.cols:
-            break
-    return ech
+def _echelon_exact(matrix: ExactMatrix) -> dict:
+    return _echelon(matrix.row_dicts, matrix.cols, _subtract_exact, _normalize_exact)
 
 
 def rank(matrix: ExactMatrix) -> int:
     """Exact rank by sparse reduced echelon with back-reduction."""
-    return len(_echelon_of(matrix).pivots)
+    return len(_echelon_exact(matrix))
 
 
 def kernel_basis(matrix: ExactMatrix) -> list:
@@ -279,14 +267,14 @@ def kernel_basis(matrix: ExactMatrix) -> list:
 
 
 def _kernel_basis_exact(matrix: ExactMatrix) -> list:
-    ech = _echelon_of(matrix)
+    pivots = _echelon_exact(matrix)
     basis = []
     for free in range(matrix.cols):
-        if free in ech.pivots:
+        if free in pivots:
             continue
         vec = [ZERO] * matrix.cols
         vec[free] = ONE
-        for c, prow in ech.pivots.items():
+        for c, prow in pivots.items():
             if free in prow:
                 vec[c] = -prow[free]
         basis.append(vec)
@@ -324,31 +312,20 @@ def _subtract_mod_p(row: dict, f: int, pivot: dict, p: int) -> None:
             del row[col]
 
 
+def _normalize_mod_p(row: dict, lead: int, p: int) -> dict:
+    inv = pow(row[lead], -1, p)
+    return {col: v * inv % p for col, v in row.items()}
+
+
 def _echelon_mod_p(rows, cols: int, p: int) -> dict:
-    """Reduced echelon form over F_p of rows given as {column: residue}
-    dicts with residues in (0, p): the pivot rows by leading column, each
-    normalized to leading entry 1 and back-reduced, by the same rule as
-    _Echelon.  The input dicts are not modified.  It stops once every
-    column has a pivot."""
-    pivots: dict = {}
-    for row in rows:
-        row = dict(row)
-        for c in sorted(row):
-            pivot = pivots.get(c)
-            if pivot is not None and c in row:
-                _subtract_mod_p(row, row[c], pivot, p)
-        if not row:
-            continue
-        lead = min(row)
-        inv = pow(row[lead], -1, p)
-        row = {col: v * inv % p for col, v in row.items()}
-        for prow in pivots.values():
-            if lead in prow:
-                _subtract_mod_p(prow, prow[lead], row, p)
-        pivots[lead] = row
-        if len(pivots) == cols:
-            break
-    return pivots
+    """_echelon over F_p of rows given as {column: residue} dicts with
+    residues in (0, p)."""
+    return _echelon(
+        rows,
+        cols,
+        lambda row, f, pivot: _subtract_mod_p(row, f, pivot, p),
+        lambda row, lead: _normalize_mod_p(row, lead, p),
+    )
 
 
 def rank_mod_p(rows, cols: int, p: int) -> int:
@@ -523,19 +500,12 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     if not matrix.is_symmetric():
         raise NotSymmetric(f"the {matrix.rows}x{matrix.cols} matrix is not symmetric")
     d = matrix.radicand
-    scale = 1
-    for row in matrix.row_dicts:
-        for e in row.values():
-            for den in (e.a.denominator, e.b.denominator):
-                scale = scale * den // math.gcd(scale, den)
     n = matrix.rows
-    W = [
-        [
-            (int(e.a * scale), int(e.b * scale))
-            for e in matrix.row(i)
-        ]
-        for i in range(n)
-    ]
+    W = [[(0, 0)] * n for _ in range(n)]
+    cells = [(i, j) for i, row in enumerate(matrix.row_dicts) for j in row]
+    pairs = _cleared(e for row in matrix.row_dicts for e in row.values())
+    for (i, j), pair in zip(cells, pairs):
+        W[i][j] = pair
     neg = zero = pos = 0
     prev = (1, 0)
     while W:

@@ -1,7 +1,8 @@
 """Slow, independent oracles for the exact linear algebra: two rank
-eliminations, a determinant, a transpose, a matrix-vector product and a
-dense matrix product.  The library needs none of them; the tests check
-the library's rank, inertia, kernels and sparse product against them.
+eliminations, a determinant, a transpose, a matrix-vector product, a
+dense matrix product and a subspace-equality test.  The library needs
+none of them; the tests check the library's rank, inertia, kernels,
+sparse product and spans_match against them.
 """
 
 from cdvcert.exactfield import ONE, ZERO
@@ -111,3 +112,16 @@ def determinant(matrix: ExactMatrix):
                 f = work[i][col] / pv
                 work[i] = [x - f * y for x, y in zip(work[i], work[col])]
     return det
+
+
+def spans_match_by_rank(vectors_a, vectors_b) -> bool:
+    """Subspace equality by three ranks: span A = span B exactly when
+    rank A = rank B = rank of A and B stacked."""
+    if not vectors_a and not vectors_b:
+        return True
+    if bool(vectors_a) != bool(vectors_b):
+        return False
+    ra = rank_dense(ExactMatrix.from_rows(vectors_a))
+    rb = rank_dense(ExactMatrix.from_rows(vectors_b))
+    rc = rank_dense(ExactMatrix.from_rows(list(vectors_a) + list(vectors_b)))
+    return ra == rb == rc

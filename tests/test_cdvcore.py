@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from oracles import rank_dense
+from oracles import rank_dense, spans_match_by_rank
 from cdvcert import cdvcore, groups, maps
 from cdvcert.cdvcore import (
     MAX_OPERATOR_VERTICES,
@@ -424,6 +424,68 @@ def bipartite_cases(draw):
     return a, b, frozenset(on_a | on_b)
 
 
+def _scalars(d, nonzero=False):
+    fracs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    radical = fracs if d > 1 else st.just(0)
+    scalars = st.builds(lambda a, b: QuadScalar(a, b, d), fracs, radical)
+    return scalars.filter(bool) if nonzero else scalars
+
+
+def _times(left, right):
+    return [
+        [sum((x * y for x, y in zip(row, col)), QuadScalar.ZERO) for col in zip(*right)]
+        for row in left
+    ]
+
+
+@st.composite
+def _invertible(draw, k, d):
+    """L*U with L unit lower triangular and U upper triangular with a
+    nonzero diagonal: a random invertible k x k matrix."""
+    entry, pivot = _scalars(d), _scalars(d, nonzero=True)
+    one, zero = QuadScalar(1), QuadScalar.ZERO
+    lower = [
+        [draw(entry) if j < i else one if j == i else zero for j in range(k)]
+        for i in range(k)
+    ]
+    upper = [
+        [draw(pivot) if j == i else draw(entry) if j > i else zero for j in range(k)]
+        for i in range(k)
+    ]
+    return _times(lower, upper)
+
+
+@st.composite
+def span_pairs(draw):
+    """Two families of vectors over Q or Q[sqrt 5], and True or False when
+    their spans are known to match or to differ (None when random)."""
+    d = draw(st.sampled_from([1, 5]))
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["random", "recombined", "different"]))
+
+    def family(k):
+        return draw(
+            st.lists(
+                st.lists(_scalars(d), min_size=n, max_size=n), min_size=k, max_size=k
+            )
+        )
+
+    if kind == "random":
+        return family(draw(st.integers(0, 3))), family(draw(st.integers(0, 3))), None
+    if kind == "recombined":
+        vectors = family(draw(st.integers(1, 3)))
+        return vectors, _times(draw(_invertible(len(vectors), d)), vectors), True
+    # The rows of an invertible matrix are independent, so two different
+    # sets of k of them span different k-dimensional subspaces.
+    rows = draw(_invertible(n, d))
+    k = draw(st.integers(1, n - 1))
+    picks = st.sets(st.integers(0, n - 1), min_size=k, max_size=k)
+    one = draw(picks)
+    other = draw(picks.filter(lambda s: s != one))
+    recombined = _times(draw(_invertible(k, d)), [rows[i] for i in sorted(other)])
+    return [rows[i] for i in sorted(one)], recombined, False
+
+
 class TestBipartite:
     @given(bipartite_cases())
     @settings(max_examples=60)
@@ -469,6 +531,16 @@ class TestBipartite:
         one = [[QuadScalar(1), QuadScalar.ZERO]]
         other = [[QuadScalar.ZERO, QuadScalar(1)]]
         assert not spans_match(one, other)
+
+    @given(span_pairs())
+    @settings(max_examples=150)
+    def test_spans_match_agrees_with_the_rank_oracle(self, case):
+        one, other, expected = case
+        event(f"spans known to match: {expected}")
+        verdict = spans_match(one, other)
+        assert verdict == spans_match_by_rank(one, other)
+        if expected is not None:
+            assert verdict is expected
 
     @pytest.mark.parametrize("a,b", [(3, 4), (4, 5)])
     def test_witness_construction(self, a, b):

@@ -213,6 +213,19 @@ class TestRankKernel:
             ExactMatrix.from_rows(rows)
         )
 
+    def test_elimination_leaves_its_input_alone(self, monkeypatch):
+        monkeypatch.setattr(exactlinalg, "KERNEL_PRIMES", ())
+        r2 = QuadScalar.root(2)
+        # Row 1 is reduced by pivot row 0, and row 2 by the pivot row of
+        # column 1, which then back-reduces pivot row 0.
+        m = ExactMatrix.from_rows([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, r2]])
+        # QuadScalar is immutable, so copying each row dict copies deeply.
+        before = [dict(row) for row in m.row_dicts]
+        assert rank(m) == 3
+        assert m.row_dicts == tuple(before)
+        assert kernel_basis(m) == [[r2, -r2, -r2, QuadScalar(1)]]
+        assert m.row_dicts == tuple(before)
+
     def test_rank_mod_p_drops_at_a_prime_dividing_the_determinant(self):
         rows = [[1, 2], [3, 1]]  # determinant -5
         assert rank_mod_p(_residues(rows, 5), 2, 5) == 1
