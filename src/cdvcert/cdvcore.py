@@ -22,12 +22,12 @@ from .exactlinalg import (
     ExactMatrix,
     Inertia,
     IntPolynomial,
+    _cleared,
     count_positive_real_roots,
     inertia_symmetric,
     kernel_basis,
     rank,  # not called here; perfbench traces rank under this name too
     rank_mod_p,
-    residue_rows,
 )
 from .maps import SimpleGraph
 
@@ -58,7 +58,7 @@ class BadS(ValueError):
 
 
 class SystemTooLarge(ValueError):
-    """Transversality system above MAX_SAP_SLOTS, refused before it is built."""
+    """Transversality dual above MAX_SAP_SLOTS, refused before any elimination."""
 
 
 # Largest vertex count an operator file may declare.  The operator matrix
@@ -66,8 +66,9 @@ class SystemTooLarge(ValueError):
 # of integer pairs; the genus-10 certificate needs 54 vertices.
 MAX_OPERATOR_VERTICES = 1000
 
-# Largest rows x cols of a transversality system check_sap builds.  The
-# genus-10 primal system has 2862 x 1215 = 3,477,330 slots.
+# Largest slot count of the transversality dual check_sap builds, taken as
+# max(rows, cols) x cols so that it also covers the dual's kernel.  The
+# genus-10 dual is 270 x 136: 36,720 slots.
 MAX_SAP_SLOTS = 5_000_000
 
 # Primes p = 3 (mod 4) below 2^30 for the dual rank: sqrt(d) mod p is
@@ -218,56 +219,17 @@ def check_membership(op: SchrodingerOperator) -> Inertia:
 
 
 @dataclass(frozen=True)
-class SapSystem:
-    """The transversality system as an ExactMatrix.
-
-    Rows are the ordered pairs (u, w) with u != w, grouped by w; columns
-    are the non-adjacent unordered pairs {a, b} of `col_pairs`.  Entry
-    ((u, w), {a, b}) is M[u][t] where t is the member of {a, b} distinct
-    from w, or zero if neither member is w.  Full column rank means no
-    nonzero admissible X solves M*X = 0.
-    """
-
-    matrix: ExactMatrix
-    col_pairs: tuple
-
-
-def build_sap_system(op: SchrodingerOperator) -> SapSystem:
-    n = op.graph.n
-    adj = op.graph.adjacency()
-    col_pairs = tuple(
-        (a, b)
-        for a in range(n)
-        for b in range(a + 1, n)
-        if b not in adj[a]
-    )
-    col_id = {pair: i for i, pair in enumerate(col_pairs)}
-    # Row (u, w) only touches columns whose pair contains w, so grouping
-    # rows by w keeps the elimination inside one column cluster at a time.
-    # The pair {t, w} is a column only for t != w not adjacent to w.
-    row_dicts = [
-        {
-            col: e
-            for t, e in op.matrix.row_dicts[u].items()
-            if (col := col_id.get((t, w) if t < w else (w, t))) is not None
-        }
-        for w in range(n)
-        for u in range(n)
-        if u != w
-    ]
-    return SapSystem(ExactMatrix(len(col_pairs), row_dicts), col_pairs)
-
-
-@dataclass(frozen=True)
 class SapCertificate:
     """Outcome of the transversality check: either full column rank, or a
     verified nonzero witness X with M*X = 0 and the admissible pattern.
 
-    rows, cols and rank describe the primal system of build_sap_system
-    whichever way the verdict was reached.  prime and dual_shape are set
-    when full rank was certified on the dual system mod prime.  Both are
-    None for corank 0, where full rank holds by proof and no system is
-    built, and on the exact primal path.
+    rows, cols and rank describe the primal system (one row per ordered
+    pair u != w, one column per non-adjacent pair) whichever way the
+    verdict was reached; the primal system itself is never built.
+    dual_shape is the shape of the dual system check_sap ranks, set for
+    every corank >= 1.  prime is the prime modulo which the dual had full
+    rank, and None on the exact path.  Both are None for corank 0, where
+    full rank holds by proof.
     """
 
     full_rank: bool
@@ -295,23 +257,33 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     kernel basis of M, each such X is K*S*K^T for a unique symmetric
     c x c matrix S with k_i^T*S*k_j = 0 for i = j and for each edge ij
     (k_i is row i of K).  Primal nullity equals the nullity of this dual
-    system of n + |E| rows and c(c+1)/2 columns.
+    system of n + |E| rows and c(c+1)/2 columns, so the primal rank is
+    cols minus the dual nullity.
 
-    The dual is ranked mod a prime p from SAP_PRIMES that divides no
-    denominator of K and for which d (the operator's radicand) has a
-    square root r mod p.  Sending a + b*sqrt(d) to a + b*r mod p is a ring
-    homomorphism on the elements whose denominators avoid p.  It maps
-    each maximal minor of the dual to the same minor mod p, so full rank
+    Each row k_i is first scaled by a positive integer that clears its
+    denominators, which scales dual rows by nonzero factors and keeps the
+    dual kernel.  The dual entries are then a + b*sqrt(d) with integer a
+    and b, d the operator's radicand.  They are ranked mod the first prime
+    p of SAP_PRIMES for which d has a square root r mod p: a + b*sqrt(d)
+    -> a + b*r mod p is a ring homomorphism on these entries, so it maps
+    each maximal minor of the dual to the same minor mod p, and full rank
     mod p proves full rank over the field.
 
-    Only when no prime is usable or the rank drops mod p does the exact
-    primal elimination run.  Its kernel gives the rank as the column
-    count minus its dimension; on rank deficiency the first kernel vector
-    is reassembled into X and re-verified entry by entry before being
-    reported.
+    When no prime is usable or the rank drops mod p, kernel_basis
+    computes the dual kernel exactly.  An empty kernel is full rank;
+    otherwise its first vector S0 gives the witness X = K*S0*K^T, which is
+    re-verified entry by entry before being reported.  X is also the first
+    canonical kernel vector of the primal system: K is canonical, so row
+    f_a of K is the unit vector e_a at the a-th free column f_a of M, and
+    X[f_a][f_b] = S[a][b].  Row u of K is zero at each a with f_a < u, so
+    X is zero at every pair after (f_a, f_b) when S is zero at every pair
+    after (a, b).  The map (a, b) -> (f_a, f_b) keeps pair order, so the
+    last nonzero entry of X is 1 at the image of S0's last nonzero entry,
+    and S0 minimises that entry over the dual kernel.
 
-    Raises SystemTooLarge before building a system with more than
-    MAX_SAP_SLOTS rows x cols.
+    Raises SystemTooLarge before any elimination when the dual or its
+    kernel (at most c(c+1)/2 vectors of that length) would exceed
+    MAX_SAP_SLOTS entries.
     """
     if op.inertia is None:
         check_membership(op)
@@ -320,72 +292,67 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     c = op.corank
     if not c:
         return SapCertificate(True, cols, rows, cols)
-    dual_shape = (n + edges, c * (c + 1) // 2)
-    _check_slots(*dual_shape)
-    prime = _dual_full_rank_prime(op)
-    if prime is not None:
-        return SapCertificate(
-            True, cols, rows, cols, prime=prime, dual_shape=dual_shape
-        )
-    _check_slots(rows, cols)
-    system = build_sap_system(op)
-    basis = kernel_basis(system.matrix)
-    r = cols - len(basis)
-    if not basis:
-        return SapCertificate(True, r, rows, cols)
-    witness = _assemble_witness(op, system, basis[0])
-    return SapCertificate(False, r, rows, cols, witness)
-
-
-def _check_slots(rows: int, cols: int) -> None:
-    if rows * cols > MAX_SAP_SLOTS:
+    dual_rows, dual_cols = n + edges, c * (c + 1) // 2
+    slots = max(dual_rows, dual_cols) * dual_cols
+    if slots > MAX_SAP_SLOTS:
         raise SystemTooLarge(
-            f"transversality system {rows}x{cols} has {rows * cols} slots, "
-            f"above MAX_SAP_SLOTS = {MAX_SAP_SLOTS}"
+            f"transversality dual {dual_rows}x{dual_cols} and its kernel need "
+            f"{slots} slots, above MAX_SAP_SLOTS = {MAX_SAP_SLOTS}"
         )
-
-
-def _dual_full_rank_prime(op: SchrodingerOperator) -> int | None:
-    """The first usable prime of SAP_PRIMES if the dual system has full
-    column rank mod that prime; None if no prime is usable or the rank
-    drops there."""
+    dual_shape = (dual_rows, dual_cols)
     basis = kernel_basis(op.matrix)
-    c = len(basis)
-    if c != op.corank:
-        raise RuntimeError(f"kernel dimension {c} contradicts corank {op.corank}")
-    n, d = op.graph.n, op.matrix.radicand
-    # Row i of kernel holds entry i of each kernel vector.
+    if len(basis) != c:
+        raise RuntimeError(f"kernel dimension {len(basis)} contradicts corank {c}")
+    d = op.matrix.radicand
     kernel = ExactMatrix(
         c, [{a: v[i] for a, v in enumerate(basis) if v[i]} for i in range(n)]
     )
+    k = [dict(zip(row, _cleared(row.values()))) for row in kernel.row_dicts]
+    pairs = [(i, i) for i in range(n)] + list(op.graph.edges)
+    dual = [_dual_row(k[i], k[j], c, d) for i, j in pairs]
     for p in SAP_PRIMES:
         r = pow(d, (p + 1) // 4, p)
-        if r * r % p != d % p or (k := residue_rows(kernel, p, r)) is None:
+        if r * r % p != d % p:
             continue
-        pairs = [(i, i) for i in range(n)] + list(op.graph.edges)
-        cols = c * (c + 1) // 2
-        dual = [_dual_row(k[i], k[j], c, p) for i, j in pairs]
-        return p if rank_mod_p(dual, cols, p) == cols else None
-    return None
+        residues = [
+            {col: v for col, (a, b) in row.items() if (v := (a + b * r) % p)}
+            for row in dual
+        ]
+        if rank_mod_p(residues, dual_cols, p) == dual_cols:
+            return SapCertificate(
+                True, cols, rows, cols, prime=p, dual_shape=dual_shape
+            )
+        break
+    dual_kernel = kernel_basis(
+        ExactMatrix(
+            dual_cols,
+            [{col: QuadScalar(a, b, d) for col, (a, b) in row.items()} for row in dual],
+        )
+    )
+    primal_rank = cols - len(dual_kernel)
+    if not dual_kernel:
+        return SapCertificate(True, primal_rank, rows, cols, dual_shape=dual_shape)
+    unknowns = [(a, b) for a in range(c) for b in range(a, c)]
+    s0 = ExactMatrix.symmetric(c, dict(zip(unknowns, dual_kernel[0])))
+    witness = kernel.matmul(s0).matmul(ExactMatrix.from_rows(basis))
+    verify_sap_witness(op, witness)
+    return SapCertificate(
+        False, primal_rank, rows, cols, witness, dual_shape=dual_shape
+    )
 
 
-def _dual_row(ki: dict, kj: dict, c: int, p: int) -> dict:
+def _dual_row(ki: dict, kj: dict, c: int, d: int) -> dict:
     """Nonzero coefficients of k_i^T*S*k_j in the unknowns S[a][b], a <= b,
-    mod p: k_i[a]*k_j[a] on the diagonal and k_i[a]*k_j[b] + k_i[b]*k_j[a]
-    off it."""
+    as integer pairs (x, y) for x + y*sqrt(d): k_i[a]*k_j[a] on the
+    diagonal and k_i[a]*k_j[b] + k_i[b]*k_j[a] off it."""
     row = {}
-    for a, x in ki.items():
-        for b, y in kj.items():
+    for a, (xa, xb) in ki.items():
+        for b, (ya, yb) in kj.items():
             lo, hi = (a, b) if a <= b else (b, a)
             col = lo * c - lo * (lo - 1) // 2 + hi - lo
-            row[col] = (row.get(col, 0) + x * y) % p
-    return {col: v for col, v in row.items() if v}
-
-
-def _assemble_witness(op: SchrodingerOperator, system: SapSystem, vec) -> ExactMatrix:
-    witness = ExactMatrix.symmetric(op.graph.n, dict(zip(system.col_pairs, vec)))
-    verify_sap_witness(op, witness)
-    return witness
+            s, t = row.get(col, (0, 0))
+            row[col] = (s + xa * ya + d * xb * yb, t + xa * yb + xb * ya)
+    return {col: v for col, v in row.items() if v != (0, 0)}
 
 
 def verify_sap_witness(op: SchrodingerOperator, witness: ExactMatrix) -> None:
@@ -421,6 +388,8 @@ def complete_bipartite(a: int, b: int) -> SimpleGraph:
 def _check_sides(a: int, b: int, s_set) -> tuple:
     if not (1 <= a <= b):
         raise BadS(f"need 1 <= a <= b, got a={a}, b={b}")
+    if a + b > MAX_OPERATOR_VERTICES:
+        raise BadS(f"need a + b <= {MAX_OPERATOR_VERTICES}, got {a + b}")
     s_set = frozenset(s_set)
     n = a + b
     for v in s_set:

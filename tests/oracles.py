@@ -1,8 +1,9 @@
 """Slow, independent oracles for the exact linear algebra: two rank
 eliminations, a determinant, a transpose, a matrix-vector product, a
-dense matrix product and a subspace-equality test.  The library needs
-none of them; the tests check the library's rank, inertia, kernels,
-sparse product and spans_match against them.
+dense matrix product, a subspace-equality test and the primal
+transversality system.  The library needs none of them; the tests check
+the library's rank, inertia, kernels, sparse product, spans_match and
+check_sap against them.
 """
 
 from cdvcert.exactfield import ONE, ZERO
@@ -125,3 +126,33 @@ def spans_match_by_rank(vectors_a, vectors_b) -> bool:
     rb = rank_dense(ExactMatrix.from_rows(vectors_b))
     rc = rank_dense(ExactMatrix.from_rows(list(vectors_a) + list(vectors_b)))
     return ra == rb == rc
+
+
+def build_sap_system(op) -> tuple:
+    """The primal transversality system of an operator, as (matrix,
+    col_pairs).
+
+    Rows are the ordered pairs (u, w) with u != w, grouped by w; columns
+    are the non-adjacent unordered pairs {a, b} of col_pairs.  Entry
+    ((u, w), {a, b}) is M[u][t] where t is the member of {a, b} distinct
+    from w, or zero if neither member is w.  Full column rank means no
+    nonzero admissible X solves M*X = 0.
+    """
+    n = op.graph.n
+    adj = op.graph.adjacency()
+    col_pairs = tuple(
+        (a, b) for a in range(n) for b in range(a + 1, n) if b not in adj[a]
+    )
+    col_id = {pair: i for i, pair in enumerate(col_pairs)}
+    # The pair {t, w} is a column only for t != w not adjacent to w.
+    row_dicts = [
+        {
+            col: e
+            for t, e in op.matrix.row_dicts[u].items()
+            if (col := col_id.get((t, w) if t < w else (w, t))) is not None
+        }
+        for w in range(n)
+        for u in range(n)
+        if u != w
+    ]
+    return ExactMatrix(len(col_pairs), row_dicts), col_pairs

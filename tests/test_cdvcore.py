@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from oracles import rank_dense, spans_match_by_rank
+from oracles import build_sap_system, rank_dense, spans_match_by_rank
 from cdvcert import cdvcore, groups, maps
 from cdvcert.cdvcore import (
     MAX_OPERATOR_VERTICES,
@@ -15,7 +15,6 @@ from cdvcert.cdvcore import (
     build_bipartite_operator,
     build_operator,
     build_q1_graph,
-    build_sap_system,
     build_sap_witness,
     build_shift_operator,
     check_membership,
@@ -48,9 +47,9 @@ CYCLE_SHIFTS = [
 
 
 def _dense_sap_matrix(op):
-    """The transversality system entry by entry from the SapSystem
-    docstring: ((u, w), {a, b}) is M[u][t] for t the member of {a, b}
-    other than w, and zero when neither member is w."""
+    """The transversality system entry by entry from the docstring of
+    oracles.build_sap_system: ((u, w), {a, b}) is M[u][t] for t the member
+    of {a, b} other than w, and zero when neither member is w."""
     n = op.graph.n
     cols = [
         (a, b)
@@ -233,9 +232,9 @@ class TestSap:
         operators.append(build_bipartite_operator(1, 4, frozenset()))
         operators.append(build_sap_witness(3, 4)[0])
         for op in operators:
-            system = build_sap_system(op)
+            system, _ = build_sap_system(op)
             dense = _dense_sap_matrix(op)
-            assert system.matrix == dense
+            assert system == dense
             fields = dict(vars(op))
             row_dicts = [dict(row) for row in op.matrix.row_dicts]
             assert check_sap(op).rank == rank_dense(dense)
@@ -255,7 +254,7 @@ class TestSap:
         op = build_shift_operator(surface.graph, QuadScalar.root(7))
         check_membership(op)
         assert op.corank == 8
-        system = build_sap_system(op).matrix
+        system, _ = build_sap_system(op)
         cert = check_sap(op)
         assert (cert.rows, cert.cols) == (system.rows, system.cols) == (552, 192)
         assert cert.rank == system.cols - len(kernel_basis(system)) == 192
@@ -263,43 +262,75 @@ class TestSap:
         assert cert.dual_shape == (24 + 84, 36)
 
     def test_genus10_primal_agrees_with_the_dual(self, monkeypatch, g10_operator):
-        dual = check_sap(g10_operator)
+        modular = check_sap(g10_operator)
         monkeypatch.setattr(cdvcore, "SAP_PRIMES", ())
-        primal = check_sap(g10_operator)
-        assert dual.prime is not None and primal.prime is None
-        assert (primal.rows, primal.cols, primal.rank) == (2862, 1215, 1215)
-        assert primal.full_rank and dual.full_rank and dual.rank == primal.rank
+        exact = check_sap(g10_operator)
+        assert modular.prime is not None and exact.prime is None
+        for cert in (modular, exact):
+            assert cert.full_rank and cert.dual_shape == (54 + 216, 136)
+            assert (cert.rows, cert.cols, cert.rank) == (2862, 1215, 1215)
+        system, _ = build_sap_system(g10_operator)
+        assert (system.rows, system.cols) == (2862, 1215)
+        assert system.cols - len(kernel_basis(system)) == 1215
 
     @pytest.mark.parametrize(
         "u,v",
         [
             # Full rank, but the dual has rank 9 of 10 mod 3.
             ((1, 1, 1), (1, 2, 3)),
-            # Full rank, and 3 divides the denominator of K's entries -1/3.
+            # Full rank; K has entries -1/3, but its rows are cleared of
+            # denominators first, and the dual keeps full rank mod 3.
             ((1, 1, 1), (3, 1, 1)),
             # A four-leaf star: rank deficient, and K has entries -1/3.
             ((1,), (3, 1, 1, 1)),
         ],
     )
-    def test_unlucky_prime_takes_the_exact_fallback(self, monkeypatch, u, v):
+    def test_unlucky_prime_takes_the_exact_fallback(self, u, v):
         op = _rank_one_bipartite(u, v)
         check_membership(op)
-        system = build_sap_system(op)
-        nullity = len(kernel_basis(system.matrix))
-        if nullity == 0:
+        system, col_pairs = build_sap_system(op)
+        primal_kernel = kernel_basis(system)
+        if not primal_kernel:
             assert check_sap(op).prime is not None
-        monkeypatch.setattr(cdvcore, "SAP_PRIMES", (3,))
-        built = []
-        monkeypatch.setattr(
-            cdvcore, "build_sap_system", lambda o: built.append(o) or system
+        cert, calls = _check_sap_counting(op, (3,))
+        assert (cert.prime is None) == (v != (3, 1, 1))
+        _assert_matches_the_primal(op, cert, calls, system, col_pairs, primal_kernel)
+
+
+def _check_sap_counting(op, primes) -> tuple:
+    """check_sap with SAP_PRIMES set to primes, and the number of
+    kernel_basis calls it made."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cdvcore, "SAP_PRIMES", primes)
+        mp.setattr(
+            cdvcore, "kernel_basis", lambda m: calls.append(m) or kernel_basis(m)
         )
-        cert = check_sap(op)
-        assert built == [op]
-        assert cert.prime is None and cert.dual_shape is None
-        assert cert.rank == system.matrix.cols - nullity
-        assert cert.full_rank == (nullity == 0)
-        if nullity:
-            verify_sap_witness(op, cert.witness)
+        return check_sap(op), len(calls)
+
+
+def _assert_matches_the_primal(op, cert, calls, system, col_pairs, primal_kernel):
+    """The certificate agrees with the primal oracle system in shape, rank,
+    verdict and witness, which is the first canonical primal kernel vector.
+    dual_shape is set for every corank >= 1, and prime is None exactly when
+    the dual kernel was computed exactly: a second kernel_basis call."""
+    c = op.corank
+    assert (cert.rows, cert.cols) == (system.rows, system.cols)
+    assert cert.rank == system.cols - len(primal_kernel)
+    assert cert.full_rank == (not primal_kernel)
+    if c:
+        assert cert.dual_shape == (op.graph.n + op.graph.edge_count, c * (c + 1) // 2)
+        assert calls == (1 if cert.prime else 2)
+    else:
+        assert cert.dual_shape is None and calls == 0
+    if cert.prime is not None:
+        assert cert.full_rank
+    if primal_kernel:
+        x = ExactMatrix.symmetric(op.graph.n, dict(zip(col_pairs, primal_kernel[0])))
+        assert cert.witness == x
+        verify_sap_witness(op, cert.witness)
+    else:
+        assert cert.witness is None
 
 
 def _rank_one_bipartite(u, v):
@@ -372,32 +403,27 @@ class TestDualAgainstPrimal:
             check_membership(op)
         except NotOneNegative:
             assume(False)
-        system = build_sap_system(op).matrix
-        nullity = len(kernel_basis(system))
-        cert = check_sap(op)
+        system, col_pairs = build_sap_system(op)
+        primal_kernel = kernel_basis(system)
+        modular, calls = _check_sap_counting(op, cdvcore.SAP_PRIMES)
+        exact, exact_calls = _check_sap_counting(op, ())
         event(f"corank {min(op.corank, 2)}{'+' if op.corank >= 2 else ''}")
         event("connected" if op.graph.is_connected() else "disconnected")
-        event("dual" if cert.prime else "primal")
-        assert (cert.rows, cert.cols) == (system.rows, system.cols)
-        assert cert.rank == system.cols - nullity
-        assert cert.full_rank == (nullity == 0)
-        if cert.prime is not None:
-            assert cert.full_rank and op.corank >= 1
-            c = op.corank
-            assert cert.dual_shape == (op.graph.n + op.graph.edge_count, c * (c + 1) // 2)
-        else:
-            assert cert.dual_shape is None
-        if not cert.full_rank:
-            verify_sap_witness(op, cert.witness)
+        event("mod p" if modular.prime else "exact dual")
+        assert exact.prime is None
+        _assert_matches_the_primal(op, modular, calls, system, col_pairs, primal_kernel)
+        _assert_matches_the_primal(
+            op, exact, exact_calls, system, col_pairs, primal_kernel
+        )
 
     @given(sap_operators())
     @settings(max_examples=100)
     def test_every_primal_kernel_vector_solves_mx_zero(self, op):
         # The system fixes only the off-diagonal entries of M*X; the
         # diagonal ones vanish for every admissible X, on any graph.
-        system = build_sap_system(op)
-        for vec in kernel_basis(system.matrix):
-            x = ExactMatrix.symmetric(op.graph.n, dict(zip(system.col_pairs, vec)))
+        system, col_pairs = build_sap_system(op)
+        for vec in kernel_basis(system):
+            x = ExactMatrix.symmetric(op.graph.n, dict(zip(col_pairs, vec)))
             verify_sap_witness(op, x)
 
     def test_corank_zero_builds_no_system(self, monkeypatch):
@@ -405,10 +431,10 @@ class TestDualAgainstPrimal:
         check_membership(op)
         assert op.corank == 0
 
-        def refuse(o):
-            raise AssertionError("system built for corank 0")
+        def refuse(m):
+            raise AssertionError("elimination run for corank 0")
 
-        monkeypatch.setattr(cdvcore, "build_sap_system", refuse)
+        monkeypatch.setattr(cdvcore, "kernel_basis", refuse)
         cert = check_sap(op)
         assert cert.full_rank and (cert.rows, cert.cols, cert.rank) == (12, 3, 3)
         assert cert.prime is None and cert.dual_shape is None

@@ -154,7 +154,8 @@ class TestBipartite:
         self, capsys, tmp_path, monkeypatch
     ):
         # Edgeless with corank 69: the 70 x 2415 dual has fewer rows than
-        # columns, so its rank drops, and the 4830 x 2415 primal is too big.
+        # columns, so its rank drops, and its kernel would need up to
+        # 2415 x 2415 slots.
         code, report = _run_edgeless(capsys, tmp_path, monkeypatch, "0")
         assert code == 1
         assert report["passed"] is False
@@ -179,18 +180,21 @@ class TestBipartite:
 
 def _run_edgeless(capsys, tmp_path, monkeypatch, rest):
     """`cdvcert sap` on 70 isolated vertices with diagonal (-1, rest, ...,
-    rest), with build_sap_system made to fail if it is called."""
+    rest), with kernel_basis made to fail if it is called, so that an
+    oversized system must be refused before any elimination."""
     n = 70
     path = tmp_path / "op.json"
     path.write_text(
         json.dumps({"graph": {"n": n, "edges": []}, "diagonal": ["-1"] + [rest] * (n - 1)})
     )
-    assert n * (n - 1) * n * (n - 1) // 2 > MAX_SAP_SLOTS
+    # At corank n - 1 the dual alone fits; the dual and its kernel do not.
+    dual_cols = (n - 1) * n // 2
+    assert n * dual_cols <= MAX_SAP_SLOTS < dual_cols * dual_cols
 
-    def refuse(op):
-        raise AssertionError("build_sap_system called")
+    def refuse(matrix):
+        raise AssertionError("kernel_basis called")
 
-    monkeypatch.setattr(cdvcore, "build_sap_system", refuse)
+    monkeypatch.setattr(cdvcore, "kernel_basis", refuse)
     return run(capsys, "sap", str(path), "--no-timings")
 
 
@@ -201,6 +205,14 @@ class TestWitness:
         assert report["results"]["corank"] == 4
         assert report["verdict"]["witness_valid"] is True
         assert report["verdict"]["transversality_fails"] is True
+
+    def test_oversized_sides_are_refused_at_build(self, capsys):
+        code, report = run(capsys, "witness", "3000", "4000", "--no-timings")
+        assert code == 1
+        assert report["passed"] is False
+        error = report["results"]["error"]
+        assert error["stage"] == "build"
+        assert "BadS" in error["detail"] and str(MAX_OPERATOR_VERTICES) in error["detail"]
 
 
 class TestCoset:
