@@ -98,7 +98,8 @@ class SchrodingerOperator:
 
     Every other off-diagonal entry is zero by construction.  `matrix` is
     built once from these fields.  inertia and corank start as None and
-    are filled by check_membership.
+    are filled by check_membership; kernel starts as None and is filled by
+    operator_kernel.
     """
 
     graph: SimpleGraph
@@ -107,6 +108,7 @@ class SchrodingerOperator:
     epsilon: Fraction | None = None
     inertia: Inertia | None = None
     corank: int | None = None
+    kernel: list | None = field(default=None, init=False, repr=False, compare=False)
     matrix: ExactMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -218,6 +220,14 @@ def check_membership(op: SchrodingerOperator) -> Inertia:
     return inertia
 
 
+def operator_kernel(op: SchrodingerOperator) -> list:
+    """The exact kernel basis of op.matrix, computed by kernel_basis on the
+    first call and kept on op.kernel, where check_sap reuses it."""
+    if op.kernel is None:
+        op.kernel = kernel_basis(op.matrix)
+    return op.kernel
+
+
 @dataclass(frozen=True)
 class SapCertificate:
     """Outcome of the transversality check: either full column rank, or a
@@ -254,11 +264,12 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
 
     So for corank c = 0, M is invertible, X = 0, and the system has full
     column rank without being built.  For c >= 1, with K an exact n x c
-    kernel basis of M, each such X is K*S*K^T for a unique symmetric
-    c x c matrix S with k_i^T*S*k_j = 0 for i = j and for each edge ij
-    (k_i is row i of K).  Primal nullity equals the nullity of this dual
-    system of n + |E| rows and c(c+1)/2 columns, so the primal rank is
-    cols minus the dual nullity.
+    kernel basis of M (op.kernel when operator_kernel has stored it), each
+    such X is K*S*K^T for a unique symmetric c x c matrix S with
+    k_i^T*S*k_j = 0 for i = j and for each edge ij (k_i is row i of K).
+    Primal nullity equals the nullity of this dual system of n + |E| rows
+    and c(c+1)/2 columns, so the primal rank is cols minus the dual
+    nullity.
 
     Each row k_i is first scaled by a positive integer that clears its
     denominators, which scales dual rows by nonzero factors and keeps the
@@ -300,7 +311,7 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
             f"{slots} slots, above MAX_SAP_SLOTS = {MAX_SAP_SLOTS}"
         )
     dual_shape = (dual_rows, dual_cols)
-    basis = kernel_basis(op.matrix)
+    basis = kernel_basis(op.matrix) if op.kernel is None else op.kernel
     if len(basis) != c:
         raise RuntimeError(f"kernel dimension {len(basis)} contradicts corank {c}")
     d = op.matrix.radicand

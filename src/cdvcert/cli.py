@@ -130,7 +130,7 @@ def cmd_genus10(args, report: RunReport) -> None:
         shift = 1 + QuadScalar.root(7)
         operator = cdvcore.build_shift_operator(graph, shift)
         inertia = cdvcore.check_membership(operator)
-        kernel_dim = len(exactlinalg.kernel_basis(operator.matrix))
+        kernel_dim = len(cdvcore.operator_kernel(operator))
     report.results["operator"] = {
         "shift": shift.render(),
         "inertia": [inertia.negatives, inertia.zeros, inertia.positives],

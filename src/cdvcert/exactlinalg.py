@@ -7,9 +7,11 @@ entry stays a ratio of minors.  Over a prime field F_p, on plain integer
 residues, it gives ranks mod p and kernels, which are rebuilt from their
 residues by rational reconstruction and proved by an exact check that
 the matrix annihilates them.  Inertia comes from symmetric congruence
-elimination on cleared-denominator integer pairs with exact pivot
-division, the characteristic polynomial from the division-free Berkowitz
-scheme, and real-root counting from Sturm chains.  No floating point
+elimination on cleared-denominator integer pairs, one fused Bareiss step
+per pivot with exact division by the previous pivot.  The characteristic
+polynomial comes from the division-free Berkowitz scheme, whose
+matrix-vector products run over the nonzeros of a sparse integer
+matrix, and real-root counting from Sturm chains.  No floating point
 anywhere.
 """
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exactfield import ONE, ZERO, FieldMismatch, QuadScalar
 
@@ -47,7 +50,9 @@ def _coerce(value) -> QuadScalar:
     if isinstance(value, QuadScalar):
         return value
     if isinstance(value, (int, Fraction)):
-        return QuadScalar(value)
+        # Most entries of a graph's matrix are zero; the shared ZERO saves
+        # building one QuadScalar each.
+        return QuadScalar(value) if value != 0 else ZERO
     raise TypeError(f"cannot use {type(value).__name__} as a matrix entry")
 
 
@@ -189,10 +194,6 @@ def _echelon(rows, cols: int, subtract, normalize) -> dict:
         if len(pivots) == cols:
             break
     return pivots
-
-
-def _pmul(x, y, d):
-    return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
 def _pair_sign(x, d) -> int:
@@ -465,23 +466,39 @@ def _swap_symmetric(W: list, i: int, j: int) -> None:
         row[i], row[j] = row[j], row[i]
 
 
-def _pdiv_exact(x, y, d):
-    """Exact quotient x / y in Z[sqrt(d)]; raises if the division leaves a
-    remainder, which would mean the elimination chain is broken."""
-    a, b = y
-    if b == 0:
-        if a == 1:
-            return x
-        qa, ra = divmod(x[0], a)
-        qb, rb = divmod(x[1], a)
+def _bareiss_step(W: list, sp: int, prev: tuple, d: int) -> list:
+    """One symmetric Bareiss step on the pair block W, whose pivot W[0][0]
+    has sign sp: entry (i, j) of the result is (|p|*W[i][j] -
+    sp*W[i][0]*W[0][j]) / prev for i, j >= 1, each a single integer
+    expression on (a, b) pairs.  Dividing by prev multiplies by its
+    conjugate and divides by its norm; a remainder means the elimination
+    chain is broken and raises.  W is symmetric, so only j >= i is
+    computed and the rest is mirrored."""
+    top = W[0]
+    sa, sb = sp * top[0][0], sp * top[0][1]
+    qa, qb = prev
+    # x / prev = x * (ka + kb*sqrt(d)) / norm.
+    if qb:
+        ka, kb, norm = qa, -qb, qa * qa - d * qb * qb
     else:
-        n = a * a - d * b * b
-        ca, cb = _pmul(x, (a, -b), d)
-        qa, ra = divmod(ca, n)
-        qb, rb = divmod(cb, n)
-    if ra or rb:
-        raise ArithmeticError("inexact division in the congruence chain")
-    return (qa, qb)
+        ka, kb, norm = 1, 0, qa
+    out = []
+    for i in range(1, len(W)):
+        ca, cb = top[i]
+        ca, cb = sp * ca, sp * cb
+        new = [row[i - 1] for row in out]
+        for (wa, wb), (ea, eb) in zip(W[i][i:], top[i:]):
+            x = wa * sa + d * (wb * sb - cb * eb) - ca * ea
+            y = wa * sb + wb * sa - ca * eb - cb * ea
+            if kb:
+                x, y = x * ka + d * y * kb, y * ka + x * kb
+            x, rx = divmod(x, norm)
+            y, ry = divmod(y, norm)
+            if rx or ry:
+                raise ArithmeticError("inexact division in the congruence chain")
+            new.append((x, y))
+        out.append(new)
+    return out
 
 
 def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
@@ -497,14 +514,20 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     matrix on rows not yet eliminated, so it keeps the inertia and the
     leading minors, and the next division stays exact.
     """
-    if not matrix.is_symmetric():
+    cells = [(i, j) for i, row in enumerate(matrix.row_dicts) for j in row]
+    pairs = dict(
+        zip(cells, _cleared(e for row in matrix.row_dicts for e in row.values()))
+    )
+    # One common scale clears every entry, so the matrix is symmetric
+    # exactly when its integer pairs are.
+    if matrix.rows != matrix.cols or any(
+        pairs.get((j, i)) != pair for (i, j), pair in pairs.items()
+    ):
         raise NotSymmetric(f"the {matrix.rows}x{matrix.cols} matrix is not symmetric")
     d = matrix.radicand
     n = matrix.rows
     W = [[(0, 0)] * n for _ in range(n)]
-    cells = [(i, j) for i, row in enumerate(matrix.row_dicts) for j in row]
-    pairs = _cleared(e for row in matrix.row_dicts for e in row.values())
-    for (i, j), pair in zip(cells, pairs):
+    for (i, j), pair in pairs.items():
         W[i][j] = pair
     neg = zero = pos = 0
     prev = (1, 0)
@@ -520,9 +543,9 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
                 zero += m
                 break
             k, j = hot
-            W[k] = [_padd(x, y) for x, y in zip(W[k], W[j])]
+            W[k] = [(x[0] + y[0], x[1] + y[1]) for x, y in zip(W[k], W[j])]
             for row in W:
-                row[k] = _padd(row[k], row[j])
+                row[k] = (row[k][0] + row[j][0], row[k][1] + row[j][1])
         if k:
             _swap_symmetric(W, 0, k)
         p = W[0][0]
@@ -531,36 +554,9 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
             neg += 1
         else:
             pos += 1
-        s = p if sp > 0 else (-p[0], -p[1])
-        col = [W[i][0] for i in range(m)]
-        W = [
-            [
-                _pdiv_exact(
-                    _psub(
-                        _pmul(W[i][j], s, d),
-                        _pscale(_pmul(col[i], col[j], d), sp),
-                    ),
-                    prev,
-                    d,
-                )
-                for j in range(1, m)
-            ]
-            for i in range(1, m)
-        ]
-        prev = s
+        W = _bareiss_step(W, sp, prev, d)
+        prev = (sp * p[0], sp * p[1])
     return Inertia(neg, zero, pos)
-
-
-def _padd(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _psub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _pscale(x, k: int):
-    return (k * x[0], k * x[1])
 
 
 # ---------------------------------------------------------------------------
@@ -663,41 +659,45 @@ def poly_expand_product(factors) -> IntPolynomial:
 
 
 def charpoly(matrix: ExactMatrix) -> IntPolynomial:
-    """Characteristic polynomial det(xI - A) of an integer matrix, computed
-    division-free by the Berkowitz scheme.  Always monic."""
+    """Characteristic polynomial det(xI - A) of a square integer matrix,
+    computed division-free by the Berkowitz scheme.  Always monic.
+
+    Step r takes row r and column r of A up to index r and the products
+    R*B^k*w with the leading r x r block B.  B is kept as its nonzero
+    (row, column, value) triples and gains row r and column r after step
+    r, so each matrix-vector product costs the nonzeros of B, not r^2.
+    """
     if matrix.rows != matrix.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
-    n = matrix.rows
-    A = []
-    for i in range(n):
-        row = []
-        for e in matrix.row(i):
+    rows = []
+    for row in matrix.row_dicts:
+        ints = {}
+        for j, e in row.items():
             if e.b != 0 or e.a.denominator != 1:
                 raise NonIntegerEntries(f"entry {e.render()} is not an integer")
-            row.append(int(e.a))
-        A.append(row)
+            ints[j] = e.a.numerator
+        rows.append(ints)
+    block = []
     v = [1]
-    for r in range(n):
-        t = [1, -A[r][r]]
-        if r:
-            R = A[r][:r]
-            w = [A[i][r] for i in range(r)]
+    for r, row in enumerate(rows):
+        R = [(j, a) for j, a in row.items() if j < r]
+        t = [1, -row.get(r, 0)]
+        if R:
+            w = [rows[i].get(r, 0) for i in range(r)]
             for k in range(r):
-                t.append(-sum(x * y for x, y in zip(R, w)))
+                t.append(-sum([a * w[j] for j, a in R]))
                 if k + 1 < r:
-                    w = [
-                        sum(A[i][j] * w[j] for j in range(r))
-                        for i in range(r)
-                    ]
+                    bw = [0] * r
+                    for i, j, a in block:
+                        bw[i] += a * w[j]
+                    w = bw
+        else:
+            t += [0] * r
         # Lower-triangular Toeplitz product: keep the first len(v)+1
         # convolution coefficients only.
-        new = [0] * (len(v) + 1)
-        for i, ti in enumerate(t):
-            if ti:
-                for j, vj in enumerate(v):
-                    if i + j < len(new):
-                        new[i + j] += ti * vj
-        v = new
+        v = [sum(map(mul, t[k::-1], v)) for k in range(len(t))]
+        block += [(i, r, a) for i in range(r) if (a := rows[i].get(r))]
+        block += [(r, j, a) for j, a in row.items() if j <= r]
     return IntPolynomial(tuple(reversed(v)))
 
 

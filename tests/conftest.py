@@ -7,6 +7,8 @@ from cdvcert.exactfield import QuadScalar
 settings.register_profile(
     "exact",
     deadline=None,
+    # A failure prints a @reproduce_failure line that replays its example.
+    print_blob=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("exact")

@@ -1,13 +1,14 @@
 """Slow, independent oracles for the exact linear algebra: two rank
-eliminations, a determinant, a transpose, a matrix-vector product, a
-dense matrix product, a subspace-equality test and the primal
-transversality system.  The library needs none of them; the tests check
-the library's rank, inertia, kernels, sparse product, spans_match and
-check_sap against them.
+eliminations, a determinant, a dense characteristic polynomial, a
+transpose, a matrix-vector product, a dense matrix product, a
+subspace-equality test and the primal transversality system.  The
+library needs none of them; the tests check the library's rank, inertia,
+charpoly, kernels, sparse product, spans_match and check_sap against
+them.
 """
 
 from cdvcert.exactfield import ONE, ZERO
-from cdvcert.exactlinalg import ExactMatrix
+from cdvcert.exactlinalg import ExactMatrix, IntPolynomial, NonIntegerEntries
 
 
 def transpose(matrix: ExactMatrix) -> ExactMatrix:
@@ -113,6 +114,45 @@ def determinant(matrix: ExactMatrix):
                 f = work[i][col] / pv
                 work[i] = [x - f * y for x, y in zip(work[i], work[col])]
     return det
+
+
+def charpoly_dense(matrix: ExactMatrix) -> IntPolynomial:
+    """det(xI - A) by the division-free Berkowitz scheme on a dense table,
+    with r x r list products at step r."""
+    if matrix.rows != matrix.cols:
+        raise ValueError("characteristic polynomial needs a square matrix")
+    n = matrix.rows
+    A = []
+    for i in range(n):
+        row = []
+        for e in matrix.row(i):
+            if e.b != 0 or e.a.denominator != 1:
+                raise NonIntegerEntries(f"entry {e.render()} is not an integer")
+            row.append(int(e.a))
+        A.append(row)
+    v = [1]
+    for r in range(n):
+        t = [1, -A[r][r]]
+        if r:
+            R = A[r][:r]
+            w = [A[i][r] for i in range(r)]
+            for k in range(r):
+                t.append(-sum(x * y for x, y in zip(R, w)))
+                if k + 1 < r:
+                    w = [
+                        sum(A[i][j] * w[j] for j in range(r))
+                        for i in range(r)
+                    ]
+        # Lower-triangular Toeplitz product: keep the first len(v)+1
+        # convolution coefficients only.
+        new = [0] * (len(v) + 1)
+        for i, ti in enumerate(t):
+            if ti:
+                for j, vj in enumerate(v):
+                    if i + j < len(new):
+                        new[i + j] += ti * vj
+        v = new
+    return IntPolynomial(tuple(reversed(v)))
 
 
 def spans_match_by_rank(vectors_a, vectors_b) -> bool:

@@ -222,6 +222,18 @@ class TestSap:
         assert op.corank == 2
         assert check_sap(op).full_rank
 
+    def test_stored_kernel_is_reused(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            cdvcore, "kernel_basis", lambda m: calls.append(m) or kernel_basis(m)
+        )
+        op = build_shift_operator(cycle(8), QuadScalar.root(2))
+        check_membership(op)
+        basis = cdvcore.operator_kernel(op)
+        assert op.kernel is basis and cdvcore.operator_kernel(op) is basis
+        assert check_sap(op).full_rank
+        assert calls == [op.matrix]
+
     def test_sparse_system_matches_definition(self):
         operators = []
         for n, shift in CYCLE_SHIFTS:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cdvcert import cdvcore, cli
+from cdvcert import cdvcore, cli, exactlinalg
 from cdvcert.cdvcore import MAX_OPERATOR_VERTICES, MAX_SAP_SLOTS
 
 
@@ -43,6 +43,20 @@ class TestHeawood:
         assert code == 1
         assert report["verdict"]["completed"] is False
         assert "InvalidChi" in report["results"]["error"]["detail"]
+
+
+class TestGenus10:
+    def test_operator_kernel_is_computed_once(self, capsys, monkeypatch):
+        sides = []
+        for module in (cdvcore, exactlinalg):
+            monkeypatch.setattr(
+                module,
+                "kernel_basis",
+                lambda m, f=module.kernel_basis: sides.append(m.rows) or f(m),
+            )
+        code, report = run(capsys, "genus10", "--no-timings")
+        assert code == 0 and report["passed"]
+        assert sides.count(54) == 1
 
 
 class TestQ1:

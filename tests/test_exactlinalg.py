@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
+    charpoly_dense,
     determinant,
     matmul_dense,
     matvec,
@@ -89,6 +90,53 @@ def symmetric_int_matrices(max_side=5, lo=-4, hi=4):
     )
 
 
+def square_int_matrices(max_side=8):
+    """Square integer matrices, not symmetric, mostly zero, some with a
+    zero diagonal; side 0 gives the empty matrix."""
+
+    def build(rows, zero_diag):
+        if zero_diag:
+            for i, row in enumerate(rows):
+                row[i] = 0
+        return ExactMatrix.from_rows(rows)
+
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-6, 6))
+    return st.integers(0, max_side).flatmap(
+        lambda n: st.builds(
+            build,
+            st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n),
+            st.booleans(),
+        )
+    )
+
+
+def zero_diagonal_symmetric(d, n):
+    """n x n symmetric matrices over Q[sqrt(d)] with a zero diagonal."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return st.lists(
+        st.one_of(st.just(0), scalars(d)), min_size=len(pairs), max_size=len(pairs)
+    ).map(lambda xs: ExactMatrix.symmetric(n, dict(zip(pairs, xs))))
+
+
+def unimodular(n):
+    """n x n integer matrices of determinant +-1: a permutation matrix
+    changed by row operations row_i += k*row_j."""
+
+    def build(perm, ops):
+        rows = [[int(j == p) for j in range(n)] for p in perm]
+        for i, j, k in ops:
+            if i != j:
+                rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+        return ExactMatrix.from_rows(rows)
+
+    index = st.integers(0, n - 1)
+    return st.builds(
+        build,
+        st.permutations(range(n)),
+        st.lists(st.tuples(index, index, st.integers(-3, 3)), max_size=3 * n),
+    )
+
+
 def zero_diagonal(m):
     return ExactMatrix.from_rows(
         [[0 if i == j else e for j, e in enumerate(m.row(i))] for i in range(m.rows)]
@@ -154,6 +202,17 @@ class TestExactMatrix:
         assert m == ExactMatrix.from_rows(
             [[0, 0, Fraction(-1, 2)], [0, 4, 0], [Fraction(-1, 2), 0, 0]]
         )
+
+    @pytest.mark.parametrize("bad", [None, "", [], "a", 0.0])
+    def test_from_rows_rejects_a_non_exact_entry(self, bad):
+        with pytest.raises(TypeError):
+            ExactMatrix.from_rows([[1, bad]])
+
+    def test_from_rows_rejects_ragged_rows_and_stores_no_zeros(self):
+        with pytest.raises(ValueError, match="ragged"):
+            ExactMatrix.from_rows([[1, 0], [0]])
+        m = ExactMatrix.from_rows([[0, Fraction(0), QuadScalar(0), 2]])
+        assert m.row_dicts == ({3: QuadScalar(2)},)
 
     def test_json_dict_uses_render_strings(self):
         m = ExactMatrix.from_rows([[QuadScalar.root(2)]])
@@ -353,6 +412,13 @@ class TestInertia:
     def test_requires_symmetry(self):
         with pytest.raises(NotSymmetric):
             inertia_symmetric(ExactMatrix.from_rows([[0, 1], [2, 0]]))
+        for rows in (
+            [[0, 1], [0, 0]],
+            [[1, QuadScalar.root(2)], [QuadScalar(0, 2, 2), 1]],
+            [[0, 1, 0], [1, 0, 0]],
+        ):
+            with pytest.raises(NotSymmetric):
+                inertia_symmetric(ExactMatrix.from_rows(rows))
 
     def test_quadratic_field_shift(self):
         # sqrt(2) I - [[0,1],[1,0]] has eigenvalues sqrt(2) -+ 1, both positive
@@ -390,6 +456,31 @@ class TestInertia:
     @settings(max_examples=60)
     def test_zeros_equal_corank(self, m):
         assert inertia_symmetric(m).zeros == m.rows - rank(m)
+
+    @given(
+        st.tuples(st.sampled_from([1, 2, 7]), st.integers(1, 6)).flatmap(
+            lambda t: st.tuples(zero_diagonal_symmetric(*t), unimodular(t[1]))
+        )
+    )
+    @settings(max_examples=150)
+    def test_congruence_invariance_over_quadratic_fields(self, case):
+        # The zero diagonal sends the first step down the unimodular path.
+        m, p = case
+        inertia = inertia_symmetric(m)
+        assert inertia.zeros == m.rows - rank_dense(m)
+        assert inertia_symmetric(p.matmul(m).matmul(transpose(p))) == inertia
+
+    def test_bareiss_step_divides_through_the_conjugate(self):
+        # prev = 1 + sqrt(2) and (1 + sqrt(2))(3 + 2 sqrt(2)) = 7 + 5 sqrt(2).
+        W = [[(1, 0), (0, 0)], [(0, 0), (7, 5)]]
+        assert exactlinalg._bareiss_step(W, 1, (1, 1), 2) == [[(3, 2)]]
+
+    @pytest.mark.parametrize("prev,d", [((2, 0), 1), ((2, 1), 2)])
+    def test_bareiss_step_refuses_an_inexact_division(self, prev, d):
+        # The step's numerator is 1*2 - 1*1 = 1, which prev does not divide.
+        W = [[(1, 0), (1, 0)], [(1, 0), (2, 0)]]
+        with pytest.raises(ArithmeticError):
+            exactlinalg._bareiss_step(W, 1, prev, d)
 
 
 class TestDeterminant:
@@ -435,6 +526,24 @@ class TestPolynomials:
     def test_charpoly_requires_integers(self):
         with pytest.raises(NonIntegerEntries):
             charpoly(ExactMatrix.from_rows([[Fraction(1, 2)]]))
+        with pytest.raises(NonIntegerEntries):
+            charpoly(ExactMatrix.from_rows([[1, 0], [0, QuadScalar.root(2)]]))
+
+    @given(square_int_matrices(), st.lists(st.integers(-9, 9), min_size=3, max_size=3))
+    @example(ExactMatrix.from_rows([]), [0, 1, -1])
+    @example(ExactMatrix.from_rows([[-3]]), [0, 1, -3])
+    @settings(max_examples=150)
+    def test_sparse_berkowitz_matches_dense_and_determinant(self, m, points):
+        p = charpoly(m)
+        assert p == charpoly_dense(m)
+        for x in points:
+            shifted = ExactMatrix.from_rows(
+                [
+                    [(x if i == j else 0) - e for j, e in enumerate(m.row(i))]
+                    for i in range(m.rows)
+                ]
+            )
+            assert determinant(shifted) == QuadScalar(p(x))
 
     @given(symmetric_int_matrices(max_side=4))
     @settings(max_examples=40)
