@@ -21,7 +21,6 @@ from .exactlinalg import (
     inertia_symmetric,
     kernel_basis,
     poly_expand_product,
-    rank,
 )
 from .groups import (
     CosetTable,
@@ -70,7 +69,6 @@ __all__ = [
     "inertia_symmetric",
     "kernel_basis",
     "poly_expand_product",
-    "rank",
     "CosetTable",
     "Presentation",
     "coset_enumerate",

@@ -22,12 +22,11 @@ from .exactlinalg import (
     ExactMatrix,
     Inertia,
     IntPolynomial,
-    _cleared,
     count_positive_real_roots,
+    full_rank_prime,
     inertia_symmetric,
     kernel_basis,
-    rank,  # not called here; perfbench traces rank under this name too
-    rank_mod_p,
+    pair_rows,
 )
 from .maps import SimpleGraph
 
@@ -61,19 +60,19 @@ class SystemTooLarge(ValueError):
     """Transversality dual above MAX_SAP_SLOTS, refused before any elimination."""
 
 
-# Largest vertex count an operator file may declare.  The operator matrix
-# stores only its nonzeros, but inertia copies it into a dense n x n table
-# of integer pairs; the genus-10 certificate needs 54 vertices.
-MAX_OPERATOR_VERTICES = 1000
+# Largest vertex count an operator file or a bipartite a + b may have.
+# The operator matrix stores only its nonzeros, but inertia copies it into
+# a dense n x n table of integer pairs and eliminates it in O(n^3) steps;
+# the genus-10 certificate needs 54 vertices.
+MAX_OPERATOR_VERTICES = 400
 
 # Largest slot count of the transversality dual check_sap builds, taken as
 # max(rows, cols) x cols so that it also covers the dual's kernel.  The
 # genus-10 dual is 270 x 136: 36,720 slots.
 MAX_SAP_SLOTS = 5_000_000
 
-# Primes p = 3 (mod 4) below 2^30 for the dual rank: sqrt(d) mod p is
-# d^((p+1)/4) whenever d is a square mod p, and residue products stay
-# under 2^60.  Each radicand is a square mod about half of them.
+# Primes p = 3 (mod 4) below 2^30 for the dual rank, so residue products
+# stay under 2^60.  Each radicand is a square mod about half of them.
 SAP_PRIMES = (
     1073741783,
     1073741723,
@@ -271,14 +270,12 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     and c(c+1)/2 columns, so the primal rank is cols minus the dual
     nullity.
 
-    Each row k_i is first scaled by a positive integer that clears its
-    denominators, which scales dual rows by nonzero factors and keeps the
-    dual kernel.  The dual entries are then a + b*sqrt(d) with integer a
-    and b, d the operator's radicand.  They are ranked mod the first prime
-    p of SAP_PRIMES for which d has a square root r mod p: a + b*sqrt(d)
-    -> a + b*r mod p is a ring homomorphism on these entries, so it maps
-    each maximal minor of the dual to the same minor mod p, and full rank
-    mod p proves full rank over the field.
+    pair_rows first scales each row k_i by a positive integer that clears
+    its denominators, which scales dual rows by nonzero factors and keeps
+    the dual kernel.  The dual entries are then a + b*sqrt(d) with integer
+    a and b, d the operator's radicand, and full_rank_prime ranks them mod
+    the first prime p of SAP_PRIMES at which d has a nonzero square root;
+    full rank mod p proves full rank over the field.
 
     When no prime is usable or the rank drops mod p, kernel_basis
     computes the dual kernel exactly.  An empty kernel is full rank;
@@ -318,22 +315,14 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     kernel = ExactMatrix(
         c, [{a: v[i] for a, v in enumerate(basis) if v[i]} for i in range(n)]
     )
-    k = [dict(zip(row, _cleared(row.values()))) for row in kernel.row_dicts]
+    k = pair_rows(kernel)
     pairs = [(i, i) for i in range(n)] + list(op.graph.edges)
     dual = [_dual_row(k[i], k[j], c, d) for i, j in pairs]
-    for p in SAP_PRIMES:
-        r = pow(d, (p + 1) // 4, p)
-        if r * r % p != d % p:
-            continue
-        residues = [
-            {col: v for col, (a, b) in row.items() if (v := (a + b * r) % p)}
-            for row in dual
-        ]
-        if rank_mod_p(residues, dual_cols, p) == dual_cols:
-            return SapCertificate(
-                True, cols, rows, cols, prime=p, dual_shape=dual_shape
-            )
-        break
+    prime = full_rank_prime(dual, dual_cols, d, SAP_PRIMES)
+    if prime is not None:
+        return SapCertificate(
+            True, cols, rows, cols, prime=prime, dual_shape=dual_shape
+        )
     dual_kernel = kernel_basis(
         ExactMatrix(
             dual_cols,

@@ -1,12 +1,14 @@
-"""Exact linear algebra over Q[sqrt(d)]: rank, kernels, inertia, charpoly.
+"""Exact linear algebra over Q[sqrt(d)]: kernels, ranks mod p, inertia,
+charpoly.
 
 Matrices store each row's nonzero QuadScalar entries.  One sparse reduced
 echelon, with normalized and back-reduced pivot rows, runs on two
-arithmetics.  In the field it gives the exact rank, and every stored
-entry stays a ratio of minors.  Over a prime field F_p, on plain integer
-residues, it gives ranks mod p and kernels, which are rebuilt from their
-residues by rational reconstruction and proved by an exact check that
-the matrix annihilates them.  Inertia comes from symmetric congruence
+arithmetics.  In the field every stored entry stays a ratio of minors.
+Over F_p it runs on the residues of pair_rows, which clears each row to
+integer pairs (a, b) for a + b*sqrt(d), under sqrt(d) -> a root of d mod
+p.  That gives ranks mod p and kernels, which are rebuilt by rational
+reconstruction and proved by an exact check on the same pairs that the
+matrix annihilates them.  Inertia comes from symmetric congruence
 elimination on cleared-denominator integer pairs, one fused Bareiss step
 per pivot with exact division by the previous pivot.  The characteristic
 polynomial comes from the division-free Berkowitz scheme, whose
@@ -228,11 +230,6 @@ def _echelon_exact(matrix: ExactMatrix) -> dict:
     return _echelon(matrix.row_dicts, matrix.cols, _subtract_exact, _normalize_exact)
 
 
-def rank(matrix: ExactMatrix) -> int:
-    """Exact rank by sparse reduced echelon with back-reduction."""
-    return len(_echelon_exact(matrix))
-
-
 def kernel_basis(matrix: ExactMatrix) -> list:
     """Basis of the right kernel as lists of QuadScalar, one per free column
     of the reduced echelon form over the field: vector f has 1 at free
@@ -240,16 +237,19 @@ def kernel_basis(matrix: ExactMatrix) -> list:
     in column f at the pivot columns.  This canonical basis depends only on
     the matrix.
 
-    It is computed mod one prime p of KERNEL_PRIMES and proved exactly.  p
-    must divide no denominator of M, and d (the radicand) must have a root
-    r with r^2 = d mod p.  The reduced echelon form is computed mod p under
-    sqrt(d) -> r and, for d > 1, under sqrt(d) -> -r; each a + b*sqrt(d)
-    entry of K is rebuilt from its two images by rational reconstruction,
-    and MK = 0 is then checked exactly on cleared-denominator integer
-    pairs.  Soundness:
+    It is computed mod one prime p of KERNEL_PRIMES and proved exactly.
+    pair_rows scales each row of M by a positive integer, giving DM with
+    a + b*sqrt(d) entries, a and b integers, and the same kernel as M.  The
+    reduced echelon form of DM is computed mod p under sqrt(d) -> r and,
+    for d > 1, under sqrt(d) -> -r, where r is a nonzero root of d mod p;
+    each entry of K is rebuilt from its two images by rational
+    reconstruction, and DM*K = 0 is then checked exactly on the same
+    integer pairs.  Soundness:
 
-    - Reduction mod p is a ring homomorphism on the entries of M, so
-      rank_p <= rank_Q and nullity_p >= nullity_Q.
+    - Reduction mod p is a ring homomorphism on the entries of DM, so
+      rank_p <= rank_Q and nullity_p >= nullity_Q.  No condition on the
+      denominators of M is needed: a prime that divides a row scale, like
+      any other, can lower the rank mod p but never raise it.
     - Each v_f of K has 1 at its free column f and 0 at the other free
       columns; its other entries sit at pivot columns before f.
     - So MK = 0 gives nullity_Q >= |F| = nullity_p >= nullity_Q, where F
@@ -260,8 +260,9 @@ def kernel_basis(matrix: ExactMatrix) -> list:
     - When the rank mod p is full, nullity is 0 and nothing needs checking.
 
     No usable prime, pivot sets that differ between the two images, a
-    failed reconstruction or MK != 0 send the matrix to the exact
-    elimination in the field, which returns the same basis.
+    failed reconstruction or MK != 0 (which is how a rank lost mod p
+    shows) send the matrix to the exact elimination in the field, which
+    returns the same basis.
     """
     basis = _kernel_basis_mod_p(matrix)
     return _kernel_basis_exact(matrix) if basis is None else basis
@@ -285,10 +286,9 @@ def _kernel_basis_exact(matrix: ExactMatrix) -> list:
 # ---------------------------------------------------------------------------
 # The same elimination over F_p, on {column: residue} rows.
 
-# The eight largest primes p = 3 (mod 4) below 2^61 - 1.  sqrt(d) mod p is
-# d^((p+1)/4) whenever d is a square mod p; each radicand is a square mod
-# about half of them.  Rational reconstruction mod p recovers numerators
-# and denominators up to sqrt(p/2), about 2^30.
+# The eight largest primes p = 3 (mod 4) below 2^61 - 1.  Each radicand
+# is a square mod about half of them.  Rational reconstruction mod p
+# recovers numerators and denominators up to sqrt(p/2), about 2^30.
 KERNEL_PRIMES = (
     2305843009213693907,
     2305843009213693723,
@@ -335,29 +335,44 @@ def rank_mod_p(rows, cols: int, p: int) -> int:
     return len(_echelon_mod_p(rows, cols, p))
 
 
-def residue_rows(matrix: ExactMatrix, p: int, r: int) -> list | None:
-    """The rows of matrix as {column: residue} dicts mod p under
-    sqrt(d) -> r, zero residues dropped; None if p divides a denominator."""
-    inverses = {1: 1}
-    out = []
-    for row in matrix.row_dicts:
-        res = {}
-        for j, e in row.items():
-            x = 0
-            for part, scale in ((e.a, 1), (e.b, r)):
-                if not part:
-                    continue
-                den = part.denominator
-                inv = inverses.get(den)
-                if inv is None:
-                    if den % p == 0:
-                        return None
-                    inv = inverses[den] = pow(den, -1, p)
-                x += part.numerator * inv * scale
-            if x := x % p:
-                res[j] = x
-        out.append(res)
-    return out
+def pair_rows(matrix: ExactMatrix) -> list:
+    """The rows of matrix as {column: (a, b)} dicts of integers, a + b*sqrt(d)
+    standing for the entry times the lcm of its row's denominators.  A
+    positive scale per row keeps the rank and the right kernel."""
+    return [dict(zip(row, _cleared(row.values()))) for row in matrix.row_dicts]
+
+
+def _residues(pairs: list, p: int, r: int) -> list:
+    """Pair rows mod p under sqrt(d) -> r, as {column: residue} dicts with
+    zero residues dropped."""
+    return [
+        {col: v for col, (a, b) in row.items() if (v := (a + b * r) % p)}
+        for row in pairs
+    ]
+
+
+def _root_mod_p(d: int, primes) -> tuple | None:
+    """(p, r) for the first p of primes with a nonzero r, r^2 = d mod p, or
+    None.  Every p is 3 (mod 4), so r = d^((p+1)/4) whenever d is a square
+    mod p.  r = 0 (p divides d) would make sqrt(d) -> r and -r one image."""
+    for p in primes:
+        r = pow(d, (p + 1) // 4, p)
+        if r and r * r % p == d % p:
+            return p, r
+    return None
+
+
+def full_rank_prime(pairs: list, cols: int, d: int, primes) -> int | None:
+    """The first prime p of primes at which sqrt(d) has a nonzero root r,
+    if the pair rows have rank cols mod p under sqrt(d) -> r, else None.
+    a + b*sqrt(d) -> a + b*r mod p is a ring homomorphism on integer pairs,
+    so it maps each maximal minor to the same minor mod p, and full rank
+    mod p proves full rank over the field."""
+    root = _root_mod_p(d, primes)
+    if root is None:
+        return None
+    p, r = root
+    return p if rank_mod_p(_residues(pairs, p, r), cols, p) == cols else None
 
 
 def _reconstruct(u: int, p: int) -> Fraction | None:
@@ -378,21 +393,17 @@ def _reconstruct(u: int, p: int) -> Fraction | None:
 def _kernel_basis_mod_p(matrix: ExactMatrix) -> list | None:
     """kernel_basis through the first usable prime, or None on any failure."""
     d, cols = matrix.radicand, matrix.cols
-    for p in KERNEL_PRIMES:
-        # r = 0 (p divides d) would give two equal images.
-        r = pow(d, (p + 1) // 4, p)
-        if r and r * r % p == d % p:
-            rows = residue_rows(matrix, p, r)
-            if rows is not None:
-                break
-    else:
+    root = _root_mod_p(d, KERNEL_PRIMES)
+    if root is None:
         return None
-    plus = _echelon_mod_p(rows, cols, p)
+    p, r = root
+    pairs = pair_rows(matrix)
+    plus = _echelon_mod_p(_residues(pairs, p, r), cols, p)
     if len(plus) == cols:
         return []
     minus = plus
     if d != 1:
-        minus = _echelon_mod_p(residue_rows(matrix, p, p - r), cols, p)
+        minus = _echelon_mod_p(_residues(pairs, p, p - r), cols, p)
         if minus.keys() != plus.keys():
             return None
     # Pivot row c holds some a + b*sqrt(d) at column f, with images
@@ -414,7 +425,7 @@ def _kernel_basis_mod_p(matrix: ExactMatrix) -> list | None:
                 return None
             vec[c] = QuadScalar(a, b, d)
         basis.append(vec)
-    return basis if _annihilates(matrix, basis) else None
+    return basis if _annihilates(pairs, basis, d) else None
 
 
 def _cleared(xs) -> list:
@@ -436,19 +447,18 @@ def _cleared(xs) -> list:
     ]
 
 
-def _annihilates(matrix: ExactMatrix, basis: list) -> bool:
-    """Exact test of M*K = 0 on integer pairs, each row of M and each
-    vector of K cleared of its denominators."""
-    d = matrix.radicand
-    at_column = [[] for _ in range(matrix.cols)]
+def _annihilates(pairs: list, basis: list, d: int) -> bool:
+    """Exact test of M*K = 0 on integer pairs: pairs are the pair rows of
+    M, and each vector of K is cleared of its denominators."""
+    at_column = {}
     for k, vec in enumerate(basis):
         support = [j for j, x in enumerate(vec) if x]
         for j, (ka, kb) in zip(support, _cleared(vec[j] for j in support)):
-            at_column[j].append((k, ka, kb))
-    for row in matrix.row_dicts:
+            at_column.setdefault(j, []).append((k, ka, kb))
+    for row in pairs:
         acc = {}
-        for j, (ma, mb) in zip(row, _cleared(row.values())):
-            for k, ka, kb in at_column[j]:
+        for j, (ma, mb) in row.items():
+            for k, ka, kb in at_column.get(j, ()):
                 sa, sb = acc.get(k, (0, 0))
                 acc[k] = (sa + ma * ka + d * mb * kb, sb + ma * kb + mb * ka)
         if any(pair != (0, 0) for pair in acc.values()):

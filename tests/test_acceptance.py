@@ -390,11 +390,10 @@ rank_cases = st.sampled_from([1, 2, 5, 7]).flatmap(
 @settings(max_examples=200, deadline=None)
 def _rank_oracles_agree(rows):
     matrix = ExactMatrix.from_rows(rows)
-    r = exactlinalg.rank(matrix)
+    basis = exactlinalg.kernel_basis(matrix)
+    r = matrix.cols - len(basis)
     assert rank_markowitz(matrix) == r
     assert rank_dense(matrix) == r
-    basis = exactlinalg.kernel_basis(matrix)
-    assert len(basis) == matrix.cols - r
     for vec in basis:
         assert matvec(matrix, vec) == [QuadScalar.ZERO] * matrix.rows
 

@@ -222,6 +222,19 @@ class TestSap:
         assert op.corank == 2
         assert check_sap(op).full_rank
 
+    def test_prime_dividing_the_radicand_is_skipped(self, monkeypatch):
+        # C12 shifted by its eigenvalue sqrt(3): corank 2.  sqrt(3) has only
+        # the root 0 mod 3, so the dual is ranked mod 11, where 5^2 = 3.
+        op = build_shift_operator(cycle(12), QuadScalar.root(3))
+        check_membership(op)
+        assert op.corank == 2
+        monkeypatch.setattr(cdvcore, "SAP_PRIMES", (3, 11))
+        cert = check_sap(op)
+        assert cert.full_rank and cert.prime == 11
+        monkeypatch.setattr(cdvcore, "SAP_PRIMES", (3,))
+        cert = check_sap(op)
+        assert cert.full_rank and cert.prime is None
+
     def test_stored_kernel_is_reused(self, monkeypatch):
         calls = []
         monkeypatch.setattr(

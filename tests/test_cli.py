@@ -221,12 +221,14 @@ class TestWitness:
         assert report["verdict"]["transversality_fails"] is True
 
     def test_oversized_sides_are_refused_at_build(self, capsys):
-        code, report = run(capsys, "witness", "3000", "4000", "--no-timings")
-        assert code == 1
-        assert report["passed"] is False
-        error = report["results"]["error"]
-        assert error["stage"] == "build"
-        assert "BadS" in error["detail"] and str(MAX_OPERATOR_VERTICES) in error["detail"]
+        # 200 + 201 is one vertex above MAX_OPERATOR_VERTICES = 400.
+        for sides in (("3000", "4000"), ("200", "201")):
+            code, report = run(capsys, "witness", *sides, "--no-timings")
+            assert code == 1
+            assert report["passed"] is False
+            error = report["results"]["error"]
+            assert error["stage"] == "build"
+            assert "BadS" in error["detail"] and "a + b <= 400" in error["detail"]
 
 
 class TestCoset:

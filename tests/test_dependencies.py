@@ -1,5 +1,6 @@
 """cdvcert has no runtime dependencies: every module under src/cdvcert
-imports only the standard library and its own package."""
+imports only the standard library and its own package, and takes only
+public names from its sibling modules."""
 
 import ast
 import sys
@@ -22,6 +23,36 @@ def test_imports_only_the_standard_library(path):
             continue
         outside += [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_takes_no_private_name_from_a_sibling_module(path):
+    """`from .m import _x`, `from cdvcert.m import _x` and `m._x` on a module
+    bound by `from . import m` all reach past another module's interface."""
+    private, siblings = [], set()
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "cdvcert"
+        ):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    private.append(alias.name)
+                if node.module in (None, "cdvcert"):
+                    siblings.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in siblings
+            and _is_private(node.attr)
+        ):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert private == []
 
 
 def test_every_module_is_checked():

@@ -24,8 +24,8 @@ from cdvcert.exactlinalg import (
     count_positive_real_roots,
     inertia_symmetric,
     kernel_basis,
+    pair_rows,
     poly_expand_product,
-    rank,
     rank_mod_p,
 )
 
@@ -221,6 +221,11 @@ class TestExactMatrix:
         assert all(isinstance(e, str) for e in data["entries"])
 
 
+def rank(m):
+    """The library's rank: columns minus the dimension of the exact kernel."""
+    return m.cols - len(kernel_basis(m))
+
+
 class TestRankKernel:
     def test_zero_and_identity(self):
         assert rank(ExactMatrix.from_rows([[0] * 4] * 3)) == 0
@@ -247,12 +252,12 @@ class TestRankKernel:
     @settings(max_examples=60)
     def test_kernel_properties(self, m):
         basis = kernel_basis(m)
-        assert len(basis) == m.cols - rank(m)
+        assert len(basis) == m.cols - rank_dense(m)
         for vec in basis:
             assert matvec(m, vec) == [QuadScalar.ZERO] * m.rows
         if basis:
             stacked = ExactMatrix.from_rows(basis)
-            assert rank(stacked) == len(basis)
+            assert rank_dense(stacked) == len(basis)
 
     @given(
         st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
@@ -320,7 +325,16 @@ class TestKernelModP:
     )
     @settings(max_examples=150)
     def test_matches_the_exact_elimination(self, m):
-        assert kernel_basis(m) == exact_kernel(m)
+        basis = exact_kernel(m)
+        assert kernel_basis(m) == basis
+        rebuilt = ExactMatrix(
+            m.cols,
+            [
+                {j: QuadScalar(a, b, m.radicand) for j, (a, b) in row.items()}
+                for row in pair_rows(m)
+            ],
+        )
+        assert exact_kernel(rebuilt) == basis
 
     @given(
         st.tuples(st.sampled_from([1, 2, 7]), st.integers(1, 5)).flatmap(
@@ -343,6 +357,20 @@ class TestKernelModP:
         p = math.prod(exactlinalg.KERNEL_PRIMES)
         m = ExactMatrix.from_rows([[Fraction(1, p), 1, 0], [0, 2, 1]])
         assert kernel_basis(m) == exact_kernel(m)
+        assert fallbacks == [m]
+
+    def test_denominator_divisible_by_the_first_prime_only(self, fallbacks):
+        p = exactlinalg.KERNEL_PRIMES[0]
+        # Row 0 clears to (1, p, 0), which is (1, 0, 0) mod p: the residues
+        # give a wrong kernel, MK = 0 fails and the exact elimination runs.
+        m = ExactMatrix.from_rows([[Fraction(1, p), 1, 0], [0, 2, 1]])
+        half, one = Fraction(1, 2), QuadScalar(1)
+        assert kernel_basis(m) == [[QuadScalar(p * half), QuadScalar(-half), one]]
+        # Row 0 clears to (1, 1, 0): p divides its scale but not its pairs.
+        harmless = ExactMatrix.from_rows(
+            [[Fraction(1, p), Fraction(1, p), 0], [0, 2, 1]]
+        )
+        assert kernel_basis(harmless) == [[QuadScalar(half), QuadScalar(-half), one]]
         assert fallbacks == [m]
 
     def test_entry_above_the_reconstruction_bound(self, fallbacks):
