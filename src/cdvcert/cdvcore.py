@@ -279,8 +279,11 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
 
     When no prime is usable or the rank drops mod p, kernel_basis
     computes the dual kernel exactly.  An empty kernel is full rank;
-    otherwise its first vector S0 gives the witness X = K*S0*K^T, which is
-    re-verified entry by entry before being reported.  X is also the first
+    otherwise its first vector S0 gives the witness X = K*S0*K^T.  Both
+    products run on cleared integer pairs and build a scalar only for a
+    nonzero entry of their result.  X is re-verified by
+    verify_sap_witness, whose M*X = 0 check builds no scalar when X is
+    valid, before it is reported.  X is also the first
     canonical kernel vector of the primal system: K is canonical, so row
     f_a of K is the unit vector e_a at the a-th free column f_a of M, and
     X[f_a][f_b] = S[a][b].  Row u of K is zero at each a with f_a < u, so
@@ -357,7 +360,9 @@ def _dual_row(ki: dict, kj: dict, c: int, d: int) -> dict:
 
 def verify_sap_witness(op: SchrodingerOperator, witness: ExactMatrix) -> None:
     """Confirm the witness refutes transversality: nonzero, symmetric,
-    supported on non-adjacent pairs only, and M*X = 0 exactly."""
+    supported on non-adjacent pairs only, and M*X = 0 exactly.  The
+    product multiplies M's own entries by those of X on integer pairs, so
+    it shares no state with the code that built X."""
     n = op.graph.n
     if witness.rows != n or witness.cols != n:
         raise ValueError("witness shape does not match the graph")

@@ -1,14 +1,18 @@
 """Exact linear algebra over Q[sqrt(d)]: kernels, ranks mod p, inertia,
 charpoly.
 
-Matrices store each row's nonzero QuadScalar entries.  One sparse reduced
-echelon, with normalized and back-reduced pivot rows, runs on two
-arithmetics.  In the field every stored entry stays a ratio of minors.
-Over F_p it runs on the residues of pair_rows, which clears each row to
-integer pairs (a, b) for a + b*sqrt(d), under sqrt(d) -> a root of d mod
-p.  That gives ranks mod p and kernels, which are rebuilt by rational
-reconstruction and proved by an exact check on the same pairs that the
-matrix annihilates them.  Inertia comes from symmetric congruence
+Matrices store each row's nonzero QuadScalar entries.  Products run on
+cleared integer pairs (a, b) for a + b*sqrt(d): each row of the left
+factor and the whole right factor are scaled by the lcm of their
+denominators, the sums stay plain ints, and a QuadScalar is built only
+for a nonzero entry of the result, so proving M*X = 0 builds none.  One
+sparse reduced echelon, with normalized and back-reduced pivot rows,
+runs on two arithmetics.  In the field every stored entry stays a ratio
+of minors.  Over F_p it runs on the residues of pair_rows, which clears
+each row to integer pairs, under sqrt(d) -> a root of d mod p.  That
+gives ranks mod p and kernels, which are rebuilt by rational
+reconstruction and proved by the same integer product: the matrix times
+the kernel is zero.  Inertia comes from symmetric congruence
 elimination on cleared-denominator integer pairs, one fused Bareiss step
 per pivot with exact division by the previous pivot.  The characteristic
 polynomial comes from the division-free Berkowitz scheme, whose
@@ -135,15 +139,33 @@ class ExactMatrix:
         return self.cols == other.cols and self.row_dicts == other.row_dicts
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
+        """The exact product, computed on integer pairs: each row of self
+        is cleared by the lcm of its denominators, other once by the lcm
+        of all of its own, and a QuadScalar is built only for a nonzero
+        entry of the product, divided back by the two scales.  Factors
+        over two different irrational fields raise FieldMismatch, even
+        where their irrational entries never meet."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
+        d = self.radicand
+        if other.radicand != 1:
+            if d not in (1, other.radicand):
+                raise FieldMismatch(
+                    f"cannot multiply sqrt({d}) by sqrt({other.radicand}) entries"
+                )
+            d = other.radicand
+        scale, right = _cleared(other.row_dicts)
         out = []
-        for ri in self.row_dicts:
-            acc = {}
-            for k, x in ri.items():
-                for j, y in other.row_dicts[k].items():
-                    acc[j] = acc.get(j, ZERO) + x * y
-            out.append({j: e for j, e in acc.items() if e})
+        for row in self.row_dicts:
+            row_scale, (pairs,) = _cleared((row,))
+            q = row_scale * scale
+            prod = _pair_product(pairs, right, d)
+            out.append(
+                {
+                    j: QuadScalar(Fraction(a, q), Fraction(b, q), d)
+                    for j, (a, b) in prod.items()
+                }
+            )
         return ExactMatrix(other.cols, out)
 
     def is_zero(self) -> bool:
@@ -339,7 +361,7 @@ def pair_rows(matrix: ExactMatrix) -> list:
     """The rows of matrix as {column: (a, b)} dicts of integers, a + b*sqrt(d)
     standing for the entry times the lcm of its row's denominators.  A
     positive scale per row keeps the rank and the right kernel."""
-    return [dict(zip(row, _cleared(row.values()))) for row in matrix.row_dicts]
+    return [_cleared((row,))[1][0] for row in matrix.row_dicts]
 
 
 def _residues(pairs: list, p: int, r: int) -> list:
@@ -409,12 +431,14 @@ def _kernel_basis_mod_p(matrix: ExactMatrix) -> list | None:
     # Pivot row c holds some a + b*sqrt(d) at column f, with images
     # u = a + b*r and w = a - b*r mod p; v_f[c] is its negative.
     half, half_root = pow(2, -1, p), pow(2 * r, -1, p)
-    basis = []
+    # K is kept twice: as the basis vectors (its columns) and as its rows.
+    basis, k_rows = [], [{} for _ in range(cols)]
     for free in range(cols):
         if free in plus:
             continue
+        k = len(basis)
         vec = [ZERO] * cols
-        vec[free] = ONE
+        vec[free] = k_rows[free][k] = ONE
         for c, prow in plus.items():
             u, w = prow.get(free, 0), minus[c].get(free, 0)
             if not (u or w):
@@ -423,47 +447,46 @@ def _kernel_basis_mod_p(matrix: ExactMatrix) -> list | None:
             b = _reconstruct(-(u - w) * half_root % p, p) if d != 1 else 0
             if a is None or b is None:
                 return None
-            vec[c] = QuadScalar(a, b, d)
+            vec[c] = k_rows[c][k] = QuadScalar(a, b, d)
         basis.append(vec)
-    return basis if _annihilates(pairs, basis, d) else None
+    # The exact check DM*K = 0, on integer pairs with K cleared by one scale.
+    _, k_rows = _cleared(k_rows)
+    return None if any(_pair_product(row, k_rows, d) for row in pairs) else basis
 
 
-def _cleared(xs) -> list:
-    """(a*L, b*L) as int pairs for the scalars xs, with L the lcm of all
-    their denominators."""
-    xs = list(xs)
+def _cleared(rows) -> tuple:
+    """(L, pair rows) for a sequence of {column: scalar} dicts: L is the
+    lcm of all their denominators, and each pair row maps the same
+    columns to (a*L, b*L) as ints for the a + b*sqrt(d) there."""
     # One lcm call per scalar: math.lcm(*generator) builds its argument
     # tuple by resizing, which leaves the freed tuples in the interpreter's
     # free lists and raised the peak memory of the bipartite sweep by 1 MB.
     scale = 1
-    for x in xs:
-        scale = math.lcm(scale, x.a.denominator, x.b.denominator)
-    return [
-        (
-            x.a.numerator * (scale // x.a.denominator),
-            x.b.numerator * (scale // x.b.denominator),
-        )
-        for x in xs
+    for row in rows:
+        for x in row.values():
+            scale = math.lcm(scale, x.a.denominator, x.b.denominator)
+    return scale, [
+        {
+            j: (
+                x.a.numerator * (scale // x.a.denominator),
+                x.b.numerator * (scale // x.b.denominator),
+            )
+            for j, x in row.items()
+        }
+        for row in rows
     ]
 
 
-def _annihilates(pairs: list, basis: list, d: int) -> bool:
-    """Exact test of M*K = 0 on integer pairs: pairs are the pair rows of
-    M, and each vector of K is cleared of its denominators."""
-    at_column = {}
-    for k, vec in enumerate(basis):
-        support = [j for j, x in enumerate(vec) if x]
-        for j, (ka, kb) in zip(support, _cleared(vec[j] for j in support)):
-            at_column.setdefault(j, []).append((k, ka, kb))
-    for row in pairs:
-        acc = {}
-        for j, (ma, mb) in row.items():
-            for k, ka, kb in at_column.get(j, ()):
-                sa, sb = acc.get(k, (0, 0))
-                acc[k] = (sa + ma * ka + d * mb * kb, sb + ma * kb + mb * ka)
-        if any(pair != (0, 0) for pair in acc.values()):
-            return False
-    return True
+def _pair_product(row: dict, right: list, d: int) -> dict:
+    """The nonzero entries of one row of a product, on integer pairs (a, b)
+    for a + b*sqrt(d): row is a {k: pair} row of the left factor, and
+    right[k] is row k of the right factor as a {j: pair} dict."""
+    acc = {}
+    for k, (xa, xb) in row.items():
+        for j, (ya, yb) in right[k].items():
+            sa, sb = acc.get(j, (0, 0))
+            acc[j] = (sa + xa * ya + d * xb * yb, sb + xa * yb + xb * ya)
+    return {j: pair for j, pair in acc.items() if pair != (0, 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +525,10 @@ def _bareiss_step(W: list, sp: int, prev: tuple, d: int) -> list:
             y = wa * sb + wb * sa - ca * eb - cb * ea
             if kb:
                 x, y = x * ka + d * y * kb, y * ka + x * kb
-            x, rx = divmod(x, norm)
-            y, ry = divmod(y, norm)
+            # A zero part, such as every irrational part of a rational
+            # matrix, divides to zero and needs no division.
+            x, rx = divmod(x, norm) if x else (0, 0)
+            y, ry = divmod(y, norm) if y else (0, 0)
             if rx or ry:
                 raise ArithmeticError("inexact division in the congruence chain")
             new.append((x, y))
@@ -524,21 +549,15 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     matrix on rows not yet eliminated, so it keeps the inertia and the
     leading minors, and the next division stays exact.
     """
-    cells = [(i, j) for i, row in enumerate(matrix.row_dicts) for j in row]
-    pairs = dict(
-        zip(cells, _cleared(e for row in matrix.row_dicts for e in row.values()))
-    )
+    _, rows = _cleared(matrix.row_dicts)
     # One common scale clears every entry, so the matrix is symmetric
     # exactly when its integer pairs are.
     if matrix.rows != matrix.cols or any(
-        pairs.get((j, i)) != pair for (i, j), pair in pairs.items()
+        rows[j].get(i) != pair for i, row in enumerate(rows) for j, pair in row.items()
     ):
         raise NotSymmetric(f"the {matrix.rows}x{matrix.cols} matrix is not symmetric")
     d = matrix.radicand
-    n = matrix.rows
-    W = [[(0, 0)] * n for _ in range(n)]
-    for (i, j), pair in pairs.items():
-        W[i][j] = pair
+    W = [[row.get(j, (0, 0)) for j in range(matrix.cols)] for row in rows]
     neg = zero = pos = 0
     prev = (1, 0)
     while W:

@@ -601,6 +601,37 @@ class TestBipartite:
         cert = check_sap(op)
         assert not cert.full_rank
 
+    def test_verifier_rejects_a_product_nonzero_only_at_sqrt_d(self):
+        # X = W + sqrt(2)*E with W a witness and E the unit at a non-edge of
+        # the independent large side: X is admissible, and M*X = sqrt(2)*M*E
+        # has a zero rational part.
+        op, witness = build_sap_witness(4, 5)
+        unit = ExactMatrix.symmetric(9, {(5, 6): QuadScalar.root(2)})
+        x = ExactMatrix(
+            9, [{**w, **e} for w, e in zip(witness.row_dicts, unit.row_dicts)]
+        )
+        product = op.matrix.matmul(x)
+        assert all(e.a == 0 for row in product.row_dicts for e in row.values())
+        with pytest.raises(ValueError, match="M\\*X is not zero"):
+            verify_sap_witness(op, x)
+
+    def test_verifying_a_witness_builds_no_scalar(self, monkeypatch):
+        # M*X = 0 is decided on integer pairs, so a valid witness costs no
+        # QuadScalar; a return to per-entry scalar products fails here.
+        op, witness = build_sap_witness(4, 5)
+        built = []
+        init = QuadScalar.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuadScalar, "__init__", counting_init)
+        verify_sap_witness(op, witness)
+        assert built == []
+        op.matrix.matmul(op.matrix)
+        assert built
+
     def test_witness_needs_room_on_both_sides(self):
         with pytest.raises(BadS):
             build_sap_witness(2, 4)

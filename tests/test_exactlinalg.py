@@ -60,14 +60,19 @@ def sparse_matrices(d, rows, cols):
     return st.lists(row, min_size=rows, max_size=rows).map(ExactMatrix.from_rows)
 
 
+# Each factor is over Q[sqrt(d)] or over Q, as in the witness K*S0*K^T,
+# whose factors are irrational and whose entries may cancel to rationals.
 product_cases = st.tuples(
-    st.sampled_from([1, 2, 5, 7]),
+    st.sampled_from([2, 5, 7]),
+    st.booleans(),
+    st.booleans(),
     st.integers(1, 4),
     st.integers(1, 4),
     st.integers(1, 4),
 ).flatmap(
     lambda t: st.tuples(
-        sparse_matrices(t[0], t[1], t[2]), sparse_matrices(t[0], t[2], t[3])
+        sparse_matrices(t[0] if t[1] else 1, t[3], t[4]),
+        sparse_matrices(t[0] if t[2] else 1, t[4], t[5]),
     )
 )
 
@@ -184,9 +189,31 @@ class TestExactMatrix:
 
     @given(product_cases)
     @settings(max_examples=100)
+    @example(
+        (
+            ExactMatrix.from_rows([[1 + QuadScalar.root(2), QuadScalar.root(2)]]),
+            ExactMatrix.from_rows([[1 - QuadScalar.root(2)], [QuadScalar.root(2)]]),
+        )
+    )
+    @example(
+        (
+            ExactMatrix.from_rows([[1, QuadScalar.root(7)]]),
+            ExactMatrix.from_rows([[QuadScalar.root(7), 0], [-1, Fraction(1, 3)]]),
+        )
+    )
     def test_matmul_matches_the_dense_product(self, case):
+        # ExactMatrix equality ignores the radicand, so compare it too: a
+        # product that cancels to rationals has radicand 1.
         left, right = case
-        assert left.matmul(right) == matmul_dense(left, right)
+        product, expected = left.matmul(right), matmul_dense(left, right)
+        assert product == expected
+        assert product.radicand == expected.radicand
+
+    def test_matmul_refuses_two_irrational_fields(self):
+        left = ExactMatrix.from_rows([[1, QuadScalar.root(2)]])
+        right = ExactMatrix.from_rows([[0], [QuadScalar.root(3)]])
+        with pytest.raises(FieldMismatch):
+            left.matmul(right)
 
     @given(matrices(2, max_side=4))
     def test_transpose_involution(self, m):
