@@ -13,8 +13,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from . import cdvcore, exactlinalg, groups, maps
-from .exactfield import QuadScalar
+from . import cdvcore, certify, exactlinalg, groups, maps
 
 SCHEMA_VERSION = 1
 
@@ -73,100 +72,11 @@ class _Stage:
 
 
 def cmd_genus10(args, report: RunReport) -> None:
-    progress = args.progress
-    with _Stage(report, "enumerate", progress):
-        presentation = groups.gamma10()
-        table = groups.coset_enumerate(presentation)
-        orders = {
-            "y": groups.element_order(presentation, presentation.word("y"), table=table),
-            "z": groups.element_order(presentation, presentation.word("z"), table=table),
-            "y*z": groups.element_order(
-                presentation, presentation.word("y*z"), table=table
-            ),
-        }
-    report.results["group"] = {"order": table.count, "element_orders": orders}
-    report.verdict("group_order", table.count == 432)
-    report.verdict("element_orders", orders == {"y": 3, "z": 8, "y*z": 2})
-
-    with _Stage(report, "map", progress):
-        surface = maps.genus10_map(presentation, table)
-        summary = maps.map_report(surface)
-    report.results["map"] = summary
-    report.verdict(
-        "map_counts",
-        (summary["v"], summary["e"], summary["f"]) == (54, 216, 144),
-    )
-    report.verdict("euler_genus", summary["chi"] == -18 and summary["genus"] == 10)
-    report.verdict("rotary_type", (summary["p"], summary["q"]) == (3, 8))
-    report.verdict("graph_connected", surface.graph.is_connected())
-    report.verdict("graph_regular", surface.graph.regular_degree() == 8)
-
-    with _Stage(report, "charpoly", progress):
-        graph = surface.graph
-        adjacency = exactlinalg.ExactMatrix.from_rows(
-            [
-                [1 if j in neighbours else 0 for j in range(graph.n)]
-                for neighbours in graph.adjacency()
-            ]
-        )
-        observed = exactlinalg.charpoly(adjacency)
-        expected = exactlinalg.poly_expand_product(
-            [
-                (exactlinalg.IntPolynomial((-8, 1)), 1),
-                (exactlinalg.IntPolynomial((4, 1)), 2),
-                (exactlinalg.IntPolynomial((0, 1)), 3),
-                (exactlinalg.IntPolynomial((1, 1)), 8),
-                (exactlinalg.IntPolynomial((3, 1)), 8),
-                (exactlinalg.IntPolynomial((-6, -2, 1)), 16),
-            ]
-        )
-    report.results["charpoly"] = {
-        "degree": observed.degree,
-        "text": str(observed),
-    }
-    report.verdict("charpoly_factored", observed == expected)
-
-    with _Stage(report, "operator", progress):
-        shift = 1 + QuadScalar.root(7)
-        operator = cdvcore.build_shift_operator(graph, shift)
-        inertia = cdvcore.check_membership(operator)
-        kernel_dim = len(cdvcore.operator_kernel(operator))
-    report.results["operator"] = {
-        "shift": shift.render(),
-        "inertia": [inertia.negatives, inertia.zeros, inertia.positives],
-        "corank": operator.corank,
-        "kernel_dim": kernel_dim,
-    }
-    report.verdict(
-        "inertia", (inertia.negatives, inertia.zeros, inertia.positives) == (1, 16, 37)
-    )
-    report.verdict("corank", operator.corank == 16 == kernel_dim)
-
-    if args.skip_sap:
-        report.results["transversality"] = "skipped"
-    else:
-        with _Stage(report, "transversality", progress):
-            cert = cdvcore.check_sap(operator)
-        report.results["transversality"] = {
-            "rows": cert.rows,
-            "cols": cert.cols,
-            "rank": cert.rank,
-        }
-        report.verdict("system_shape", (cert.rows, cert.cols) == (2862, 1215))
-        report.verdict("full_rank", cert.full_rank and cert.rank == 1215)
-
-    # The point of the whole run: the certified corank beats the surface
-    # embedding bound for every surface in the window.
-    embedding_bound = maps.heawood_gamma(summary["chi"]) - 1
-    window = maps.counterexample_range(operator.corank, base_chi=summary["chi"])
-    report.results["bound"] = {
-        "corank": operator.corank,
-        "embedding_bound": embedding_bound,
-        "chi_window": list(window) if window else None,
-    }
-    report.verdict(
-        "exceeds_embedding_bound", operator.corank > embedding_bound
-    )
+    with _Stage(report, "certify", args.progress):
+        cert = certify.certify_map(certify.GENUS10, sap=not args.skip_sap)
+    report.results.update(cert.results)
+    report.verdicts.update(cert.verdicts)
+    report.timings.update(cert.timings)
 
 
 def cmd_sap(args, report: RunReport) -> None:

@@ -227,7 +227,7 @@ def heawood_gamma(chi: int, klein_bottle: bool = False) -> int:
     return (7 + math.isqrt(49 - 24 * chi)) // 2
 
 
-def counterexample_range(mu_lower: int, base_chi: int = -18):
+def counterexample_range(mu_lower: int, base_chi: int):
     """Contiguous chi interval below base_chi where the complete-graph
     embedding bound stays under mu_lower for every surface, as (lo, hi);
     None if already at base_chi - 1 the bound is large enough.
@@ -250,8 +250,9 @@ def counterexample_range(mu_lower: int, base_chi: int = -18):
 
 
 def genus10_map(presentation: Presentation, table: CosetTable) -> CombinatorialMap:
-    """The 54-vertex triangulated map: vertices are cosets of <z>, edges of
-    <y*z>, faces of <y>."""
+    """The coset map of any presentation on generators y and z: vertices
+    are cosets of <z>, edges of <y*z>, faces of <y>.  For gamma10 it is
+    the 54-vertex genus-10 triangulation."""
     return build_map_from_cosets(
         table,
         [presentation.word("z")],

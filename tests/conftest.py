@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cdvcert import cdvcore, groups, maps
-from cdvcert.exactfield import QuadScalar
+from cdvcert import groups, maps
+from cdvcert.certify import GENUS10, certify_map
 
 settings.register_profile(
     "exact",
@@ -38,7 +38,10 @@ def g10_map(g10_table):
 
 
 @pytest.fixture(scope="session")
-def g10_operator(g10_map):
-    operator = cdvcore.build_shift_operator(g10_map.graph, 1 + QuadScalar.root(7))
-    cdvcore.check_membership(operator)
-    return operator
+def g10_certificate():
+    return certify_map(GENUS10)
+
+
+@pytest.fixture(scope="session")
+def g10_operator(g10_certificate):
+    return g10_certificate.operator

@@ -1,10 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from oracles import build_sap_system, rank_dense, spans_match_by_rank
-from cdvcert import cdvcore, groups, maps
+from cdvcert import cdvcore
 from cdvcert.cdvcore import (
     MAX_OPERATOR_VERTICES,
     BadS,
@@ -24,8 +25,9 @@ from cdvcert.cdvcore import (
     verify_q1_counterexample,
     verify_sap_witness,
 )
+from cdvcert.certify import MapSpec, certify_map, charpoly_inertia
 from cdvcert.exactfield import QuadScalar
-from cdvcert.exactlinalg import ExactMatrix, kernel_basis
+from cdvcert.exactlinalg import ExactMatrix, IntPolynomial, kernel_basis
 from cdvcert.maps import SimpleGraph
 
 PATH4 = SimpleGraph(4, ((0, 1), (1, 2), (2, 3)))
@@ -266,18 +268,7 @@ class TestSap:
             assert vars(op) == fields and list(op.matrix.row_dicts) == row_dicts
 
     def test_klein_dual_matches_the_primal(self):
-        presentation = groups.parse_presentation(
-            "< y, z | y^3, z^7, (y*z)^2, (z^-1*y^-1*z*y)^4 >"
-        )
-        table = groups.coset_enumerate(presentation)
-        surface = maps.build_map_from_cosets(
-            table,
-            [presentation.word("z")],
-            [presentation.word("y*z")],
-            [presentation.word("y")],
-        )
-        op = build_shift_operator(surface.graph, QuadScalar.root(7))
-        check_membership(op)
+        op = certify_map(KLEIN, sap=False).operator
         assert op.corank == 8
         system, _ = build_sap_system(op)
         cert = check_sap(op)
@@ -418,6 +409,58 @@ def sap_operators(draw):
         diagonal = diagonal + laplacian
         weights.update(path)
     return build_operator(graph, diagonal, weights)
+
+
+# Klein's quartic as the (3,7) triangulation of genus 3: PSL(2,7) with y
+# of order 3 (faces), z of order 7 (vertices) and y*z of order 2 (edges).
+# Its graph has spectrum 7, -1^7, (+-sqrt 7)^8, so sqrt(7) I - A has
+# corank 8, no more than the genus-3 embedding bound 8.
+KLEIN = MapSpec(
+    presentation="< y, z | y^3, z^7, (y*z)^2, (z^-1*y^-1*z*y)^4 >",
+    order=168,
+    element_orders=(3, 7, 2),
+    shift=QuadScalar.root(7),
+    charpoly=(
+        (IntPolynomial((-7, 1)), 1),
+        (IntPolynomial((1, 1)), 7),
+        (IntPolynomial((-7, 0, 1)), 8),
+    ),
+)
+
+
+def failed_verdicts(result):
+    return {name for name, ok in result.verdicts.items() if not ok}
+
+
+class TestCertifyMap:
+    def test_klein_holds_every_verdict_but_the_bound(self):
+        result = certify_map(KLEIN)
+        assert failed_verdicts(result) == {"exceeds_embedding_bound"}
+        assert result.results["operator"]["inertia"] == [1, 8, 15]
+
+    @pytest.mark.parametrize(
+        "field,value,flipped",
+        [
+            ("order", 169, {"group_order"}),
+            # Another root of the charpoly: corank 8 again, but 16 negatives.
+            ("shift", -QuadScalar.root(7), {"inertia"}),
+            (
+                "charpoly",
+                KLEIN.charpoly[:1] + ((IntPolynomial((1, 1)), 6),) + KLEIN.charpoly[2:],
+                {"charpoly_factored", "inertia"},
+            ),
+        ],
+    )
+    def test_a_wrong_spec_field_flips_its_verdict(self, field, value, flipped):
+        result = certify_map(replace(KLEIN, **{field: value}))
+        assert failed_verdicts(result) == flipped | {"exceeds_embedding_bound"}
+
+    def test_charpoly_inertia(self):
+        double_root = ((IntPolynomial((1, 2, 1)), 2), (IntPolynomial((-3, 1)), 1))
+        assert charpoly_inertia(double_root, QuadScalar(-1)) == (1, 4, 0)
+        for coeffs in [(1, 0, 1), (0, 0, 0, 1), (5,)]:
+            with pytest.raises(ValueError):
+                charpoly_inertia(((IntPolynomial(coeffs), 1),), QuadScalar(0))
 
 
 class TestDualAgainstPrimal:

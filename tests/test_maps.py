@@ -196,8 +196,8 @@ class TestHeawood:
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_window_for_corank_sixteen(self):
-        assert counterexample_range(16) == (-28, -19)
+        assert counterexample_range(16, base_chi=-18) == (-28, -19)
 
     def test_window_closes_for_small_bounds(self):
-        assert counterexample_range(14) == (-19, -19)
-        assert counterexample_range(4) is None
+        assert counterexample_range(14, base_chi=-18) == (-19, -19)
+        assert counterexample_range(4, base_chi=-18) is None
