@@ -329,7 +329,10 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     dual_kernel = kernel_basis(
         ExactMatrix(
             dual_cols,
-            [{col: QuadScalar(a, b, d) for col, (a, b) in row.items()} for row in dual],
+            [
+                {col: QuadScalar(a, b, d, q=1) for col, (a, b) in row.items()}
+                for row in dual
+            ],
         )
     )
     primal_rank = cols - len(dual_kernel)

@@ -134,8 +134,8 @@ def certify_map(spec: MapSpec, sap: bool = True) -> MapCertificate:
         operator = cdvcore.build_shift_operator(graph, spec.shift)
         try:
             inertia = cdvcore.check_membership(operator)
-        except cdvcore.NotOneNegative:
-            inertia = exactlinalg.inertia_symmetric(operator.matrix)
+        except cdvcore.NotOneNegative as exc:
+            inertia = exc.inertia
         kernel_dim = len(cdvcore.operator_kernel(operator))
     corank = inertia.zeros
     congruence = (inertia.negatives, corank, inertia.positives)

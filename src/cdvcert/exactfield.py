@@ -1,16 +1,23 @@
 """Exact scalar arithmetic over Q and real quadratic extensions Q[sqrt(d)].
 
-Every scalar is a + b*sqrt(d) with rational a, b and a squarefree positive
-integer d.  Rationals are tagged d = 1 and mix freely with any extension;
-two genuinely irrational scalars must share the same d.  All comparisons,
-signs and inverses are exact, with no floating point anywhere on the
-certified paths.
+Every scalar is (n + r*sqrt(d))/q, kept as four ints in a normal form:
+q > 0, gcd(n, r, q) = 1, d a squarefree positive integer, and r = 0
+exactly when d = 1.  Rationals are tagged d = 1 and mix freely with any
+extension; two genuinely irrational scalars must share the same d.  The
+normal form is unique, so equality compares the four ints.  Arithmetic,
+signs, inverses and comparisons run on ints with one gcd per result, and
+a result takes the d of its operands, which was checked squarefree when
+they were built.  Fraction appears only at the edges: the public
+constructor takes Fraction parts, `.a` and `.b` return the rational and
+irrational coefficients as Fractions, and `render` prints them.  No
+floating point anywhere on the certified paths.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 class DivisionByZero(ZeroDivisionError):
     """Inverse or quotient of an exact zero."""
@@ -32,10 +39,6 @@ class MixedRadicals(ParseError):
     """Parsed expression that combines incompatible radicals."""
 
 
-def _sgn(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 def squarefree_split(n: int) -> tuple[int, int]:
     """Write n >= 1 as s*s*d with d squarefree; return (s, d)."""
     if n < 1:
@@ -55,56 +58,118 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, d * m
 
 
+def pair_sign(a: int, b: int, d: int) -> int:
+    """Exact sign in {-1, 0, 1} of a + b*sqrt(d) for ints a, b and d >= 1."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return (b > 0) - (b < 0)
+    sa = 1 if a > 0 else -1
+    sb = 1 if b > 0 else -1
+    if sa == sb:
+        return sa
+    # a and b*sqrt(d) pull in opposite directions; the larger square wins.
+    t = a * a - d * b * b
+    if t == 0:
+        return 0
+    return sa if t > 0 else sb
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int, a Fraction, or any value
+    Fraction() takes, such as the text '3/4'."""
+    if type(x) is int:
+        return x, 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+_set = object.__setattr__
+
+
 class QuadScalar:
-    """An element a + b*sqrt(d) of Q[sqrt(d)], with d = 1 meaning rational."""
+    """An element (n + r*sqrt(d))/q of Q[sqrt(d)], with d = 1 meaning
+    rational.
 
-    __slots__ = ("a", "b", "d")
+    QuadScalar(a, b, d) is a + b*sqrt(d) for int or Fraction a and b, and
+    checks that d is squarefree.  QuadScalar(n, r, d, q=q) is
+    (n + r*sqrt(d))/q for ints n, r and q != 0, and trusts d: arithmetic
+    builds its results this way from operands whose d was checked.  Both
+    reduce the value to the normal form of the module docstring.
+    """
 
-    def __init__(self, a=0, b=0, d=1):
-        if isinstance(a, float) or isinstance(b, float):
-            raise TypeError("QuadScalar components must be exact, not float")
-        a = Fraction(a)
-        b = Fraction(b)
-        if not isinstance(d, int) or d < 1:
-            raise ValueError(f"radicand must be a positive integer, got {d}")
-        if d == 1:
-            a, b = a + b, Fraction(0)
-        elif b == 0:
+    __slots__ = ("n", "r", "q", "d")
+
+    def __init__(self, a=0, b=0, d=1, *, q=None):
+        if q is None:
+            if isinstance(a, float) or isinstance(b, float):
+                raise TypeError("QuadScalar components must be exact, not float")
+            (a, qa), (b, qb) = _ratio(a), _ratio(b)
+            q = lcm(qa, qb)
+            a, b = a * (q // qa), b * (q // qb)
+            if not isinstance(d, int) or d < 1:
+                raise ValueError(f"radicand must be a positive integer, got {d}")
+            if b and d != 1 and squarefree_split(d)[0] != 1:
+                raise ValueError(f"radicand {d} is not squarefree")
+        elif q < 0:
+            a, b, q = -a, -b, -q
+        if not b:
             d = 1
-        elif squarefree_split(d)[0] != 1:
-            raise ValueError(f"radicand {d} is not squarefree")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        elif d == 1:
+            a, b = a + b, 0
+        g = gcd(a, b, q)
+        if g != 1:
+            a, b, q = a // g, b // g, q // g
+        _set(self, "n", a)
+        _set(self, "r", b)
+        _set(self, "q", q)
+        _set(self, "d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadScalar is immutable")
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part n/q."""
+        return Fraction(self.n, self.q)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient r/q of sqrt(d)."""
+        return Fraction(self.r, self.q)
 
     @classmethod
     def root(cls, n: int) -> "QuadScalar":
         """sqrt(n) for a positive integer n, reduced to squarefree form."""
         s, d = squarefree_split(n)
-        return cls(0, s, d) if d > 1 else cls(s)
+        return cls(0, s, d, q=1) if d > 1 else cls(s)
 
     def _match(self, other) -> tuple["QuadScalar", "QuadScalar"]:
-        if isinstance(other, (int, Fraction)):
-            other = QuadScalar(other)
-        elif not isinstance(other, QuadScalar):
+        if isinstance(other, QuadScalar):
+            pass
+        elif isinstance(other, int):
+            other = QuadScalar(other, 0, 1, q=1)
+        elif isinstance(other, Fraction):
+            other = QuadScalar(other.numerator, 0, 1, q=other.denominator)
+        else:
             return NotImplemented, NotImplemented
-        if self.d != other.d and self.b != 0 and other.b != 0:
+        if self.d != other.d and self.r and other.r:
             raise FieldMismatch(
                 f"cannot combine sqrt({self.d}) with sqrt({other.d})"
             )
         return self, other
 
     def _tag(self, other: "QuadScalar") -> int:
-        return self.d if self.b != 0 else other.d
+        return self.d if self.r else other.d
 
     def __add__(self, other):
         x, y = self._match(other)
         if x is NotImplemented:
             return NotImplemented
-        return QuadScalar(x.a + y.a, x.b + y.b, x._tag(y))
+        return QuadScalar(
+            x.n * y.q + y.n * x.q, x.r * y.q + y.r * x.q, x._tag(y), q=x.q * y.q
+        )
 
     __radd__ = __add__
 
@@ -112,7 +177,9 @@ class QuadScalar:
         x, y = self._match(other)
         if x is NotImplemented:
             return NotImplemented
-        return QuadScalar(x.a - y.a, x.b - y.b, x._tag(y))
+        return QuadScalar(
+            x.n * y.q - y.n * x.q, x.r * y.q - y.r * x.q, x._tag(y), q=x.q * y.q
+        )
 
     def __rsub__(self, other):
         return (-self) + other
@@ -122,12 +189,14 @@ class QuadScalar:
         if x is NotImplemented:
             return NotImplemented
         d = x._tag(y)
-        return QuadScalar(x.a * y.a + d * x.b * y.b, x.a * y.b + x.b * y.a, d)
+        return QuadScalar(
+            x.n * y.n + d * x.r * y.r, x.n * y.r + x.r * y.n, d, q=x.q * y.q
+        )
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return QuadScalar(-self.a, -self.b, self.d)
+        return QuadScalar(-self.n, -self.r, self.d, q=self.q)
 
     def __pos__(self):
         return self
@@ -136,12 +205,13 @@ class QuadScalar:
         return -self if self.sign() < 0 else self
 
     def inverse(self) -> "QuadScalar":
-        # The field norm a^2 - d*b^2 vanishes only at zero when d is
-        # squarefree, so dividing by it is safe.
+        # q/(n + r*sqrt(d)) = q*(n - r*sqrt(d))/(n^2 - d*r^2).  The field
+        # norm n^2 - d*r^2 vanishes only at zero when d is squarefree, so
+        # dividing by it is safe.
         if not self:
             raise DivisionByZero("inverse of zero")
-        n = self.a * self.a - self.d * self.b * self.b
-        return QuadScalar(self.a / n, -self.b / n, self.d)
+        n, r, q, d = self.n, self.r, self.q, self.d
+        return QuadScalar(q * n, -q * r, d, q=n * n - d * r * r)
 
     def __truediv__(self, other):
         x, y = self._match(other)
@@ -171,33 +241,35 @@ class QuadScalar:
         return out
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}, decided by comparing a^2 against d*b^2."""
-        sa, sb = _sgn(self.a), _sgn(self.b)
-        if sb == 0:
-            return sa
-        if sa == 0 or sa == sb:
-            return sb
-        # a and b*sqrt(d) pull in opposite directions; the larger square wins.
-        t = self.a * self.a - self.d * self.b * self.b
-        if t == 0:
-            return 0
-        return sa if t > 0 else sb
+        """Exact sign in {-1, 0, 1}: q > 0, so the sign of n + r*sqrt(d)."""
+        return pair_sign(self.n, self.r, self.d)
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.n != 0 or self.r != 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
         if isinstance(other, QuadScalar):
-            return self.a == other.a and self.b == other.b and self.d == other.d
+            return (
+                self.n == other.n
+                and self.r == other.r
+                and self.q == other.q
+                and self.d == other.d
+            )
+        if isinstance(other, int):
+            return self.r == 0 and self.q == 1 and self.n == other
+        if isinstance(other, Fraction):
+            return (
+                self.r == 0
+                and self.n == other.numerator
+                and self.q == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self):
         # Rationals hash like their Fraction value so mixed-type dict keys work.
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        if self.r:
+            return hash((self.n, self.r, self.q, self.d))
+        return hash(self.n) if self.q == 1 else hash(Fraction(self.n, self.q))
 
     def _cmp(self, other) -> int:
         x, y = self._match(other)
@@ -219,22 +291,23 @@ class QuadScalar:
 
     def render(self) -> str:
         """Canonical text form, re-parseable by parse_scalar."""
-        if self.b == 0:
-            return str(self.a)
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
         root = f"sqrt({self.d})"
-        if self.b == 1:
+        if b == 1:
             radical = root
-        elif self.b == -1:
+        elif b == -1:
             radical = f"-{root}"
         else:
-            radical = f"{self.b}*{root}"
-        if self.a == 0:
+            radical = f"{b}*{root}"
+        if a == 0:
             return radical
-        if self.b > 0:
+        if b > 0:
             sep, radical = " + ", radical
         else:
             sep, radical = " - ", radical.lstrip("-")
-        return f"{self.a}{sep}{radical}"
+        return f"{a}{sep}{radical}"
 
     def __repr__(self):
         return f"QuadScalar({self.render()!r})"

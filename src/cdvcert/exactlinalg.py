@@ -1,14 +1,15 @@
 """Exact linear algebra over Q[sqrt(d)]: kernels, ranks mod p, inertia,
 charpoly.
 
-Matrices store each row's nonzero QuadScalar entries.  Products run on
-cleared integer pairs (a, b) for a + b*sqrt(d): each row of the left
-factor and the whole right factor are scaled by the lcm of their
-denominators, the sums stay plain ints, and a QuadScalar is built only
-for a nonzero entry of the result, so proving M*X = 0 builds none.  One
-sparse reduced echelon, with normalized and back-reduced pivot rows,
-runs on two arithmetics.  In the field every stored entry stays a ratio
-of minors.  Over F_p it runs on the residues of pair_rows, which clears
+Matrices store each row's nonzero QuadScalar entries, and this module
+reads only their int fields, never the Fraction parts .a and .b.
+Products run on cleared integer pairs (a, b) for a + b*sqrt(d): each row
+of the left factor and the whole right factor are scaled by the lcm of
+their denominators q, the sums stay plain ints, and a QuadScalar is
+built straight from ints only for a nonzero entry of the result, so
+proving M*X = 0 builds none.  One sparse reduced echelon, with
+normalized and back-reduced pivot rows, runs on two arithmetics.  In the
+field every stored entry stays a ratio of minors.  Over F_p it runs on the residues of pair_rows, which clears
 each row to integer pairs, under sqrt(d) -> a root of d mod p.  That
 gives ranks mod p and kernels, which are rebuilt by rational
 reconstruction and proved by the same integer product: the matrix times
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .exactfield import ONE, ZERO, FieldMismatch, QuadScalar
+from .exactfield import ONE, ZERO, FieldMismatch, QuadScalar, pair_sign
 
 
 class NotSymmetric(ValueError):
@@ -84,7 +85,7 @@ class ExactMatrix:
             radicand = 1
             for row in row_dicts:
                 for e in row.values():
-                    if e.b != 0:
+                    if e.r:
                         if radicand == 1:
                             radicand = e.d
                         elif e.d != radicand:
@@ -160,12 +161,7 @@ class ExactMatrix:
             row_scale, (pairs,) = _cleared((row,))
             q = row_scale * scale
             prod = _pair_product(pairs, right, d)
-            out.append(
-                {
-                    j: QuadScalar(Fraction(a, q), Fraction(b, q), d)
-                    for j, (a, b) in prod.items()
-                }
-            )
+            out.append({j: QuadScalar(a, b, d, q=q) for j, (a, b) in prod.items()})
         return ExactMatrix(other.cols, out)
 
     def is_zero(self) -> bool:
@@ -182,8 +178,8 @@ class ExactMatrix:
 
 # ---------------------------------------------------------------------------
 # One sparse reduced echelon, for the field and for F_p.  Rows are dicts
-# {column: nonzero}; only the arithmetic differs.  In the field, Fraction
-# reduction keeps every stored entry a ratio of minors.
+# {column: nonzero}; only the arithmetic differs.  In the field, the
+# scalars' gcd reduction keeps every stored entry a ratio of minors.
 
 
 def _echelon(rows, cols: int, subtract, normalize) -> dict:
@@ -218,19 +214,6 @@ def _echelon(rows, cols: int, subtract, normalize) -> dict:
         if len(pivots) == cols:
             break
     return pivots
-
-
-def _pair_sign(x, d) -> int:
-    a, b = x
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    sa = 1 if a > 0 else -1
-    sb = 1 if b > 0 else -1
-    if sa == sb:
-        return sa
-    return sa if a * a - d * b * b > 0 else sb
 
 
 def _subtract_exact(row: dict, f, pivot: dict) -> None:
@@ -397,10 +380,10 @@ def full_rank_prime(pairs: list, cols: int, d: int, primes) -> int | None:
     return p if rank_mod_p(_residues(pairs, p, r), cols, p) == cols else None
 
 
-def _reconstruct(u: int, p: int) -> Fraction | None:
-    """The fraction n/m with |n|, m <= sqrt(p/2) and n = u*m mod p, or None.
-    Such a fraction is unique when it exists (Wang's half extended
-    Euclidean algorithm)."""
+def _reconstruct(u: int, p: int) -> tuple | None:
+    """The fraction n/m with |n|, m <= sqrt(p/2) and n = u*m mod p, as the
+    ints (n, m) with m > 0 and gcd(n, m) = 1, or None.  Such a fraction
+    is unique when it exists (Wang's half extended Euclidean algorithm)."""
     bound = math.isqrt(p // 2)
     r0, r1, s0, s1 = p, u, 0, 1
     while r1 > bound:
@@ -409,7 +392,7 @@ def _reconstruct(u: int, p: int) -> Fraction | None:
         s0, s1 = s1, s0 - q * s1
     if abs(s1) > bound or math.gcd(r1, s1) != 1:
         return None
-    return Fraction(r1, s1)
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 def _kernel_basis_mod_p(matrix: ExactMatrix) -> list | None:
@@ -444,10 +427,12 @@ def _kernel_basis_mod_p(matrix: ExactMatrix) -> list | None:
             if not (u or w):
                 continue
             a = _reconstruct(-(u + w) * half % p, p)
-            b = _reconstruct(-(u - w) * half_root % p, p) if d != 1 else 0
+            b = _reconstruct(-(u - w) * half_root % p, p) if d != 1 else (0, 1)
             if a is None or b is None:
                 return None
-            vec[c] = k_rows[c][k] = QuadScalar(a, b, d)
+            (na, qa), (nb, qb) = a, b
+            q = math.lcm(qa, qb)
+            vec[c] = k_rows[c][k] = QuadScalar(na * (q // qa), nb * (q // qb), d, q=q)
         basis.append(vec)
     # The exact check DM*K = 0, on integer pairs with K cleared by one scale.
     _, k_rows = _cleared(k_rows)
@@ -456,23 +441,18 @@ def _kernel_basis_mod_p(matrix: ExactMatrix) -> list | None:
 
 def _cleared(rows) -> tuple:
     """(L, pair rows) for a sequence of {column: scalar} dicts: L is the
-    lcm of all their denominators, and each pair row maps the same
-    columns to (a*L, b*L) as ints for the a + b*sqrt(d) there."""
+    lcm of all their denominators q, and each pair row maps the same
+    columns to (n*L/q, r*L/q) as ints for the (n + r*sqrt(d))/q there."""
     # One lcm call per scalar: math.lcm(*generator) builds its argument
     # tuple by resizing, which leaves the freed tuples in the interpreter's
     # free lists and raised the peak memory of the bipartite sweep by 1 MB.
     scale = 1
     for row in rows:
         for x in row.values():
-            scale = math.lcm(scale, x.a.denominator, x.b.denominator)
+            if scale % x.q:
+                scale = math.lcm(scale, x.q)
     return scale, [
-        {
-            j: (
-                x.a.numerator * (scale // x.a.denominator),
-                x.b.numerator * (scale // x.b.denominator),
-            )
-            for j, x in row.items()
-        }
+        {j: (x.n * (f := scale // x.q), x.r * f) for j, x in row.items()}
         for row in rows
     ]
 
@@ -578,7 +558,7 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
         if k:
             _swap_symmetric(W, 0, k)
         p = W[0][0]
-        sp = _pair_sign(p, d)
+        sp = pair_sign(p[0], p[1], d)
         if sp < 0:
             neg += 1
         else:
@@ -702,9 +682,9 @@ def charpoly(matrix: ExactMatrix) -> IntPolynomial:
     for row in matrix.row_dicts:
         ints = {}
         for j, e in row.items():
-            if e.b != 0 or e.a.denominator != 1:
+            if e.r or e.q != 1:
                 raise NonIntegerEntries(f"entry {e.render()} is not an integer")
-            ints[j] = e.a.numerator
+            ints[j] = e.n
         rows.append(ints)
     block = []
     v = [1]

@@ -1,14 +1,93 @@
-"""Slow, independent oracles for the exact linear algebra: two rank
-eliminations, a determinant, a dense characteristic polynomial, a
-transpose, a matrix-vector product, a dense matrix product, a
-subspace-equality test and the primal transversality system.  The
-library needs none of them; the tests check the library's rank, inertia,
-charpoly, kernels, sparse product, spans_match and check_sap against
-them.
+"""Slow, independent oracles for the exact arithmetic and linear algebra:
+scalar arithmetic on Fractions, two rank eliminations, a determinant, a
+dense characteristic polynomial, a transpose, a matrix-vector product, a
+dense matrix product, a subspace-equality test and the primal
+transversality system.  The library needs none of them; the tests check
+QuadScalar and the library's rank, inertia, charpoly, kernels, sparse
+product, spans_match and check_sap against them.
 """
 
-from cdvcert.exactfield import ONE, ZERO
+from fractions import Fraction
+
+from cdvcert.exactfield import (
+    ONE,
+    ZERO,
+    DivisionByZero,
+    FieldMismatch,
+    squarefree_split,
+)
 from cdvcert.exactlinalg import ExactMatrix, IntPolynomial, NonIntegerEntries
+
+
+class FractionQuad:
+    """a + b*sqrt(d) as two Fractions and a radicand, reduced only by
+    Fraction arithmetic: the reference for QuadScalar, which keeps ints
+    over a common denominator.  Rationals have b = 0 and d = 1."""
+
+    def __init__(self, a=0, b=0, d=1):
+        if isinstance(a, float) or isinstance(b, float):
+            raise TypeError("components must be exact, not float")
+        a, b = Fraction(a), Fraction(b)
+        if not isinstance(d, int) or d < 1:
+            raise ValueError(f"radicand must be a positive integer, got {d}")
+        if d == 1:
+            a, b = a + b, Fraction(0)
+        elif b == 0:
+            d = 1
+        elif squarefree_split(d)[0] != 1:
+            raise ValueError(f"radicand {d} is not squarefree")
+        self.a, self.b, self.d = a, b, d
+
+    def _match(self, other):
+        if not isinstance(other, FractionQuad):
+            other = FractionQuad(other)
+        if self.d != other.d and self.b != 0 and other.b != 0:
+            raise FieldMismatch(f"sqrt({self.d}) with sqrt({other.d})")
+        return other, self.d if self.b != 0 else other.d
+
+    def __add__(self, other):
+        y, d = self._match(other)
+        return FractionQuad(self.a + y.a, self.b + y.b, d)
+
+    def __sub__(self, other):
+        y, d = self._match(other)
+        return FractionQuad(self.a - y.a, self.b - y.b, d)
+
+    def __mul__(self, other):
+        y, d = self._match(other)
+        a = self.a * y.a + d * self.b * y.b
+        return FractionQuad(a, self.a * y.b + self.b * y.a, d)
+
+    def inverse(self):
+        if not self:
+            raise DivisionByZero("inverse of zero")
+        norm = self.a * self.a - self.d * self.b * self.b
+        return FractionQuad(self.a / norm, -self.b / norm, self.d)
+
+    def __truediv__(self, other):
+        y, _ = self._match(other)
+        return self * y.inverse()
+
+    def sign(self):
+        sa = (self.a > 0) - (self.a < 0)
+        sb = (self.b > 0) - (self.b < 0)
+        if sb == 0:
+            return sa
+        if sa == 0 or sa == sb:
+            return sb
+        t = self.a * self.a - self.d * self.b * self.b
+        return 0 if t == 0 else sa if t > 0 else sb
+
+    def __lt__(self, other):
+        return (self - other).sign() < 0
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        return (self.a, self.b, self.d) == (other.a, other.b, other.d)
 
 
 def transpose(matrix: ExactMatrix) -> ExactMatrix:

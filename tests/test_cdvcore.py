@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from oracles import build_sap_system, rank_dense, spans_match_by_rank
-from cdvcert import cdvcore
+from cdvcert import cdvcore, exactfield, exactlinalg
 from cdvcert.cdvcore import (
     MAX_OPERATOR_VERTICES,
     BadS,
@@ -26,7 +26,7 @@ from cdvcert.cdvcore import (
     verify_sap_witness,
 )
 from cdvcert.certify import MapSpec, certify_map, charpoly_inertia
-from cdvcert.exactfield import QuadScalar
+from cdvcert.exactfield import QuadScalar, parse_scalar
 from cdvcert.exactlinalg import ExactMatrix, IntPolynomial, kernel_basis
 from cdvcert.maps import SimpleGraph
 
@@ -455,6 +455,25 @@ class TestCertifyMap:
         result = certify_map(replace(KLEIN, **{field: value}))
         assert failed_verdicts(result) == flipped | {"exceeds_embedding_bound"}
 
+    def test_a_wrong_shift_reports_the_one_congruence_inertia(self, monkeypatch):
+        # NotOneNegative carries the inertia, so the failed membership
+        # check is the only elimination.
+        calls = []
+        inertia_symmetric = exactlinalg.inertia_symmetric
+
+        def counting(matrix):
+            calls.append(matrix)
+            return inertia_symmetric(matrix)
+
+        monkeypatch.setattr(exactlinalg, "inertia_symmetric", counting)
+        monkeypatch.setattr(cdvcore, "inertia_symmetric", counting)
+        spec = replace(KLEIN, shift=-QuadScalar.root(7))
+        result = certify_map(spec)
+        assert len(calls) == 1
+        assert result.results["operator"]["inertia"] == [16, 8, 0]
+        assert charpoly_inertia(spec.charpoly, spec.shift) == (16, 8, 0)
+        assert not result.verdicts["inertia"]
+
     def test_charpoly_inertia(self):
         double_root = ((IntPolynomial((1, 2, 1)), 2), (IntPolynomial((-3, 1)), 1))
         assert charpoly_inertia(double_root, QuadScalar(-1)) == (1, 4, 0)
@@ -674,6 +693,47 @@ class TestBipartite:
         assert built == []
         op.matrix.matmul(op.matrix)
         assert built
+
+    def test_kernel_and_sap_check_build_no_fraction(self, monkeypatch):
+        # Scalars are ints over a common denominator, so the kernel mod p,
+        # the dual, its exact kernel and the witness check stay off
+        # Fraction; a hot path that reads .a or .b fails here.
+        op, _ = build_sap_witness(4, 5)
+        built = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        kernel_basis(op.matrix)
+        cert = check_sap(op)
+        assert built == []
+        assert not cert.full_rank
+        Fraction(1, 3)
+        assert built
+
+    def test_products_skip_the_radicand_check(self, monkeypatch):
+        # A product takes the radicand its operands were checked with;
+        # factoring this prime near MAX_RADICAND again would cost about
+        # 23,000 trial divisions per product.
+        x = parse_scalar("1 + sqrt(2147483629)")
+        calls = []
+        split = exactfield.squarefree_split
+
+        def counting_split(n):
+            calls.append(n)
+            return split(n)
+
+        monkeypatch.setattr(exactfield, "squarefree_split", counting_split)
+        y = x
+        for _ in range(100):
+            y = y * x
+        assert calls == []
+        assert y.d == 2147483629 and y.sign() == 1
+        QuadScalar(0, 1, 2147483629)
+        assert calls
 
     def test_witness_needs_room_on_both_sides(self):
         with pytest.raises(BadS):

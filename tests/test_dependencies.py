@@ -1,6 +1,7 @@
 """cdvcert has no runtime dependencies: every module under src/cdvcert
 imports only the standard library and its own package, and takes only
-public names from its sibling modules."""
+public names from its sibling modules.  The linear algebra reads scalars
+through their int fields only."""
 
 import ast
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "cdvcert").glob("*.py"))
+PACKAGE = Path(__file__).parent.parent / "src" / "cdvcert"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -53,6 +55,19 @@ def test_takes_no_private_name_from_a_sibling_module(path):
         ):
             private.append(f"{node.value.id}.{node.attr}")
     assert private == []
+
+
+@pytest.mark.parametrize("name", ["exactlinalg.py", "cdvcore.py"])
+def test_hot_paths_read_no_fraction_parts(name):
+    """QuadScalar's .a and .b build a Fraction on every read; these modules
+    read its ints n, r, q and d instead."""
+    path = PACKAGE / name
+    reads = [
+        f"line {node.lineno}: .{node.attr}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("a", "b")
+    ]
+    assert reads == []
 
 
 def test_every_module_is_checked():

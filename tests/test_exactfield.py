@@ -1,10 +1,14 @@
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import FractionQuad
 from cdvcert.exactfield import (
     MAX_RADICAND,
+    DivisionByZero,
     FieldMismatch,
     MixedRadicals,
     ParseError,
@@ -20,6 +24,17 @@ rationals = st.fractions(
 
 def quads(d):
     return st.builds(lambda a, b: QuadScalar(a, b, d), rationals, rationals)
+
+
+parts = st.one_of(st.integers(-(10**20), 10**20), rationals)
+# The scalar and its oracle, over Q or one of two fields: two draws of
+# this strategy are often incompatible.
+paired = st.builds(
+    lambda a, b, d: (QuadScalar(a, b, d), FractionQuad(a, b, d)),
+    parts,
+    parts,
+    st.sampled_from([1, 2, 3, 7]),
+)
 
 
 class TestConstruction:
@@ -202,3 +217,74 @@ class TestParseRender:
         with pytest.raises(MixedRadicals):
             parse_scalar("sqrt(2) + sqrt(3)")
         assert issubclass(MixedRadicals, ParseError)
+
+
+def _same(x, expected):
+    """x holds the oracle's value in the normal form and renders back."""
+    assert (x.a, x.b, x.d) == (expected.a, expected.b, expected.d)
+    assert x.q > 0 and gcd(x.n, x.r, x.q) == 1
+    assert (x.r == 0) == (x.d == 1) and squarefree_split(x.d)[0] == 1
+    assert parse_scalar(x.render()) == x
+
+
+def _agree(op, x, y, expected_x, expected_y):
+    """op on the scalars gives the oracle's result, or the same error."""
+    try:
+        expected = op(expected_x, expected_y)
+    except (FieldMismatch, DivisionByZero) as exc:
+        with pytest.raises(type(exc)):
+            op(x, y)
+    else:
+        _same(op(x, y), expected)
+
+
+class TestAgainstTheFractionOracle:
+    @given(paired, paired)
+    def test_arithmetic_and_order(self, xs, ys):
+        (x, X), (y, Y) = xs, ys
+        _same(x, X)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            _agree(op, x, y, X, Y)
+        _agree(lambda u, _: u.inverse(), x, None, X, None)
+        assert x.sign() == X.sign()
+        try:
+            expected = X < Y
+        except FieldMismatch:
+            with pytest.raises(FieldMismatch):
+                x < y
+        else:
+            assert (x < y) == expected
+        assert (x == y) == (X == Y)
+        if x == y:
+            assert hash(x) == hash(y)
+
+    @given(paired, parts)
+    def test_mixing_with_int_and_fraction(self, xs, k):
+        x, X = xs
+        K = FractionQuad(k)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            _agree(op, x, k, X, K)
+            _agree(op, k, x, K, X)
+        assert (x == k) == (X == k) == (k == x)
+        if x == k:
+            assert hash(x) == hash(k)
+        if x.d == 1:
+            assert x == X.a and hash(x) == hash(X.a)
+            if X.a.denominator == 1:
+                assert x == int(X.a) and hash(x) == hash(int(X.a))
+
+    @given(parts, parts)
+    def test_constructor_refusals(self, a, b):
+        with pytest.raises(TypeError):
+            QuadScalar(float(a), b, 2)
+        with pytest.raises(TypeError):
+            QuadScalar(a, float(b), 2)
+        with pytest.raises(ValueError):
+            QuadScalar(a, b, 0)
+        if b:
+            with pytest.raises(ValueError):
+                QuadScalar(a, b, 8)
+            with pytest.raises(FieldMismatch):
+                QuadScalar(a, b, 2) * QuadScalar(a, b, 3)
+        else:
+            assert QuadScalar(a, b, 8) == a
