@@ -289,7 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--subgroup", nargs="*", help="subgroup generator words"
     )
     p.add_argument("--word", help="also report which coset this word lands in")
-    p.add_argument("--max-cosets", type=int, default=100000)
+    p.add_argument(
+        "--max-cosets",
+        type=int,
+        default=100000,
+        help="most coset-table rows the enumeration may allocate (at least 1)",
+    )
     p.set_defaults(func=cmd_coset)
     return parser
 

@@ -2,15 +2,16 @@
 
 Words are tuples of nonzero ints: +k is the k-th generator (1-based), -k
 its inverse.  Enumeration builds the permutation action on right cosets by
-relator tracing with immediate coincidence processing through a union-find
-over table rows, so the result is exact whenever it completes.
+HLT scan-and-fill with queued coincidence processing through a union-find
+over table rows, so the result is exact whenever it completes, and returns
+it in standard order.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exactfield import ParseError, Tokens
 
@@ -161,12 +162,17 @@ class CosetTable:
     """Completed permutation action of the generators on right cosets.
 
     Row 0 is the subgroup itself.  action[c][s] is the image of coset c
-    under slot s (even slots are generators, odd their inverses).
+    under slot s (even slots are generators, odd their inverses), and
+    columns[s][c] is the same entry read a slot at a time.
     """
 
     generators: tuple
     subgroup_words: tuple
     action: tuple
+    columns: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(zip(*self.action)))
 
     @property
     def count(self) -> int:
@@ -178,27 +184,43 @@ class CosetTable:
         return coset
 
     def permutation(self, word) -> list:
-        return [self.apply(c, word) for c in range(self.count)]
+        """Entry c is the coset c*word, composed a column per letter."""
+        perm = list(range(self.count))
+        for s in _symbols(word):
+            perm = list(map(self.columns[s].__getitem__, perm))
+        return perm
 
     def verify(self, presentation: Presentation) -> None:
-        """Re-check table axioms; raises ValueError on any failure."""
+        """Re-check table axioms; raises ValueError on any failure.
+
+        Every slot must be a permutation inverse to its partner slot, every
+        relator must fix every coset, every subgroup word coset 0, and the
+        action must be transitive."""
+        n = self.count
         width = 2 * len(self.generators)
+        identity = list(range(n))
+
+        def first_moved(perm) -> int:
+            return next(c for c in identity if perm[c] != c)
+
         for c, row in enumerate(self.action):
             if len(row) != width:
                 raise ValueError(f"row {c} has width {len(row)}")
-            for s, t in enumerate(row):
-                if not 0 <= t < self.count:
-                    raise ValueError(f"row {c} slot {s} out of range")
-                if self.action[t][s ^ 1] != c:
-                    raise ValueError(f"slots {s} and {s ^ 1} disagree at coset {c}")
-        for s in range(width):
-            column = [row[s] for row in self.action]
-            if sorted(column) != list(range(self.count)):
+        for s, column in enumerate(self.columns):
+            if min(column) < 0 or max(column) >= n:
+                c = next(c for c, t in enumerate(column) if not 0 <= t < n)
+                raise ValueError(f"row {c} slot {s} out of range")
+        for s, column in enumerate(self.columns):
+            back = list(map(self.columns[s ^ 1].__getitem__, column))
+            if back != identity:
+                c = first_moved(back)
+                raise ValueError(f"slots {s} and {s ^ 1} disagree at coset {c}")
+            if sorted(column) != identity:
                 raise ValueError(f"slot {s} is not a permutation")
         for rel in presentation.relators:
-            for c in range(self.count):
-                if self.apply(c, rel) != c:
-                    raise ValueError(f"relator {rel} does not fix coset {c}")
+            perm = self.permutation(rel)
+            if perm != identity:
+                raise ValueError(f"relator {rel} does not fix coset {first_moved(perm)}")
         for word in self.subgroup_words:
             if self.apply(0, word) != 0:
                 raise ValueError(f"subgroup word {word} moves coset 0")
@@ -210,103 +232,160 @@ class CosetTable:
                 if t not in seen:
                     seen.add(t)
                     frontier.append(t)
-        if len(seen) != self.count:
+        if len(seen) != n:
             raise ValueError("table is not transitive")
 
 
 def coset_enumerate(
     presentation: Presentation, subgroup=(), max_cosets: int = 100000
 ) -> CosetTable:
-    """Enumerate right cosets of <subgroup> by relator tracing.
+    """Enumerate the right cosets of <subgroup> by HLT scan-and-fill.
 
-    One scan takes each live coset in order, traces every relator from it
-    and then, if it is still live, defines its empty slots; the scan
-    reaches the cosets so defined in turn.  Coincidences collapse rows
-    immediately through a union-find, so memory stays proportional to rows
-    ever allocated; the cap bounds that count.
+    Each subgroup word is scanned and filled at coset 0.  Then each live
+    coset in turn has every relator scanned and filled at it and, if it is
+    still live, its empty slots defined; later cosets are reached in
+    turn.  Scan-and-fill reads the word forward from the coset as far as
+    the table is defined, and backward from the word's end.  If the two
+    scans meet, their end cosets are equal: a coincidence when they
+    differ.  If they leave a gap of one letter, that entry is a deduction,
+    filled in both directions.  Otherwise one coset is defined at the
+    forward end and the backward scan resumes.  A coincidence merges the
+    larger coset into the smaller in a union-find and queues it; each
+    queued coset's entries move to its representative, and two entries
+    that clash queue a further merge (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005, sections 5.1-5.2).
+
+    max_cosets bounds the rows ever allocated, coset 0 and dead cosets
+    included: one more raises CapExceeded, and a cap below 1 ValueError.
+
+    The table comes back in standard order: coset 0 first, then every
+    coset in the order it first appears when the rows are read in order
+    and each row's slots in order.  The numbering therefore depends on the
+    action alone, not on the relator order or the enumeration strategy.
+    Every returned table has passed CosetTable.verify.
     """
+    if max_cosets < 1:
+        raise ValueError(f"max_cosets must be at least 1, got {max_cosets}")
     width = 2 * len(presentation.generators)
-    relators = [_symbols(r) for r in presentation.relators]
     subgroup = tuple(free_reduce(w) for w in subgroup)
-    sub_syms = [_symbols(w) for w in subgroup]
     for w in subgroup:
         for g in w:
             if not 1 <= abs(g) <= len(presentation.generators):
                 raise UnknownGenerator(f"word letter {g} out of range", 0)
 
-    labels: list = []
-    neighbors: list = []
+    # One list per slot, indexed by coset; parent is the union-find, in
+    # which a coset is live exactly when it is its own parent.
+    cols = [[SENTINEL] for _ in range(width)]
+    parent = [0]
+    queue: list = []
 
-    def new_vertex() -> int:
-        if len(labels) >= max_cosets:
+    def define(c: int, s: int) -> int:
+        new = len(parent)
+        if new >= max_cosets:
             raise CapExceeded(max_cosets)
-        labels.append(len(labels))
-        neighbors.append([SENTINEL] * width)
-        return len(labels) - 1
+        parent.append(new)
+        for col in cols:
+            col.append(SENTINEL)
+        cols[s][c] = new
+        cols[s ^ 1][new] = c
+        return new
 
-    def find(v: int) -> int:
-        root = v
-        while labels[root] != root:
-            root = labels[root]
-        while labels[v] != root:
-            labels[v], v = root, labels[v]
+    def rep(c: int) -> int:
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
         return root
 
-    def follow(v: int, s: int) -> int:
-        v = find(v)
-        t = neighbors[v][s]
-        if t == SENTINEL:
-            t = new_vertex()
-            neighbors[v][s] = t
-            neighbors[t][s ^ 1] = v
-            return t
-        return find(t)
-
-    def trace(v: int, symbols) -> int:
-        for s in symbols:
-            v = follow(v, s)
-        return v
-
-    def unify(a: int, b: int) -> None:
-        stack = [(a, b)]
-        while stack:
-            a, b = stack.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
+    def merge(a: int, b: int) -> None:
+        a, b = rep(a), rep(b)
+        if a != b:
             if b < a:
                 a, b = b, a
-            labels[b] = a
-            for s in range(width):
-                t = neighbors[b][s]
-                if t == SENTINEL:
+            parent[b] = a
+            queue.append(b)
+
+    def coincidence(a: int, b: int) -> None:
+        merge(a, b)
+        for dead in queue:
+            for s, col in enumerate(cols):
+                d = col[dead]
+                if d == SENTINEL:
                     continue
-                u = neighbors[a][s]
-                if u == SENTINEL:
-                    neighbors[a][s] = t
+                back = cols[s ^ 1]
+                back[d] = SENTINEL
+                m, n = rep(dead), rep(d)
+                if col[m] != SENTINEL:
+                    merge(n, col[m])
+                elif back[n] != SENTINEL:
+                    merge(m, back[n])
                 else:
-                    stack.append((t, u))
+                    col[m] = n
+                    back[n] = m
+        queue.clear()
 
-    new_vertex()
-    for syms in sub_syms:
-        unify(trace(0, syms), 0)
-    v = 0
-    while v < len(labels):
-        if find(v) == v:
+    def scan_and_fill(a: int, word) -> None:
+        symbols, forward, backward = word
+        f, i, j = a, 0, len(symbols) - 1
+        while i <= j and (t := forward[i][f]) != SENTINEL:
+            f, i = t, i + 1
+        if i > j:
+            if f != a:
+                coincidence(f, a)
+            return
+        b = a
+        while True:
+            while j >= i and (t := backward[j][b]) != SENTINEL:
+                b, j = t, j - 1
+            if j < i:
+                if f != b:
+                    coincidence(f, b)
+                return
+            if j == i:
+                forward[i][f] = b
+                backward[i][b] = f
+                return
+            f, i = define(f, symbols[i]), i + 1
+
+    def scannable(word):
+        symbols = _symbols(word)
+        return (
+            symbols,
+            [cols[s] for s in symbols],
+            [cols[s ^ 1] for s in symbols],
+        )
+
+    for w in subgroup:
+        scan_and_fill(0, scannable(w))
+    relators = [scannable(r) for r in presentation.relators]
+    a = 0
+    while a < len(parent):
+        if parent[a] == a:
             for rel in relators:
-                unify(trace(v, rel), v)
-        if find(v) == v:
-            for s in range(width):
-                if neighbors[v][s] == SENTINEL:
-                    follow(v, s)
-        v += 1
+                scan_and_fill(a, rel)
+                if parent[a] != a:
+                    break
+            else:
+                for s, col in enumerate(cols):
+                    if col[a] == SENTINEL:
+                        define(a, s)
+        a += 1
 
-    roots = [v for v in range(len(labels)) if find(v) == v]
-    index = {root: i for i, root in enumerate(roots)}
-    action = tuple(
-        tuple(index[find(neighbors[root][s])] for s in range(width))
-        for root in roots
-    )
+    # Standard order: number the live cosets as they first appear.
+    number = [SENTINEL] * len(parent)
+    number[0] = 0
+    order, rows = [0], []
+    for c in order:
+        row = [col[c] for col in cols]
+        for t in row:
+            if t == SENTINEL or parent[t] != t:
+                raise RuntimeError(f"coset {c} has an empty or dead entry")
+            if number[t] == SENTINEL:
+                number[t] = len(order)
+                order.append(t)
+        rows.append(row)
+    action = tuple(tuple(number[t] for t in row) for row in rows)
     table = CosetTable(presentation.generators, subgroup, action)
     table.verify(presentation)
     return table

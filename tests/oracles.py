@@ -1,10 +1,11 @@
 """Slow, independent oracles for the exact arithmetic and linear algebra:
 scalar arithmetic on Fractions, two rank eliminations, a determinant, a
 dense characteristic polynomial, a transpose, a matrix-vector product, a
-dense matrix product, a subspace-equality test and the primal
-transversality system.  The library needs none of them; the tests check
-QuadScalar and the library's rank, inertia, charpoly, kernels, sparse
-product, spans_match and check_sap against them.
+dense matrix product, a subspace-equality test, the primal
+transversality system and a trace-and-define coset enumerator.  The
+library needs none of them; the tests check QuadScalar and the library's
+rank, inertia, charpoly, kernels, sparse product, spans_match, check_sap
+and coset_enumerate against them.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from cdvcert.exactfield import (
     squarefree_split,
 )
 from cdvcert.exactlinalg import ExactMatrix, IntPolynomial, NonIntegerEntries
+from cdvcert.groups import CapExceeded, CosetTable, free_reduce
 
 
 class FractionQuad:
@@ -275,3 +277,102 @@ def build_sap_system(op) -> tuple:
         if u != w
     ]
     return ExactMatrix(len(col_pairs), row_dicts), col_pairs
+
+
+def coset_enumerate_by_tracing(presentation, subgroup=(), max_cosets=100000):
+    """Right cosets of <subgroup> by relator tracing: the reference for
+    coset_enumerate, returned in the same standard order.
+
+    One scan takes each live coset in order, traces every relator from it,
+    defining every missing coset on the way, and merges the trace's end
+    with the start; then, if the coset is still live, defines its empty
+    slots.  A merge collapses rows at once through a union-find.
+    max_cosets bounds the rows ever allocated.
+    """
+    width = 2 * len(presentation.generators)
+
+    def symbols(word):
+        return [2 * (g - 1) if g > 0 else 2 * (-g - 1) + 1 for g in word]
+
+    subgroup = tuple(free_reduce(w) for w in subgroup)
+    labels, neighbors = [], []
+
+    def new_vertex():
+        if len(labels) >= max_cosets:
+            raise CapExceeded(max_cosets)
+        labels.append(len(labels))
+        neighbors.append([-1] * width)
+        return len(labels) - 1
+
+    def find(v):
+        root = v
+        while labels[root] != root:
+            root = labels[root]
+        while labels[v] != root:
+            labels[v], v = root, labels[v]
+        return root
+
+    def follow(v, s):
+        v = find(v)
+        t = neighbors[v][s]
+        if t == -1:
+            t = new_vertex()
+            neighbors[v][s] = t
+            neighbors[t][s ^ 1] = v
+            return t
+        return find(t)
+
+    def trace(v, word):
+        for s in symbols(word):
+            v = follow(v, s)
+        return v
+
+    def unify(a, b):
+        stack = [(a, b)]
+        while stack:
+            a, b = stack.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            if b < a:
+                a, b = b, a
+            labels[b] = a
+            for s in range(width):
+                t = neighbors[b][s]
+                if t == -1:
+                    continue
+                u = neighbors[a][s]
+                if u == -1:
+                    neighbors[a][s] = t
+                else:
+                    stack.append((t, u))
+
+    new_vertex()
+    for word in subgroup:
+        unify(trace(0, word), 0)
+    v = 0
+    while v < len(labels):
+        if find(v) == v:
+            for rel in presentation.relators:
+                unify(trace(v, rel), v)
+        if find(v) == v:
+            for s in range(width):
+                if neighbors[v][s] == -1:
+                    follow(v, s)
+        v += 1
+
+    # Standard order: number the cosets as rows, then slots, first reach them.
+    number = {0: 0}
+    order = [0]
+    for v in order:
+        for s in range(width):
+            t = find(neighbors[v][s])
+            if t not in number:
+                number[t] = len(order)
+                order.append(t)
+    action = tuple(
+        tuple(number[find(neighbors[v][s])] for s in range(width)) for v in order
+    )
+    table = CosetTable(presentation.generators, subgroup, action)
+    table.verify(presentation)
+    return table

@@ -60,9 +60,11 @@ def test_criterion_1_group_pipeline():
 
 def test_criterion_2_map_pipeline(g10_certificate):
     m = g10_certificate.results["map"]
+    graph = g10_certificate.operator.graph
     ok = (
         g10_certificate.results["group"]["order"] == 432
         and m == {"v": 54, "e": 216, "f": 144, "chi": -18, "genus": 10, "p": 3, "q": 8}
+        and (graph.n, graph.edge_count) == (54, 216)
         and g10_certificate.verdicts["graph_connected"]
         and g10_certificate.verdicts["graph_regular"]
     )

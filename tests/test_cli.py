@@ -254,6 +254,16 @@ class TestCoset:
         assert code == 1
         assert report["verdict"]["completed"] is False
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_non_positive_cap_is_an_input_error(self, capsys, cap):
+        code, report = run(
+            capsys, "coset", "gamma10", "--max-cosets", cap, "--no-timings"
+        )
+        assert code == 1
+        assert report["passed"] is False
+        detail = report["results"]["error"]["detail"]
+        assert detail.startswith("ValueError: max_cosets must be at least 1")
+
 
 class TestReportShape:
     def test_schema_version_and_keys(self, capsys):

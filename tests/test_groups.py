@@ -1,14 +1,19 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from oracles import coset_enumerate_by_tracing
 from cdvcert import exactfield
 from cdvcert.groups import (
+    GAMMA10_TEXT,
     MAX_WORD_LENGTH,
     CapExceeded,
+    CosetTable,
     ParseError,
     Presentation,
     UnknownGenerator,
     coset_enumerate,
     element_order,
+    free_reduce,
     gamma10,
     left_action,
     orbit_partition,
@@ -85,6 +90,51 @@ KNOWN_ORDERS = [
     ("< a | >", None),                        # infinite cyclic
 ]
 
+KLEIN_TEXT = "< y, z | y^3, z^7, (y*z)^2, (z^-1*y^-1*z*y)^4 >"
+
+# (presentation, subgroup words, index) for the oracle comparison.
+ORACLE_CASES = [(text, (), order) for text, order in KNOWN_ORDERS if order] + [
+    (GAMMA10_TEXT, (), 432),
+    (GAMMA10_TEXT, ("z",), 54),
+    (GAMMA10_TEXT, ("y*z",), 216),
+    (GAMMA10_TEXT, ("y",), 144),
+    (KLEIN_TEXT, (), 168),
+    ("< a, b | a^2, b^3, (a*b)^5 >", (), 60),  # A5
+    ("< a, b | b^-1*a*b*a^-2, a^-1*b*a*b^-2 >", (), 1),  # trivial
+    # the Fibonacci group F(2,5), cyclic of order 11
+    ("< a,b,c,d,e | a*b*c^-1, b*c*d^-1, c*d*e^-1, d*e*a^-1, e*a*b^-1 >", (), 11),
+    ("< a, b | a^8, b^7, (a*b)^2, (a^-1*b)^3 >", (), 10752),
+]
+
+
+def is_standard(table) -> bool:
+    """Reading rows in order and slots in order, each coset after 0 first
+    appears right after the ones before it."""
+    seen = 1
+    for row in table.action:
+        for t in row:
+            if t == seen:
+                seen += 1
+            elif t > seen:
+                return False
+    return seen == table.count
+
+
+letters = st.sampled_from((1, -1, 2, -2))
+
+
+@st.composite
+def small_presentations(draw):
+    """Two generators of orders up to 6, one or two further relators each
+    a power of a short word, and at times a one-word subgroup."""
+    relators = [(1,) * draw(st.integers(1, 6)), (2,) * draw(st.integers(1, 6))]
+    for _ in range(draw(st.integers(1, 2))):
+        word = draw(st.lists(letters, min_size=1, max_size=4))
+        relators.append(free_reduce(word * draw(st.integers(1, 4))))
+    subgroup = draw(st.lists(st.lists(letters, min_size=1, max_size=3), max_size=1))
+    pres = Presentation(("a", "b"), tuple(r for r in relators if r))
+    return pres, tuple(tuple(w) for w in subgroup)
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("text,order", KNOWN_ORDERS)
@@ -114,6 +164,60 @@ class TestEnumeration:
         with pytest.raises(CapExceeded) as err:
             coset_enumerate(pres, max_cosets=100)
         assert err.value.cap == 100
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_non_positive_cap_rejected(self, cap):
+        pres = parse_presentation("< a | a^2 >")
+        with pytest.raises(ValueError, match="max_cosets"):
+            coset_enumerate(pres, max_cosets=cap)
+
+    @pytest.mark.parametrize(
+        "text,cap,order", [(GAMMA10_TEXT, 1200, 432), (KLEIN_TEXT, 600, 168)]
+    )
+    def test_regular_tables_fit_small_caps(self, text, cap, order):
+        # Tracing every relator forward needs 2,853 rows for gamma10 and
+        # 897 for Klein's group; deducing instead of defining needs 954 and 432.
+        pres = parse_presentation(text)
+        assert coset_enumerate(pres, max_cosets=cap).count == order
+
+    def test_gamma10_table_is_standard(self, g10_table):
+        _, table = g10_table
+        assert is_standard(table)
+        assert not is_standard(CosetTable(table.generators, (), table.action[::-1]))
+
+    @pytest.mark.parametrize("text", [GAMMA10_TEXT, KLEIN_TEXT])
+    def test_relator_order_and_rotation_keep_the_action(self, text):
+        pres = parse_presentation(text)
+        shuffled = Presentation(
+            pres.generators,
+            tuple(
+                free_reduce(r[k % len(r):] + r[:k % len(r)])
+                for k, r in enumerate(reversed(pres.relators), start=1)
+            ),
+        )
+        assert shuffled.relators != pres.relators
+        for sub in ((), ("z",), ("y*z",)):
+            words = tuple(pres.word(w) for w in sub)
+            first = coset_enumerate(pres, words)
+            assert coset_enumerate(shuffled, words).action == first.action
+
+    @pytest.mark.parametrize("text,subgroup,index", ORACLE_CASES)
+    def test_agrees_with_the_tracing_oracle(self, text, subgroup, index):
+        pres = parse_presentation(text)
+        words = tuple(pres.word(w) for w in subgroup)
+        table = coset_enumerate(pres, words)
+        assert table.count == index
+        assert table == coset_enumerate_by_tracing(pres, words, max_cosets=200_000)
+
+    @given(small_presentations())
+    def test_agrees_with_the_tracing_oracle_on_random_presentations(self, case):
+        pres, subgroup = case
+        try:
+            table = coset_enumerate(pres, subgroup, max_cosets=2000)
+            reference = coset_enumerate_by_tracing(pres, subgroup, max_cosets=2000)
+        except CapExceeded:
+            return
+        assert table == reference
 
     def test_dropping_a_relator_breaks_finiteness(self):
         # without the (y*z)^2 relator the quotient blows past any
@@ -165,21 +269,10 @@ class TestActions:
 
 
 class TestGamma10:
-    def test_order(self, g10_table):
-        _, table = g10_table
-        assert table.count == 432
-
-    def test_subgroup_indices(self, g10_table):
-        pres, _ = g10_table
-        for word, index in [("z", 54), ("y*z", 216), ("y", 144)]:
-            sub = coset_enumerate(pres, (pres.word(word),))
-            assert sub.count == index
-
+    # The order, the indices of <z>, <y*z> and <y> and the orders of y, z
+    # and y*z are acceptance criterion 1.
     def test_generator_orders(self, g10_table):
         pres, table = g10_table
-        assert element_order(pres, pres.word("y"), table=table) == 3
-        assert element_order(pres, pres.word("z"), table=table) == 8
-        assert element_order(pres, pres.word("y*z"), table=table) == 2
         assert element_order(pres, pres.word("z^2"), table=table) == 4
 
     def test_presentation_shape(self):
