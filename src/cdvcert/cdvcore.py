@@ -235,10 +235,14 @@ class SapCertificate:
     rows, cols and rank describe the primal system (one row per ordered
     pair u != w, one column per non-adjacent pair) whichever way the
     verdict was reached; the primal system itself is never built.
-    dual_shape is the shape of the dual system check_sap ranks, set for
-    every corank >= 1.  prime is the prime modulo which the dual had full
-    rank, and None on the exact path.  Both are None for corank 0, where
-    full rank holds by proof.
+    dual_shape is the shape of the whole dual system of check_sap, one row
+    per vertex and per edge and one column per unknown of the symmetric
+    c x c matrix S, set for every corank c >= 1, though check_sap ranks
+    only the part its canonical kernel leaves free.  prime is the prime
+    modulo which that part had full rank.  prime is None in three cases:
+    corank 0 (dual_shape None too) and no unknown left to rank, where full
+    rank holds by proof and nothing is eliminated, and the exact path,
+    where the verdict comes from the exact dual kernel.
     """
 
     full_rank: bool
@@ -270,6 +274,25 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     and c(c+1)/2 columns, so the primal rank is cols minus the dual
     nullity.
 
+    K is the canonical basis of kernel_basis: row f_a of K is the unit
+    vector e_a at the a-th free column f_a of M, so k_{f_a}^T*S*k_{f_b} =
+    S[a][b] = X[f_a][f_b].  The dual rows of a free diagonal (f_a, f_a)
+    and of an edge between two free vertices are therefore unit rows that
+    force their unknown to zero.  check_sap checks the unit rows of K,
+    raising RuntimeError when one is missing, drops those rows and the
+    forced unknowns from every other row, and ranks the rest: one unknown
+    S[a][b] per pair a < b of non-adjacent free columns, in the order of
+    the full dual.  The dual's kernel is the reduced kernel with zeros at
+    the forced unknowns, so the two systems have the same nullity.  When
+    no unknown is left, as at every corank 1, full rank holds by proof.
+
+    The rows come sparsest first: the edges with one free endpoint, whose
+    rows have at most c - 1 entries, then the other diagonals, then the
+    edges between two vertices that are not free.  The reduced echelon
+    form, and with it every result, is the same in any row order.  Rows
+    are built lazily, so an elimination that reaches full rank builds no
+    more of them.
+
     pair_rows first scales each row k_i by a positive integer that clears
     its denominators, which scales dual rows by nonzero factors and keeps
     the dual kernel.  The dual entries are then a + b*sqrt(d) with integer
@@ -278,22 +301,24 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     full rank mod p proves full rank over the field.
 
     When no prime is usable or the rank drops mod p, kernel_basis
-    computes the dual kernel exactly.  An empty kernel is full rank;
-    otherwise its first vector S0 gives the witness X = K*S0*K^T.  Both
-    products run on cleared integer pairs and build a scalar only for a
-    nonzero entry of their result.  X is re-verified by
-    verify_sap_witness, whose M*X = 0 check builds no scalar when X is
-    valid, before it is reported.  X is also the first
-    canonical kernel vector of the primal system: K is canonical, so row
-    f_a of K is the unit vector e_a at the a-th free column f_a of M, and
-    X[f_a][f_b] = S[a][b].  Row u of K is zero at each a with f_a < u, so
-    X is zero at every pair after (f_a, f_b) when S is zero at every pair
-    after (a, b).  The map (a, b) -> (f_a, f_b) keeps pair order, so the
+    computes the reduced dual kernel exactly.  An empty kernel is full
+    rank.  Otherwise its first vector, padded with zeros at the forced
+    unknowns, is the first vector S0 of the canonical kernel of the whole
+    dual: each forced unknown is a pivot column whose reduced row is its
+    unit row, and the other reduced rows are those of the reduced system.
+    S0 gives the witness X = K*S0*K^T.  Both products run on cleared
+    integer pairs and build a scalar only for a nonzero entry of their
+    result.  X is re-verified by verify_sap_witness, whose M*X = 0 check
+    builds no scalar when X is valid, before it is reported.  X is also
+    the first canonical kernel vector of the primal system: X[f_a][f_b] =
+    S[a][b], and row u of K is zero at each a with f_a < u, so X is zero
+    at every pair after (f_a, f_b) when S is zero at every pair after
+    (a, b).  The map (a, b) -> (f_a, f_b) keeps pair order, so the
     last nonzero entry of X is 1 at the image of S0's last nonzero entry,
     and S0 minimises that entry over the dual kernel.
 
-    Raises SystemTooLarge before any elimination when the dual or its
-    kernel (at most c(c+1)/2 vectors of that length) would exceed
+    Raises SystemTooLarge before any elimination when the whole dual or
+    its kernel (at most c(c+1)/2 vectors of that length) would exceed
     MAX_SAP_SLOTS entries.
     """
     if op.inertia is None:
@@ -314,31 +339,50 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     basis = kernel_basis(op.matrix) if op.kernel is None else op.kernel
     if len(basis) != c:
         raise RuntimeError(f"kernel dimension {len(basis)} contradicts corank {c}")
-    d = op.matrix.radicand
     kernel = ExactMatrix(
         c, [{a: v[i] for a, v in enumerate(basis) if v[i]} for i in range(n)]
     )
+    free = _free_columns(kernel)
+    graph = op.graph
+    unknowns = [
+        (a, b)
+        for a in range(c)
+        for b in range(a + 1, c)
+        if not graph.has_edge(free[a], free[b])
+    ]
+    if not unknowns:
+        return SapCertificate(True, cols, rows, cols, dual_shape=dual_shape)
+    column = [[None] * c for _ in range(c)]
+    for j, (a, b) in enumerate(unknowns):
+        column[a][b] = column[b][a] = j
+    is_free = set(free)
+    pairs = [(u, v) for u, v in graph.edges if (u in is_free) != (v in is_free)]
+    pairs += [(i, i) for i in range(n) if i not in is_free]
+    pairs += [
+        (u, v) for u, v in graph.edges if u not in is_free and v not in is_free
+    ]
+    d = op.matrix.radicand
     k = pair_rows(kernel)
-    pairs = [(i, i) for i in range(n)] + list(op.graph.edges)
-    dual = [_dual_row(k[i], k[j], c, d) for i, j in pairs]
-    prime = full_rank_prime(dual, dual_cols, d, SAP_PRIMES)
+    prime = full_rank_prime(
+        _dual_rows(k, pairs, column, d), len(unknowns), d, SAP_PRIMES
+    )
     if prime is not None:
         return SapCertificate(
             True, cols, rows, cols, prime=prime, dual_shape=dual_shape
         )
     dual_kernel = kernel_basis(
         ExactMatrix(
-            dual_cols,
+            len(unknowns),
             [
                 {col: QuadScalar(a, b, d, q=1) for col, (a, b) in row.items()}
-                for row in dual
+                for row in _dual_rows(k, pairs, column, d)
             ],
         )
     )
     primal_rank = cols - len(dual_kernel)
     if not dual_kernel:
         return SapCertificate(True, primal_rank, rows, cols, dual_shape=dual_shape)
-    unknowns = [(a, b) for a in range(c) for b in range(a, c)]
+    # Entries left out of the symmetric S0 are zero: the forced unknowns.
     s0 = ExactMatrix.symmetric(c, dict(zip(unknowns, dual_kernel[0])))
     witness = kernel.matmul(s0).matmul(ExactMatrix.from_rows(basis))
     verify_sap_witness(op, witness)
@@ -347,18 +391,40 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     )
 
 
-def _dual_row(ki: dict, kj: dict, c: int, d: int) -> dict:
-    """Nonzero coefficients of k_i^T*S*k_j in the unknowns S[a][b], a <= b,
-    as integer pairs (x, y) for x + y*sqrt(d): k_i[a]*k_j[a] on the
-    diagonal and k_i[a]*k_j[b] + k_i[b]*k_j[a] off it."""
-    row = {}
-    for a, (xa, xb) in ki.items():
-        for b, (ya, yb) in kj.items():
-            lo, hi = (a, b) if a <= b else (b, a)
-            col = lo * c - lo * (lo - 1) // 2 + hi - lo
-            s, t = row.get(col, (0, 0))
-            row[col] = (s + xa * ya + d * xb * yb, t + xa * yb + xb * ya)
-    return {col: v for col, v in row.items() if v != (0, 0)}
+def _free_columns(kernel: ExactMatrix) -> list:
+    """f_a for each column a of the n x c kernel matrix K: the last row at
+    which column a is nonzero, where the canonical basis of kernel_basis
+    has its free column.  Raises RuntimeError unless row f_a of K is the
+    unit vector e_a for every a, the fact the reduced dual rests on."""
+    free = [None] * kernel.cols
+    for i, row in enumerate(kernel.row_dicts):
+        for a in row:
+            free[a] = i
+    for a, f in enumerate(free):
+        if f is None or kernel.row_dicts[f] != {a: ONE}:
+            raise RuntimeError(
+                f"kernel basis is not canonical: vector {a} has no unit row"
+            )
+    return free
+
+
+def _dual_rows(k: list, pairs: list, column: list, d: int):
+    """For each vertex pair (i, j) in turn, the nonzero coefficients of
+    k_i^T*S*k_j in the unknowns left to rank, as integer pairs (x, y) for
+    x + y*sqrt(d): column[a][b] = column[b][a] numbers the unknown S[a][b],
+    or is None for one forced to zero, whose products are skipped.  The
+    coefficient of S[a][a] is k_i[a]*k_j[a], and that of S[a][b], a < b,
+    is k_i[a]*k_j[b] + k_i[b]*k_j[a]."""
+    for i, j in pairs:
+        row = {}
+        for a, (xa, xb) in k[i].items():
+            at = column[a]
+            for b, (ya, yb) in k[j].items():
+                col = at[b]
+                if col is not None:
+                    s, t = row.get(col, (0, 0))
+                    row[col] = (s + xa * ya + d * xb * yb, t + xa * yb + xb * ya)
+        yield {col: v for col, v in row.items() if v != (0, 0)}
 
 
 def verify_sap_witness(op: SchrodingerOperator, witness: ExactMatrix) -> None:

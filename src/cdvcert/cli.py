@@ -293,7 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-cosets",
         type=int,
         default=100000,
-        help="most coset-table rows the enumeration may allocate (at least 1)",
+        help=(
+            "most coset-table rows the enumeration may allocate (at least 1, "
+            "and at most groups.MAX_TABLE_SLOTS over 2 per generator)"
+        ),
     )
     p.set_defaults(func=cmd_coset)
     return parser

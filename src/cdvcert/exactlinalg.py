@@ -347,13 +347,12 @@ def pair_rows(matrix: ExactMatrix) -> list:
     return [_cleared((row,))[1][0] for row in matrix.row_dicts]
 
 
-def _residues(pairs: list, p: int, r: int) -> list:
+def _residues(pairs, p: int, r: int):
     """Pair rows mod p under sqrt(d) -> r, as {column: residue} dicts with
-    zero residues dropped."""
-    return [
-        {col: v for col, (a, b) in row.items() if (v := (a + b * r) % p)}
-        for row in pairs
-    ]
+    zero residues dropped, each made only when the elimination asks for
+    it."""
+    for row in pairs:
+        yield {col: v for col, (a, b) in row.items() if (v := (a + b * r) % p)}
 
 
 def _root_mod_p(d: int, primes) -> tuple | None:
@@ -367,12 +366,15 @@ def _root_mod_p(d: int, primes) -> tuple | None:
     return None
 
 
-def full_rank_prime(pairs: list, cols: int, d: int, primes) -> int | None:
+def full_rank_prime(pairs, cols: int, d: int, primes) -> int | None:
     """The first prime p of primes at which sqrt(d) has a nonzero root r,
     if the pair rows have rank cols mod p under sqrt(d) -> r, else None.
     a + b*sqrt(d) -> a + b*r mod p is a ring homomorphism on integer pairs,
     so it maps each maximal minor to the same minor mod p, and full rank
-    mod p proves full rank over the field."""
+    mod p proves full rank over the field.  pairs may be any iterable of
+    pair rows, such as a generator: the elimination draws rows from it one
+    at a time and stops at full rank, so the rows after that point are
+    never made, and none at all when no prime is usable."""
     root = _root_mod_p(d, primes)
     if root is None:
         return None

@@ -24,6 +24,12 @@ Word = tuple
 # power is built, so nested powers cannot outgrow it.
 MAX_WORD_LENGTH = 100_000
 
+# The most entries a coset table may hold: max_cosets rows times two
+# slots per generator, checked before the table is allocated.  One entry
+# is a list slot of 8 bytes, so a full table stays near 16 MB; the default
+# cap of 100,000 rows admits up to 10 generators.
+MAX_TABLE_SLOTS = 2_000_000
+
 
 class UnknownGenerator(ParseError):
     """A word mentions a name outside the presentation's alphabet."""
@@ -256,7 +262,9 @@ def coset_enumerate(
     Computational Group Theory, 2005, sections 5.1-5.2).
 
     max_cosets bounds the rows ever allocated, coset 0 and dead cosets
-    included: one more raises CapExceeded, and a cap below 1 ValueError.
+    included: one more raises CapExceeded.  A cap below 1, or one whose
+    rows of 2 slots per generator would hold more than MAX_TABLE_SLOTS
+    entries, raises ValueError before any row is allocated.
 
     The table comes back in standard order: coset 0 first, then every
     coset in the order it first appears when the rows are read in order
@@ -267,6 +275,11 @@ def coset_enumerate(
     if max_cosets < 1:
         raise ValueError(f"max_cosets must be at least 1, got {max_cosets}")
     width = 2 * len(presentation.generators)
+    if max_cosets * width > MAX_TABLE_SLOTS:
+        raise ValueError(
+            f"max_cosets {max_cosets} times {width} slots exceeds "
+            f"MAX_TABLE_SLOTS = {MAX_TABLE_SLOTS}; lower max_cosets"
+        )
     subgroup = tuple(free_reduce(w) for w in subgroup)
     for w in subgroup:
         for g in w:

@@ -1,11 +1,12 @@
 """Slow, independent oracles for the exact arithmetic and linear algebra:
-scalar arithmetic on Fractions, two rank eliminations, a determinant, a
-dense characteristic polynomial, a transpose, a matrix-vector product, a
-dense matrix product, a subspace-equality test, the primal
-transversality system and a trace-and-define coset enumerator.  The
-library needs none of them; the tests check QuadScalar and the library's
-rank, inertia, charpoly, kernels, sparse product, spans_match, check_sap
-and coset_enumerate against them.
+scalar arithmetic on Fractions, two rank eliminations (the dense one
+also gives the free columns), a determinant, a dense characteristic
+polynomial, a transpose, a matrix-vector product, a dense matrix
+product, a subspace-equality test, the primal transversality system and
+a trace-and-define coset enumerator.  The library needs none of them;
+the tests check QuadScalar and the library's rank, inertia, charpoly,
+kernels, sparse product, spans_match, check_sap and coset_enumerate
+against them.
 """
 
 from fractions import Fraction
@@ -160,11 +161,20 @@ def rank_markowitz(matrix: ExactMatrix) -> int:
 
 def rank_dense(matrix: ExactMatrix) -> int:
     """Textbook dense elimination over the field."""
+    return matrix.cols - len(free_columns_dense(matrix))
+
+
+def free_columns_dense(matrix: ExactMatrix) -> list:
+    """The columns without a pivot in a textbook dense row echelon form
+    over the field: those that are combinations of the columns before
+    them."""
     work = [matrix.row(i) for i in range(matrix.rows)]
     rank = 0
+    free = []
     for col in range(matrix.cols):
         pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
         if pivot is None:
+            free.append(col)
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
         pv = work[rank][col]
@@ -173,7 +183,7 @@ def rank_dense(matrix: ExactMatrix) -> int:
                 f = work[i][col] / pv
                 work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
         rank += 1
-    return rank
+    return free
 
 
 def determinant(matrix: ExactMatrix):

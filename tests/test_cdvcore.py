@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from oracles import build_sap_system, rank_dense, spans_match_by_rank
+from oracles import (
+    build_sap_system,
+    free_columns_dense,
+    rank_dense,
+    spans_match_by_rank,
+)
 from cdvcert import cdvcore, exactfield, exactlinalg
 from cdvcert.cdvcore import (
     MAX_OPERATOR_VERTICES,
@@ -227,9 +232,13 @@ class TestSap:
     def test_prime_dividing_the_radicand_is_skipped(self, monkeypatch):
         # C12 shifted by its eigenvalue sqrt(3): corank 2.  sqrt(3) has only
         # the root 0 mod 3, so the dual is ranked mod 11, where 5^2 = 3.
-        op = build_shift_operator(cycle(12), QuadScalar.root(3))
+        # The cycle runs 0-...-8-11-9-10, which keeps the free columns 10
+        # and 11 of M apart, so one dual unknown is left to rank.
+        order = list(range(9)) + [11, 9, 10]
+        edges = sorted(tuple(sorted(e)) for e in zip(order, order[1:] + order[:1]))
+        op = build_shift_operator(SimpleGraph(12, tuple(edges)), QuadScalar.root(3))
         check_membership(op)
-        assert op.corank == 2
+        assert op.corank == 2 and _unknowns_left(op) == 1
         monkeypatch.setattr(cdvcore, "SAP_PRIMES", (3, 11))
         cert = check_sap(op)
         assert cert.full_rank and cert.prime == 11
@@ -249,6 +258,35 @@ class TestSap:
         assert check_sap(op).full_rank
         assert calls == [op.matrix]
 
+    def test_a_non_canonical_kernel_is_refused(self):
+        # A rescaled basis spans the same kernel, but its row at a free
+        # column is no longer a unit vector, so S[a][b] = X[f_a][f_b] fails.
+        op = build_shift_operator(cycle(8), QuadScalar.root(2))
+        check_membership(op)
+        basis = cdvcore.operator_kernel(op)
+        op.kernel = [[2 * x for x in basis[0]]] + basis[1:]
+        with pytest.raises(RuntimeError, match="not canonical"):
+            check_sap(op)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            build_shift_operator(PATH4, QuadScalar(Fraction(-1, 2), Fraction(1, 2), 5)),
+            build_bipartite_operator(2, 2, {0}),
+            build_bipartite_operator(1, 4, {1, 2}),
+        ],
+    )
+    def test_corank_one_ranks_nothing(self, monkeypatch, op):
+        # The one unknown S[0][0] is forced to zero by the free diagonal.
+        def refuse(*args):
+            raise AssertionError("dual ranked at corank 1")
+
+        monkeypatch.setattr(cdvcore, "full_rank_prime", refuse)
+        check_membership(op)
+        assert op.corank == 1
+        cert, calls = _check_sap_counting(op, cdvcore.SAP_PRIMES)
+        assert cert.full_rank and cert.prime is None and calls == 1
+
     def test_sparse_system_matches_definition(self):
         operators = []
         for n, shift in CYCLE_SHIFTS:
@@ -267,21 +305,26 @@ class TestSap:
             assert check_sap(op).rank == rank_dense(dense)
             assert vars(op) == fields and list(op.matrix.row_dicts) == row_dicts
 
-    def test_klein_dual_matches_the_primal(self):
+    def test_klein_dual_matches_the_primal(self, monkeypatch):
         op = certify_map(KLEIN, sap=False).operator
         assert op.corank == 8
         system, _ = build_sap_system(op)
+        ranked = _record_ranked_columns(monkeypatch)
         cert = check_sap(op)
         assert (cert.rows, cert.cols) == (system.rows, system.cols) == (552, 192)
         assert cert.rank == system.cols - len(kernel_basis(system)) == 192
         assert cert.full_rank and cert.prime is not None
         assert cert.dual_shape == (24 + 84, 36)
+        # One column per non-adjacent pair of free columns of M is ranked.
+        assert ranked == [_unknowns_left(op)] and ranked[0] < 36
 
     def test_genus10_primal_agrees_with_the_dual(self, monkeypatch, g10_operator):
+        ranked = _record_ranked_columns(monkeypatch)
         modular = check_sap(g10_operator)
         monkeypatch.setattr(cdvcore, "SAP_PRIMES", ())
         exact = check_sap(g10_operator)
         assert modular.prime is not None and exact.prime is None
+        assert ranked[0] == ranked[1] < 136
         for cert in (modular, exact):
             assert cert.full_rank and cert.dual_shape == (54 + 216, 136)
             assert (cert.rows, cert.cols, cert.rank) == (2862, 1215, 1215)
@@ -313,6 +356,20 @@ class TestSap:
         _assert_matches_the_primal(op, cert, calls, system, col_pairs, primal_kernel)
 
 
+def _record_ranked_columns(monkeypatch) -> list:
+    """Wrap cdvcore.full_rank_prime so that each call records the column
+    count of the dual it ranks; the list of counts is returned."""
+    ranked = []
+    full_rank_prime = cdvcore.full_rank_prime
+
+    def recording(pairs, cols, d, primes):
+        ranked.append(cols)
+        return full_rank_prime(pairs, cols, d, primes)
+
+    monkeypatch.setattr(cdvcore, "full_rank_prime", recording)
+    return ranked
+
+
 def _check_sap_counting(op, primes) -> tuple:
     """check_sap with SAP_PRIMES set to primes, and the number of
     kernel_basis calls it made."""
@@ -328,15 +385,20 @@ def _check_sap_counting(op, primes) -> tuple:
 def _assert_matches_the_primal(op, cert, calls, system, col_pairs, primal_kernel):
     """The certificate agrees with the primal oracle system in shape, rank,
     verdict and witness, which is the first canonical primal kernel vector.
-    dual_shape is set for every corank >= 1, and prime is None exactly when
-    the dual kernel was computed exactly: a second kernel_basis call."""
+    dual_shape is set for every corank >= 1.  With no dual unknown left to
+    rank, full rank holds by proof: prime is None and K is the only
+    kernel_basis call.  Otherwise prime is None exactly when the dual
+    kernel was computed exactly: a second kernel_basis call."""
     c = op.corank
     assert (cert.rows, cert.cols) == (system.rows, system.cols)
     assert cert.rank == system.cols - len(primal_kernel)
     assert cert.full_rank == (not primal_kernel)
     if c:
         assert cert.dual_shape == (op.graph.n + op.graph.edge_count, c * (c + 1) // 2)
-        assert calls == (1 if cert.prime else 2)
+        left = _unknowns_left(op)
+        if not left:
+            assert cert.full_rank and cert.prime is None
+        assert calls == (2 if cert.prime is None and left else 1)
     else:
         assert cert.dual_shape is None and calls == 0
     if cert.prime is not None:
@@ -347,6 +409,17 @@ def _assert_matches_the_primal(op, cert, calls, system, col_pairs, primal_kernel
         verify_sap_witness(op, cert.witness)
     else:
         assert cert.witness is None
+
+
+def _unknowns_left(op):
+    """The dual unknowns check_sap ranks: one per pair of free columns of
+    M that are not adjacent in the graph."""
+    free = free_columns_dense(op.matrix)
+    return sum(
+        not op.graph.has_edge(u, v)
+        for i, u in enumerate(free)
+        for v in free[i + 1 :]
+    )
 
 
 def _rank_one_bipartite(u, v):

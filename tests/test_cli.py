@@ -264,6 +264,14 @@ class TestCoset:
         detail = report["results"]["error"]["detail"]
         assert detail.startswith("ValueError: max_cosets must be at least 1")
 
+    def test_a_table_too_wide_for_its_cap_is_an_input_error(self, capsys):
+        gens = ", ".join(f"g{i}" for i in range(100))
+        code, report = run(capsys, "coset", f"< {gens} | >", "--no-timings")
+        assert code == 1
+        assert report["passed"] is False
+        detail = report["results"]["error"]["detail"]
+        assert detail.startswith("ValueError: max_cosets 100000 times 200 slots")
+
 
 class TestReportShape:
     def test_schema_version_and_keys(self, capsys):

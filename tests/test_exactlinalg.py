@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     charpoly_dense,
     determinant,
+    free_columns_dense,
     matmul_dense,
     matvec,
     rank_dense,
@@ -285,6 +286,21 @@ class TestRankKernel:
         if basis:
             stacked = ExactMatrix.from_rows(basis)
             assert rank_dense(stacked) == len(basis)
+
+    @given(
+        st.tuples(
+            st.sampled_from([1, 2, 7]), st.integers(1, 5), st.integers(1, 6)
+        ).flatmap(lambda t: sparse_matrices(*t))
+    )
+    @settings(max_examples=100)
+    def test_kernel_row_at_each_free_column_is_a_unit_vector(self, m):
+        # check_sap reads the kernel's row at the a-th free column as e_a.
+        basis = kernel_basis(m)
+        free = free_columns_dense(m)
+        assert len(basis) == len(free)
+        for a, f in enumerate(free):
+            unit = [QuadScalar(int(b == a)) for b in range(len(free))]
+            assert [v[f] for v in basis] == unit
 
     @given(
         st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(

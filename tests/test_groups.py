@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +7,7 @@ from oracles import coset_enumerate_by_tracing
 from cdvcert import exactfield
 from cdvcert.groups import (
     GAMMA10_TEXT,
+    MAX_TABLE_SLOTS,
     MAX_WORD_LENGTH,
     CapExceeded,
     CosetTable,
@@ -170,6 +173,22 @@ class TestEnumeration:
         pres = parse_presentation("< a | a^2 >")
         with pytest.raises(ValueError, match="max_cosets"):
             coset_enumerate(pres, max_cosets=cap)
+
+    def test_a_table_too_wide_for_its_cap_is_refused_unallocated(self):
+        # 100 generators give rows of 200 slots: 160 MB at the default cap.
+        gens = ", ".join(f"g{i}" for i in range(100))
+        free = parse_presentation(f"< {gens} | >")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MAX_TABLE_SLOTS"):
+                coset_enumerate(free)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        # A cap that fits the bound is accepted.
+        trivial = parse_presentation(f"< {gens} | {gens} >")
+        assert coset_enumerate(trivial, max_cosets=MAX_TABLE_SLOTS // 200).count == 1
 
     @pytest.mark.parametrize(
         "text,cap,order", [(GAMMA10_TEXT, 1200, 432), (KLEIN_TEXT, 600, 168)]
