@@ -301,8 +301,8 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     full rank mod p proves full rank over the field.
 
     When no prime is usable or the rank drops mod p, kernel_basis
-    computes the reduced dual kernel exactly.  An empty kernel is full
-    rank.  Otherwise its first vector, padded with zeros at the forced
+    rebuilds the reduced dual kernel from primes of its own and proves it
+    exactly.  An empty kernel is full rank.  Otherwise its first vector, padded with zeros at the forced
     unknowns, is the first vector S0 of the canonical kernel of the whole
     dual: each forced unknown is a pivot column whose reduced row is its
     unit row, and the other reduced rows are those of the reduced system.

@@ -7,15 +7,14 @@ Products run on cleared integer pairs (a, b) for a + b*sqrt(d): each row
 of the left factor and the whole right factor are scaled by the lcm of
 their denominators q, the sums stay plain ints, and a QuadScalar is
 built straight from ints only for a nonzero entry of the result, so
-proving M*X = 0 builds none.  One sparse reduced echelon, with
-normalized and back-reduced pivot rows, runs on two arithmetics.  In the
-field every stored entry stays a ratio of minors.  Over F_p it runs on the residues of pair_rows, which clears
-each row to integer pairs, under sqrt(d) -> a root of d mod p.  That
-gives ranks mod p and kernels, which are rebuilt by rational
-reconstruction and proved by the same integer product: the matrix times
-the kernel is zero.  Inertia comes from symmetric congruence
-elimination on cleared-denominator integer pairs, one fused Bareiss step
-per pivot with exact division by the previous pivot.  The characteristic
+proving M*X = 0 builds none.  The one elimination is a sparse reduced
+echelon over F_p, on the residues of pair_rows (each row cleared to
+integer pairs) under sqrt(d) -> a root of d mod p.  It gives ranks mod
+p and kernels, rebuilt from several primes by rational reconstruction
+and proved by the same integer product: the matrix times the kernel is
+zero.  Inertia comes from symmetric congruence elimination on
+cleared-denominator integer pairs, one fused Bareiss step per pivot
+with exact division by the previous pivot.  The characteristic
 polynomial comes from the division-free Berkowitz scheme, whose
 matrix-vector products run over the nonzeros of a sparse integer
 matrix, and real-root counting from Sturm chains.  No floating point
@@ -27,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from .exactfield import ONE, ZERO, FieldMismatch, QuadScalar, pair_sign
@@ -177,123 +177,10 @@ class ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# One sparse reduced echelon, for the field and for F_p.  Rows are dicts
-# {column: nonzero}; only the arithmetic differs.  In the field, the
-# scalars' gcd reduction keeps every stored entry a ratio of minors.
+# One sparse reduced echelon over F_p, on {column: residue} rows.
 
-
-def _echelon(rows, cols: int, subtract, normalize) -> dict:
-    """Reduced echelon form of `rows`: the pivot rows by leading column,
-    each normalized to leading entry 1 and back-reduced, so each pivot
-    column appears in exactly one stored row.  subtract(row, f, pivot) sets
-    row -= f*pivot in place; normalize(row, lead) returns row scaled to 1
-    at lead.  Each input row is copied first, so the input dicts are not
-    modified.
-
-    The reduced form is canonical whatever the row order, so callers that
-    know their row structure can order rows for locality.  Once every
-    column has a pivot no further row can change the form, so elimination
-    stops there."""
-    pivots: dict = {}
-    for row in rows:
-        row = dict(row)
-        for c in sorted(row):
-            # Elimination can only add columns no pivot owns, so a single
-            # pass over the original support reaches a fully reduced row.
-            pivot = pivots.get(c)
-            if pivot is not None and c in row:
-                subtract(row, row[c], pivot)
-        if not row:
-            continue
-        lead = min(row)
-        row = normalize(row, lead)
-        for prow in pivots.values():
-            if lead in prow:
-                subtract(prow, prow[lead], row)
-        pivots[lead] = row
-        if len(pivots) == cols:
-            break
-    return pivots
-
-
-def _subtract_exact(row: dict, f, pivot: dict) -> None:
-    """row -= f*pivot in the field, in place, with no zero left stored."""
-    for col, w in pivot.items():
-        v = row.get(col, ZERO) - f * w
-        if v:
-            row[col] = v
-        else:
-            del row[col]
-
-
-def _normalize_exact(row: dict, lead: int) -> dict:
-    inv = row[lead].inverse()
-    return {col: v * inv for col, v in row.items()}
-
-
-def _echelon_exact(matrix: ExactMatrix) -> dict:
-    return _echelon(matrix.row_dicts, matrix.cols, _subtract_exact, _normalize_exact)
-
-
-def kernel_basis(matrix: ExactMatrix) -> list:
-    """Basis of the right kernel as lists of QuadScalar, one per free column
-    of the reduced echelon form over the field: vector f has 1 at free
-    column f, 0 at the other free columns, and minus the pivot rows' entries
-    in column f at the pivot columns.  This canonical basis depends only on
-    the matrix.
-
-    It is computed mod one prime p of KERNEL_PRIMES and proved exactly.
-    pair_rows scales each row of M by a positive integer, giving DM with
-    a + b*sqrt(d) entries, a and b integers, and the same kernel as M.  The
-    reduced echelon form of DM is computed mod p under sqrt(d) -> r and,
-    for d > 1, under sqrt(d) -> -r, where r is a nonzero root of d mod p;
-    each entry of K is rebuilt from its two images by rational
-    reconstruction, and DM*K = 0 is then checked exactly on the same
-    integer pairs.  Soundness:
-
-    - Reduction mod p is a ring homomorphism on the entries of DM, so
-      rank_p <= rank_Q and nullity_p >= nullity_Q.  No condition on the
-      denominators of M is needed: a prime that divides a row scale, like
-      any other, can lower the rank mod p but never raise it.
-    - Each v_f of K has 1 at its free column f and 0 at the other free
-      columns; its other entries sit at pivot columns before f.
-    - So MK = 0 gives nullity_Q >= |F| = nullity_p >= nullity_Q, where F
-      is the set of free columns mod p.
-    - Each v_f makes column f a combination of earlier columns over the
-      field, so f is free there too.  F is the free set over the field,
-      and K is the unique canonical basis of the exact elimination.
-    - When the rank mod p is full, nullity is 0 and nothing needs checking.
-
-    No usable prime, pivot sets that differ between the two images, a
-    failed reconstruction or MK != 0 (which is how a rank lost mod p
-    shows) send the matrix to the exact elimination in the field, which
-    returns the same basis.
-    """
-    basis = _kernel_basis_mod_p(matrix)
-    return _kernel_basis_exact(matrix) if basis is None else basis
-
-
-def _kernel_basis_exact(matrix: ExactMatrix) -> list:
-    pivots = _echelon_exact(matrix)
-    basis = []
-    for free in range(matrix.cols):
-        if free in pivots:
-            continue
-        vec = [ZERO] * matrix.cols
-        vec[free] = ONE
-        for c, prow in pivots.items():
-            if free in prow:
-                vec[c] = -prow[free]
-        basis.append(vec)
-    return basis
-
-
-# ---------------------------------------------------------------------------
-# The same elimination over F_p, on {column: residue} rows.
-
-# The eight largest primes p = 3 (mod 4) below 2^61 - 1.  Each radicand
-# is a square mod about half of them.  Rational reconstruction mod p
-# recovers numerators and denominators up to sqrt(p/2), about 2^30.
+# The eight largest primes p = 3 (mod 4) below 2^61 - 1, the first primes
+# kernel_basis tries.  Each radicand is a square mod about half of them.
 KERNEL_PRIMES = (
     2305843009213693907,
     2305843009213693723,
@@ -304,6 +191,10 @@ KERNEL_PRIMES = (
     2305843009213692671,
     2305843009213692527,
 )
+
+
+class PrimeCapExceeded(RuntimeError):
+    """kernel_basis passed its prime cap, which only a fault can cause."""
 
 
 def _subtract_mod_p(row: dict, f: int, pivot: dict, p: int) -> None:
@@ -318,26 +209,43 @@ def _subtract_mod_p(row: dict, f: int, pivot: dict, p: int) -> None:
             del row[col]
 
 
-def _normalize_mod_p(row: dict, lead: int, p: int) -> dict:
-    inv = pow(row[lead], -1, p)
-    return {col: v * inv % p for col, v in row.items()}
+def _echelon(rows, cols: int, p: int) -> dict:
+    """Reduced echelon form over F_p of {column: residue} rows, residues in
+    (0, p): the pivot rows by leading column, each normalized to leading
+    entry 1 and back-reduced, so each pivot column appears in exactly one
+    stored row.  The input dicts are copied, not modified.
 
-
-def _echelon_mod_p(rows, cols: int, p: int) -> dict:
-    """_echelon over F_p of rows given as {column: residue} dicts with
-    residues in (0, p)."""
-    return _echelon(
-        rows,
-        cols,
-        lambda row, f, pivot: _subtract_mod_p(row, f, pivot, p),
-        lambda row, lead: _normalize_mod_p(row, lead, p),
-    )
+    The reduced form is canonical whatever the row order, so callers that
+    know their row structure can order rows for locality.  Once every
+    column has a pivot no further row can change the form, so elimination
+    stops there."""
+    pivots: dict = {}
+    for row in rows:
+        row = dict(row)
+        for c in sorted(row):
+            # Elimination can only add columns no pivot owns, so a single
+            # pass over the original support reaches a fully reduced row.
+            pivot = pivots.get(c)
+            if pivot is not None and c in row:
+                _subtract_mod_p(row, row[c], pivot, p)
+        if not row:
+            continue
+        lead = min(row)
+        inv = pow(row[lead], -1, p)
+        row = {col: v * inv % p for col, v in row.items()}
+        for prow in pivots.values():
+            if lead in prow:
+                _subtract_mod_p(prow, prow[lead], row, p)
+        pivots[lead] = row
+        if len(pivots) == cols:
+            break
+    return pivots
 
 
 def rank_mod_p(rows, cols: int, p: int) -> int:
     """Rank over F_p of a matrix with `cols` columns whose rows are
     {column: residue} dicts, residues in (0, p)."""
-    return len(_echelon_mod_p(rows, cols, p))
+    return len(_echelon(rows, cols, p))
 
 
 def pair_rows(matrix: ExactMatrix) -> list:
@@ -355,15 +263,12 @@ def _residues(pairs, p: int, r: int):
         yield {col: v for col, (a, b) in row.items() if (v := (a + b * r) % p)}
 
 
-def _root_mod_p(d: int, primes) -> tuple | None:
-    """(p, r) for the first p of primes with a nonzero r, r^2 = d mod p, or
-    None.  Every p is 3 (mod 4), so r = d^((p+1)/4) whenever d is a square
-    mod p.  r = 0 (p divides d) would make sqrt(d) -> r and -r one image."""
-    for p in primes:
-        r = pow(d, (p + 1) // 4, p)
-        if r and r * r % p == d % p:
-            return p, r
-    return None
+def _root_mod_p(d: int, p: int) -> int:
+    """A nonzero r with r^2 = d mod p, or 0 when there is none.  p is
+    3 (mod 4), so r = d^((p+1)/4) whenever d is a square mod p.  r = 0
+    (p divides d) would make sqrt(d) -> r and -r one image."""
+    r = pow(d, (p + 1) // 4, p)
+    return r if r and r * r % p == d % p else 0
 
 
 def full_rank_prime(pairs, cols: int, d: int, primes) -> int | None:
@@ -375,19 +280,157 @@ def full_rank_prime(pairs, cols: int, d: int, primes) -> int | None:
     pair rows, such as a generator: the elimination draws rows from it one
     at a time and stops at full rank, so the rows after that point are
     never made, and none at all when no prime is usable."""
-    root = _root_mod_p(d, primes)
-    if root is None:
+    for p in primes:
+        r = _root_mod_p(d, p)
+        if r:
+            return p if rank_mod_p(_residues(pairs, p, r), cols, p) == cols else None
+    return None
+
+
+def _primes_below(n: int):
+    """The primes p = 3 (mod 4) below n, largest first: Miller-Rabin to the
+    prime bases up to 37 is exact below 3.3e24 (Sorenson and Webster).  As
+    p - 1 is twice an odd number, p passes base a exactly when a^((p-1)/2)
+    = +-1 mod p, which no multiple of a but a itself can."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for m in range(n - 1 - (n - 4) % 4, 2, -4):
+        if m in bases or all(pow(a, m >> 1, m) in (1, m - 1) for a in bases):
+            yield m
+
+
+def kernel_basis(matrix: ExactMatrix) -> list:
+    """Basis of the right kernel as lists of QuadScalar, one per free column
+    of the reduced echelon form over the field: vector f has 1 at free
+    column f, 0 at the other free columns, and minus the pivot rows' entries
+    in column f at the pivot columns.  This canonical basis depends only on
+    the matrix.
+
+    It is computed mod primes and proved exactly.  pair_rows scales each
+    row of M by a positive integer, giving DM with a + b*sqrt(d) entries,
+    a and b integers, and the same kernel as M.  The primes are
+    KERNEL_PRIMES and then _primes_below the last of them; p is usable
+    when d has a nonzero root r mod p.  The reduced echelon form of DM mod
+    p under sqrt(d) -> r and, for d > 1, -r gives the residues of the
+    rational parts a and b of each entry of K.  A prime is skipped when
+    its two images have different pivot sets, or fewer pivots than the
+    best seen, or later ones at equal rank (compared as sorted lists); a
+    better pivot set restarts the accumulation.  The residues are combined
+    by the Chinese remainder theorem, and after each prime every a and b
+    is rebuilt by rational reconstruction with bound sqrt(P/2), P the
+    product of the primes accumulated.  K is returned at the first exact
+    DM*K = 0 on the same integer pairs.  Soundness, for any accumulated
+    prime p:
+
+    - Reduction mod p is a ring homomorphism on the entries of DM, so
+      rank_p <= rank_Q, whatever p divides: full rank mod p needs no check.
+    - Each v_f of K has 1 at its free column f, 0 at the other free
+      columns and its other entries at pivot columns before f.  So MK = 0
+      gives nullity_Q >= |F| = nullity_p >= nullity_Q, F the free set mod
+      p, and column f is a combination of earlier columns over the field.
+      F is the free set over the field, and K its canonical basis.
+
+    The work is bounded before the second prime.  Let bits be the sum over
+    the rows of DM of the bit length of their sum of 2(a^2 + d*b^2): under
+    either real embedding a row has squared length at most that sum, so
+    by Hadamard's inequality the norm of every minor, and each numerator
+    and denominator of every a and b (ratios of minors on the pivot rows),
+    is below 2^bits.  A usable prime that does not divide the norm of the
+    pivot minor gives the field's pivot set under both images, any prime
+    that gives it under both gives true residues, and the others multiply
+    to less than 2^bits.  So once the usable primes multiply to more than
+    2^(3*bits + 1), P exceeds 2^(2*bits + 1), every reconstruction is true
+    and the check passes.  Past that cap the loop raises PrimeCapExceeded.
+    """
+    d, cols = matrix.radicand, matrix.cols
+    pairs = pair_rows(matrix)
+    best = images = cap = None
+    modulus = used = 1
+    for p in chain(KERNEL_PRIMES, _primes_below(KERNEL_PRIMES[-1])):
+        r = _root_mod_p(d, p)
+        if not r:
+            continue
+        used *= p
+        plus = _echelon(_residues(pairs, p, r), cols, p)
+        if len(plus) == cols:
+            return []
+        minus = plus if d == 1 else _echelon(_residues(pairs, p, p - r), cols, p)
+        if minus.keys() == plus.keys():
+            key = (-len(plus), sorted(plus))
+            if best is None or key < best:
+                best, images, modulus = key, {}, 1
+            if key == best:
+                images = _accumulate(images, modulus, plus, minus, p, r)
+                modulus *= p
+                basis = _lift(images, modulus, plus, pairs, cols, d)
+                if basis is not None:
+                    return basis
+        if cap is None:
+            bits = sum(
+                (2 * sum(a * a + d * b * b for a, b in row.values())).bit_length()
+                for row in pairs
+            )
+            cap = 1 << 3 * bits + 1
+        if used > cap:
+            break
+    raise PrimeCapExceeded(f"no proved kernel from {used.bit_length()} bits of primes")
+
+
+def _accumulate(images: dict, modulus: int, plus: dict, minus: dict, p: int, r: int):
+    """images, residues mod modulus of the rational parts a and b of K's
+    entries by (pivot column, free column), extended mod modulus*p by
+    Garner's form of the Chinese remainder theorem (a missing entry is
+    0).  Pivot row c of the echelon forms under sqrt(d) -> r and -r holds
+    minus the entry at column f mod p."""
+    half, half_root = pow(2, -1, p), pow(2 * r, -1, p)
+    new = {}
+    for c, prow in plus.items():
+        mrow = minus[c]
+        # For d = 1 both images are one dict, which a set union would copy.
+        for f in prow if mrow is prow else prow.keys() | mrow.keys():
+            if f != c:
+                u, w = prow.get(f, 0), mrow.get(f, 0)
+                new[c, f] = (-(u + w) * half % p, -(u - w) * half_root % p)
+    if modulus == 1:
+        return new
+    inv = pow(modulus, -1, p)
+    out = {}
+    for key in images.keys() | new.keys():
+        parts = zip(images.get(key, (0, 0)), new.get(key, (0, 0)))
+        out[key] = tuple(x + modulus * ((u - x) * inv % p) for x, u in parts)
+    return out
+
+
+def _lift(images: dict, modulus: int, pivots: dict, pairs: list, cols: int, d: int):
+    """K with the pivot columns of pivots, rebuilt from residues mod modulus,
+    if every entry reconstructs and DM*K = 0 holds exactly; else None."""
+    # K is kept twice, by free column: as the basis vectors and as its rows.
+    basis = {f: [ZERO] * cols for f in range(cols) if f not in pivots}
+    k_rows = [{} for _ in range(cols)]
+    for f, vec in basis.items():
+        vec[f] = k_rows[f][f] = ONE
+    for (c, f), (ra, rb) in images.items():
+        if not (ra or rb):
+            continue
+        a = _reconstruct(ra, modulus)
+        b = _reconstruct(rb, modulus) if d != 1 else (0, 1)
+        if a is None or b is None:
+            return None
+        (na, qa), (nb, qb) = a, b
+        q = math.lcm(qa, qb)
+        basis[f][c] = k_rows[c][f] = QuadScalar(na * (q // qa), nb * (q // qb), d, q=q)
+    # The exact check DM*K = 0, on integer pairs with K cleared by one scale.
+    _, k_rows = _cleared(k_rows)
+    if any(_pair_product(row, k_rows, d) for row in pairs):
         return None
-    p, r = root
-    return p if rank_mod_p(_residues(pairs, p, r), cols, p) == cols else None
+    return list(basis.values())
 
 
-def _reconstruct(u: int, p: int) -> tuple | None:
-    """The fraction n/m with |n|, m <= sqrt(p/2) and n = u*m mod p, as the
-    ints (n, m) with m > 0 and gcd(n, m) = 1, or None.  Such a fraction
+def _reconstruct(u: int, m: int) -> tuple | None:
+    """The fraction n/k with |n|, k <= sqrt(m/2) and n = u*k mod m, as the
+    ints (n, k) with k > 0 and gcd(n, k) = 1, or None.  Such a fraction
     is unique when it exists (Wang's half extended Euclidean algorithm)."""
-    bound = math.isqrt(p // 2)
-    r0, r1, s0, s1 = p, u, 0, 1
+    bound = math.isqrt(m // 2)
+    r0, r1, s0, s1 = m, u, 0, 1
     while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
@@ -395,50 +438,6 @@ def _reconstruct(u: int, p: int) -> tuple | None:
     if abs(s1) > bound or math.gcd(r1, s1) != 1:
         return None
     return (r1, s1) if s1 > 0 else (-r1, -s1)
-
-
-def _kernel_basis_mod_p(matrix: ExactMatrix) -> list | None:
-    """kernel_basis through the first usable prime, or None on any failure."""
-    d, cols = matrix.radicand, matrix.cols
-    root = _root_mod_p(d, KERNEL_PRIMES)
-    if root is None:
-        return None
-    p, r = root
-    pairs = pair_rows(matrix)
-    plus = _echelon_mod_p(_residues(pairs, p, r), cols, p)
-    if len(plus) == cols:
-        return []
-    minus = plus
-    if d != 1:
-        minus = _echelon_mod_p(_residues(pairs, p, p - r), cols, p)
-        if minus.keys() != plus.keys():
-            return None
-    # Pivot row c holds some a + b*sqrt(d) at column f, with images
-    # u = a + b*r and w = a - b*r mod p; v_f[c] is its negative.
-    half, half_root = pow(2, -1, p), pow(2 * r, -1, p)
-    # K is kept twice: as the basis vectors (its columns) and as its rows.
-    basis, k_rows = [], [{} for _ in range(cols)]
-    for free in range(cols):
-        if free in plus:
-            continue
-        k = len(basis)
-        vec = [ZERO] * cols
-        vec[free] = k_rows[free][k] = ONE
-        for c, prow in plus.items():
-            u, w = prow.get(free, 0), minus[c].get(free, 0)
-            if not (u or w):
-                continue
-            a = _reconstruct(-(u + w) * half % p, p)
-            b = _reconstruct(-(u - w) * half_root % p, p) if d != 1 else (0, 1)
-            if a is None or b is None:
-                return None
-            (na, qa), (nb, qb) = a, b
-            q = math.lcm(qa, qb)
-            vec[c] = k_rows[c][k] = QuadScalar(na * (q // qa), nb * (q // qb), d, q=q)
-        basis.append(vec)
-    # The exact check DM*K = 0, on integer pairs with K cleared by one scale.
-    _, k_rows = _cleared(k_rows)
-    return None if any(_pair_product(row, k_rows, d) for row in pairs) else basis
 
 
 def _cleared(rows) -> tuple:

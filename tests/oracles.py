@@ -1,9 +1,10 @@
 """Slow, independent oracles for the exact arithmetic and linear algebra:
 scalar arithmetic on Fractions, two rank eliminations (the dense one
-also gives the free columns), a determinant, a dense characteristic
-polynomial, a transpose, a matrix-vector product, a dense matrix
-product, a subspace-equality test, the primal transversality system and
-a trace-and-define coset enumerator.  The library needs none of them;
+also gives the free columns), a dense reduced echelon for the kernel
+basis, a determinant, a dense characteristic polynomial, a transpose, a
+matrix-vector product, a dense matrix product, a subspace-equality
+test, the primal transversality system and a trace-and-define coset
+enumerator.  The library needs none of them;
 the tests check QuadScalar and the library's rank, inertia, charpoly,
 kernels, sparse product, spans_match, check_sap and coset_enumerate
 against them.
@@ -184,6 +185,38 @@ def free_columns_dense(matrix: ExactMatrix) -> list:
                 work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
         rank += 1
     return free
+
+
+def kernel_basis_dense(matrix: ExactMatrix) -> list:
+    """The canonical kernel basis from a textbook dense reduced row echelon
+    form over the field: one vector per free column f, with 1 at f, 0 at
+    the other free columns, and minus each pivot row's entry in column f
+    at that row's pivot column."""
+    work = [matrix.row(i) for i in range(matrix.rows)]
+    pivots = []
+    for col in range(matrix.cols):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        pv = work[rank][col]
+        work[rank] = [x / pv for x in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        pivots.append(col)
+    basis = []
+    for free in range(matrix.cols):
+        if free in pivots:
+            continue
+        vec = [ZERO] * matrix.cols
+        vec[free] = ONE
+        for row, col in zip(work, pivots):
+            vec[col] = -row[free]
+        basis.append(vec)
+    return basis
 
 
 def determinant(matrix: ExactMatrix):

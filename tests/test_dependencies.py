@@ -1,7 +1,7 @@
 """cdvcert has no runtime dependencies: every module under src/cdvcert
 imports only the standard library and its own package, and takes only
 public names from its sibling modules.  The linear algebra reads scalars
-through their int fields only."""
+through their int fields only and inverts none."""
 
 import ast
 import sys
@@ -68,6 +68,21 @@ def test_hot_paths_read_no_fraction_parts(name):
         if isinstance(node, ast.Attribute) and node.attr in ("a", "b")
     ]
     assert reads == []
+
+
+@pytest.mark.parametrize("name", ["exactlinalg.py", "cdvcore.py"])
+def test_no_elimination_in_the_field(name):
+    """These modules eliminate only over F_p: a call to .inverse() would
+    be a field elimination, whose answer no exact check guards."""
+    path = PACKAGE / name
+    calls = [
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "inverse"
+    ]
+    assert calls == []
 
 
 def test_every_module_is_checked():

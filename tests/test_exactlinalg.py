@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,13 +9,14 @@ from oracles import (
     charpoly_dense,
     determinant,
     free_columns_dense,
+    kernel_basis_dense,
     matmul_dense,
     matvec,
     rank_dense,
     rank_markowitz,
     transpose,
 )
-from cdvcert import exactlinalg
+from cdvcert import cdvcore, exactlinalg
 from cdvcert.exactfield import FieldMismatch, QuadScalar
 from cdvcert.exactlinalg import (
     ExactMatrix,
@@ -37,6 +39,12 @@ def scalars(d):
     if d == 1:
         return small_fracs.map(lambda q: QuadScalar(q))
     return st.builds(lambda a, b: QuadScalar(a, b, d), small_fracs, small_fracs)
+
+
+def found21_scalars(d):
+    """a + b*sqrt(d) with a and b of the form n/m, |n| <= 30 and m <= 6."""
+    part = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+    return st.builds(lambda a, b: QuadScalar(a, b, d), part, part)
 
 
 def matrices(d, max_side=5, square=False):
@@ -320,8 +328,7 @@ class TestRankKernel:
             ExactMatrix.from_rows(rows)
         )
 
-    def test_elimination_leaves_its_input_alone(self, monkeypatch):
-        monkeypatch.setattr(exactlinalg, "KERNEL_PRIMES", ())
+    def test_elimination_leaves_its_input_alone(self):
         r2 = QuadScalar.root(2)
         # Row 1 is reduced by pivot row 0, and row 2 by the pivot row of
         # column 1, which then back-reduces pivot row 0.
@@ -332,6 +339,10 @@ class TestRankKernel:
         assert m.row_dicts == tuple(before)
         assert kernel_basis(m) == [[r2, -r2, -r2, QuadScalar(1)]]
         assert m.row_dicts == tuple(before)
+        rows = [{0: 1, 1: 1}, {0: 1, 2: 1}, {1: 1, 3: 5}]
+        copies = [dict(row) for row in rows]
+        assert rank_mod_p(rows, 4, 7) == 3
+        assert rows == copies
 
     def test_rank_mod_p_drops_at_a_prime_dividing_the_determinant(self):
         rows = [[1, 2], [3, 1]]  # determinant -5
@@ -344,22 +355,69 @@ def _residues(rows, p):
     return [{j: x % p for j, x in enumerate(row) if x % p} for row in rows]
 
 
-exact_kernel = exactlinalg._kernel_basis_exact
+def _is_prime_by_trial(n):
+    return n > 1 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+class TestPrimeWalk:
+    def test_the_prime_tables_are_the_walk_from_their_bounds(self):
+        walk = exactlinalg._primes_below(2**61 - 1)
+        assert tuple(islice(walk, 8)) == exactlinalg.KERNEL_PRIMES
+        walk = exactlinalg._primes_below(2**30)
+        assert tuple(islice(walk, 8)) == cdvcore.SAP_PRIMES
+
+    def test_walk_matches_trial_division(self):
+        expected = [
+            n for n in range(999, 2, -1) if n % 4 == 3 and _is_prime_by_trial(n)
+        ]
+        assert list(exactlinalg._primes_below(1000)) == expected
+        assert list(exactlinalg._primes_below(8)) == [7, 3]
+
+    def test_walk_rejects_a_strong_pseudoprime(self):
+        # A strong probable prime to every prime base up to 31, but 149491 *
+        # 747451 * 34233211; base 37 exposes it.
+        n = 3825123056546413051
+        assert n % 4 == 3 and n == 149491 * 747451 * 34233211
+        assert next(exactlinalg._primes_below(n + 1)) < n
+
+    def test_walk_yields_only_primes_3_mod_4(self):
+        last = exactlinalg.KERNEL_PRIMES[-1]
+        primes = list(islice(exactlinalg._primes_below(last), 20))
+        assert all(p % 4 == 3 and p < last for p in primes)
+        assert primes == sorted(set(primes), reverse=True)
+
+
+def _kernel_with_primes(m):
+    """kernel_basis(m) and the usable primes it consumed, in order."""
+    usable = []
+    root = exactlinalg._root_mod_p
+
+    def recording(d, p):
+        r = root(d, p)
+        if r:
+            usable.append(p)
+        return r
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlinalg, "_root_mod_p", recording)
+        return kernel_basis(m), usable
+
+
+def _cap(m):
+    """kernel_basis's prime cap 2^(3*bits + 1): bits adds up, over the
+    rows cleared by pair_rows, the bit length of the sum of 2(a^2 + d*b^2)."""
+    d = m.radicand
+    bits = sum(
+        (2 * sum(a * a + d * b * b for a, b in row.values())).bit_length()
+        for row in pair_rows(m)
+    )
+    return 2 ** (3 * bits + 1)
 
 
 class TestKernelModP:
-    """kernel_basis runs mod a prime and falls back to the exact
-    elimination; both must give the same basis."""
-
-    @pytest.fixture
-    def fallbacks(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            exactlinalg,
-            "_kernel_basis_exact",
-            lambda matrix: calls.append(matrix) or exact_kernel(matrix),
-        )
-        return calls
+    """kernel_basis accumulates residues over primes; it must give the
+    dense oracle's basis, and a hard case shows in how many usable
+    primes it took."""
 
     @given(
         st.tuples(
@@ -368,7 +426,7 @@ class TestKernelModP:
     )
     @settings(max_examples=150)
     def test_matches_the_exact_elimination(self, m):
-        basis = exact_kernel(m)
+        basis = kernel_basis_dense(m)
         assert kernel_basis(m) == basis
         rebuilt = ExactMatrix(
             m.cols,
@@ -377,7 +435,7 @@ class TestKernelModP:
                 for row in pair_rows(m)
             ],
         )
-        assert exact_kernel(rebuilt) == basis
+        assert kernel_basis_dense(rebuilt) == basis
 
     @given(
         st.tuples(st.sampled_from([1, 2, 7]), st.integers(1, 5)).flatmap(
@@ -388,79 +446,143 @@ class TestKernelModP:
     def test_matches_the_exact_elimination_when_rank_deficient(self, m):
         # Two more columns than rows, so the kernel is never empty.
         basis = kernel_basis(m)
-        assert basis == exact_kernel(m) and len(basis) >= 2
+        assert basis == kernel_basis_dense(m) and len(basis) >= 2
 
-    def test_genus10_kernel_takes_no_fallback(self, g10_operator, fallbacks):
-        basis = kernel_basis(g10_operator.matrix)
-        assert fallbacks == []
-        assert basis == exact_kernel(g10_operator.matrix)
+    @given(
+        st.sampled_from([2, 7]).flatmap(
+            lambda d: st.lists(
+                st.lists(
+                    st.one_of(st.just(0), found21_scalars(d)), min_size=7, max_size=7
+                ),
+                min_size=5,
+                max_size=5,
+            ).map(ExactMatrix.from_rows)
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_5x7_matrices_past_one_prime(self, m):
+        # Most of these kernels carry norm denominators past what one
+        # 61-bit prime can reconstruct.
+        basis, usable = _kernel_with_primes(m)
+        assert basis == kernel_basis_dense(m)
+        assert math.prod(usable[:-1]) <= _cap(m)
+
+    def test_genus10_kernel_takes_one_prime(self, g10_operator):
+        basis, usable = _kernel_with_primes(g10_operator.matrix)
+        assert usable == [exactlinalg.KERNEL_PRIMES[0]]
+        assert basis == kernel_basis_dense(g10_operator.matrix)
         assert len(basis) == 16
 
-    def test_denominator_divisible_by_every_prime(self, fallbacks):
+    def test_denominator_divisible_by_every_prime(self):
         p = math.prod(exactlinalg.KERNEL_PRIMES)
         m = ExactMatrix.from_rows([[Fraction(1, p), 1, 0], [0, 2, 1]])
-        assert kernel_basis(m) == exact_kernel(m)
-        assert fallbacks == [m]
+        basis, usable = _kernel_with_primes(m)
+        assert basis == kernel_basis_dense(m)
+        # Each of the 8 primes sees the entry p/2 as 0.  Its numerator p
+        # needs a modulus above 2p^2, and the primes after them are smaller.
+        assert usable[:8] == list(exactlinalg.KERNEL_PRIMES)
+        assert len(usable) == 17
 
-    def test_denominator_divisible_by_the_first_prime_only(self, fallbacks):
+    def test_denominator_divisible_by_the_first_prime_only(self):
         p = exactlinalg.KERNEL_PRIMES[0]
         # Row 0 clears to (1, p, 0), which is (1, 0, 0) mod p: the residues
-        # give a wrong kernel, MK = 0 fails and the exact elimination runs.
+        # give a wrong kernel.  The numerator p of p/2 needs a modulus above
+        # 2p^2, so two smaller primes follow.
         m = ExactMatrix.from_rows([[Fraction(1, p), 1, 0], [0, 2, 1]])
         half, one = Fraction(1, 2), QuadScalar(1)
-        assert kernel_basis(m) == [[QuadScalar(p * half), QuadScalar(-half), one]]
+        basis, usable = _kernel_with_primes(m)
+        assert basis == kernel_basis_dense(m)
+        assert basis == [[QuadScalar(p * half), QuadScalar(-half), one]]
+        assert len(usable) == 3
         # Row 0 clears to (1, 1, 0): p divides its scale but not its pairs.
         harmless = ExactMatrix.from_rows(
             [[Fraction(1, p), Fraction(1, p), 0], [0, 2, 1]]
         )
-        assert kernel_basis(harmless) == [[QuadScalar(half), QuadScalar(-half), one]]
-        assert fallbacks == [m]
+        basis, usable = _kernel_with_primes(harmless)
+        assert basis == [[QuadScalar(half), QuadScalar(-half), one]]
+        assert len(usable) == 1
 
-    def test_entry_above_the_reconstruction_bound(self, fallbacks):
+    def test_entry_above_the_reconstruction_bound(self):
         m = ExactMatrix.from_rows([[1, -(2**40 + 1), 0], [0, 0, 1]])
-        basis = kernel_basis(m)
+        basis, usable = _kernel_with_primes(m)
+        assert basis == kernel_basis_dense(m)
         assert basis == [[QuadScalar(2**40 + 1), QuadScalar(1), QuadScalar(0)]]
-        assert fallbacks == [m]
+        assert len(usable) == 2
 
-    def test_pivot_set_that_differs_mod_p(self, fallbacks):
+    def test_entries_near_2_to_the_200(self):
+        r7 = QuadScalar.root(7)
+        m = ExactMatrix.from_rows(
+            [[3**126, 5**86 * r7, 7**71, 1], [2**200 + 1, 0, 11**58 * r7, 13**54]]
+        )
+        basis, usable = _kernel_with_primes(m)
+        assert basis == kernel_basis_dense(m)
+        # Entries of about 400 bits need a modulus of about 800 bits.
+        assert len(usable) > 10
+
+    def test_pivot_set_that_differs_mod_p(self):
         p = exactlinalg.KERNEL_PRIMES[0]
-        # Column 0 is the pivot over Q and column 1 mod p.
+        # Column 0 is the pivot over Q and column 1 mod p: the second prime
+        # restarts the accumulation, and the denominator p of -1/p needs a
+        # modulus above 2p^2, three primes smaller than p.
         m = ExactMatrix.from_rows([[p, 1]])
-        assert kernel_basis(m) == [[QuadScalar(Fraction(-1, p)), QuadScalar(1)]]
-        assert fallbacks == [m]
+        basis, usable = _kernel_with_primes(m)
+        assert basis == kernel_basis_dense(m)
+        assert basis == [[QuadScalar(Fraction(-1, p)), QuadScalar(1)]]
+        assert len(usable) == 4
 
-    def test_pivot_sets_that_differ_between_the_images(self, monkeypatch, fallbacks):
+    def test_pivot_sets_that_differ_between_the_images(self):
+        # KERNEL_PRIMES[2] is the first at which 2 has a root r.
         p = exactlinalg.KERNEL_PRIMES[2]
         r = pow(2, (p + 1) // 4, p)
         assert r * r % p == 2
-        monkeypatch.setattr(exactlinalg, "KERNEL_PRIMES", (p,))
-        # -r + sqrt(2) vanishes mod p under sqrt(2) -> r, not under -r.
+        # -r + sqrt(2) vanishes mod p under sqrt(2) -> r, not under -r, so
+        # p is skipped.  The entry 1/(r - sqrt(2)) has the norm r^2 - 2,
+        # about 2^122, as its denominator, which needs a modulus above
+        # 2^245: five more primes.
         m = ExactMatrix.from_rows([[QuadScalar(-r, 1, 2), 1]])
-        assert kernel_basis(m) == exact_kernel(m)
-        assert fallbacks == [m]
+        basis, usable = _kernel_with_primes(m)
+        assert basis == kernel_basis_dense(m)
+        assert usable[0] == p and len(usable) == 6
 
-    def test_radicand_without_a_root_mod_any_prime(self, monkeypatch, fallbacks):
-        # 7 is not a square mod 11 or mod 23.
-        monkeypatch.setattr(exactlinalg, "KERNEL_PRIMES", (11, 23))
-        r7 = QuadScalar.root(7)
-        m = ExactMatrix.from_rows([[1, r7, 2], [r7, 7, 2 * r7]])
-        basis = kernel_basis(m)
-        assert fallbacks == [m]
-        assert basis == exact_kernel(m)
+    def test_radicand_without_a_root_at_the_first_primes(self):
+        # 5 is a square mod none of the first five primes.
+        r5 = QuadScalar.root(5)
+        m = ExactMatrix.from_rows([[1, r5, 2], [r5, 5, 2 * r5]])
+        basis, usable = _kernel_with_primes(m)
+        assert usable == [exactlinalg.KERNEL_PRIMES[5]]
+        assert basis == kernel_basis_dense(m)
         one, zero = QuadScalar(1), QuadScalar(0)
-        assert basis == [[-r7, one, zero], [QuadScalar(-2), zero, one]]
+        assert basis == [[-r5, one, zero], [QuadScalar(-2), zero, one]]
 
-    def test_full_rank_is_decided_from_one_image(self, monkeypatch, fallbacks):
+    def test_full_rank_is_decided_from_one_image(self, monkeypatch):
         images = []
-        echelon = exactlinalg._echelon_mod_p
+        echelon = exactlinalg._echelon
         monkeypatch.setattr(
             exactlinalg,
-            "_echelon_mod_p",
+            "_echelon",
             lambda *args: images.append(args) or echelon(*args),
         )
         r7 = QuadScalar.root(7)
         assert kernel_basis(ExactMatrix.from_rows([[1, r7], [r7, 1]])) == []
-        assert len(images) == 1 and fallbacks == []
+        assert len(images) == 1
+
+    def test_refuses_at_the_cap(self, monkeypatch):
+        # No reconstruction succeeds, so only the cap can end the loop.
+        monkeypatch.setattr(exactlinalg, "_reconstruct", lambda u, m: None)
+        primes, root = [], exactlinalg._root_mod_p
+
+        def counting(d, p):
+            primes.append(p)
+            assert len(primes) < 100, "the prime loop ran past its cap"
+            return root(d, p)
+
+        monkeypatch.setattr(exactlinalg, "_root_mod_p", counting)
+        # A rational matrix: every prime is usable.
+        m = ExactMatrix.from_rows([[2**100 + 1, 3**60, 0], [0, 1, 5**40]])
+        with pytest.raises(exactlinalg.PrimeCapExceeded):
+            kernel_basis(m)
+        assert math.prod(primes[:-1]) <= _cap(m) < math.prod(primes)
+        assert len(primes) > 10
 
 
 class TestInertia:
