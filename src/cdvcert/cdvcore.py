@@ -26,6 +26,7 @@ from .exactlinalg import (
     full_rank_prime,
     inertia_symmetric,
     kernel_basis,
+    pair_kernel_basis,
     pair_rows,
 )
 from .maps import SimpleGraph
@@ -300,16 +301,17 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     the first prime p of SAP_PRIMES at which d has a nonzero square root;
     full rank mod p proves full rank over the field.
 
-    When no prime is usable or the rank drops mod p, kernel_basis
-    rebuilds the reduced dual kernel from primes of its own and proves it
-    exactly.  An empty kernel is full rank.  Otherwise its first vector, padded with zeros at the forced
-    unknowns, is the first vector S0 of the canonical kernel of the whole
-    dual: each forced unknown is a pivot column whose reduced row is its
-    unit row, and the other reduced rows are those of the reduced system.
-    S0 gives the witness X = K*S0*K^T.  Both products run on cleared
-    integer pairs and build a scalar only for a nonzero entry of their
-    result.  X is re-verified by verify_sap_witness, whose M*X = 0 check
-    builds no scalar when X is valid, before it is reported.  X is also
+    When no prime is usable or the rank drops mod p, pair_kernel_basis
+    rebuilds the reduced dual kernel from the same pair rows, with primes
+    of its own, and proves it exactly.  An empty kernel is full rank.
+    Otherwise its first vector, padded with zeros at the forced unknowns,
+    is the first vector S0 of the canonical kernel of the whole dual: each
+    forced unknown is a pivot column whose reduced row is its unit row,
+    and the other reduced rows are those of the reduced system.  S0 gives
+    the witness X = K*S0*K^T.  Both products run on cleared integer pairs
+    and build a scalar only for a nonzero entry of their result.  X is
+    re-verified by verify_sap_witness, whose M*X = 0 check builds no
+    scalar when X is valid, before it is reported.  X is also
     the first canonical kernel vector of the primal system: X[f_a][f_b] =
     S[a][b], and row u of K is zero at each a with f_a < u, so X is zero
     at every pair after (f_a, f_b) when S is zero at every pair after
@@ -370,15 +372,7 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
         return SapCertificate(
             True, cols, rows, cols, prime=prime, dual_shape=dual_shape
         )
-    dual_kernel = kernel_basis(
-        ExactMatrix(
-            len(unknowns),
-            [
-                {col: QuadScalar(a, b, d, q=1) for col, (a, b) in row.items()}
-                for row in _dual_rows(k, pairs, column, d)
-            ],
-        )
-    )
+    dual_kernel = pair_kernel_basis(_dual_rows(k, pairs, column, d), len(unknowns), d)
     primal_rank = cols - len(dual_kernel)
     if not dual_kernel:
         return SapCertificate(True, primal_rank, rows, cols, dual_shape=dual_shape)

@@ -12,13 +12,15 @@ echelon over F_p, on the residues of pair_rows (each row cleared to
 integer pairs) under sqrt(d) -> a root of d mod p.  It gives ranks mod
 p and kernels, rebuilt from several primes by rational reconstruction
 and proved by the same integer product: the matrix times the kernel is
-zero.  Inertia comes from symmetric congruence elimination on
-cleared-denominator integer pairs, one fused Bareiss step per pivot
-with exact division by the previous pivot.  The characteristic
-polynomial comes from the division-free Berkowitz scheme, whose
-matrix-vector products run over the nonzeros of a sparse integer
-matrix, and real-root counting from Sturm chains.  No floating point
-anywhere.
+zero.  For a kernel the rows enter the echelon by descending leading
+column, which cuts the back-reduction.  Inertia comes from symmetric congruence
+elimination on cleared-denominator integer pairs, one fused Bareiss
+step per pivot with exact division by the previous pivot.  The
+characteristic polynomial comes from the division-free Berkowitz
+scheme: each term R*B^k*w is the dot product of a left and a right
+Krylov vector, about k/2 sparse matrix-vector products each, and a
+symmetric matrix reuses its right vectors as its left ones.  Real-root
+counting uses Sturm chains.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -303,23 +305,33 @@ def kernel_basis(matrix: ExactMatrix) -> list:
     of the reduced echelon form over the field: vector f has 1 at free
     column f, 0 at the other free columns, and minus the pivot rows' entries
     in column f at the pivot columns.  This canonical basis depends only on
-    the matrix.
+    the matrix.  It is pair_kernel_basis on the matrix's pair_rows, which
+    scale each row of M by a positive integer and keep the kernel."""
+    return pair_kernel_basis(pair_rows(matrix), matrix.cols, matrix.radicand)
 
-    It is computed mod primes and proved exactly.  pair_rows scales each
-    row of M by a positive integer, giving DM with a + b*sqrt(d) entries,
-    a and b integers, and the same kernel as M.  The primes are
+
+def pair_kernel_basis(pairs, cols: int, d: int) -> list:
+    """The canonical kernel basis of kernel_basis for the matrix DM with
+    `cols` columns whose rows are the {column: (a, b)} dicts of pairs, a
+    and b integers standing for a + b*sqrt(d); d counts as 1 when every b
+    is 0.  pairs may be any iterable of rows, such as a generator.
+
+    It is computed mod primes and proved exactly.  The primes are
     KERNEL_PRIMES and then _primes_below the last of them; p is usable
     when d has a nonzero root r mod p.  The reduced echelon form of DM mod
     p under sqrt(d) -> r and, for d > 1, -r gives the residues of the
-    rational parts a and b of each entry of K.  A prime is skipped when
-    its two images have different pivot sets, or fewer pivots than the
-    best seen, or later ones at equal rank (compared as sorted lists); a
-    better pivot set restarts the accumulation.  The residues are combined
-    by the Chinese remainder theorem, and after each prime every a and b
-    is rebuilt by rational reconstruction with bound sqrt(P/2), P the
-    product of the primes accumulated.  K is returned at the first exact
-    DM*K = 0 on the same integer pairs.  Soundness, for any accumulated
-    prime p:
+    rational parts a and b of each entry of K.  Its rows go in by
+    descending leading column, empty ones left out: the reduced form is
+    the same in any row order, and a new pivot then often falls before
+    every pivot stored, none of which holds an entry in its column to
+    back-reduce.  A prime is skipped when its two images have different
+    pivot sets, or fewer pivots than the best seen, or later ones at equal
+    rank (compared as sorted lists); a better pivot set restarts the
+    accumulation.  The residues are combined by the Chinese remainder
+    theorem, and after each prime every a and b is rebuilt by rational
+    reconstruction with bound sqrt(P/2), P the product of the primes
+    accumulated.  K is returned at the first exact DM*K = 0 on the same
+    integer pairs.  Soundness, for any accumulated prime p:
 
     - Reduction mod p is a ring homomorphism on the entries of DM, so
       rank_p <= rank_Q, whatever p divides: full rank mod p needs no check.
@@ -341,8 +353,9 @@ def kernel_basis(matrix: ExactMatrix) -> list:
     2^(3*bits + 1), P exceeds 2^(2*bits + 1), every reconstruction is true
     and the check passes.  Past that cap the loop raises PrimeCapExceeded.
     """
-    d, cols = matrix.radicand, matrix.cols
-    pairs = pair_rows(matrix)
+    pairs = sorted(filter(None, pairs), key=min, reverse=True)
+    if d != 1 and not any(b for row in pairs for _, b in row.values()):
+        d = 1
     best = images = cap = None
     modulus = used = 1
     for p in chain(KERNEL_PRIMES, _primes_below(KERNEL_PRIMES[-1])):
@@ -672,10 +685,14 @@ def charpoly(matrix: ExactMatrix) -> IntPolynomial:
     """Characteristic polynomial det(xI - A) of a square integer matrix,
     computed division-free by the Berkowitz scheme.  Always monic.
 
-    Step r takes row r and column r of A up to index r and the products
-    R*B^k*w with the leading r x r block B.  B is kept as its nonzero
-    (row, column, value) triples and gains row r and column r after step
-    r, so each matrix-vector product costs the nonzeros of B, not r^2.
+    Step r takes row r and column r of A up to index r, R and w, and the
+    numbers t_k = R*B^k*w, k < r, with the leading r x r block B.  t_k is
+    the dot product of l_h = R*B^h and u_(k-h) = B^(k-h)*w for h = k // 2,
+    so step r makes about r/2 left and r/2 right matrix-vector products.
+    When A is symmetric, R = w^T and B = B^T, so l_h = u_h and the right
+    products alone serve.  B is kept as its nonzero (row, column, value)
+    triples and gains row r and column r after step r, so each product
+    costs the nonzeros of B, not r^2.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
@@ -687,20 +704,29 @@ def charpoly(matrix: ExactMatrix) -> IntPolynomial:
                 raise NonIntegerEntries(f"entry {e.render()} is not an integer")
             ints[j] = e.n
         rows.append(ints)
+    symmetric = all(
+        rows[j].get(i) == a for i, row in enumerate(rows) for j, a in row.items()
+    )
     block = []
     v = [1]
     for r, row in enumerate(rows):
-        R = [(j, a) for j, a in row.items() if j < r]
         t = [1, -row.get(r, 0)]
-        if R:
-            w = [rows[i].get(r, 0) for i in range(r)]
+        right = [[rows[i].get(r, 0) for i in range(r)]]
+        left = right if symmetric else [[row.get(j, 0) for j in range(r)]]
+        if any(left[0]) and any(right[0]):
             for k in range(r):
-                t.append(-sum([a * w[j] for j, a in R]))
-                if k + 1 < r:
-                    bw = [0] * r
+                h = k // 2
+                if h == len(left):
+                    l, lb = left[-1], [0] * r
                     for i, j, a in block:
-                        bw[i] += a * w[j]
-                    w = bw
+                        lb[j] += a * l[i]
+                    left.append(lb)
+                if k - h == len(right):
+                    u, bu = right[-1], [0] * r
+                    for i, j, a in block:
+                        bu[i] += a * u[j]
+                    right.append(bu)
+                t.append(-sum(map(mul, left[h], right[k - h])))
         else:
             t += [0] * r
         # Lower-triangular Toeplitz product: keep the first len(v)+1

@@ -372,13 +372,15 @@ def _record_ranked_columns(monkeypatch) -> list:
 
 def _check_sap_counting(op, primes) -> tuple:
     """check_sap with SAP_PRIMES set to primes, and the number of
-    kernel_basis calls it made."""
+    kernel_basis and pair_kernel_basis calls it made."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cdvcore, "SAP_PRIMES", primes)
-        mp.setattr(
-            cdvcore, "kernel_basis", lambda m: calls.append(m) or kernel_basis(m)
-        )
+        for name in ("kernel_basis", "pair_kernel_basis"):
+            kernel = getattr(cdvcore, name)
+            mp.setattr(
+                cdvcore, name, lambda *a, f=kernel: calls.append(a) or f(*a)
+            )
         return check_sap(op), len(calls)
 
 
@@ -387,8 +389,8 @@ def _assert_matches_the_primal(op, cert, calls, system, col_pairs, primal_kernel
     verdict and witness, which is the first canonical primal kernel vector.
     dual_shape is set for every corank >= 1.  With no dual unknown left to
     rank, full rank holds by proof: prime is None and K is the only
-    kernel_basis call.  Otherwise prime is None exactly when the dual
-    kernel was computed exactly: a second kernel_basis call."""
+    kernel call.  Otherwise prime is None exactly when the dual kernel
+    was computed exactly: a second kernel call, pair_kernel_basis."""
     c = op.corank
     assert (cert.rows, cert.cols) == (system.rows, system.cols)
     assert cert.rank == system.cols - len(primal_kernel)
@@ -591,10 +593,11 @@ class TestDualAgainstPrimal:
         check_membership(op)
         assert op.corank == 0
 
-        def refuse(m):
+        def refuse(*args):
             raise AssertionError("elimination run for corank 0")
 
         monkeypatch.setattr(cdvcore, "kernel_basis", refuse)
+        monkeypatch.setattr(cdvcore, "pair_kernel_basis", refuse)
         cert = check_sap(op)
         assert cert.full_rank and (cert.rows, cert.cols, cert.rank) == (12, 3, 3)
         assert cert.prime is None and cert.dual_shape is None

@@ -194,8 +194,8 @@ class TestBipartite:
 
 def _run_edgeless(capsys, tmp_path, monkeypatch, rest):
     """`cdvcert sap` on 70 isolated vertices with diagonal (-1, rest, ...,
-    rest), with kernel_basis made to fail if it is called, so that an
-    oversized system must be refused before any elimination."""
+    rest), with kernel_basis and pair_kernel_basis made to fail if called,
+    so that an oversized system must be refused before any elimination."""
     n = 70
     path = tmp_path / "op.json"
     path.write_text(
@@ -205,10 +205,11 @@ def _run_edgeless(capsys, tmp_path, monkeypatch, rest):
     dual_cols = (n - 1) * n // 2
     assert n * dual_cols <= MAX_SAP_SLOTS < dual_cols * dual_cols
 
-    def refuse(matrix):
-        raise AssertionError("kernel_basis called")
+    def refuse(*args):
+        raise AssertionError("a kernel was computed")
 
     monkeypatch.setattr(cdvcore, "kernel_basis", refuse)
+    monkeypatch.setattr(cdvcore, "pair_kernel_basis", refuse)
     return run(capsys, "sap", str(path), "--no-timings")
 
 

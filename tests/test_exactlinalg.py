@@ -124,6 +124,15 @@ def square_int_matrices(max_side=8):
     )
 
 
+def _pattern_symmetric(n, edges):
+    """n x n matrix with 2 at (i, j) and 3 at (j, i) for each (i, j) in
+    edges, and zero elsewhere."""
+    rows = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        rows[i][j], rows[j][i] = 2, 3
+    return ExactMatrix.from_rows(rows)
+
+
 def zero_diagonal_symmetric(d, n):
     """n x n symmetric matrices over Q[sqrt(d)] with a zero diagonal."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -467,6 +476,27 @@ class TestKernelModP:
         assert basis == kernel_basis_dense(m)
         assert math.prod(usable[:-1]) <= _cap(m)
 
+    @given(
+        st.tuples(
+            st.sampled_from([1, 2, 7]), st.integers(1, 6), st.integers(1, 6)
+        ).flatmap(
+            lambda t: st.tuples(
+                sparse_matrices(*t),
+                st.permutations(range(t[1])),
+                st.lists(st.integers(1, 9), min_size=t[1], max_size=t[1]),
+            )
+        )
+    )
+    @settings(max_examples=100)
+    def test_row_order_and_positive_row_scales_keep_the_basis(self, case):
+        # The rows reach the echelon sorted by leading column; the basis
+        # must not depend on the order or scale they came in.
+        m, order, scales = case
+        shuffled = ExactMatrix.from_rows(
+            [[e * scales[i] for e in m.row(i)] for i in order]
+        )
+        assert kernel_basis(shuffled) == kernel_basis(m)
+
     def test_genus10_kernel_takes_one_prime(self, g10_operator):
         basis, usable = _kernel_with_primes(g10_operator.matrix)
         assert usable == [exactlinalg.KERNEL_PRIMES[0]]
@@ -725,6 +755,10 @@ class TestPolynomials:
     @given(square_int_matrices(), st.lists(st.integers(-9, 9), min_size=3, max_size=3))
     @example(ExactMatrix.from_rows([]), [0, 1, -1])
     @example(ExactMatrix.from_rows([[-3]]), [0, 1, -3])
+    # Symmetric in pattern, not in value: the left Krylov vectors are needed.
+    @example(
+        _pattern_symmetric(6, [(0, 3)] + [(i, i + 1) for i in range(5)]), [0, 1, 2]
+    )
     @settings(max_examples=150)
     def test_sparse_berkowitz_matches_dense_and_determinant(self, m, points):
         p = charpoly(m)
@@ -737,6 +771,12 @@ class TestPolynomials:
                 ]
             )
             assert determinant(shifted) == QuadScalar(p(x))
+
+    @given(symmetric_int_matrices(max_side=8))
+    @settings(max_examples=100)
+    def test_symmetric_charpoly_matches_dense(self, m):
+        # A symmetric matrix takes the right Krylov vectors for the left.
+        assert charpoly(m) == charpoly_dense(m)
 
     @given(symmetric_int_matrices(max_side=4))
     @settings(max_examples=40)
