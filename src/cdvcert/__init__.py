@@ -17,7 +17,6 @@ from .exactlinalg import (
     Inertia,
     IntPolynomial,
     charpoly,
-    count_positive_real_roots,
     inertia_symmetric,
     kernel_basis,
     poly_expand_product,
@@ -65,7 +64,6 @@ __all__ = [
     "Inertia",
     "IntPolynomial",
     "charpoly",
-    "count_positive_real_roots",
     "inertia_symmetric",
     "kernel_basis",
     "poly_expand_product",

@@ -22,7 +22,7 @@ from .exactlinalg import (
     ExactMatrix,
     Inertia,
     IntPolynomial,
-    count_positive_real_roots,
+    factor_roots,
     full_rank_prime,
     inertia_symmetric,
     kernel_basis,
@@ -610,7 +610,7 @@ def verify_q1_counterexample() -> Q1Report:
     """Show no operator of the forced family has the all-ones vector as an
     eigenvector: the first and last row sums differ at every admissible
     parameter choice, because equality would need a positive root of
-    x^3 - 6x + 9, which has none."""
+    x^3 - 6x + 9 = (x + 3)(x^2 - 3x + 3), whose only real root is -3."""
     graph = build_q1_graph()
     comp = [
         (u, v)
@@ -626,13 +626,15 @@ def verify_q1_counterexample() -> Q1Report:
     )
 
     cubic = IntPolynomial((9, -6, 0, 1))
-    factored = IntPolynomial((3, 1)) * IntPolynomial((3, -3, 1))
-    factored_identity = factored == cubic
+    factors = (IntPolynomial((3, 1)), IntPolynomial((3, -3, 1)))
+    factored_identity = factors[0] * factors[1] == cubic
     scaled = [Fraction(-3), Fraction(2), Fraction(0), Fraction(-1, 3)]
     scaled_identity = [Fraction(-3) * c for c in scaled] == [
         Fraction(c) for c in cubic.coeffs
     ]
-    positive_roots = count_positive_real_roots(cubic)
+    positive_roots = sum(
+        root.sign() > 0 for factor in factors for root in factor_roots(factor)
+    )
 
     samples = []
     for a in (Fraction(-1), Fraction(-1, 2), Fraction(-2)):

@@ -60,18 +60,9 @@ def charpoly_inertia(charpoly, shift: QuadScalar) -> tuple:
     other factor raises ValueError."""
     counts = [0, 0, 0]
     for factor, mult in charpoly:
-        roots = []
-        if factor.degree == 1:
-            c, b = factor.coeffs
-            roots = [QuadScalar(-c) / b]
-        elif factor.degree == 2:
-            c, b, a = factor.coeffs
-            disc = b * b - 4 * a * c
-            if disc >= 0:
-                r = QuadScalar.root(disc) if disc else QuadScalar.ZERO
-                roots = [(r - b) / (2 * a), (-r - b) / (2 * a)]
+        roots = exactlinalg.factor_roots(factor)
         if not roots:
-            raise ValueError(f"factor {factor} is not linear or real quadratic")
+            raise ValueError(f"factor {factor} has no real root")
         for root in roots:
             counts[(shift - root).sign() + 1] += mult
     return tuple(counts)

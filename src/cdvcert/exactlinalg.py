@@ -19,8 +19,9 @@ step per pivot with exact division by the previous pivot.  The
 characteristic polynomial comes from the division-free Berkowitz
 scheme: each term R*B^k*w is the dot product of a left and a right
 Krylov vector, about k/2 sparse matrix-vector products each, and a
-symmetric matrix reuses its right vectors as its left ones.  Real-root
-counting uses Sturm chains.  No floating point anywhere.
+symmetric matrix reuses its right vectors as its left ones.  The real
+roots of a linear or quadratic factor are exact QuadScalars.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class NotSymmetric(ValueError):
 
 class NonIntegerEntries(ValueError):
     """Operation requiring integer entries got fractional or irrational ones."""
-
-
-class ZeroPolynomial(ValueError):
-    """Root counting on the zero polynomial is undefined."""
 
 
 @dataclass(frozen=True)
@@ -244,12 +241,6 @@ def _echelon(rows, cols: int, p: int) -> dict:
     return pivots
 
 
-def rank_mod_p(rows, cols: int, p: int) -> int:
-    """Rank over F_p of a matrix with `cols` columns whose rows are
-    {column: residue} dicts, residues in (0, p)."""
-    return len(_echelon(rows, cols, p))
-
-
 def pair_rows(matrix: ExactMatrix) -> list:
     """The rows of matrix as {column: (a, b)} dicts of integers, a + b*sqrt(d)
     standing for the entry times the lcm of its row's denominators.  A
@@ -285,7 +276,7 @@ def full_rank_prime(pairs, cols: int, d: int, primes) -> int | None:
     for p in primes:
         r = _root_mod_p(d, p)
         if r:
-            return p if rank_mod_p(_residues(pairs, p, r), cols, p) == cols else None
+            return p if len(_echelon(_residues(pairs, p, r), cols, p)) == cols else None
     return None
 
 
@@ -681,6 +672,23 @@ def poly_expand_product(factors) -> IntPolynomial:
     return out
 
 
+def factor_roots(factor: IntPolynomial) -> list:
+    """The real roots of a linear or quadratic factor as QuadScalars, a
+    double root twice; a quadratic of negative discriminant has none.
+    Any other degree raises ValueError."""
+    if factor.degree == 1:
+        c, b = factor.coeffs
+        return [QuadScalar(-c) / b]
+    if factor.degree != 2:
+        raise ValueError(f"factor {factor} is not linear or quadratic")
+    c, b, a = factor.coeffs
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    r = QuadScalar.root(disc) if disc else ZERO
+    return [(r - b) / (2 * a), (-r - b) / (2 * a)]
+
+
 def charpoly(matrix: ExactMatrix) -> IntPolynomial:
     """Characteristic polynomial det(xI - A) of a square integer matrix,
     computed division-free by the Berkowitz scheme.  Always monic.
@@ -735,61 +743,3 @@ def charpoly(matrix: ExactMatrix) -> IntPolynomial:
         block += [(i, r, a) for i in range(r) if (a := rows[i].get(r))]
         block += [(r, j, a) for j, a in row.items() if j <= r]
     return IntPolynomial(tuple(reversed(v)))
-
-
-# ---------------------------------------------------------------------------
-# Sturm root counting over the positive axis.
-
-
-def _frac_polymod(a: list, b: list) -> list:
-    """Remainder of a by b over Fraction coefficient lists (ascending)."""
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        q = a[-1] / lead
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] -= q * c
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _sign_changes(signs: list) -> int:
-    seq = [s for s in signs if s != 0]
-    return sum(1 for x, y in zip(seq, seq[1:]) if x != y)
-
-
-def count_positive_real_roots(poly: IntPolynomial) -> int:
-    """Number of distinct real roots in (0, infinity), multiplicity ignored.
-
-    Factors out x^k first, then runs a Sturm chain between 0+ and infinity.
-    """
-    if poly.is_zero:
-        raise ZeroPolynomial("cannot count roots of the zero polynomial")
-    coeffs = list(poly.coeffs)
-    while coeffs[0] == 0:
-        coeffs.pop(0)
-    if len(coeffs) == 1:
-        return 0
-    p0 = [Fraction(c) for c in coeffs]
-    p1 = [Fraction(i * c) for i, c in enumerate(coeffs) if i]
-    chain = [p0, p1]
-    while any(chain[-1]):
-        rem = _frac_polymod(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    at_zero = [_sgn_frac(q[0]) for q in chain]
-    at_inf = [_sgn_frac(q[-1]) for q in chain]
-    return _sign_changes(at_zero) - _sign_changes(at_inf)
-
-
-def _sgn_frac(x: Fraction) -> int:
-    return (x > 0) - (x < 0)

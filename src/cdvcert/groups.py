@@ -410,20 +410,24 @@ def element_order(presentation: Presentation, word, table: CosetTable | None = N
         table = coset_enumerate(presentation)
     elif table.subgroup_words:
         raise ValueError("element order needs the regular table")
-    perm = table.permutation(word)
-    order = 1
+    return math.lcm(*map(len, cycles(table.permutation(word))))
+
+
+def cycles(perm) -> list:
+    """The cycles of a permutation of range(len(perm)), ordered by their
+    least point; each cycle starts there and follows perm."""
     seen = [False] * len(perm)
+    out = []
     for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        c = start
-        while not seen[c]:
-            seen[c] = True
-            c = perm[c]
-            length += 1
-        order = order * length // math.gcd(order, length)
-    return order
+        if not seen[start]:
+            cycle = []
+            c = start
+            while not seen[c]:
+                seen[c] = True
+                cycle.append(c)
+                c = perm[c]
+            out.append(cycle)
+    return out
 
 
 def left_action(table: CosetTable, word) -> list:
@@ -446,32 +450,6 @@ def left_action(table: CosetTable, word) -> list:
                 out[t] = table.action[out[v]][s]
                 frontier.append(t)
     return out
-
-
-def orbit_partition(n: int, perms) -> list:
-    """Orbits of the group generated by the permutations, sorted by their
-    smallest point; each orbit is a sorted list."""
-    parent = list(range(n))
-
-    def find(v):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    for perm in perms:
-        for x, y in enumerate(perm):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                if ry < rx:
-                    rx, ry = ry, rx
-                parent[ry] = rx
-    groups: dict = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return [sorted(groups[root]) for root in sorted(groups)]
 
 
 GAMMA10_TEXT = (

@@ -1,9 +1,11 @@
-"""Surface maps built from coset geometry, plus Euler-genus bookkeeping.
+"""Surface maps read off rotation systems, plus Euler-genus bookkeeping.
 
-Vertices, edges and faces are orbits of designated cyclic subgroups acting
-on the group by left multiplication; incidence is shared points.  The
-resulting combinatorial map carries its underlying simple graph and enough
-incidence data to check regularity and compute genus exactly.
+A map is two permutations of its darts: a vertex rotation R and an edge
+involution L.  Its vertices are the cycles of R, its edges those of L and
+its faces those of L∘R⁻¹ (Mohar and Thomassen, Graphs on Surfaces, 2001,
+ch. 3).  For a coset map the darts are the group elements and R and L
+are left multiplications.  The map carries its underlying simple graph
+and its cells, enough to check regularity and compute genus exactly.
 """
 
 from __future__ import annotations
@@ -11,11 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .groups import CosetTable, Presentation, left_action, orbit_partition
+from .groups import CosetTable, Presentation, cycles, left_action
 
 
 class MalformedIncidence(ValueError):
-    """Edge orbits that do not meet exactly two vertices and two faces."""
+    """Darts that do not form a map on a simple graph: L is not a
+    fixed-point-free involution, the face word is not L∘R⁻¹, or an edge
+    is a loop or parallel to another."""
 
 
 class OddEuler(ValueError):
@@ -117,60 +121,68 @@ class SimpleGraph:
 
 @dataclass(frozen=True)
 class CombinatorialMap:
-    """Vertex, edge and face orbits with their shared-point incidences."""
+    """Vertices, edges and faces as dart cycles, and the simple graph."""
 
-    vertex_count: int
-    edge_count: int
-    face_count: int
-    edge_face: tuple
+    vertices: tuple
+    edges: tuple
+    faces: tuple
     graph: SimpleGraph
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    @property
+    def face_count(self) -> int:
+        return len(self.faces)
 
 
 def build_map_from_cosets(
     table: CosetTable, vertex_words, edge_words, face_words
 ) -> CombinatorialMap:
-    """Orbit the regular table under left multiplication by each subgroup
-    and read the map off shared points.
+    """The map of the rotation system R, L on the elements of the regular
+    table: R is the left action of the vertex word and L that of the edge
+    word.  Each word list holds exactly one word.
 
-    Every edge orbit must meet exactly two vertex orbits and two face
-    orbits, and no two edge orbits may join the same vertex pair; anything
-    else raises MalformedIncidence.
+    Vertices are the R-cycles, numbered by least dart, edges the L-cycles
+    and faces the cycles of L∘R⁻¹.  MalformedIncidence is raised unless L
+    is a fixed-point-free involution, the face word acts as L∘R⁻¹, and the
+    edges join distinct vertices, no two edges the same pair.
     """
-    classes = []
-    for words in (vertex_words, edge_words, face_words):
-        perms = [left_action(table, w) for w in words]
-        orbits = orbit_partition(table.count, perms)
-        of = [0] * table.count
-        for i, orbit in enumerate(orbits):
-            for x in orbit:
-                of[x] = i
-        classes.append((orbits, of))
-    (v_orbits, vertex_of), (e_orbits, edge_of), (f_orbits, face_of) = classes
+    (vertex_word,), (edge_word,), (face_word,) = vertex_words, edge_words, face_words
+    rotation = left_action(table, vertex_word)
+    involution = left_action(table, edge_word)
+    edges = cycles(involution)
+    if any(len(edge) != 2 for edge in edges):
+        raise MalformedIncidence("the edge word is not a fixed-point-free involution")
+    face_step = [0] * table.count  # L∘R⁻¹ sends R(d) to L(d)
+    for d, r in enumerate(rotation):
+        face_step[r] = involution[d]
+    if left_action(table, face_word) != face_step:
+        raise MalformedIncidence("the face word does not act as edge * vertex^-1")
 
-    edges = []
-    edge_face = set()
-    for ei, orbit in enumerate(e_orbits):
-        ends = sorted({vertex_of[p] for p in orbit})
-        sides = sorted({face_of[p] for p in orbit})
-        if len(ends) != 2:
-            raise MalformedIncidence(
-                f"edge orbit {ei} meets {len(ends)} vertices, expected 2"
-            )
-        if len(sides) != 2:
-            raise MalformedIncidence(
-                f"edge orbit {ei} meets {len(sides)} faces, expected 2"
-            )
-        edges.append((ends[0], ends[1]))
-        edge_face.update((ei, f) for f in sides)
-    if len(set(edges)) != len(edges):
-        raise MalformedIncidence("two edge orbits join the same vertex pair")
-    graph = SimpleGraph(len(v_orbits), tuple(edges))
+    vertices = cycles(rotation)
+    vertex_of = [0] * table.count
+    for i, cycle in enumerate(vertices):
+        for d in cycle:
+            vertex_of[d] = i
+    ends = []
+    for a, b in edges:
+        u, v = sorted((vertex_of[a], vertex_of[b]))
+        if u == v:
+            raise MalformedIncidence(f"the edge at darts {a}, {b} is a loop")
+        ends.append((u, v))
+    if len(set(ends)) != len(ends):
+        raise MalformedIncidence("two edges join the same vertex pair")
     return CombinatorialMap(
-        vertex_count=len(v_orbits),
-        edge_count=len(e_orbits),
-        face_count=len(f_orbits),
-        edge_face=tuple(sorted(edge_face)),
-        graph=graph,
+        vertices=tuple(map(tuple, vertices)),
+        edges=tuple(map(tuple, edges)),
+        faces=tuple(map(tuple, cycles(face_step))),
+        graph=SimpleGraph(len(vertices), tuple(ends)),
     )
 
 
@@ -188,17 +200,15 @@ def genus_orientable(m: CombinatorialMap) -> int:
 
 
 def validate_rotary_type(m: CombinatorialMap) -> tuple:
-    """Return (p, q): every face has p sides and every vertex degree q."""
-    face_sizes: dict = {}
-    for _, f in m.edge_face:
-        face_sizes[f] = face_sizes.get(f, 0) + 1
-    sizes = set(face_sizes.values())
-    if len(sizes) != 1:
-        raise NotRegular(f"face sizes vary: {sorted(sizes)}")
-    degrees = set(m.graph.degrees())
+    """Return (p, q): every face cycle has length p and every vertex
+    cycle length q."""
+    face_sizes = {len(face) for face in m.faces}
+    if len(face_sizes) != 1:
+        raise NotRegular(f"face sizes vary: {sorted(face_sizes)}")
+    degrees = {len(vertex) for vertex in m.vertices}
     if len(degrees) != 1:
         raise NotRegular(f"vertex degrees vary: {sorted(degrees)}")
-    return sizes.pop(), degrees.pop()
+    return face_sizes.pop(), degrees.pop()
 
 
 def map_report(m: CombinatorialMap) -> dict:
@@ -250,9 +260,9 @@ def counterexample_range(mu_lower: int, base_chi: int):
 
 
 def genus10_map(presentation: Presentation, table: CosetTable) -> CombinatorialMap:
-    """The coset map of any presentation on generators y and z: vertices
-    are cosets of <z>, edges of <y*z>, faces of <y>.  For gamma10 it is
-    the 54-vertex genus-10 triangulation."""
+    """The map of any presentation on generators y and z whose rotation
+    is left multiplication by z, with edges from y*z and faces from y.
+    For gamma10 it is the 54-vertex genus-10 triangulation."""
     return build_map_from_cosets(
         table,
         [presentation.word("z")],

@@ -24,12 +24,12 @@ from cdvcert.exactlinalg import (
     NonIntegerEntries,
     NotSymmetric,
     charpoly,
-    count_positive_real_roots,
     inertia_symmetric,
     kernel_basis,
     pair_rows,
     poly_expand_product,
-    rank_mod_p,
+    _echelon,
+    factor_roots,
 )
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -333,7 +333,7 @@ class TestRankKernel:
         # Hadamard: every minor is at most (5 * sqrt(6))^6 < 3.4e6 in size,
         # so no nonzero minor vanishes mod a prime above that.
         p = 1073741783
-        assert rank_mod_p(_residues(rows, p), len(rows[0]), p) == rank(
+        assert len(_echelon(_residues(rows, p), len(rows[0]), p)) == rank(
             ExactMatrix.from_rows(rows)
         )
 
@@ -350,14 +350,14 @@ class TestRankKernel:
         assert m.row_dicts == tuple(before)
         rows = [{0: 1, 1: 1}, {0: 1, 2: 1}, {1: 1, 3: 5}]
         copies = [dict(row) for row in rows]
-        assert rank_mod_p(rows, 4, 7) == 3
+        assert len(_echelon(rows, 4, 7)) == 3
         assert rows == copies
 
-    def test_rank_mod_p_drops_at_a_prime_dividing_the_determinant(self):
+    def test_echelon_rank_drops_at_a_prime_dividing_the_determinant(self):
         rows = [[1, 2], [3, 1]]  # determinant -5
-        assert rank_mod_p(_residues(rows, 5), 2, 5) == 1
-        assert rank_mod_p(_residues(rows, 7), 2, 7) == 2
-        assert rank_mod_p([], 2, 7) == 0
+        assert len(_echelon(_residues(rows, 5), 2, 5)) == 1
+        assert len(_echelon(_residues(rows, 7), 2, 7)) == 2
+        assert len(_echelon([], 2, 7)) == 0
 
 
 def _residues(rows, p):
@@ -789,12 +789,25 @@ class TestPolynomials:
         "coeffs,count",
         [
             ((-2, 0, 1), 1),       # x^2 - 2
-            ((9, -6, 0, 1), 0),    # x^3 - 6x + 9
-            ((0, 0, 0, 1), 0),     # x^3
-            ((1, 0, 1), 0),        # x^2 + 1
+            ((3, 1), 0),           # x + 3
+            ((3, -3, 1), 0),       # x^2 - 3x + 3: no real root
+            ((1, 0, 1), 0),        # x^2 + 1: no real root
             ((2, -3, 1), 2),       # (x-1)(x-2)
-            ((-2, 5, -4, 1), 2),   # (x-1)^2 (x-2): distinct roots only
+            ((1, -4, 1), 2),       # x^2 - 4x + 1: roots 2 +- sqrt(3)
         ],
     )
     def test_positive_root_counts(self, coeffs, count):
-        assert count_positive_real_roots(IntPolynomial(coeffs)) == count
+        roots = factor_roots(IntPolynomial(coeffs))
+        assert sum(root.sign() > 0 for root in roots) == count
+
+    def test_factor_roots(self):
+        r3, r7 = QuadScalar.root(3), QuadScalar.root(7)
+        assert factor_roots(IntPolynomial((3, 1))) == [QuadScalar(-3)]
+        assert factor_roots(IntPolynomial((-1, 2))) == [QuadScalar(Fraction(1, 2))]
+        assert factor_roots(IntPolynomial((-6, -2, 1))) == [1 + r7, 1 - r7]
+        assert factor_roots(IntPolynomial((1, -4, 1))) == [2 + r3, 2 - r3]
+        assert factor_roots(IntPolynomial((1, 2, 1))) == [QuadScalar(-1)] * 2
+        assert factor_roots(IntPolynomial((3, -3, 1))) == []
+        for coeffs in [(5,), (9, -6, 0, 1)]:
+            with pytest.raises(ValueError):
+                factor_roots(IntPolynomial(coeffs))

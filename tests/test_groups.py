@@ -15,11 +15,11 @@ from cdvcert.groups import (
     Presentation,
     UnknownGenerator,
     coset_enumerate,
+    cycles,
     element_order,
     free_reduce,
     gamma10,
     left_action,
-    orbit_partition,
     parse_presentation,
 )
 
@@ -282,9 +282,9 @@ class TestActions:
             perm = left_action(table, word)
             assert sorted(perm) == list(range(table.count))
 
-    def test_orbit_partition(self):
-        parts = orbit_partition(5, [[1, 0, 2, 3, 4], [0, 1, 2, 4, 3]])
-        assert sorted(sorted(p) for p in parts) == [[0, 1], [2], [3, 4]]
+    def test_cycles(self):
+        assert cycles([3, 2, 1, 4, 0, 5]) == [[0, 3, 4], [1, 2], [5]]
+        assert cycles([]) == []
 
 
 class TestGamma10:

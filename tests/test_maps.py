@@ -27,7 +27,7 @@ random_graphs = st.integers(min_value=2, max_value=7).flatmap(
 )
 
 
-def rotation_map(text):
+def rotation_map(text, faces="y"):
     """Map from the rotation presentation < y, z | y^p, z^q, (y*z)^2 >."""
     pres = parse_presentation(text)
     table = coset_enumerate(pres)
@@ -35,7 +35,7 @@ def rotation_map(text):
         table,
         (pres.word("z"),),
         (pres.word("y*z"),),
-        (pres.word("y"),),
+        (pres.word(faces),),
     )
 
 
@@ -131,8 +131,33 @@ class TestPlatonicMaps:
         report = map_report(surface)
         assert (report["v"], report["e"], report["f"]) == (8, 12, 6)
 
+    def test_klein_quartic(self):
+        surface = rotation_map(
+            "< y, z | y^3, z^7, (y*z)^2, (z^-1*y^-1*z*y)^4 >"
+        )
+        report = map_report(surface)
+        assert (report["v"], report["e"], report["f"]) == (24, 84, 56)
+        assert report["chi"] == -4 and report["genus"] == 3
+        assert (report["p"], report["q"]) == (3, 7)
+        assert surface.graph.regular_degree() == 7
+
+    @pytest.mark.parametrize(
+        "text,faces,reason",
+        [
+            # y = 1: the one edge joins the one vertex to itself
+            ("< y, z | y, z^2, (y*z)^2 >", "y", "loop"),
+            # the Klein four-group: both edges join the two vertices
+            ("< y, z | y^2, z^2, (y*z)^2 >", "y", "same vertex pair"),
+            # y^-1 is not y*z*z^-1
+            ("< y, z | y^3, z^3, (y*z)^2 >", "y^-1", "face word"),
+        ],
+    )
+    def test_malformed_rotation_systems(self, text, faces, reason):
+        with pytest.raises(MalformedIncidence, match=reason):
+            rotation_map(text, faces)
+
     def test_incidence_validation_catches_bad_cells(self):
-        # treating face cosets as edge cosets breaks two-endpoint incidence
+        # y has order 3, so its left action is no involution
         pres = parse_presentation("< y, z | y^3, z^3, (y*z)^2 >")
         table = coset_enumerate(pres)
         with pytest.raises(MalformedIncidence):
