@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .exactfield import ONE, ZERO, QuadScalar, parse_scalar
 from .exactlinalg import (
+    PRIMES,
     ExactMatrix,
     Inertia,
     IntPolynomial,
@@ -72,19 +73,6 @@ MAX_OPERATOR_VERTICES = 400
 # genus-10 dual is 270 x 136: 36,720 slots.
 MAX_SAP_SLOTS = 5_000_000
 
-# Primes p = 3 (mod 4) below 2^30 for the dual rank, so residue products
-# stay under 2^60.  Each radicand is a square mod about half of them.
-SAP_PRIMES = (
-    1073741783,
-    1073741723,
-    1073741719,
-    1073741671,
-    1073741663,
-    1073741651,
-    1073741567,
-    1073741527,
-)
-
 _MINUS_ONE = QuadScalar(-1)
 
 
@@ -97,8 +85,8 @@ class SchrodingerOperator:
     """A graph, its diagonal, and one weight per edge in graph.edges order.
 
     Every other off-diagonal entry is zero by construction.  `matrix` is
-    built once from these fields.  inertia and corank start as None and
-    are filled by check_membership; kernel starts as None and is filled by
+    built once from these fields.  inertia starts as None and is filled by
+    check_membership; kernel starts as None and is filled by
     operator_kernel.
     """
 
@@ -107,7 +95,6 @@ class SchrodingerOperator:
     weights: tuple
     epsilon: Fraction | None = None
     inertia: Inertia | None = None
-    corank: int | None = None
     kernel: list | None = field(default=None, init=False, repr=False, compare=False)
     matrix: ExactMatrix = field(init=False, repr=False, compare=False)
 
@@ -121,6 +108,11 @@ class SchrodingerOperator:
         entries = dict(zip(self.graph.edges, self.weights))
         entries.update(((i, i), x) for i, x in enumerate(self.diagonal))
         self.matrix = ExactMatrix.symmetric(self.graph.n, entries)
+
+    @property
+    def corank(self) -> int | None:
+        """inertia.zeros, or None before check_membership."""
+        return None if self.inertia is None else self.inertia.zeros
 
     def to_json_dict(self) -> dict:
         off = {
@@ -205,8 +197,8 @@ def build_shift_operator(graph: SimpleGraph, shift) -> SchrodingerOperator:
 
 def check_membership(op: SchrodingerOperator) -> Inertia:
     """Certify negative edge weights and exactly one negative eigenvalue;
-    fills inertia and corank on success.  Entries off the graph are zero
-    by construction."""
+    fills inertia, and with it corank, on success.  Entries off the graph
+    are zero by construction."""
     for (u, v), w in zip(op.graph.edges, op.weights):
         if w.sign() >= 0:
             raise SignPatternViolation(
@@ -216,7 +208,6 @@ def check_membership(op: SchrodingerOperator) -> Inertia:
     if inertia.negatives != 1:
         raise NotOneNegative(inertia)
     op.inertia = inertia
-    op.corank = inertia.zeros
     return inertia
 
 
@@ -298,21 +289,21 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     its denominators, which scales dual rows by nonzero factors and keeps
     the dual kernel.  The dual entries are then a + b*sqrt(d) with integer
     a and b, d the operator's radicand, and full_rank_prime ranks them mod
-    the first prime p of SAP_PRIMES at which d has a nonzero square root;
+    the first prime p of PRIMES at which d has a nonzero square root;
     full rank mod p proves full rank over the field.
 
     When no prime is usable or the rank drops mod p, pair_kernel_basis
-    rebuilds the reduced dual kernel from the same pair rows, with primes
-    of its own, and proves it exactly.  An empty kernel is full rank.
-    Otherwise its first vector, padded with zeros at the forced unknowns,
-    is the first vector S0 of the canonical kernel of the whole dual: each
-    forced unknown is a pivot column whose reduced row is its unit row,
-    and the other reduced rows are those of the reduced system.  S0 gives
-    the witness X = K*S0*K^T.  Both products run on cleared integer pairs
-    and build a scalar only for a nonzero entry of their result.  X is
-    re-verified by verify_sap_witness, whose M*X = 0 check builds no
-    scalar when X is valid, before it is reported.  X is also
-    the first canonical kernel vector of the primal system: X[f_a][f_b] =
+    rebuilds the reduced dual kernel from the same pair rows, mod PRIMES
+    and then the primes below them, and proves it exactly.  An empty
+    kernel is full rank.  Otherwise its first vector, padded with zeros at
+    the forced unknowns, is the first vector S0 of the canonical kernel of
+    the whole dual: each forced unknown is a pivot column whose reduced
+    row is its unit row, and the other reduced rows are those of the
+    reduced system.  S0 gives the witness X = K*S0*K^T.  Both products run
+    on cleared integer pairs and build a scalar only for a nonzero entry of
+    their result.  X is re-verified by verify_sap_witness, whose M*X = 0
+    check builds no scalar when X is valid, before it is reported.  X is
+    also the first canonical kernel vector of the primal system: X[f_a][f_b] =
     S[a][b], and row u of K is zero at each a with f_a < u, so X is zero
     at every pair after (f_a, f_b) when S is zero at every pair after
     (a, b).  The map (a, b) -> (f_a, f_b) keeps pair order, so the
@@ -366,7 +357,7 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     d = op.matrix.radicand
     k = pair_rows(kernel)
     prime = full_rank_prime(
-        _dual_rows(k, pairs, column, d), len(unknowns), d, SAP_PRIMES
+        _dual_rows(k, pairs, column, d), len(unknowns), d, PRIMES
     )
     if prime is not None:
         return SapCertificate(

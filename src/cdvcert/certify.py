@@ -112,8 +112,8 @@ def certify_map(spec: MapSpec, sap: bool = True) -> MapCertificate:
     verdicts["graph_regular"] = graph.regular_degree() == q
 
     with _stage(timings, "charpoly"):
-        adjacency = exactlinalg.ExactMatrix.from_rows(
-            [[int(j in row) for j in range(graph.n)] for row in graph.adjacency()]
+        adjacency = exactlinalg.ExactMatrix.symmetric(
+            graph.n, dict.fromkeys(graph.edges, 1)
         )
         observed = exactlinalg.charpoly(adjacency)
         expected = exactlinalg.poly_expand_product(spec.charpoly)

@@ -9,19 +9,19 @@ their denominators q, the sums stay plain ints, and a QuadScalar is
 built straight from ints only for a nonzero entry of the result, so
 proving M*X = 0 builds none.  The one elimination is a sparse reduced
 echelon over F_p, on the residues of pair_rows (each row cleared to
-integer pairs) under sqrt(d) -> a root of d mod p.  It gives ranks mod
-p and kernels, rebuilt from several primes by rational reconstruction
-and proved by the same integer product: the matrix times the kernel is
-zero.  For a kernel the rows enter the echelon by descending leading
-column, which cuts the back-reduction.  Inertia comes from symmetric congruence
-elimination on cleared-denominator integer pairs, one fused Bareiss
-step per pivot with exact division by the previous pivot.  The
-characteristic polynomial comes from the division-free Berkowitz
-scheme: each term R*B^k*w is the dot product of a left and a right
-Krylov vector, about k/2 sparse matrix-vector products each, and a
-symmetric matrix reuses its right vectors as its left ones.  The real
-roots of a linear or quadratic factor are exact QuadScalars.  No
-floating point anywhere.
+integer pairs) under sqrt(d) -> a root of d mod p, p from one table of
+primes below 2^30.  It gives ranks mod p and kernels, rebuilt from
+several primes by rational reconstruction and proved by the same
+integer product: the matrix times the kernel is zero.  For a kernel the
+rows enter the echelon by descending leading column, which cuts the
+back-reduction.  Inertia comes from symmetric congruence elimination
+on cleared-denominator integer pairs, one fused Bareiss step per pivot
+with exact division by the previous pivot.  The characteristic
+polynomial comes from the division-free Berkowitz scheme: each term
+R*B^k*w is the dot product of a left and a right Krylov vector, about
+k/2 sparse matrix-vector products each, and a symmetric matrix reuses
+its right vectors as its left ones.  The real roots of a linear or
+quadratic factor are exact QuadScalars.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -178,17 +178,19 @@ class ExactMatrix:
 # ---------------------------------------------------------------------------
 # One sparse reduced echelon over F_p, on {column: residue} rows.
 
-# The eight largest primes p = 3 (mod 4) below 2^61 - 1, the first primes
-# kernel_basis tries.  Each radicand is a square mod about half of them.
-KERNEL_PRIMES = (
-    2305843009213693907,
-    2305843009213693723,
-    2305843009213693487,
-    2305843009213693123,
-    2305843009213692967,
-    2305843009213692799,
-    2305843009213692671,
-    2305843009213692527,
+# The eight largest primes p = 3 (mod 4) below 2^30, the first primes
+# every elimination mod p tries.  Below 2^30 each residue is one CPython
+# digit and a product of two stays under 2^60.  Each radicand is a square
+# mod about half of them.
+PRIMES = (
+    1073741783,
+    1073741723,
+    1073741719,
+    1073741671,
+    1073741663,
+    1073741651,
+    1073741567,
+    1073741527,
 )
 
 
@@ -308,7 +310,7 @@ def pair_kernel_basis(pairs, cols: int, d: int) -> list:
     is 0.  pairs may be any iterable of rows, such as a generator.
 
     It is computed mod primes and proved exactly.  The primes are
-    KERNEL_PRIMES and then _primes_below the last of them; p is usable
+    PRIMES and then _primes_below the last of them; p is usable
     when d has a nonzero root r mod p.  The reduced echelon form of DM mod
     p under sqrt(d) -> r and, for d > 1, -r gives the residues of the
     rational parts a and b of each entry of K.  Its rows go in by
@@ -349,7 +351,7 @@ def pair_kernel_basis(pairs, cols: int, d: int) -> list:
         d = 1
     best = images = cap = None
     modulus = used = 1
-    for p in chain(KERNEL_PRIMES, _primes_below(KERNEL_PRIMES[-1])):
+    for p in chain(PRIMES, _primes_below(PRIMES[-1])):
         r = _root_mod_p(d, p)
         if not r:
             continue

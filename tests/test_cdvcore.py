@@ -239,10 +239,10 @@ class TestSap:
         op = build_shift_operator(SimpleGraph(12, tuple(edges)), QuadScalar.root(3))
         check_membership(op)
         assert op.corank == 2 and _unknowns_left(op) == 1
-        monkeypatch.setattr(cdvcore, "SAP_PRIMES", (3, 11))
+        monkeypatch.setattr(cdvcore, "PRIMES", (3, 11))
         cert = check_sap(op)
         assert cert.full_rank and cert.prime == 11
-        monkeypatch.setattr(cdvcore, "SAP_PRIMES", (3,))
+        monkeypatch.setattr(cdvcore, "PRIMES", (3,))
         cert = check_sap(op)
         assert cert.full_rank and cert.prime is None
 
@@ -284,7 +284,7 @@ class TestSap:
         monkeypatch.setattr(cdvcore, "full_rank_prime", refuse)
         check_membership(op)
         assert op.corank == 1
-        cert, calls = _check_sap_counting(op, cdvcore.SAP_PRIMES)
+        cert, calls = _check_sap_counting(op, cdvcore.PRIMES)
         assert cert.full_rank and cert.prime is None and calls == 1
 
     def test_sparse_system_matches_definition(self):
@@ -321,7 +321,7 @@ class TestSap:
     def test_genus10_primal_agrees_with_the_dual(self, monkeypatch, g10_operator):
         ranked = _record_ranked_columns(monkeypatch)
         modular = check_sap(g10_operator)
-        monkeypatch.setattr(cdvcore, "SAP_PRIMES", ())
+        monkeypatch.setattr(cdvcore, "PRIMES", ())
         exact = check_sap(g10_operator)
         assert modular.prime is not None and exact.prime is None
         assert ranked[0] == ranked[1] < 136
@@ -371,11 +371,11 @@ def _record_ranked_columns(monkeypatch) -> list:
 
 
 def _check_sap_counting(op, primes) -> tuple:
-    """check_sap with SAP_PRIMES set to primes, and the number of
+    """check_sap with PRIMES set to primes, and the number of
     kernel_basis and pair_kernel_basis calls it made."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cdvcore, "SAP_PRIMES", primes)
+        mp.setattr(cdvcore, "PRIMES", primes)
         for name in ("kernel_basis", "pair_kernel_basis"):
             kernel = getattr(cdvcore, name)
             mp.setattr(
@@ -567,7 +567,7 @@ class TestDualAgainstPrimal:
             assume(False)
         system, col_pairs = build_sap_system(op)
         primal_kernel = kernel_basis(system)
-        modular, calls = _check_sap_counting(op, cdvcore.SAP_PRIMES)
+        modular, calls = _check_sap_counting(op, cdvcore.PRIMES)
         exact, exact_calls = _check_sap_counting(op, ())
         event(f"corank {min(op.corank, 2)}{'+' if op.corank >= 2 else ''}")
         event("connected" if op.graph.is_connected() else "disconnected")

@@ -370,10 +370,8 @@ def _is_prime_by_trial(n):
 
 class TestPrimeWalk:
     def test_the_prime_tables_are_the_walk_from_their_bounds(self):
-        walk = exactlinalg._primes_below(2**61 - 1)
-        assert tuple(islice(walk, 8)) == exactlinalg.KERNEL_PRIMES
         walk = exactlinalg._primes_below(2**30)
-        assert tuple(islice(walk, 8)) == cdvcore.SAP_PRIMES
+        assert tuple(islice(walk, 8)) == exactlinalg.PRIMES
 
     def test_walk_matches_trial_division(self):
         expected = [
@@ -390,7 +388,7 @@ class TestPrimeWalk:
         assert next(exactlinalg._primes_below(n + 1)) < n
 
     def test_walk_yields_only_primes_3_mod_4(self):
-        last = exactlinalg.KERNEL_PRIMES[-1]
+        last = exactlinalg.PRIMES[-1]
         primes = list(islice(exactlinalg._primes_below(last), 20))
         assert all(p % 4 == 3 and p < last for p in primes)
         assert primes == sorted(set(primes), reverse=True)
@@ -471,7 +469,7 @@ class TestKernelModP:
     @settings(max_examples=40, deadline=None)
     def test_5x7_matrices_past_one_prime(self, m):
         # Most of these kernels carry norm denominators past what one
-        # 61-bit prime can reconstruct.
+        # prime can reconstruct.
         basis, usable = _kernel_with_primes(m)
         assert basis == kernel_basis_dense(m)
         assert math.prod(usable[:-1]) <= _cap(m)
@@ -498,23 +496,28 @@ class TestKernelModP:
         assert kernel_basis(shuffled) == kernel_basis(m)
 
     def test_genus10_kernel_takes_one_prime(self, g10_operator):
+        # 7 is not a square mod PRIMES[0]; PRIMES[1] is the first usable
+        # prime, and it alone reconstructs the kernel.
         basis, usable = _kernel_with_primes(g10_operator.matrix)
-        assert usable == [exactlinalg.KERNEL_PRIMES[0]]
+        assert usable == [exactlinalg.PRIMES[1]] == [1073741723]
         assert basis == kernel_basis_dense(g10_operator.matrix)
         assert len(basis) == 16
+        # The transversality dual is ranked from the same table: the kernel
+        # and the dual share their prime.
+        assert cdvcore.check_sap(g10_operator).prime == usable[0]
 
     def test_denominator_divisible_by_every_prime(self):
-        p = math.prod(exactlinalg.KERNEL_PRIMES)
+        p = math.prod(exactlinalg.PRIMES)
         m = ExactMatrix.from_rows([[Fraction(1, p), 1, 0], [0, 2, 1]])
         basis, usable = _kernel_with_primes(m)
         assert basis == kernel_basis_dense(m)
         # Each of the 8 primes sees the entry p/2 as 0.  Its numerator p
         # needs a modulus above 2p^2, and the primes after them are smaller.
-        assert usable[:8] == list(exactlinalg.KERNEL_PRIMES)
+        assert usable[:8] == list(exactlinalg.PRIMES)
         assert len(usable) == 17
 
     def test_denominator_divisible_by_the_first_prime_only(self):
-        p = exactlinalg.KERNEL_PRIMES[0]
+        p = exactlinalg.PRIMES[0]
         # Row 0 clears to (1, p, 0), which is (1, 0, 0) mod p: the residues
         # give a wrong kernel.  The numerator p of p/2 needs a modulus above
         # 2p^2, so two smaller primes follow.
@@ -537,7 +540,9 @@ class TestKernelModP:
         basis, usable = _kernel_with_primes(m)
         assert basis == kernel_basis_dense(m)
         assert basis == [[QuadScalar(2**40 + 1), QuadScalar(1), QuadScalar(0)]]
-        assert len(usable) == 2
+        # The numerator 2^40 + 1 needs a modulus above 2(2^40 + 1)^2, about
+        # 2^81: two primes below 2^30 fall short, three suffice.
+        assert len(usable) == 3
 
     def test_entries_near_2_to_the_200(self):
         r7 = QuadScalar.root(7)
@@ -550,7 +555,7 @@ class TestKernelModP:
         assert len(usable) > 10
 
     def test_pivot_set_that_differs_mod_p(self):
-        p = exactlinalg.KERNEL_PRIMES[0]
+        p = exactlinalg.PRIMES[0]
         # Column 0 is the pivot over Q and column 1 mod p: the second prime
         # restarts the accumulation, and the denominator p of -1/p needs a
         # modulus above 2p^2, three primes smaller than p.
@@ -561,25 +566,25 @@ class TestKernelModP:
         assert len(usable) == 4
 
     def test_pivot_sets_that_differ_between_the_images(self):
-        # KERNEL_PRIMES[2] is the first at which 2 has a root r.
-        p = exactlinalg.KERNEL_PRIMES[2]
+        # 2 has a root r at PRIMES[0].
+        p = exactlinalg.PRIMES[0]
         r = pow(2, (p + 1) // 4, p)
-        assert r * r % p == 2
+        assert r * r % p == 2 and (r * r - 2).bit_length() == 52
         # -r + sqrt(2) vanishes mod p under sqrt(2) -> r, not under -r, so
         # p is skipped.  The entry 1/(r - sqrt(2)) has the norm r^2 - 2,
-        # about 2^122, as its denominator, which needs a modulus above
-        # 2^245: five more primes.
+        # about 2^52, as its denominator, which needs a modulus above
+        # 2^105: four more usable primes below 2^30.
         m = ExactMatrix.from_rows([[QuadScalar(-r, 1, 2), 1]])
         basis, usable = _kernel_with_primes(m)
         assert basis == kernel_basis_dense(m)
-        assert usable[0] == p and len(usable) == 6
+        assert usable[0] == p and len(usable) == 5
 
     def test_radicand_without_a_root_at_the_first_primes(self):
-        # 5 is a square mod none of the first five primes.
+        # 5 is a square mod neither PRIMES[0] nor PRIMES[1].
         r5 = QuadScalar.root(5)
         m = ExactMatrix.from_rows([[1, r5, 2], [r5, 5, 2 * r5]])
         basis, usable = _kernel_with_primes(m)
-        assert usable == [exactlinalg.KERNEL_PRIMES[5]]
+        assert usable == [exactlinalg.PRIMES[2]]
         assert basis == kernel_basis_dense(m)
         one, zero = QuadScalar(1), QuadScalar(0)
         assert basis == [[-r5, one, zero], [QuadScalar(-2), zero, one]]

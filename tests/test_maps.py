@@ -3,8 +3,10 @@ from hypothesis import given, strategies as st
 
 from cdvcert.groups import coset_enumerate, parse_presentation
 from cdvcert.maps import (
+    CombinatorialMap,
     InvalidChi,
     MalformedIncidence,
+    NotRegular,
     OddEuler,
     SimpleGraph,
     build_map_from_cosets,
@@ -12,6 +14,7 @@ from cdvcert.maps import (
     genus_orientable,
     heawood_gamma,
     map_report,
+    validate_rotary_type,
 )
 
 
@@ -164,6 +167,28 @@ class TestPlatonicMaps:
             build_map_from_cosets(
                 table, (pres.word("z"),), (pres.word("y"),), (pres.word("y*z"),)
             )
+
+    @pytest.mark.parametrize(
+        "vertices,faces,match",
+        [
+            # seven darts at one vertex, in faces of lengths 3 and 4
+            (
+                ((0, 1, 2, 3, 4, 5, 6),),
+                ((0, 1, 2), (3, 4, 5, 6)),
+                r"face sizes vary: \[3, 4\]",
+            ),
+            # five darts in one face, at vertices of degrees 2 and 3
+            (
+                ((0, 1), (2, 3, 4)),
+                ((0, 1, 2, 3, 4),),
+                r"vertex degrees vary: \[2, 3\]",
+            ),
+        ],
+    )
+    def test_irregular_cells_are_not_rotary(self, vertices, faces, match):
+        m = CombinatorialMap(vertices, (), faces, SimpleGraph(len(vertices), ()))
+        with pytest.raises(NotRegular, match=match):
+            validate_rotary_type(m)
 
 
 class TestGenus10Map(object):
