@@ -1,17 +1,74 @@
-"""One map certificate, driven by data: `certify_map` checks the coset map
-of a `MapSpec` and the operator on its graph against expectations derived
-from the spec's group facts and factored characteristic polynomial, so
-the layers are checked against each other, not against constants."""
+"""One map certificate, driven by data, and the report it fills.
+
+`RunReport` collects one command's results, verdicts and stage wall
+times; its `timed(name)` is the package's one stage timer.
+`certify_map` checks the coset map of a `MapSpec` and the operator on
+its graph against expectations derived from the spec's group facts and
+factored characteristic polynomial, so the layers are checked against
+each other, not against constants.  It writes into the report as it
+goes, so a fault leaves the report at the stage that raised it, with
+every verdict reached before."""
 
 from __future__ import annotations
 
+import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import cdvcore, exactlinalg, groups, maps
 from .exactfield import QuadScalar
 from .exactlinalg import IntPolynomial
+
+SCHEMA_VERSION = 1
+
+
+@dataclass
+class RunReport:
+    """Accumulates results, verdicts and stage timings for one command;
+    with `progress`, each stage's name goes to stderr as it starts."""
+
+    command: str
+    inputs: dict = field(default_factory=dict)
+    results: dict = field(default_factory=dict)
+    verdicts: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)
+    stage: str = "setup"
+    progress: bool = False
+
+    def verdict(self, name: str, ok: bool) -> bool:
+        self.verdicts[name] = bool(ok)
+        return bool(ok)
+
+    @property
+    def passed(self) -> bool:
+        return all(self.verdicts.values())
+
+    @contextmanager
+    def timed(self, name: str):
+        """Run one stage: name it, announce it, and record its wall time
+        even when it raises."""
+        self.stage = name
+        if self.progress:
+            print(f"[{name}] ...", file=sys.stderr, flush=True)
+        start = time.monotonic()
+        try:
+            yield
+        finally:
+            self.timings[name] = time.monotonic() - start
+
+    def to_json_dict(self, with_timings: bool = True) -> dict:
+        data = {
+            "schema_version": SCHEMA_VERSION,
+            "command": self.command,
+            "inputs": self.inputs,
+            "results": self.results,
+            "verdict": self.verdicts,
+            "passed": self.passed,
+        }
+        if with_timings:
+            data["timings"] = {k: round(v, 3) for k, v in self.timings.items()}
+        return data
 
 
 @dataclass(frozen=True)
@@ -43,16 +100,6 @@ GENUS10 = MapSpec(
 )
 
 
-@dataclass(frozen=True)
-class MapCertificate:
-    """Report blocks, verdicts, stage wall times, and the operator."""
-
-    results: dict
-    verdicts: dict
-    timings: dict
-    operator: cdvcore.SchrodingerOperator
-
-
 def charpoly_inertia(charpoly, shift: QuadScalar) -> tuple:
     """Inertia of shift*I - A for a symmetric A with this factored
     characteristic polynomial: each root of a linear or real quadratic
@@ -68,14 +115,9 @@ def charpoly_inertia(charpoly, shift: QuadScalar) -> tuple:
     return tuple(counts)
 
 
-@contextmanager
-def _stage(timings: dict, name: str):
-    start = time.monotonic()
-    yield
-    timings[name] = time.monotonic() - start
-
-
-def certify_map(spec: MapSpec, sap: bool = True) -> MapCertificate:
+def certify_map(
+    spec: MapSpec, report: RunReport, sap: bool = True
+) -> cdvcore.SchrodingerOperator:
     """Certify the map whose vertices, edges and faces are the cosets of
     <z>, <y*z> and <y>, and shift*I - A on its graph; sap=False skips
     transversality, as does an operator without exactly one negative
@@ -84,13 +126,14 @@ def certify_map(spec: MapSpec, sap: bool = True) -> MapCertificate:
     With y, z, y*z of orders p, q, r in a group of order N, the map has
     (v, e, f) = (N/q, N/r, N/p), chi = v - e + f, genus 1 - chi/2 and
     type (p, q) on a q-regular graph; the transversality system is
-    v(v-1) x (v(v-1)/2 - e)."""
-    results, verdicts, timings = {}, {}, {}
+    v(v-1) x (v(v-1)/2 - e).  Results, verdicts and stage times go into
+    the report; the operator is returned."""
+    results, verdict = report.results, report.verdict
     p, q, r = spec.element_orders
     v, e, f = spec.order // q, spec.order // r, spec.order // p
     chi = v - e + f
 
-    with _stage(timings, "enumerate"):
+    with report.timed("enumerate"):
         presentation = groups.parse_presentation(spec.presentation)
         table = groups.coset_enumerate(presentation)
         orders = {
@@ -98,20 +141,20 @@ def certify_map(spec: MapSpec, sap: bool = True) -> MapCertificate:
             for w in ("y", "z", "y*z")
         }
     results["group"] = {"order": table.count, "element_orders": orders}
-    verdicts["group_order"] = table.count == spec.order
-    verdicts["element_orders"] = tuple(orders.values()) == spec.element_orders
+    verdict("group_order", table.count == spec.order)
+    verdict("element_orders", tuple(orders.values()) == spec.element_orders)
 
-    with _stage(timings, "map"):
+    with report.timed("map"):
         surface = maps.genus10_map(presentation, table)
         summary = results["map"] = maps.map_report(surface)
     graph = surface.graph
-    verdicts["map_counts"] = (summary["v"], summary["e"], summary["f"]) == (v, e, f)
-    verdicts["euler_genus"] = (summary["chi"], summary["genus"]) == (chi, 1 - chi // 2)
-    verdicts["rotary_type"] = (summary["p"], summary["q"]) == (p, q)
-    verdicts["graph_connected"] = graph.is_connected()
-    verdicts["graph_regular"] = graph.regular_degree() == q
+    verdict("map_counts", (summary["v"], summary["e"], summary["f"]) == (v, e, f))
+    verdict("euler_genus", (summary["chi"], summary["genus"]) == (chi, 1 - chi // 2))
+    verdict("rotary_type", (summary["p"], summary["q"]) == (p, q))
+    verdict("graph_connected", graph.is_connected())
+    verdict("graph_regular", graph.regular_degree() == q)
 
-    with _stage(timings, "charpoly"):
+    with report.timed("charpoly"):
         adjacency = exactlinalg.ExactMatrix.symmetric(
             graph.n, dict.fromkeys(graph.edges, 1)
         )
@@ -119,9 +162,9 @@ def certify_map(spec: MapSpec, sap: bool = True) -> MapCertificate:
         expected = exactlinalg.poly_expand_product(spec.charpoly)
         spectral = charpoly_inertia(spec.charpoly, spec.shift)
     results["charpoly"] = {"degree": observed.degree, "text": str(observed)}
-    verdicts["charpoly_factored"] = observed == expected
+    verdict("charpoly_factored", observed == expected)
 
-    with _stage(timings, "operator"):
+    with report.timed("operator"):
         operator = cdvcore.build_shift_operator(graph, spec.shift)
         try:
             inertia = cdvcore.check_membership(operator)
@@ -129,25 +172,25 @@ def certify_map(spec: MapSpec, sap: bool = True) -> MapCertificate:
             inertia = exc.inertia
         kernel_dim = len(cdvcore.operator_kernel(operator))
     corank = inertia.zeros
-    congruence = (inertia.negatives, corank, inertia.positives)
     results["operator"] = {
         "shift": spec.shift.render(),
-        "inertia": list(congruence),
+        "inertia": list(inertia),
         "corank": corank,
         "kernel_dim": kernel_dim,
     }
     # operator.inertia is set only when membership holds.
-    verdicts["inertia"] = operator.inertia is not None and congruence == spectral
-    verdicts["corank"] = corank == spectral[1] == kernel_dim
+    verdict("inertia", operator.inertia is not None and inertia == spectral)
+    verdict("corank", corank == spectral[1] == kernel_dim)
 
-    results["transversality"] = "skipped"
     if sap and operator.inertia is not None:
-        with _stage(timings, "transversality"):
+        with report.timed("transversality"):
             cert = cdvcore.check_sap(operator)
         results["transversality"] = dict(rows=cert.rows, cols=cert.cols, rank=cert.rank)
         cols = v * (v - 1) // 2 - e
-        verdicts["system_shape"] = (cert.rows, cert.cols) == (v * (v - 1), cols)
-        verdicts["full_rank"] = cert.full_rank and cert.rank == cols
+        verdict("system_shape", (cert.rows, cert.cols) == (v * (v - 1), cols))
+        verdict("full_rank", cert.full_rank and cert.rank == cols)
+    else:
+        results["transversality"] = "skipped"
 
     # The point of the whole run: the certified corank beats the surface
     # embedding bound for every surface in the window.
@@ -158,5 +201,5 @@ def certify_map(spec: MapSpec, sap: bool = True) -> MapCertificate:
         "embedding_bound": embedding_bound,
         "chi_window": list(window) if window else None,
     }
-    verdicts["exceeds_embedding_bound"] = corank > embedding_bound
-    return MapCertificate(results, verdicts, timings, operator)
+    verdict("exceeds_embedding_bound", corank > embedding_bound)
+    return operator

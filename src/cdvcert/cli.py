@@ -10,87 +10,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import dataclass, field
 
 from . import cdvcore, certify, exactlinalg, groups, maps
-
-SCHEMA_VERSION = 1
-
-
-@dataclass
-class RunReport:
-    """Accumulates results, verdicts and stage timings for one command."""
-
-    command: str
-    inputs: dict
-    results: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
-    stage: str = "setup"
-
-    def verdict(self, name: str, ok: bool) -> bool:
-        self.verdicts[name] = bool(ok)
-        return bool(ok)
-
-    @property
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
-
-    def to_json_dict(self, with_timings: bool = True) -> dict:
-        data = {
-            "schema_version": SCHEMA_VERSION,
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "verdict": self.verdicts,
-            "passed": self.passed,
-        }
-        if with_timings:
-            data["timings"] = {k: round(v, 3) for k, v in self.timings.items()}
-        return data
-
-
-class _Stage:
-    """Context manager recording one stage's wall time into the report."""
-
-    def __init__(self, report: RunReport, name: str, progress: bool):
-        self.report = report
-        self.name = name
-        self.progress = progress
-
-    def __enter__(self):
-        self.report.stage = self.name
-        if self.progress:
-            print(f"[{self.name}] ...", file=sys.stderr, flush=True)
-        self.start = time.monotonic()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.report.timings[self.name] = time.monotonic() - self.start
-        return False
+from .certify import RunReport
 
 
 def cmd_genus10(args, report: RunReport) -> None:
-    with _Stage(report, "certify", args.progress):
-        cert = certify.certify_map(certify.GENUS10, sap=not args.skip_sap)
-    report.results.update(cert.results)
-    report.verdicts.update(cert.verdicts)
-    report.timings.update(cert.timings)
+    certify.certify_map(certify.GENUS10, report, sap=not args.skip_sap)
 
 
 def cmd_sap(args, report: RunReport) -> None:
     report.inputs["operator"] = args.operator
     operator = cdvcore.SchrodingerOperator.load(args.operator)
-    with _Stage(report, "membership", args.progress):
+    with report.timed("membership"):
         inertia = cdvcore.check_membership(operator)
-    report.results["inertia"] = [
-        inertia.negatives,
-        inertia.zeros,
-        inertia.positives,
-    ]
+    report.results["inertia"] = list(inertia)
     report.results["corank"] = operator.corank
-    with _Stage(report, "transversality", args.progress):
+    with report.timed("transversality"):
         cert = cdvcore.check_sap(operator)
     report.results["transversality"] = {
         "rows": cert.rows,
@@ -107,18 +43,14 @@ def cmd_bipartite(args, report: RunReport) -> None:
     s_set = frozenset(args.s or [])
     report.inputs["a"], report.inputs["b"] = args.a, args.b
     report.inputs["s"] = sorted(s_set)
-    with _Stage(report, "build", args.progress):
+    with report.timed("build"):
         operator = cdvcore.build_bipartite_operator(args.a, args.b, s_set)
     target = args.a + args.b - 2 - len(s_set)
     report.results["epsilon"] = str(operator.epsilon)
-    report.results["inertia"] = [
-        operator.inertia.negatives,
-        operator.inertia.zeros,
-        operator.inertia.positives,
-    ]
+    report.results["inertia"] = list(operator.inertia)
     report.results["corank"] = operator.corank
     report.verdict("corank_formula", operator.corank == target)
-    with _Stage(report, "kernel", args.progress):
+    with report.timed("kernel"):
         combinatorial = cdvcore.bipartite_kernel_basis(args.a, args.b, s_set)
         computed = exactlinalg.kernel_basis(operator.matrix)
     report.results["kernel_dim"] = len(computed)
@@ -132,7 +64,7 @@ def cmd_bipartite(args, report: RunReport) -> None:
 
 def cmd_witness(args, report: RunReport) -> None:
     report.inputs["a"], report.inputs["b"] = args.a, args.b
-    with _Stage(report, "build", args.progress):
+    with report.timed("build"):
         operator, witness = cdvcore.build_sap_witness(args.a, args.b)
     report.results["epsilon"] = str(operator.epsilon)
     report.results["corank"] = operator.corank
@@ -143,7 +75,7 @@ def cmd_witness(args, report: RunReport) -> None:
         report.verdict("witness_valid", True)
     except ValueError:
         report.verdict("witness_valid", False)
-    with _Stage(report, "transversality", args.progress):
+    with report.timed("transversality"):
         cert = cdvcore.check_sap(operator)
     report.results["transversality"] = {
         "rank": cert.rank,
@@ -154,7 +86,7 @@ def cmd_witness(args, report: RunReport) -> None:
 
 
 def cmd_q1(args, report: RunReport) -> None:
-    with _Stage(report, "verify", args.progress):
+    with report.timed("verify"):
         outcome = cdvcore.verify_q1_counterexample()
     report.results["graph"] = cdvcore.build_q1_graph().to_json_dict()
     report.results["positive_roots"] = outcome.positive_roots
@@ -305,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    report = RunReport(command=args.command, inputs={})
+    report = RunReport(args.command, progress=args.progress)
     try:
         args.func(args, report)
     except (ValueError, RuntimeError, OSError) as exc:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import mul
+from typing import NamedTuple
 
 from .exactfield import ONE, ZERO, FieldMismatch, QuadScalar, pair_sign
 
@@ -43,8 +44,7 @@ class NonIntegerEntries(ValueError):
     """Operation requiring integer entries got fractional or irrational ones."""
 
 
-@dataclass(frozen=True)
-class Inertia:
+class Inertia(NamedTuple):
     """Eigenvalue sign counts of a symmetric matrix."""
 
     negatives: int

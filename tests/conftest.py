@@ -2,7 +2,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from cdvcert import groups, maps
-from cdvcert.certify import GENUS10, certify_map
+from cdvcert.certify import GENUS10, RunReport, certify_map
 
 settings.register_profile(
     "exact",
@@ -38,10 +38,18 @@ def g10_map(g10_table):
 
 
 @pytest.fixture(scope="session")
-def g10_certificate():
-    return certify_map(GENUS10)
+def g10_run():
+    report = RunReport("genus10")
+    return report, certify_map(GENUS10, report)
 
 
 @pytest.fixture(scope="session")
-def g10_operator(g10_certificate):
-    return g10_certificate.operator
+def g10_certificate(g10_run):
+    """The report of one full `certify_map(GENUS10)` run."""
+    return g10_run[0]
+
+
+@pytest.fixture(scope="session")
+def g10_operator(g10_run):
+    """The operator that run certified."""
+    return g10_run[1]

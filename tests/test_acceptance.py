@@ -58,9 +58,9 @@ def test_criterion_1_group_pipeline():
     )
 
 
-def test_criterion_2_map_pipeline(g10_certificate):
+def test_criterion_2_map_pipeline(g10_certificate, g10_operator):
     m = g10_certificate.results["map"]
-    graph = g10_certificate.operator.graph
+    graph = g10_operator.graph
     ok = (
         g10_certificate.results["group"]["order"] == 432
         and m == {"v": 54, "e": 216, "f": 144, "chi": -18, "genus": 10, "p": 3, "q": 8}

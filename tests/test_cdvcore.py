@@ -30,7 +30,7 @@ from cdvcert.cdvcore import (
     verify_q1_counterexample,
     verify_sap_witness,
 )
-from cdvcert.certify import MapSpec, certify_map, charpoly_inertia
+from cdvcert.certify import MapSpec, RunReport, certify_map, charpoly_inertia
 from cdvcert.exactfield import QuadScalar, parse_scalar
 from cdvcert.exactlinalg import ExactMatrix, IntPolynomial, kernel_basis
 from cdvcert.maps import SimpleGraph
@@ -306,7 +306,7 @@ class TestSap:
             assert vars(op) == fields and list(op.matrix.row_dicts) == row_dicts
 
     def test_klein_dual_matches_the_primal(self, monkeypatch):
-        op = certify_map(KLEIN, sap=False).operator
+        op = certify_map(KLEIN, RunReport("klein"), sap=False)
         assert op.corank == 8
         system, _ = build_sap_system(op)
         ranked = _record_ranked_columns(monkeypatch)
@@ -509,7 +509,8 @@ def failed_verdicts(result):
 
 class TestCertifyMap:
     def test_klein_holds_every_verdict_but_the_bound(self):
-        result = certify_map(KLEIN)
+        result = RunReport("klein")
+        certify_map(KLEIN, result)
         assert failed_verdicts(result) == {"exceeds_embedding_bound"}
         assert result.results["operator"]["inertia"] == [1, 8, 15]
 
@@ -527,7 +528,8 @@ class TestCertifyMap:
         ],
     )
     def test_a_wrong_spec_field_flips_its_verdict(self, field, value, flipped):
-        result = certify_map(replace(KLEIN, **{field: value}))
+        result = RunReport("klein")
+        certify_map(replace(KLEIN, **{field: value}), result)
         assert failed_verdicts(result) == flipped | {"exceeds_embedding_bound"}
 
     def test_a_wrong_shift_reports_the_one_congruence_inertia(self, monkeypatch):
@@ -543,7 +545,8 @@ class TestCertifyMap:
         monkeypatch.setattr(exactlinalg, "inertia_symmetric", counting)
         monkeypatch.setattr(cdvcore, "inertia_symmetric", counting)
         spec = replace(KLEIN, shift=-QuadScalar.root(7))
-        result = certify_map(spec)
+        result = RunReport("klein")
+        certify_map(spec, result)
         assert len(calls) == 1
         assert result.results["operator"]["inertia"] == [16, 8, 0]
         assert charpoly_inertia(spec.charpoly, spec.shift) == (16, 8, 0)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -57,6 +58,29 @@ class TestGenus10:
         code, report = run(capsys, "genus10", "--no-timings")
         assert code == 0 and report["passed"]
         assert sides.count(54) == 1
+
+    def test_progress_names_every_stage(self, capsys):
+        cli.main(["genus10", "--skip-sap", "--progress", "--no-timings"])
+        captured = capsys.readouterr()
+        stages = re.findall(r"^\[(\w+)\] ", captured.err, re.M)
+        assert stages == ["enumerate", "map", "charpoly", "operator"]
+        json.loads(captured.out)
+
+    def test_a_fault_keeps_its_stage_and_the_verdicts_before_it(
+        self, capsys, monkeypatch
+    ):
+        def fail(operator):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cdvcore, "check_sap", fail)
+        code, report = run(capsys, "genus10")
+        assert code == 1 and report["passed"] is False
+        assert report["results"]["error"]["stage"] == "transversality"
+        reached = ("group_order", "map_counts", "charpoly_factored", "inertia", "corank")
+        assert all(report["verdict"][name] is True for name in reached)
+        assert set(report["timings"]) == {
+            "enumerate", "map", "charpoly", "operator", "transversality"
+        }
 
 
 class TestQ1:

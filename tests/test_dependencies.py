@@ -13,18 +13,31 @@ PACKAGE = Path(__file__).parent.parent / "src" / "cdvcert"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_imports_only_the_standard_library(path):
-    outside = []
+def _absolute_imports(path):
+    """Every module an `import m` or `from m import x` in this file names."""
+    names = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [node.module]
-        else:
-            continue
-        outside += [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+            names.append(node.module)
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    outside = [
+        n for n in _absolute_imports(path)
+        if n.split(".")[0] not in sys.stdlib_module_names
+    ]
     assert outside == []
+
+
+def test_one_stage_timer():
+    """`RunReport.timed` in certify.py is the package's one stage timer, so
+    no other module reads the clock."""
+    timers = [p.name for p in SOURCES if "time" in _absolute_imports(p)]
+    assert timers == ["certify.py"]
 
 
 def _is_private(name: str) -> bool:
