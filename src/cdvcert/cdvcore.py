@@ -63,9 +63,10 @@ class SystemTooLarge(ValueError):
 
 
 # Largest vertex count an operator file or a bipartite a + b may have.
-# The operator matrix stores only its nonzeros, but inertia copies it into
-# a dense n x n table of integer pairs and eliminates it in O(n^3) steps;
-# the genus-10 certificate needs 54 vertices.
+# The operator matrix stores only its nonzeros, but inertia copies its
+# nonsingular block into a dense (n - c)^2 table of integer pairs, c the
+# corank, and eliminates it in O((n - c)^3) steps; the genus-10
+# certificate needs 54 vertices and a 38 x 38 block.
 MAX_OPERATOR_VERTICES = 400
 
 # Largest slot count of the transversality dual check_sap builds, taken as
@@ -85,9 +86,9 @@ class SchrodingerOperator:
     """A graph, its diagonal, and one weight per edge in graph.edges order.
 
     Every other off-diagonal entry is zero by construction.  `matrix` is
-    built once from these fields.  inertia starts as None and is filled by
-    check_membership; kernel starts as None and is filled by
-    operator_kernel.
+    built once from these fields, and keeps its kernel once kernel_basis
+    has computed it, so membership, check_sap and any caller share one
+    kernel.  inertia starts as None and is filled by check_membership.
     """
 
     graph: SimpleGraph
@@ -95,7 +96,6 @@ class SchrodingerOperator:
     weights: tuple
     epsilon: Fraction | None = None
     inertia: Inertia | None = None
-    kernel: list | None = field(default=None, init=False, repr=False, compare=False)
     matrix: ExactMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -198,7 +198,8 @@ def build_shift_operator(graph: SimpleGraph, shift) -> SchrodingerOperator:
 def check_membership(op: SchrodingerOperator) -> Inertia:
     """Certify negative edge weights and exactly one negative eigenvalue;
     fills inertia, and with it corank, on success.  Entries off the graph
-    are zero by construction."""
+    are zero by construction.  The inertia computes the kernel of
+    op.matrix, which the matrix keeps for check_sap."""
     for (u, v), w in zip(op.graph.edges, op.weights):
         if w.sign() >= 0:
             raise SignPatternViolation(
@@ -209,14 +210,6 @@ def check_membership(op: SchrodingerOperator) -> Inertia:
         raise NotOneNegative(inertia)
     op.inertia = inertia
     return inertia
-
-
-def operator_kernel(op: SchrodingerOperator) -> list:
-    """The exact kernel basis of op.matrix, computed by kernel_basis on the
-    first call and kept on op.kernel, where check_sap reuses it."""
-    if op.kernel is None:
-        op.kernel = kernel_basis(op.matrix)
-    return op.kernel
 
 
 @dataclass(frozen=True)
@@ -258,8 +251,8 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     where X is zero.
 
     So for corank c = 0, M is invertible, X = 0, and the system has full
-    column rank without being built.  For c >= 1, with K an exact n x c
-    kernel basis of M (op.kernel when operator_kernel has stored it), each
+    column rank without being built.  For c >= 1, with K the exact n x c
+    kernel basis of M that inertia already computed and M keeps, each
     such X is K*S*K^T for a unique symmetric c x c matrix S with
     k_i^T*S*k_j = 0 for i = j and for each edge ij (k_i is row i of K).
     Primal nullity equals the nullity of this dual system of n + |E| rows
@@ -329,7 +322,7 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
             f"{slots} slots, above MAX_SAP_SLOTS = {MAX_SAP_SLOTS}"
         )
     dual_shape = (dual_rows, dual_cols)
-    basis = kernel_basis(op.matrix) if op.kernel is None else op.kernel
+    basis = kernel_basis(op.matrix)
     if len(basis) != c:
         raise RuntimeError(f"kernel dimension {len(basis)} contradicts corank {c}")
     kernel = ExactMatrix(

@@ -170,7 +170,7 @@ def certify_map(
             inertia = cdvcore.check_membership(operator)
         except cdvcore.NotOneNegative as exc:
             inertia = exc.inertia
-        kernel_dim = len(cdvcore.operator_kernel(operator))
+        kernel_dim = len(exactlinalg.kernel_basis(operator.matrix))
     corank = inertia.zeros
     results["operator"] = {
         "shift": spec.shift.render(),

@@ -14,9 +14,12 @@ primes below 2^30.  It gives ranks mod p and kernels, rebuilt from
 several primes by rational reconstruction and proved by the same
 integer product: the matrix times the kernel is zero.  For a kernel the
 rows enter the echelon by descending leading column, which cuts the
-back-reduction.  Inertia comes from symmetric congruence elimination
-on cleared-denominator integer pairs, one fused Bareiss step per pivot
-with exact division by the previous pivot.  The characteristic
+back-reduction.  A matrix's kernel is computed once and kept on it.
+Inertia takes that kernel: its free columns are the zeros, and the
+nonsingular block on the other columns gives the signs by symmetric
+congruence elimination on cleared-denominator integer pairs, one fused
+Bareiss step per pivot with exact division by the previous pivot, so
+the kernel directions are never eliminated.  The characteristic
 polynomial comes from the division-free Berkowitz scheme: each term
 R*B^k*w is the dot product of a left and a right Krylov vector, about
 k/2 sparse matrix-vector products each, and a symmetric matrix reuses
@@ -67,10 +70,11 @@ class ExactMatrix:
     {column: nonzero entry} dict per row, and every other entry is zero.
 
     All irrational entries must share one radicand d; `radicand` is that d,
-    or 1 for a rational matrix.  Instances are not mutated after build.
+    or 1 for a rational matrix.  Instances are not mutated after build,
+    so kernel_basis keeps the kernel it computes in the `_kernel` slot.
     """
 
-    __slots__ = ("rows", "cols", "row_dicts", "radicand")
+    __slots__ = ("rows", "cols", "row_dicts", "radicand", "_kernel")
 
     def __init__(self, cols: int, row_dicts, radicand: int | None = None):
         row_dicts = tuple(row_dicts)
@@ -95,6 +99,7 @@ class ExactMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "row_dicts", row_dicts)
         object.__setattr__(self, "radicand", radicand)
+        object.__setattr__(self, "_kernel", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -299,8 +304,13 @@ def kernel_basis(matrix: ExactMatrix) -> list:
     column f, 0 at the other free columns, and minus the pivot rows' entries
     in column f at the pivot columns.  This canonical basis depends only on
     the matrix.  It is pair_kernel_basis on the matrix's pair_rows, which
-    scale each row of M by a positive integer and keep the kernel."""
-    return pair_kernel_basis(pair_rows(matrix), matrix.cols, matrix.radicand)
+    scale each row of M by a positive integer and keep the kernel,
+    computed on the first call for a matrix and kept on it; every call
+    returns fresh lists."""
+    if matrix._kernel is None:
+        basis = pair_kernel_basis(pair_rows(matrix), matrix.cols, matrix.radicand)
+        object.__setattr__(matrix, "_kernel", tuple(map(tuple, basis)))
+    return [list(vec) for vec in matrix._kernel]
 
 
 def pair_kernel_basis(pairs, cols: int, d: int) -> list:
@@ -492,8 +502,8 @@ def _bareiss_step(W: list, sp: int, prev: tuple, d: int) -> list:
     sp*W[i][0]*W[0][j]) / prev for i, j >= 1, each a single integer
     expression on (a, b) pairs.  Dividing by prev multiplies by its
     conjugate and divides by its norm; a remainder means the elimination
-    chain is broken and raises.  W is symmetric, so only j >= i is
-    computed and the rest is mirrored."""
+    chain is broken and raises RuntimeError.  W is symmetric, so only
+    j >= i is computed and the rest is mirrored."""
     top = W[0]
     sa, sb = sp * top[0][0], sp * top[0][1]
     qa, qb = prev
@@ -517,14 +527,31 @@ def _bareiss_step(W: list, sp: int, prev: tuple, d: int) -> list:
             x, rx = divmod(x, norm) if x else (0, 0)
             y, ry = divmod(y, norm) if y else (0, 0)
             if rx or ry:
-                raise ArithmeticError("inexact division in the congruence chain")
+                raise RuntimeError("inexact division in the congruence chain")
             new.append((x, y))
         out.append(new)
     return out
 
 
 def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
-    """Exact (negatives, zeros, positives) by congruence elimination.
+    """Exact (negatives, zeros, positives) from the proved kernel and a
+    congruence elimination of the nonsingular block it leaves.
+
+    kernel_basis gives K with MK = 0 proved exactly.  Each vector's last
+    nonzero index is its free column; F is the set of them and P the other
+    columns.  Elimination runs on the block M_PP only:
+
+    - K's vectors end at |F| distinct indices, so they are independent,
+      and MK = 0 gives nullity(M) >= |F|.
+    - The elimination below finds |P| nonzero pivots on M_PP, so M_PP is
+      nonsingular and rank(M) >= |P|.
+    - So rank(M) = |P|, the Schur complement M_FF - M_FP M_PP^-1 M_PF is
+      zero, and M is congruent to M_PP + 0 (direct sum).  By Haynsworth's
+      inertia additivity, In(M) = In(M_PP) + (0, |F|, 0).
+
+    The corank thus rests on two exact facts that check each other, and
+    not on the mod-p argument that found K.  A singular M_PP, which only
+    a kernel missing a vector can leave, raises RuntimeError.
 
     Each step takes a 1x1 pivot p from the diagonal of the remaining block,
     scales the Schur step by |p| and divides by the previous |p|.  The
@@ -544,8 +571,13 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     ):
         raise NotSymmetric(f"the {matrix.rows}x{matrix.cols} matrix is not symmetric")
     d = matrix.radicand
-    W = [[row.get(j, (0, 0)) for j in range(matrix.cols)] for row in rows]
-    neg = zero = pos = 0
+    basis = kernel_basis(matrix)
+    free = {max(i for i, x in enumerate(vec) if x) for vec in basis}
+    if len(free) != len(basis):
+        raise RuntimeError("kernel vectors do not end at distinct columns")
+    block = [j for j in range(matrix.cols) if j not in free]
+    W = [[rows[i].get(j, (0, 0)) for j in block] for i in block]
+    neg = pos = 0
     prev = (1, 0)
     while W:
         m = len(W)
@@ -556,8 +588,10 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
                 None,
             )
             if hot is None:
-                zero += m
-                break
+                raise RuntimeError(
+                    f"the {len(block)}x{len(block)} block off the kernel's free "
+                    "columns is singular: the kernel misses a vector"
+                )
             k, j = hot
             W[k] = [(x[0] + y[0], x[1] + y[1]) for x, y in zip(W[k], W[j])]
             for row in W:
@@ -572,7 +606,7 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
             pos += 1
         W = _bareiss_step(W, sp, prev, d)
         prev = (sp * p[0], sp * p[1])
-    return Inertia(neg, zero, pos)
+    return Inertia(neg, len(free), pos)
 
 
 # ---------------------------------------------------------------------------

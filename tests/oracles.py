@@ -1,7 +1,8 @@
 """Slow, independent oracles for the exact arithmetic and linear algebra:
 scalar arithmetic on Fractions, two rank eliminations (the dense one
 also gives the free columns), a dense reduced echelon for the kernel
-basis, a determinant, a dense characteristic polynomial, a transpose, a
+basis, a determinant, a dense symmetric elimination for the inertia, a
+dense characteristic polynomial, a transpose, a
 matrix-vector product, a dense matrix product, a subspace-equality
 test, the primal transversality system and a trace-and-define coset
 enumerator.  The library needs none of them;
@@ -238,6 +239,39 @@ def determinant(matrix: ExactMatrix):
                 f = work[i][col] / pv
                 work[i] = [x - f * y for x, y in zip(work[i], work[col])]
     return det
+
+
+def inertia_dense(matrix: ExactMatrix) -> tuple:
+    """(negatives, zeros, positives) of a symmetric matrix by textbook
+    symmetric elimination over the field, on FractionQuad entries read
+    from row_dicts: a nonzero diagonal pivot p of the remaining block
+    counts its sign, and the block becomes its Schur complement
+    W - w*w^T/p.  When the whole diagonal is zero but W[i][j] is not,
+    adding row and column j to row and column i makes W[i][i] = 2 W[i][j],
+    a congruence.  A zero block counts its size as zeros."""
+    n = matrix.rows
+    W = [[FractionQuad() for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(matrix.row_dicts):
+        for j, x in row.items():
+            W[i][j] = FractionQuad(Fraction(x.n, x.q), Fraction(x.r, x.q), x.d)
+    counts = [0, 0, 0]
+    while W:
+        m = len(W)
+        k = next((i for i in range(m) if W[i][i]), None)
+        if k is None:
+            hot = next(((i, j) for i in range(m) for j in range(m) if W[i][j]), None)
+            if hot is None:
+                counts[1] += m
+                break
+            k, j = hot
+            W[k] = [x + y for x, y in zip(W[k], W[j])]
+            for row in W:
+                row[k] = row[k] + row[j]
+        p = W[k][k]
+        counts[p.sign() + 1] += 1
+        rest = [i for i in range(m) if i != k]
+        W = [[W[i][j] - W[i][k] * W[k][j] / p for j in rest] for i in rest]
+    return tuple(counts)
 
 
 def charpoly_dense(matrix: ExactMatrix) -> IntPolynomial:

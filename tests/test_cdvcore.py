@@ -247,24 +247,31 @@ class TestSap:
         assert cert.full_rank and cert.prime is None
 
     def test_stored_kernel_is_reused(self, monkeypatch):
+        # Membership computes the operator's kernel, the matrix keeps it,
+        # and check_sap and any later caller read it back.
         calls = []
+        pair_kernel = exactlinalg.pair_kernel_basis
         monkeypatch.setattr(
-            cdvcore, "kernel_basis", lambda m: calls.append(m) or kernel_basis(m)
+            exactlinalg,
+            "pair_kernel_basis",
+            lambda *a: calls.append(a[1]) or pair_kernel(*a),
         )
         op = build_shift_operator(cycle(8), QuadScalar.root(2))
         check_membership(op)
-        basis = cdvcore.operator_kernel(op)
-        assert op.kernel is basis and cdvcore.operator_kernel(op) is basis
+        assert calls == [8]
+        basis = kernel_basis(op.matrix)
         assert check_sap(op).full_rank
-        assert calls == [op.matrix]
+        assert kernel_basis(op.matrix) == basis and len(basis) == op.corank == 2
+        assert calls == [8]
 
-    def test_a_non_canonical_kernel_is_refused(self):
+    def test_a_non_canonical_kernel_is_refused(self, monkeypatch):
         # A rescaled basis spans the same kernel, but its row at a free
         # column is no longer a unit vector, so S[a][b] = X[f_a][f_b] fails.
         op = build_shift_operator(cycle(8), QuadScalar.root(2))
         check_membership(op)
-        basis = cdvcore.operator_kernel(op)
-        op.kernel = [[2 * x for x in basis[0]]] + basis[1:]
+        basis = kernel_basis(op.matrix)
+        rescaled = [[2 * x for x in basis[0]]] + basis[1:]
+        monkeypatch.setattr(cdvcore, "kernel_basis", lambda m: rescaled)
         with pytest.raises(RuntimeError, match="not canonical"):
             check_sap(op)
 

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -48,16 +49,19 @@ class TestHeawood:
 
 class TestGenus10:
     def test_operator_kernel_is_computed_once(self, capsys, monkeypatch):
-        sides = []
-        for module in (cdvcore, exactlinalg):
-            monkeypatch.setattr(
-                module,
-                "kernel_basis",
-                lambda m, f=module.kernel_basis: sides.append(m.rows) or f(m),
-            )
+        # Inertia, the corank verdict and check_sap each ask for the
+        # operator's kernel; the matrix keeps it, so one elimination on
+        # its 54 columns serves all three.
+        cols = []
+        pair_kernel = exactlinalg.pair_kernel_basis
+        monkeypatch.setattr(
+            exactlinalg,
+            "pair_kernel_basis",
+            lambda *a: cols.append(a[1]) or pair_kernel(*a),
+        )
         code, report = run(capsys, "genus10", "--no-timings")
         assert code == 0 and report["passed"]
-        assert sides.count(54) == 1
+        assert cols.count(54) == 1
 
     def test_progress_names_every_stage(self, capsys):
         cli.main(["genus10", "--skip-sap", "--progress", "--no-timings"])
@@ -130,6 +134,24 @@ class TestBipartite:
         assert code == 1
         assert report["verdict"]["completed"] is False
         assert report["inputs"]["operator"] == "/nonexistent/op.json"
+
+    def test_a_kernel_missing_a_vector_is_reported_at_membership(
+        self, capsys, monkeypatch
+    ):
+        # K_{1,4} plus an isolated vertex has corank 4.  Without its last
+        # kernel vector, inertia finds the block it eliminates singular.
+        def short(pairs, cols, d, f=exactlinalg.pair_kernel_basis):
+            return f(pairs, cols, d)[:-1]
+
+        monkeypatch.setattr(exactlinalg, "pair_kernel_basis", short)
+        path = Path(__file__).parent / "golden" / "sap_input_star_isolated.json"
+        code, report = run(capsys, "sap", str(path), "--no-timings")
+        assert code == 1 and report["passed"] is False
+        assert report["verdict"]["completed"] is False
+        error = report["results"]["error"]
+        assert error["stage"] == "membership"
+        assert "RuntimeError" in error["detail"] and "singular" in error["detail"]
+        assert "inertia" not in report["results"]
 
     @pytest.mark.parametrize(
         "operator",
@@ -218,8 +240,9 @@ class TestBipartite:
 
 def _run_edgeless(capsys, tmp_path, monkeypatch, rest):
     """`cdvcert sap` on 70 isolated vertices with diagonal (-1, rest, ...,
-    rest), with kernel_basis and pair_kernel_basis made to fail if called,
-    so that an oversized system must be refused before any elimination."""
+    rest), with check_sap's kernel_basis and pair_kernel_basis made to
+    fail if called, so that an oversized system must be refused before
+    check_sap eliminates anything."""
     n = 70
     path = tmp_path / "op.json"
     path.write_text(

@@ -9,6 +9,7 @@ from oracles import (
     charpoly_dense,
     determinant,
     free_columns_dense,
+    inertia_dense,
     kernel_basis_dense,
     matmul_dense,
     matvec,
@@ -164,6 +165,29 @@ def zero_diagonal(m):
     return ExactMatrix.from_rows(
         [[0 if i == j else e for j, e in enumerate(m.row(i))] for i in range(m.rows)]
     )
+
+
+@st.composite
+def forced_corank_symmetric(draw):
+    """(C^T M C, k) for a symmetric n x n M over Q, Q[sqrt(2)] or
+    Q[sqrt(7)], its diagonal zero or not, and C = [I | k extra columns]
+    with its n + k columns shuffled: the rank is at most n, so the corank
+    is at least k >= 1.  An extra unit column duplicates a vertex and
+    keeps a zero diagonal zero."""
+    d = draw(st.sampled_from([1, 2, 7]))
+    n = draw(st.integers(1, 4))
+    zero_diag = draw(st.booleans())
+    pairs = [(i, j) for i in range(n) for j in range(i + zero_diag, n)]
+    entry = st.one_of(st.just(0), scalars(d))
+    values = draw(st.lists(entry, min_size=len(pairs), max_size=len(pairs)))
+    m = ExactMatrix.symmetric(n, dict(zip(pairs, values)))
+    unit = st.integers(0, n - 1).map(lambda i: [int(j == i) for j in range(n)])
+    combination = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    extra = draw(st.lists(st.one_of(unit, combination), min_size=1, max_size=3))
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    columns = draw(st.permutations(identity + extra))
+    c = ExactMatrix.from_rows([list(row) for row in zip(*columns)])
+    return matmul_dense(transpose(c), matmul_dense(m, c)), len(extra)
 
 
 def descartes_inertia(m):
@@ -497,14 +521,32 @@ class TestKernelModP:
 
     def test_genus10_kernel_takes_one_prime(self, g10_operator):
         # 7 is not a square mod PRIMES[0]; PRIMES[1] is the first usable
-        # prime, and it alone reconstructs the kernel.
-        basis, usable = _kernel_with_primes(g10_operator.matrix)
+        # prime, and it alone reconstructs the kernel.  The fixture's
+        # matrix already keeps its kernel, so a fresh copy is eliminated.
+        m = g10_operator.matrix
+        basis, usable = _kernel_with_primes(ExactMatrix(m.cols, m.row_dicts))
         assert usable == [exactlinalg.PRIMES[1]] == [1073741723]
         assert basis == kernel_basis_dense(g10_operator.matrix)
         assert len(basis) == 16
         # The transversality dual is ranked from the same table: the kernel
         # and the dual share their prime.
         assert cdvcore.check_sap(g10_operator).prime == usable[0]
+
+    def test_kernel_is_computed_once_and_returned_fresh(self, monkeypatch):
+        calls = []
+        pair_kernel = exactlinalg.pair_kernel_basis
+        monkeypatch.setattr(
+            exactlinalg,
+            "pair_kernel_basis",
+            lambda *a: calls.append(a) or pair_kernel(*a),
+        )
+        m = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
+        first = kernel_basis(m)
+        expected = [list(vec) for vec in first]
+        first[0][0] = QuadScalar(5)
+        first.pop()
+        assert kernel_basis(m) == expected == kernel_basis_dense(m)
+        assert len(calls) == 1
 
     def test_denominator_divisible_by_every_prime(self):
         p = math.prod(exactlinalg.PRIMES)
@@ -683,7 +725,9 @@ class TestInertia:
     @given(symmetric_int_matrices(max_side=4))
     @settings(max_examples=60)
     def test_zeros_equal_corank(self, m):
-        assert inertia_symmetric(m).zeros == m.rows - rank(m)
+        # Inertia counts its zeros off kernel_basis, so the rank comes from
+        # the independent dense elimination.
+        assert inertia_symmetric(m).zeros == m.rows - rank_dense(m)
 
     @given(
         st.tuples(st.sampled_from([1, 2, 7]), st.integers(1, 6)).flatmap(
@@ -707,8 +751,50 @@ class TestInertia:
     def test_bareiss_step_refuses_an_inexact_division(self, prev, d):
         # The step's numerator is 1*2 - 1*1 = 1, which prev does not divide.
         W = [[(1, 0), (1, 0)], [(1, 0), (2, 0)]]
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(RuntimeError, match="inexact division"):
             exactlinalg._bareiss_step(W, 1, prev, d)
+
+    @given(forced_corank_symmetric())
+    @settings(max_examples=150)
+    def test_matches_the_dense_oracle_at_forced_corank(self, case):
+        m, k = case
+        inertia = inertia_symmetric(m)
+        assert tuple(inertia) == inertia_dense(m)
+        assert inertia.zeros >= k
+
+    def test_genus10_eliminates_only_the_block_off_the_kernel(
+        self, g10_operator, monkeypatch
+    ):
+        # Corank 16 of 54 leaves a 38 x 38 nonsingular block.
+        sizes = []
+        step = exactlinalg._bareiss_step
+        monkeypatch.setattr(
+            exactlinalg,
+            "_bareiss_step",
+            lambda W, *a: sizes.append(len(W)) or step(W, *a),
+        )
+        m = g10_operator.matrix
+        assert inertia_symmetric(ExactMatrix(m.cols, m.row_dicts)) == (1, 16, 37)
+        assert sizes == list(range(38, 0, -1))
+
+    @pytest.mark.parametrize(
+        "rows", [[[1, 1], [1, 1]], [[0, 0, 1], [0, 0, 0], [1, 0, 0]]]
+    )
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            (lambda basis: basis[:-1], "singular"),
+            (lambda basis: basis + basis[-1:], "distinct"),
+        ],
+        ids=["missing", "repeated"],
+    )
+    def test_a_faulty_kernel_raises(self, monkeypatch, rows, fault, message):
+        pair_kernel = exactlinalg.pair_kernel_basis
+        monkeypatch.setattr(
+            exactlinalg, "pair_kernel_basis", lambda *a: fault(pair_kernel(*a))
+        )
+        with pytest.raises(RuntimeError, match=message):
+            inertia_symmetric(ExactMatrix.from_rows(rows))
 
 
 class TestDeterminant:
