@@ -64,9 +64,11 @@ class SystemTooLarge(ValueError):
 
 # Largest vertex count an operator file or a bipartite a + b may have.
 # The operator matrix stores only its nonzeros, but inertia copies its
-# nonsingular block into a dense (n - c)^2 table of integer pairs, c the
-# corank, and eliminates it in O((n - c)^3) steps; the genus-10
-# certificate needs 54 vertices and a 38 x 38 block.
+# nonsingular block into a dense table of integer pairs, eliminates a set
+# I of pairwise non-adjacent pivots in one Schur step, and runs Bareiss
+# on the dense (n - c - |I|)^2 rest, c the corank, in O((n - c - |I|)^3)
+# steps.  A complete graph has |I| <= 1.  The genus-10 certificate needs
+# 54 vertices, a 38 x 38 block and |I| = 12, so Bareiss runs on 26 rows.
 MAX_OPERATOR_VERTICES = 400
 
 # Largest slot count of the transversality dual check_sap builds, taken as

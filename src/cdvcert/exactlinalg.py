@@ -17,13 +17,16 @@ rows enter the echelon by descending leading column, which cuts the
 back-reduction.  A matrix's kernel is computed once and kept on it.
 Inertia takes that kernel: its free columns are the zeros, and the
 nonsingular block on the other columns gives the signs by symmetric
-congruence elimination on cleared-denominator integer pairs, one fused
-Bareiss step per pivot with exact division by the previous pivot, so
-the kernel directions are never eliminated.  The characteristic
-polynomial comes from the division-free Berkowitz scheme: each term
-R*B^k*w is the dot product of a left and a right Krylov vector, about
-k/2 sparse matrix-vector products each, and a symmetric matrix reuses
-its right vectors as its left ones.  The real roots of a linear or
+congruence elimination on cleared-denominator integer pairs, so the
+kernel directions are never eliminated.  A set of pairwise
+non-adjacent pivots with nonzero diagonal goes first, in one Schur
+step over all of them, then one fused Bareiss step per pivot with
+exact division by the previous pivot.  The characteristic polynomial
+comes from the division-free Berkowitz scheme: each term R*B^k*w is
+the dot product of a left and a right Krylov vector, about k/2 sparse
+matrix-vector products each, in which an entry 1 or -1 adds or
+subtracts without a multiplication, and a symmetric matrix reuses its
+right vectors as its left ones.  The real roots of a linear or
 quadratic factor are exact QuadScalars.  No floating point anywhere.
 """
 
@@ -59,9 +62,11 @@ def _coerce(value) -> QuadScalar:
     if isinstance(value, QuadScalar):
         return value
     if isinstance(value, (int, Fraction)):
-        # Most entries of a graph's matrix are zero; the shared ZERO saves
-        # building one QuadScalar each.
-        return QuadScalar(value) if value != 0 else ZERO
+        # Most entries of a graph's matrix are 0 and the rest often 1; the
+        # shared ZERO and ONE save building one QuadScalar each.
+        if value == 0:
+            return ZERO
+        return ONE if value == 1 else QuadScalar(value)
     raise TypeError(f"cannot use {type(value).__name__} as a matrix entry")
 
 
@@ -553,6 +558,22 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     not on the mod-p argument that found K.  A singular M_PP, which only
     a kernel missing a vector can leave, raises RuntimeError.
 
+    The first pivots are a set I of P whose diagonal entries m_i are
+    nonzero and whose off-diagonal entries M_ij (i, j in I) are all zero,
+    chosen by _independent_pivots, and _schur_step eliminates them at
+    once: it gives W = L*S on J = P minus I, S = M_JJ - M_JI M_II^-1 M_IJ
+    the Schur complement and L = |prod of the m_i| > 0.  Then:
+
+    - W is exactly the Bareiss state after I's pivots, taken one by one
+      with I first: by Sylvester's identity that state is |det M_II|
+      times the Schur complement, and det M_II is the product of the m_i
+      as M_II is diagonal.  So the loop below continues with prev = L and
+      its later divisions stay exact.
+    - In(M_PP) = In(M_II) + In(S) (Haynsworth), In(M_II) is the count of
+      the signs of the m_i, and W = L*S with L > 0 has the inertia of S.
+    - A singular S means a singular M_PP and raises the same RuntimeError
+      below.  With I empty, W = M_PP and prev = 1.
+
     Each step takes a 1x1 pivot p from the diagonal of the remaining block,
     scales the Schur step by |p| and divides by the previous |p|.  The
     block then holds |leading minor| times the Schur complement, so the
@@ -577,8 +598,10 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
         raise RuntimeError("kernel vectors do not end at distinct columns")
     block = [j for j in range(matrix.cols) if j not in free]
     W = [[rows[i].get(j, (0, 0)) for j in block] for i in block]
-    neg = pos = 0
-    prev = (1, 0)
+    pivots = _independent_pivots(W)
+    neg = sum(pair_sign(*W[i][i], d) < 0 for i in pivots)
+    pos = len(pivots) - neg
+    W, prev = _schur_step(W, pivots, d)
     while W:
         m = len(W)
         k = next((i for i in range(m) if W[i][i] != (0, 0)), None)
@@ -607,6 +630,65 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
         W = _bareiss_step(W, sp, prev, d)
         prev = (sp * p[0], sp * p[1])
     return Inertia(neg, len(free), pos)
+
+
+def _independent_pivots(W: list) -> list:
+    """Sorted indices I of the symmetric pair block W with W[i][i] nonzero
+    and W[i][j] zero for i != j in I, so W_II is diagonal and nonsingular.
+    Greedy: among the candidates left, take the one with the fewest
+    candidate neighbours (the least index on a tie) and drop those
+    neighbours."""
+    live = {k for k in range(len(W)) if W[k][k] != (0, 0)}
+    nbrs = {k: {c for c in live if c != k and W[k][c] != (0, 0)} for k in live}
+    chosen = []
+    while live:
+        k = min(live, key=lambda c: (len(nbrs[c]), c))
+        chosen.append(k)
+        gone = nbrs[k] | {k}
+        live -= gone
+        for x in gone:
+            for y in nbrs[x]:
+                nbrs[y].discard(x)
+    return sorted(chosen)
+
+
+def _pair_mul(x: tuple, y: tuple, d: int) -> tuple:
+    return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _schur_step(W: list, pivots: list, d: int) -> tuple:
+    """(L*S, L) for the symmetric pair block W and independent pivots I
+    (as _independent_pivots gives), where S = W_JJ - W_JI W_II^-1 W_IJ is
+    the Schur complement on the other indices J, in order, and L =
+    |prod of the m_i = W[i][i]|.  As W_II is diagonal, L*S = L*W_JJ -
+    sum over i of (L/m_i) W_Ji W_iJ, with L/m_i = sign(m_i) times the
+    product of the |m_k|, k != i, from prefix and suffix products, and
+    each outer product runs over the nonzeros of column i.  With no
+    pivots this is (W, (1, 0))."""
+    if not pivots:
+        return W, (1, 0)
+    signs = [pair_sign(*W[i][i], d) for i in pivots]
+    sizes = [(s * W[i][i][0], s * W[i][i][1]) for s, i in zip(signs, pivots)]
+    prefix = [(1, 0)]
+    for m in sizes:
+        prefix.append(_pair_mul(prefix[-1], m, d))
+    coefs, suffix = [], (1, 0)
+    for k in reversed(range(len(pivots))):
+        c = _pair_mul(prefix[k], suffix, d)
+        coefs.append((signs[k] * c[0], signs[k] * c[1]))
+        suffix = _pair_mul(suffix, sizes[k], d)
+    L = prefix[-1]
+    chosen = set(pivots)
+    others = [j for j in range(len(W)) if j not in chosen]
+    out = [[_pair_mul(L, W[a][b], d) for b in others] for a in others]
+    for c, i in zip(reversed(coefs), pivots):
+        column = [(k, W[a][i]) for k, a in enumerate(others) if W[a][i] != (0, 0)]
+        for a, x in column:
+            cx, row = _pair_mul(c, x, d), out[a]
+            for b, y in column:
+                z, w = _pair_mul(cx, y, d), row[b]
+                row[b] = (w[0] - z[0], w[1] - z[1])
+    return out, L
 
 
 # ---------------------------------------------------------------------------
@@ -734,9 +816,13 @@ def charpoly(matrix: ExactMatrix) -> IntPolynomial:
     the dot product of l_h = R*B^h and u_(k-h) = B^(k-h)*w for h = k // 2,
     so step r makes about r/2 left and r/2 right matrix-vector products.
     When A is symmetric, R = w^T and B = B^T, so l_h = u_h and the right
-    products alone serve.  B is kept as its nonzero (row, column, value)
-    triples and gains row r and column r after step r, so each product
-    costs the nonzeros of B, not r^2.
+    products alone serve.  B gains row r and column r after step r and is
+    kept as three lists of its nonzeros: the index pairs of its entries 1
+    and of its entries -1, whose products only add or subtract, and
+    (row, column, value) triples for the rest.  A symmetric B keeps each
+    unit pair off the diagonal once and updates both ends; otherwise the
+    left products use the same lists for B's transpose.  So each product
+    costs the nonzeros of B, not r^2, and a 0/1 adjacency multiplies none.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
@@ -751,7 +837,9 @@ def charpoly(matrix: ExactMatrix) -> IntPolynomial:
     symmetric = all(
         rows[j].get(i) == a for i, row in enumerate(rows) for j, a in row.items()
     )
-    block = []
+    # B and, unless B is symmetric, its transpose, each as (ones, negs, rest).
+    block = ([], [], [])
+    transposed = block if symmetric else ([], [], [])
     v = [1]
     for r, row in enumerate(rows):
         t = [1, -row.get(r, 0)]
@@ -761,21 +849,54 @@ def charpoly(matrix: ExactMatrix) -> IntPolynomial:
             for k in range(r):
                 h = k // 2
                 if h == len(left):
-                    l, lb = left[-1], [0] * r
-                    for i, j, a in block:
-                        lb[j] += a * l[i]
-                    left.append(lb)
+                    left.append(_block_times(left[-1], *transposed, symmetric))
                 if k - h == len(right):
-                    u, bu = right[-1], [0] * r
-                    for i, j, a in block:
-                        bu[i] += a * u[j]
-                    right.append(bu)
+                    right.append(_block_times(right[-1], *block, symmetric))
                 t.append(-sum(map(mul, left[h], right[k - h])))
         else:
             t += [0] * r
         # Lower-triangular Toeplitz product: keep the first len(v)+1
         # convolution coefficients only.
         v = [sum(map(mul, t[k::-1], v)) for k in range(len(t))]
-        block += [(i, r, a) for i in range(r) if (a := rows[i].get(r))]
-        block += [(r, j, a) for j, a in row.items() if j <= r]
+        new = [(i, r, a) for i in range(r) if (a := rows[i].get(r))]
+        new += [(r, j, a) for j, a in row.items() if j <= r]
+        _split_entries(new, block, symmetric)
+        if not symmetric:
+            _split_entries([(j, i, a) for i, j, a in new], transposed, False)
     return IntPolynomial(tuple(reversed(v)))
+
+
+def _split_entries(entries, lists: tuple, mirror: bool) -> None:
+    """Append each (i, j, a) of entries to lists = (ones, negs, rest): (i, j)
+    to ones for a = 1 and to negs for a = -1, (i, j, a) to rest otherwise.
+    With mirror, an entry 1 or -1 off the diagonal is kept once, as its
+    (i, j) with i < j, and stands for (j, i) as well; every diagonal entry
+    goes to rest, so none is counted twice."""
+    ones, negs, rest = lists
+    for i, j, a in entries:
+        if (a != 1 and a != -1) or (mirror and i == j):
+            rest.append((i, j, a))
+        elif not mirror or i < j:
+            (ones if a == 1 else negs).append((i, j))
+
+
+def _block_times(u: list, ones: list, negs: list, rest: list, mirror: bool) -> list:
+    """B*u for the block B held by _split_entries as ones, negs and rest:
+    the unit entries add or subtract a coordinate of u, and only the rest
+    multiply."""
+    out = [0] * len(u)
+    if mirror:
+        for i, j in ones:
+            out[i] += u[j]
+            out[j] += u[i]
+        for i, j in negs:
+            out[i] -= u[j]
+            out[j] -= u[i]
+    else:
+        for i, j in ones:
+            out[i] += u[j]
+        for i, j in negs:
+            out[i] -= u[j]
+    for i, j, a in rest:
+        out[i] += a * u[j]
+    return out

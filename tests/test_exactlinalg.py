@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import islice
 
@@ -17,8 +18,9 @@ from oracles import (
     rank_markowitz,
     transpose,
 )
-from cdvcert import cdvcore, exactlinalg
-from cdvcert.exactfield import FieldMismatch, QuadScalar
+from cdvcert import cdvcore, exactlinalg, groups, maps
+from cdvcert.certify import GENUS10
+from cdvcert.exactfield import ONE, FieldMismatch, QuadScalar, pair_sign
 from cdvcert.exactlinalg import (
     ExactMatrix,
     IntPolynomial,
@@ -190,6 +192,50 @@ def forced_corank_symmetric(draw):
     return matmul_dense(transpose(c), matmul_dense(m, c)), len(extra)
 
 
+@st.composite
+def sparse_symmetric(draw):
+    """Symmetric n x n matrices, n <= 8, over Q, Q[sqrt(2)] or Q[sqrt(7)],
+    with few nonzeros off the diagonal, so that many diagonal pivots are
+    pairwise non-adjacent.  Diagonal entries are mixed in sign, irrational
+    for d > 1, and some zero; a quarter of the draws zero the whole
+    diagonal, which leaves no independent pivot."""
+    d = draw(st.sampled_from([1, 2, 7]))
+    n = draw(st.integers(1, 8))
+    zero_diag = draw(st.sampled_from([False, False, False, True]))
+    diagonal = st.one_of(st.just(0), scalars(d), scalars(d))
+    if zero_diag:
+        diagonal = st.just(0)
+    off = st.one_of(st.just(0), st.just(0), st.just(0), scalars(d))
+    entries = {}
+    for i in range(n):
+        for j in range(i, n):
+            entries[i, j] = draw(diagonal if i == j else off)
+    return ExactMatrix.symmetric(n, entries)
+
+
+def pair_block(m):
+    """The whole symmetric matrix m as the dense pair block that
+    inertia_symmetric eliminates."""
+    _, rows = exactlinalg._cleared(m.row_dicts)
+    return [[rows[i].get(j, (0, 0)) for j in range(m.cols)] for i in range(m.rows)]
+
+
+KLEIN_PRESENTATION = "< y, z | y^3, z^7, (y*z)^2, (z^-1*y^-1*z*y)^4 >"
+
+
+def map_adjacency(presentation, seed=None):
+    """The 0/1 adjacency of the map graph of a presentation, as certify_map
+    builds it, with its vertices shuffled by random.Random(seed) unless
+    seed is None."""
+    parsed = groups.parse_presentation(presentation)
+    graph = maps.genus10_map(parsed, groups.coset_enumerate(parsed)).graph
+    label = list(range(graph.n))
+    if seed is not None:
+        random.Random(seed).shuffle(label)
+    edges = {(label[u], label[v]): 1 for u, v in graph.edges}
+    return ExactMatrix.symmetric(graph.n, edges)
+
+
 def descartes_inertia(m):
     """(negatives, zeros, positives) read off the charpoly's coefficient
     signs.  The charpoly of a symmetric matrix is real-rooted, so Descartes'
@@ -282,6 +328,19 @@ class TestExactMatrix:
             ExactMatrix.from_rows([[1, 0], [0]])
         m = ExactMatrix.from_rows([[0, Fraction(0), QuadScalar(0), 2]])
         assert m.row_dicts == ({3: QuadScalar(2)},)
+
+    def test_an_entry_one_is_the_shared_one(self):
+        # Like 0, an entry 1 builds no QuadScalar, so a 0/1 adjacency builds
+        # none; the matrices are equal to those with fresh scalars.
+        assert ExactMatrix.from_rows([[1]]).entry(0, 0) is ONE
+        m = ExactMatrix.symmetric(2, {(0, 1): Fraction(1), (1, 1): -1})
+        assert m.entry(1, 0) is ONE
+        assert m == ExactMatrix(
+            2, [{1: QuadScalar(1)}, {0: QuadScalar(1), 1: QuadScalar(-1)}]
+        )
+        assert ExactMatrix.from_rows([[1, 2], [0, 1]]) == ExactMatrix(
+            2, [{0: QuadScalar(1), 1: QuadScalar(2)}, {1: QuadScalar(1)}]
+        )
 
     def test_json_dict_uses_render_strings(self):
         m = ExactMatrix.from_rows([[QuadScalar.root(2)]])
@@ -765,17 +824,87 @@ class TestInertia:
     def test_genus10_eliminates_only_the_block_off_the_kernel(
         self, g10_operator, monkeypatch
     ):
-        # Corank 16 of 54 leaves a 38 x 38 nonsingular block.
-        sizes = []
-        step = exactlinalg._bareiss_step
+        # Corank 16 of 54 leaves a 38 x 38 nonsingular block.  12 pairwise
+        # non-adjacent pivots go in one Schur step, and the Bareiss steps
+        # run on the other 26.
+        sizes, picks = [], []
+        step, pick = exactlinalg._bareiss_step, exactlinalg._independent_pivots
         monkeypatch.setattr(
             exactlinalg,
             "_bareiss_step",
             lambda W, *a: sizes.append(len(W)) or step(W, *a),
         )
+        monkeypatch.setattr(
+            exactlinalg,
+            "_independent_pivots",
+            lambda W: picks.append((len(W), pick(W))) or picks[-1][1],
+        )
         m = g10_operator.matrix
         assert inertia_symmetric(ExactMatrix(m.cols, m.row_dicts)) == (1, 16, 37)
-        assert sizes == list(range(38, 0, -1))
+        assert [(n, len(chosen)) for n, chosen in picks] == [(38, 12)]
+        assert sizes == list(range(26, 0, -1))
+
+    def test_genus10_builds_no_scalar(self, g10_operator, monkeypatch):
+        # With the kernel kept, charpoly and inertia work on ints only.
+        m = g10_operator.matrix
+        kernel_basis(m)
+        graph = g10_operator.graph
+        adjacency = ExactMatrix.symmetric(graph.n, dict.fromkeys(graph.edges, 1))
+        built = []
+        init = QuadScalar.__init__
+        monkeypatch.setattr(
+            QuadScalar,
+            "__init__",
+            lambda s, *a, **k: built.append(a) or init(s, *a, **k),
+        )
+        assert charpoly(adjacency).degree == 54
+        assert inertia_symmetric(m) == (1, 16, 37)
+        assert built == []
+
+    @given(sparse_symmetric())
+    # Three pivots, two of them negative and irrational, and a zero diagonal.
+    @example(
+        ExactMatrix.symmetric(
+            5,
+            {
+                (0, 0): QuadScalar(1, -1, 7),
+                (1, 1): 2,
+                (2, 2): QuadScalar(-3, 1, 7),
+                (0, 3): 1,
+                (1, 3): -2,
+                (2, 4): QuadScalar(0, 1, 7),
+                (3, 4): 1,
+            },
+        )
+    )
+    # A zero diagonal: no independent pivot.
+    @example(ExactMatrix.symmetric(3, {(0, 1): 1, (1, 2): QuadScalar(1, 1, 2)}))
+    @settings(max_examples=150)
+    def test_schur_step_is_the_bareiss_state_after_its_pivots(self, m):
+        W, d = pair_block(m), m.radicand
+        pivots = exactlinalg._independent_pivots(W)
+        candidates = [k for k in range(len(W)) if W[k][k] != (0, 0)]
+        assert set(pivots) <= set(candidates)
+        assert all(W[i][j] == (0, 0) for i in pivots for j in pivots if i != j)
+        # Maximal: every candidate left out has a chosen neighbour.
+        assert all(
+            any(W[k][i] != (0, 0) for i in pivots)
+            for k in candidates
+            if k not in pivots
+        )
+        order = pivots + [j for j in range(len(W)) if j not in pivots]
+        state, prev = [[W[i][j] for j in order] for i in order], (1, 0)
+        for _ in pivots:
+            p = state[0][0]
+            sp = pair_sign(*p, d)
+            state = exactlinalg._bareiss_step(state, sp, prev, d)
+            prev = (sp * p[0], sp * p[1])
+        assert exactlinalg._schur_step(W, pivots, d) == (state, prev)
+
+    @given(sparse_symmetric())
+    @settings(max_examples=150)
+    def test_sparse_matrices_match_the_dense_oracle(self, m):
+        assert tuple(inertia_symmetric(m)) == inertia_dense(m)
 
     @pytest.mark.parametrize(
         "rows", [[[1, 1], [1, 1]], [[0, 0, 1], [0, 0, 0], [1, 0, 0]]]
@@ -850,6 +979,14 @@ class TestPolynomials:
     @example(
         _pattern_symmetric(6, [(0, 3)] + [(i, i + 1) for i in range(5)]), [0, 1, 2]
     )
+    # Entries 1 and -1 in a symmetric pattern with asymmetric values, on and
+    # off the diagonal: the left products run on the transposed unit lists.
+    @example(
+        ExactMatrix.from_rows(
+            [[1, 1, 0, -1], [-1, 0, 1, 0], [0, -1, -1, 2], [1, 0, 1, 0]]
+        ),
+        [0, 1, -2],
+    )
     @settings(max_examples=150)
     def test_sparse_berkowitz_matches_dense_and_determinant(self, m, points):
         p = charpoly(m)
@@ -864,9 +1001,29 @@ class TestPolynomials:
             assert determinant(shifted) == QuadScalar(p(x))
 
     @given(symmetric_int_matrices(max_side=8))
+    # Diagonal entries 1 and -1 are kept once, not as mirrored unit pairs.
+    @example(ExactMatrix.from_rows([[1, 1, 0], [1, -1, -1], [0, -1, 1]]))
+    @example(
+        ExactMatrix.from_rows(
+            [[-1, 1, 2, 0], [1, 1, 0, -1], [2, 0, 0, 1], [0, -1, 1, -1]]
+        )
+    )
     @settings(max_examples=100)
     def test_symmetric_charpoly_matches_dense(self, m):
         # A symmetric matrix takes the right Krylov vectors for the left.
+        assert charpoly(m) == charpoly_dense(m)
+
+    @pytest.mark.parametrize(
+        "presentation,seed",
+        [
+            (GENUS10.presentation, None),
+            (GENUS10.presentation, 0),
+            (KLEIN_PRESENTATION, None),
+        ],
+        ids=["genus10", "genus10-relabelled", "klein"],
+    )
+    def test_map_adjacency_charpoly_matches_dense(self, presentation, seed):
+        m = map_adjacency(presentation, seed)
         assert charpoly(m) == charpoly_dense(m)
 
     @given(symmetric_int_matrices(max_side=4))
