@@ -16,9 +16,10 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .exactfield import ONE, ZERO, QuadScalar, parse_scalar
-from .exactlinalg import (
+from .exactlinalg import (  # noqa: F401 (kernel_basis stays importable here)
     PRIMES,
     ExactMatrix,
     Inertia,
@@ -27,8 +28,9 @@ from .exactlinalg import (
     full_rank_prime,
     inertia_symmetric,
     kernel_basis,
+    kernel_record,
     pair_kernel_basis,
-    pair_rows,
+    pair_product,
 )
 from .maps import SimpleGraph
 
@@ -88,7 +90,7 @@ class SchrodingerOperator:
     """A graph, its diagonal, and one weight per edge in graph.edges order.
 
     Every other off-diagonal entry is zero by construction.  `matrix` is
-    built once from these fields, and keeps its kernel once kernel_basis
+    built once from these fields, and keeps its kernel once kernel_record
     has computed it, so membership, check_sap and any caller share one
     kernel.  inertia starts as None and is filled by check_membership.
     """
@@ -254,7 +256,7 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
 
     So for corank c = 0, M is invertible, X = 0, and the system has full
     column rank without being built.  For c >= 1, with K the exact n x c
-    kernel basis of M that inertia already computed and M keeps, each
+    kernel record of M that inertia already computed and M keeps, each
     such X is K*S*K^T for a unique symmetric c x c matrix S with
     k_i^T*S*k_j = 0 for i = j and for each edge ij (k_i is row i of K).
     Primal nullity equals the nullity of this dual system of n + |E| rows
@@ -265,13 +267,14 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     vector e_a at the a-th free column f_a of M, so k_{f_a}^T*S*k_{f_b} =
     S[a][b] = X[f_a][f_b].  The dual rows of a free diagonal (f_a, f_a)
     and of an edge between two free vertices are therefore unit rows that
-    force their unknown to zero.  check_sap checks the unit rows of K,
-    raising RuntimeError when one is missing, drops those rows and the
-    forced unknowns from every other row, and ranks the rest: one unknown
-    S[a][b] per pair a < b of non-adjacent free columns, in the order of
-    the full dual.  The dual's kernel is the reduced kernel with zeros at
-    the forced unknowns, so the two systems have the same nullity.  When
-    no unknown is left, as at every corank 1, full rank holds by proof.
+    force their unknown to zero.  check_sap checks the unit rows of K on
+    the record's pairs, raising RuntimeError when one is missing, drops
+    those rows and the forced unknowns from every other row, and ranks the
+    rest: one unknown S[a][b] per pair a < b of non-adjacent free columns,
+    in the order of the full dual.  The dual's kernel is the reduced
+    kernel with zeros at the forced unknowns, so the two systems have the
+    same nullity.  When no unknown is left, as at every corank 1, full
+    rank holds by proof.
 
     The rows come sparsest first: the edges with one free endpoint, whose
     rows have at most c - 1 entries, then the other diagonals, then the
@@ -280,30 +283,29 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     are built lazily, so an elimination that reaches full rank builds no
     more of them.
 
-    pair_rows first scales each row k_i by a positive integer that clears
-    its denominators, which scales dual rows by nonzero factors and keeps
-    the dual kernel.  The dual entries are then a + b*sqrt(d) with integer
-    a and b, d the operator's radicand, and full_rank_prime ranks them mod
-    the first prime p of PRIMES at which d has a nonzero square root;
-    full rank mod p proves full rank over the field.
+    Each row k_i of the record's integer pairs is cleared by the lcm of its
+    own denominators, a positive scale, which keeps the dual kernel.  The
+    dual entries are then a + b*sqrt(d) with integer a and b, d the
+    operator's radicand, and full_rank_prime ranks them mod the first
+    prime p of PRIMES at which d has a nonzero square root; full rank mod
+    p proves full rank over the field.
 
     When no prime is usable or the rank drops mod p, pair_kernel_basis
-    rebuilds the reduced dual kernel from the same pair rows, mod PRIMES
-    and then the primes below them, and proves it exactly.  An empty
-    kernel is full rank.  Otherwise its first vector, padded with zeros at
-    the forced unknowns, is the first vector S0 of the canonical kernel of
-    the whole dual: each forced unknown is a pivot column whose reduced
-    row is its unit row, and the other reduced rows are those of the
-    reduced system.  S0 gives the witness X = K*S0*K^T.  Both products run
-    on cleared integer pairs and build a scalar only for a nonzero entry of
-    their result.  X is re-verified by verify_sap_witness, whose M*X = 0
-    check builds no scalar when X is valid, before it is reported.  X is
-    also the first canonical kernel vector of the primal system: X[f_a][f_b] =
-    S[a][b], and row u of K is zero at each a with f_a < u, so X is zero
-    at every pair after (f_a, f_b) when S is zero at every pair after
-    (a, b).  The map (a, b) -> (f_a, f_b) keeps pair order, so the
-    last nonzero entry of X is 1 at the image of S0's last nonzero entry,
-    and S0 minimises that entry over the dual kernel.
+    rebuilds the reduced dual kernel from the same pair rows, starting
+    from the echelon mod p, and proves it exactly.  An empty kernel is
+    full rank.  Otherwise its first vector, padded with zeros at the
+    forced unknowns, is the first vector S0 of the canonical kernel of the
+    whole dual: each forced unknown is a pivot column whose reduced row is
+    its unit row, and the other reduced rows are those of the reduced
+    system.  S0 gives the witness X = K*S0*K^T, computed on the records'
+    pairs with K^T as `columns`, and re-verified by verify_sap_witness,
+    whose M*X = 0 check builds no scalar when X is valid, before it is
+    reported.  X is also the first canonical kernel vector of the primal
+    system: X[f_a][f_b] = S[a][b], and row u of K is zero at each a with
+    f_a < u, so X is zero at every pair after (f_a, f_b) when S is zero at
+    every pair after (a, b).  The map (a, b) -> (f_a, f_b) keeps pair
+    order, so the last nonzero entry of X is 1 at the image of S0's last
+    nonzero entry, and S0 minimises that entry over the dual kernel.
 
     Raises SystemTooLarge before any elimination when the whole dual or
     its kernel (at most c(c+1)/2 vectors of that length) would exceed
@@ -324,13 +326,10 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
             f"{slots} slots, above MAX_SAP_SLOTS = {MAX_SAP_SLOTS}"
         )
     dual_shape = (dual_rows, dual_cols)
-    basis = kernel_basis(op.matrix)
-    if len(basis) != c:
-        raise RuntimeError(f"kernel dimension {len(basis)} contradicts corank {c}")
-    kernel = ExactMatrix(
-        c, [{a: v[i] for a, v in enumerate(basis) if v[i]} for i in range(n)]
-    )
-    free = _free_columns(kernel)
+    kernel = kernel_record(op.matrix)
+    free = kernel.unit_columns()
+    if len(free) != c:
+        raise RuntimeError(f"kernel dimension {len(free)} contradicts corank {c}")
     graph = op.graph
     unknowns = [
         (a, b)
@@ -350,42 +349,31 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
         (u, v) for u, v in graph.edges if u not in is_free and v not in is_free
     ]
     d = op.matrix.radicand
-    k = pair_rows(kernel)
-    prime = full_rank_prime(
-        _dual_rows(k, pairs, column, d), len(unknowns), d, PRIMES
-    )
-    if prime is not None:
+    k = kernel.rows
+    if kernel.scale != 1:
+        g = [gcd(kernel.scale, *(v for x in row.values() for v in x)) for row in k]
+        k = [{a: (x // h, y // h) for a, (x, y) in row.items()} for h, row in zip(g, k)]
+    first = full_rank_prime(_dual_rows(k, pairs, column, d), len(unknowns), d, PRIMES)
+    if first is not None and len(first[1]) == len(unknowns):
         return SapCertificate(
-            True, cols, rows, cols, prime=prime, dual_shape=dual_shape
+            True, cols, rows, cols, prime=first[0], dual_shape=dual_shape
         )
-    dual_kernel = pair_kernel_basis(_dual_rows(k, pairs, column, d), len(unknowns), d)
-    primal_rank = cols - len(dual_kernel)
-    if not dual_kernel:
+    dual = pair_kernel_basis(_dual_rows(k, pairs, column, d), len(unknowns), d, first)
+    primal_rank = cols - len(dual.free)
+    if not dual.free:
         return SapCertificate(True, primal_rank, rows, cols, dual_shape=dual_shape)
-    # Entries left out of the symmetric S0 are zero: the forced unknowns.
-    s0 = ExactMatrix.symmetric(c, dict(zip(unknowns, dual_kernel[0])))
-    witness = kernel.matmul(s0).matmul(ExactMatrix.from_rows(basis))
+    x0 = {j: row[0] for j, row in enumerate(dual.rows) if 0 in row}
+    s0 = [{b: x0[j] for b, j in enumerate(js) if j in x0} for js in column]
+    columns = [{i: r[a] for i, r in enumerate(kernel.rows) if a in r} for a in range(c)]
+    q, out = kernel.scale**2 * dual.scale, []
+    for row in kernel.rows:
+        x = pair_product(pair_product(row, s0, d), columns, d)
+        out.append({j: QuadScalar(a, b, d, q=q) for j, (a, b) in x.items()})
+    witness = ExactMatrix(n, out)
     verify_sap_witness(op, witness)
     return SapCertificate(
         False, primal_rank, rows, cols, witness, dual_shape=dual_shape
     )
-
-
-def _free_columns(kernel: ExactMatrix) -> list:
-    """f_a for each column a of the n x c kernel matrix K: the last row at
-    which column a is nonzero, where the canonical basis of kernel_basis
-    has its free column.  Raises RuntimeError unless row f_a of K is the
-    unit vector e_a for every a, the fact the reduced dual rests on."""
-    free = [None] * kernel.cols
-    for i, row in enumerate(kernel.row_dicts):
-        for a in row:
-            free[a] = i
-    for a, f in enumerate(free):
-        if f is None or kernel.row_dicts[f] != {a: ONE}:
-            raise RuntimeError(
-                f"kernel basis is not canonical: vector {a} has no unit row"
-            )
-    return free
 
 
 def _dual_rows(k: list, pairs: list, column: list, d: int):
@@ -472,7 +460,7 @@ def build_bipartite_operator(a: int, b: int, s_set) -> SchrodingerOperator:
     """
     s_set, _, _ = _check_sides(a, b, s_set)
     eps = Fraction(1, 4 * (a + b))
-    diagonal = [eps if v in s_set else 0 for v in range(a + b)]
+    diagonal = [eps if v in s_set else ZERO for v in range(a + b)]
     op = build_operator(complete_bipartite(a, b), diagonal)
     op.epsilon = eps
     check_membership(op)
@@ -492,7 +480,7 @@ def bipartite_kernel_basis(a: int, b: int, s_set) -> list:
         free = sorted(side - s_set)
         for v in free[1:]:
             vec = [ZERO] * n
-            vec[free[0]] = -ONE
+            vec[free[0]] = _MINUS_ONE
             vec[v] = ONE
             basis.append(vec)
     return basis
@@ -504,10 +492,10 @@ def spans_match(vectors_a, vectors_b) -> bool:
     The kernel of the matrix whose rows are a family A is the orthogonal
     complement of span A under the form sum x_i y_i.  That form is
     nondegenerate, so W = (W^perp)^perp for every subspace W, and span A =
-    span B exactly when the two kernels are equal.  kernel_basis returns
+    span B exactly when the two kernels are equal.  kernel_record keeps
     the canonical basis of the reduced echelon form, which depends only on
-    the row space, so equal spans give equal bases and equal bases give
-    equal kernels.
+    the row space, so equal spans give equal records, built with no
+    scalar, and equal records give equal kernels.
     """
     if not vectors_a and not vectors_b:
         return True
@@ -516,7 +504,7 @@ def spans_match(vectors_a, vectors_b) -> bool:
     a, b = ExactMatrix.from_rows(vectors_a), ExactMatrix.from_rows(vectors_b)
     if a.cols != b.cols:
         raise ValueError("ragged rows")
-    return kernel_basis(a) == kernel_basis(b)
+    return kernel_record(a) == kernel_record(b)
 
 
 def build_sap_witness(a: int, b: int) -> tuple:

@@ -170,7 +170,7 @@ def certify_map(
             inertia = cdvcore.check_membership(operator)
         except cdvcore.NotOneNegative as exc:
             inertia = exc.inertia
-        kernel_dim = len(exactlinalg.kernel_basis(operator.matrix))
+        kernel_dim = len(exactlinalg.kernel_record(operator.matrix).free)
     corank = inertia.zeros
     results["operator"] = {
         "shift": spec.shift.render(),

@@ -14,7 +14,8 @@ primes below 2^30.  It gives ranks mod p and kernels, rebuilt from
 several primes by rational reconstruction and proved by the same
 integer product: the matrix times the kernel is zero.  For a kernel the
 rows enter the echelon by descending leading column, which cuts the
-back-reduction.  A matrix's kernel is computed once and kept on it.
+back-reduction.  A matrix's kernel is kept on it as a Kernel record of
+integer pairs, and kernel_basis builds QuadScalars from it on request.
 Inertia takes that kernel: its free columns are the zeros, and the
 nonsingular block on the other columns gives the signs by symmetric
 congruence elimination on cleared-denominator integer pairs, so the
@@ -76,7 +77,7 @@ class ExactMatrix:
 
     All irrational entries must share one radicand d; `radicand` is that d,
     or 1 for a rational matrix.  Instances are not mutated after build,
-    so kernel_basis keeps the kernel it computes in the `_kernel` slot.
+    so kernel_record keeps the kernel it computes in the `_kernel` slot.
     """
 
     __slots__ = ("rows", "cols", "row_dicts", "radicand", "_kernel")
@@ -169,7 +170,7 @@ class ExactMatrix:
         for row in self.row_dicts:
             row_scale, (pairs,) = _cleared((row,))
             q = row_scale * scale
-            prod = _pair_product(pairs, right, d)
+            prod = pair_product(pairs, right, d)
             out.append({j: QuadScalar(a, b, d, q=q) for j, (a, b) in prod.items()})
         return ExactMatrix(other.cols, out)
 
@@ -276,19 +277,19 @@ def _root_mod_p(d: int, p: int) -> int:
     return r if r and r * r % p == d % p else 0
 
 
-def full_rank_prime(pairs, cols: int, d: int, primes) -> int | None:
-    """The first prime p of primes at which sqrt(d) has a nonzero root r,
-    if the pair rows have rank cols mod p under sqrt(d) -> r, else None.
+def full_rank_prime(pairs, cols: int, d: int, primes) -> tuple | None:
+    """(p, the _echelon of the pair rows mod p under sqrt(d) -> r) for the
+    first prime p of primes at which sqrt(d) has a nonzero root r, or None.
     a + b*sqrt(d) -> a + b*r mod p is a ring homomorphism on integer pairs,
     so it maps each maximal minor to the same minor mod p, and full rank
-    mod p proves full rank over the field.  pairs may be any iterable of
-    pair rows, such as a generator: the elimination draws rows from it one
-    at a time and stops at full rank, so the rows after that point are
-    never made, and none at all when no prime is usable."""
+    mod p (cols pivots) proves full rank over the field.  pairs may be any
+    iterable of pair rows, such as a generator: the elimination draws rows
+    from it one at a time and stops at full rank, so the rows after that
+    point are never made, and none at all when no prime is usable."""
     for p in primes:
         r = _root_mod_p(d, p)
         if r:
-            return p if len(_echelon(_residues(pairs, p, r), cols, p)) == cols else None
+            return p, _echelon(_residues(pairs, p, r), cols, p)
     return None
 
 
@@ -303,26 +304,61 @@ def _primes_below(n: int):
             yield m
 
 
+class Kernel(NamedTuple):
+    """The canonical kernel basis K on integer pairs: vector a has its free
+    column free[a], and rows[i] = {a: (x, y)} holds the nonzero entries
+    K[i][a] = (x + y*sqrt(d))/scale.  scale is the lcm of their
+    denominators and d is 1 when every y is 0, so equal kernels give equal
+    records.  Records are shared: do not modify one."""
+
+    free: tuple
+    rows: list
+    scale: int
+    d: int
+
+    def unit_columns(self) -> tuple:
+        """free, once each row free[a] is found to be the unit vector e_a,
+        so the vectors are independent; else RuntimeError."""
+        for a, f in enumerate(self.free):
+            if self.rows[f] != {a: (self.scale, 0)}:
+                raise RuntimeError(
+                    f"kernel basis is not canonical: vector {a} has no unit row "
+                    "at a distinct free column"
+                )
+        return self.free
+
+
+def kernel_record(matrix: ExactMatrix) -> Kernel:
+    """The Kernel record of matrix: pair_kernel_basis on its pair_rows,
+    which scale each row of M by a positive integer and keep the kernel,
+    computed on the first call for a matrix and kept on it."""
+    if matrix._kernel is None:
+        kernel = pair_kernel_basis(pair_rows(matrix), matrix.cols, matrix.radicand)
+        object.__setattr__(matrix, "_kernel", kernel)
+    return matrix._kernel
+
+
 def kernel_basis(matrix: ExactMatrix) -> list:
     """Basis of the right kernel as lists of QuadScalar, one per free column
     of the reduced echelon form over the field: vector f has 1 at free
     column f, 0 at the other free columns, and minus the pivot rows' entries
     in column f at the pivot columns.  This canonical basis depends only on
-    the matrix.  It is pair_kernel_basis on the matrix's pair_rows, which
-    scale each row of M by a positive integer and keep the kernel,
-    computed on the first call for a matrix and kept on it; every call
-    returns fresh lists."""
-    if matrix._kernel is None:
-        basis = pair_kernel_basis(pair_rows(matrix), matrix.cols, matrix.radicand)
-        object.__setattr__(matrix, "_kernel", tuple(map(tuple, basis)))
-    return [list(vec) for vec in matrix._kernel]
+    the matrix.  It is built from kernel_record(matrix) on every call, so
+    each call returns fresh lists."""
+    k, made = kernel_record(matrix), {}
+    basis = [[ZERO] * matrix.cols for _ in k.free]
+    for i, row in enumerate(k.rows):
+        for a, x in row.items():
+            basis[a][i] = made[x] = made.get(x) or QuadScalar(*x, k.d, q=k.scale)
+    return basis
 
 
-def pair_kernel_basis(pairs, cols: int, d: int) -> list:
-    """The canonical kernel basis of kernel_basis for the matrix DM with
-    `cols` columns whose rows are the {column: (a, b)} dicts of pairs, a
-    and b integers standing for a + b*sqrt(d); d counts as 1 when every b
-    is 0.  pairs may be any iterable of rows, such as a generator.
+def pair_kernel_basis(pairs, cols: int, d: int, first=None) -> Kernel:
+    """The Kernel record of kernel_basis for the matrix DM with `cols`
+    columns whose rows are the {column: (a, b)} dicts of pairs, a and b
+    integers standing for a + b*sqrt(d); d counts as 1 when every b is 0.
+    pairs may be any iterable of rows, such as a generator.  first, from
+    full_rank_prime on the same rows, is the first prime and its image.
 
     It is computed mod primes and proved exactly.  The primes are
     PRIMES and then _primes_below the last of them; p is usable
@@ -338,8 +374,8 @@ def pair_kernel_basis(pairs, cols: int, d: int) -> list:
     accumulation.  The residues are combined by the Chinese remainder
     theorem, and after each prime every a and b is rebuilt by rational
     reconstruction with bound sqrt(P/2), P the product of the primes
-    accumulated.  K is returned at the first exact DM*K = 0 on the same
-    integer pairs.  Soundness, for any accumulated prime p:
+    accumulated.  K is returned at the first exact DM*K = 0 on the integer
+    pairs of DM and of the record.  Soundness, for any accumulated prime p:
 
     - Reduction mod p is a ring homomorphism on the entries of DM, so
       rank_p <= rank_Q, whatever p divides: full rank mod p needs no check.
@@ -366,14 +402,16 @@ def pair_kernel_basis(pairs, cols: int, d: int) -> list:
         d = 1
     best = images = cap = None
     modulus = used = 1
-    for p in chain(PRIMES, _primes_below(PRIMES[-1])):
+    handed, ready = first or (None, None)
+    walk = (p for p in chain(PRIMES, _primes_below(PRIMES[-1])) if p != handed)
+    for p in walk if first is None else chain((handed,), walk):
         r = _root_mod_p(d, p)
         if not r:
             continue
         used *= p
-        plus = _echelon(_residues(pairs, p, r), cols, p)
+        plus = ready if p == handed else _echelon(_residues(pairs, p, r), cols, p)
         if len(plus) == cols:
-            return []
+            return Kernel((), [{} for _ in range(cols)], 1, 1)
         minus = plus if d == 1 else _echelon(_residues(pairs, p, p - r), cols, p)
         if minus.keys() == plus.keys():
             key = (-len(plus), sorted(plus))
@@ -382,9 +420,9 @@ def pair_kernel_basis(pairs, cols: int, d: int) -> list:
             if key == best:
                 images = _accumulate(images, modulus, plus, minus, p, r)
                 modulus *= p
-                basis = _lift(images, modulus, plus, pairs, cols, d)
-                if basis is not None:
-                    return basis
+                kernel = _lift(images, modulus, plus, pairs, cols, d)
+                if kernel is not None:
+                    return kernel
         if cap is None:
             bits = sum(
                 (2 * sum(a * a + d * b * b for a, b in row.values())).bit_length()
@@ -422,35 +460,31 @@ def _accumulate(images: dict, modulus: int, plus: dict, minus: dict, p: int, r: 
 
 
 def _lift(images: dict, modulus: int, pivots: dict, pairs: list, cols: int, d: int):
-    """K with the pivot columns of pivots, rebuilt from residues mod modulus,
-    if every entry reconstructs and DM*K = 0 holds exactly; else None."""
-    # K is kept twice, by free column: as the basis vectors and as its rows.
-    basis = {f: [ZERO] * cols for f in range(cols) if f not in pivots}
-    k_rows = [{} for _ in range(cols)]
-    for f, vec in basis.items():
-        vec[f] = k_rows[f][f] = ONE
-    for (c, f), (ra, rb) in images.items():
-        if not (ra or rb):
-            continue
-        a = _reconstruct(ra, modulus)
-        b = _reconstruct(rb, modulus) if d != 1 else (0, 1)
+    """The Kernel record of K with the pivot columns of pivots, rebuilt from
+    residues mod modulus, if DM*K = 0 holds exactly on its pairs; else None."""
+    bound, scale, parts = math.isqrt(modulus // 2), 1, []
+    free = tuple(f for f in range(cols) if f not in pivots)
+    for (c, f), residues in images.items():
+        a, b = (_reconstruct(u, modulus, bound) if u else (0, 1) for u in residues)
         if a is None or b is None:
             return None
-        (na, qa), (nb, qb) = a, b
-        q = math.lcm(qa, qb)
-        basis[f][c] = k_rows[c][f] = QuadScalar(na * (q // qa), nb * (q // qb), d, q=q)
-    # The exact check DM*K = 0, on integer pairs with K cleared by one scale.
-    _, k_rows = _cleared(k_rows)
-    if any(_pair_product(row, k_rows, d) for row in pairs):
+        scale = math.lcm(scale, a[1], b[1])
+        parts.append((c, f, a, b))
+    rows = [{} for _ in range(cols)]
+    for a, f in enumerate(free):
+        rows[f][a] = (scale, 0)
+    vector = {f: a for a, f in enumerate(free)}
+    for c, f, (na, qa), (nb, qb) in parts:
+        rows[c][vector[f]] = (na * (scale // qa), nb * (scale // qb))
+    if any(pair_product(row, rows, d) for row in pairs):
         return None
-    return list(basis.values())
+    return Kernel(free, rows, scale, d if any(b[0] for *_, b in parts) else 1)
 
 
-def _reconstruct(u: int, m: int) -> tuple | None:
-    """The fraction n/k with |n|, k <= sqrt(m/2) and n = u*k mod m, as the
-    ints (n, k) with k > 0 and gcd(n, k) = 1, or None.  Such a fraction
-    is unique when it exists (Wang's half extended Euclidean algorithm)."""
-    bound = math.isqrt(m // 2)
+def _reconstruct(u: int, m: int, bound: int) -> tuple | None:
+    """The fraction n/k with |n|, k <= bound = isqrt(m // 2) and n = u*k mod
+    m, as ints (n, k) with k > 0 and gcd(n, k) = 1, or None; it is unique
+    when it exists (Wang's half extended Euclidean algorithm)."""
     r0, r1, s0, s1 = m, u, 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -479,7 +513,7 @@ def _cleared(rows) -> tuple:
     ]
 
 
-def _pair_product(row: dict, right: list, d: int) -> dict:
+def pair_product(row: dict, right: list, d: int) -> dict:
     """The nonzero entries of one row of a product, on integer pairs (a, b)
     for a + b*sqrt(d): row is a {k: pair} row of the left factor, and
     right[k] is row k of the right factor as a {j: pair} dict."""
@@ -542,12 +576,13 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     """Exact (negatives, zeros, positives) from the proved kernel and a
     congruence elimination of the nonsingular block it leaves.
 
-    kernel_basis gives K with MK = 0 proved exactly.  Each vector's last
-    nonzero index is its free column; F is the set of them and P the other
-    columns.  Elimination runs on the block M_PP only:
+    kernel_record gives K with MK = 0 proved exactly.  F is the set of its
+    free columns, checked by Kernel.unit_columns, and P the other columns.
+    Elimination runs on the block M_PP only:
 
-    - K's vectors end at |F| distinct indices, so they are independent,
-      and MK = 0 gives nullity(M) >= |F|.
+    - Row f_a of K is the unit vector e_a at the free column f_a of each
+      vector a, so the vectors are independent, and MK = 0 gives
+      nullity(M) >= |F|.
     - The elimination below finds |P| nonzero pivots on M_PP, so M_PP is
       nonsingular and rank(M) >= |P|.
     - So rank(M) = |P|, the Schur complement M_FF - M_FP M_PP^-1 M_PF is
@@ -592,10 +627,7 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     ):
         raise NotSymmetric(f"the {matrix.rows}x{matrix.cols} matrix is not symmetric")
     d = matrix.radicand
-    basis = kernel_basis(matrix)
-    free = {max(i for i, x in enumerate(vec) if x) for vec in basis}
-    if len(free) != len(basis):
-        raise RuntimeError("kernel vectors do not end at distinct columns")
+    free = set(kernel_record(matrix).unit_columns())
     block = [j for j in range(matrix.cols) if j not in free]
     W = [[rows[i].get(j, (0, 0)) for j in block] for i in block]
     pivots = _independent_pivots(W)

@@ -32,7 +32,7 @@ from cdvcert.cdvcore import (
 )
 from cdvcert.certify import MapSpec, RunReport, certify_map, charpoly_inertia
 from cdvcert.exactfield import QuadScalar, parse_scalar
-from cdvcert.exactlinalg import ExactMatrix, IntPolynomial, kernel_basis
+from cdvcert.exactlinalg import ExactMatrix, IntPolynomial, kernel_basis, kernel_record
 from cdvcert.maps import SimpleGraph
 
 PATH4 = SimpleGraph(4, ((0, 1), (1, 2), (2, 3)))
@@ -247,8 +247,8 @@ class TestSap:
         assert cert.full_rank and cert.prime is None
 
     def test_stored_kernel_is_reused(self, monkeypatch):
-        # Membership computes the operator's kernel, the matrix keeps it,
-        # and check_sap and any later caller read it back.
+        # Membership computes the operator's kernel record, the matrix
+        # keeps it, and check_sap and any later caller read it back.
         calls = []
         pair_kernel = exactlinalg.pair_kernel_basis
         monkeypatch.setattr(
@@ -259,8 +259,10 @@ class TestSap:
         op = build_shift_operator(cycle(8), QuadScalar.root(2))
         check_membership(op)
         assert calls == [8]
+        kernel = kernel_record(op.matrix)
         basis = kernel_basis(op.matrix)
         assert check_sap(op).full_rank
+        assert kernel_record(op.matrix) is kernel
         assert kernel_basis(op.matrix) == basis and len(basis) == op.corank == 2
         assert calls == [8]
 
@@ -269,9 +271,14 @@ class TestSap:
         # column is no longer a unit vector, so S[a][b] = X[f_a][f_b] fails.
         op = build_shift_operator(cycle(8), QuadScalar.root(2))
         check_membership(op)
-        basis = kernel_basis(op.matrix)
-        rescaled = [[2 * x for x in basis[0]]] + basis[1:]
-        monkeypatch.setattr(cdvcore, "kernel_basis", lambda m: rescaled)
+        kernel = kernel_record(op.matrix)
+        rescaled = kernel._replace(
+            rows=[
+                {a: (2 * x, 2 * y) if a == 0 else (x, y) for a, (x, y) in row.items()}
+                for row in kernel.rows
+            ]
+        )
+        monkeypatch.setattr(cdvcore, "kernel_record", lambda m: rescaled)
         with pytest.raises(RuntimeError, match="not canonical"):
             check_sap(op)
 
@@ -340,6 +347,34 @@ class TestSap:
         assert system.cols - len(kernel_basis(system)) == 1215
 
     @pytest.mark.parametrize(
+        "op,images",
+        [
+            (build_sap_witness(3, 4)[0], 1),
+            (
+                build_operator(
+                    complete_bipartite(1, 4), [0] * 5, {(0, 4): -QuadScalar.root(2)}
+                ),
+                2,
+            ),
+        ],
+        ids=["rational", "sqrt2"],
+    )
+    def test_a_rank_deficient_dual_is_eliminated_once_per_image(
+        self, monkeypatch, op, images
+    ):
+        # full_rank_prime hands its echelon to pair_kernel_basis, which then
+        # eliminates only the image under -r, and none for d = 1.
+        check_membership(op)
+        calls = []
+        echelon = exactlinalg._echelon
+        monkeypatch.setattr(
+            exactlinalg, "_echelon", lambda *a: calls.append(a) or echelon(*a)
+        )
+        cert = check_sap(op)
+        assert not cert.full_rank and cert.witness is not None
+        assert len(calls) == images
+
+    @pytest.mark.parametrize(
         "u,v",
         [
             # Full rank, but the dual has rank 9 of 10 mod 3.
@@ -379,11 +414,11 @@ def _record_ranked_columns(monkeypatch) -> list:
 
 def _check_sap_counting(op, primes) -> tuple:
     """check_sap with PRIMES set to primes, and the number of
-    kernel_basis and pair_kernel_basis calls it made."""
+    kernel_record and pair_kernel_basis calls it made."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cdvcore, "PRIMES", primes)
-        for name in ("kernel_basis", "pair_kernel_basis"):
+        for name in ("kernel_record", "pair_kernel_basis"):
             kernel = getattr(cdvcore, name)
             mp.setattr(
                 cdvcore, name, lambda *a, f=kernel: calls.append(a) or f(*a)
@@ -779,6 +814,26 @@ class TestBipartite:
         assert built == []
         op.matrix.matmul(op.matrix)
         assert built
+
+    def test_spans_and_a_full_rank_check_build_no_scalar(self, monkeypatch):
+        # Kernels stay integer pairs: spans_match compares two kernel
+        # records, and a full-rank check reads the operator's record and
+        # ranks the dual mod p; a return to QuadScalar kernels fails here.
+        op = build_bipartite_operator(3, 4, {3})
+        described = bipartite_kernel_basis(3, 4, {3})
+        computed = kernel_basis(op.matrix)
+        built = []
+        init = QuadScalar.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuadScalar, "__init__", counting_init)
+        assert spans_match(described, computed)
+        cert = check_sap(op)
+        assert cert.full_rank and cert.prime is not None and op.corank == 4
+        assert built == []
 
     def test_kernel_and_sap_check_build_no_fraction(self, monkeypatch):
         # Scalars are ints over a common denominator, so the kernel mod p,

@@ -591,6 +591,26 @@ class TestKernelModP:
         # and the dual share their prime.
         assert cdvcore.check_sap(g10_operator).prime == usable[0]
 
+    def test_a_genus10_relabelling_takes_two_primes(self, g10_operator):
+        # Relabelled by the shuffle of range(54) under random.Random("17/0"),
+        # the genus-10 kernel needs a second usable prime, so the record is
+        # rebuilt through the Chinese remainder step.
+        perm = list(range(54))
+        random.Random("17/0").shuffle(perm)
+        m = g10_operator.matrix
+        relabelled = ExactMatrix.symmetric(
+            54,
+            {
+                (perm[i], perm[j]): e
+                for i, row in enumerate(m.row_dicts)
+                for j, e in row.items()
+            },
+        )
+        basis, usable = _kernel_with_primes(relabelled)
+        assert len(usable) == 2
+        assert basis == kernel_basis_dense(relabelled)
+        assert len(basis) == 16
+
     def test_kernel_is_computed_once_and_returned_fresh(self, monkeypatch):
         calls = []
         pair_kernel = exactlinalg.pair_kernel_basis
@@ -704,7 +724,7 @@ class TestKernelModP:
 
     def test_refuses_at_the_cap(self, monkeypatch):
         # No reconstruction succeeds, so only the cap can end the loop.
-        monkeypatch.setattr(exactlinalg, "_reconstruct", lambda u, m: None)
+        monkeypatch.setattr(exactlinalg, "_reconstruct", lambda u, m, bound: None)
         primes, root = [], exactlinalg._root_mod_p
 
         def counting(d, p):
@@ -719,6 +739,20 @@ class TestKernelModP:
             kernel_basis(m)
         assert math.prod(primes[:-1]) <= _cap(m) < math.prod(primes)
         assert len(primes) > 10
+
+
+def _drop_last_vector(kernel):
+    """The Kernel record without its last vector and free column."""
+    last = len(kernel.free) - 1
+    rows = [{a: x for a, x in row.items() if a != last} for row in kernel.rows]
+    return kernel._replace(free=kernel.free[:-1], rows=rows)
+
+
+def _repeat_last_vector(kernel):
+    """The Kernel record with its last vector twice, at one free column."""
+    last = len(kernel.free) - 1
+    rows = [{**row, last + 1: row[last]} if last in row else row for row in kernel.rows]
+    return kernel._replace(free=kernel.free + kernel.free[-1:], rows=rows)
 
 
 class TestInertia:
@@ -912,8 +946,8 @@ class TestInertia:
     @pytest.mark.parametrize(
         "fault,message",
         [
-            (lambda basis: basis[:-1], "singular"),
-            (lambda basis: basis + basis[-1:], "distinct"),
+            (_drop_last_vector, "singular"),
+            (_repeat_last_vector, "distinct"),
         ],
         ids=["missing", "repeated"],
     )
