@@ -16,9 +16,10 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
-from .exactfield import ONE, ZERO, QuadScalar, parse_scalar
+from .exactfield import (
+    MAX_RADICAND, ONE, ZERO, QuadScalar, parse_scalar, squarefree_split
+)
 from .exactlinalg import (  # noqa: F401 (kernel_basis stays importable here)
     PRIMES,
     ExactMatrix,
@@ -31,6 +32,7 @@ from .exactlinalg import (  # noqa: F401 (kernel_basis stays importable here)
     kernel_record,
     pair_kernel_basis,
     pair_product,
+    row_scaled,
 )
 from .maps import SimpleGraph
 
@@ -153,6 +155,14 @@ class SchrodingerOperator:
         declared = data.get("field_d")
         if "field_d" in data and type(declared) is not int:
             raise ValueError("operator data must be an object whose 'field_d' is an int")
+        # The bound comes first, so a huge field_d starts no trial division.
+        if declared is not None and not (
+            1 <= declared <= MAX_RADICAND and squarefree_split(declared)[0] == 1
+        ):
+            raise ValueError(
+                f"operator data must name a field: 'field_d' {declared} is not "
+                f"a squarefree int in [1, {MAX_RADICAND}]"
+            )
         off_diagonal = data.get("off_diagonal", {})
         if not isinstance(off_diagonal, dict):
             raise ValueError(_OFF_DIAGONAL_FORMAT)
@@ -283,12 +293,12 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     are built lazily, so an elimination that reaches full rank builds no
     more of them.
 
-    Each row k_i of the record's integer pairs is cleared by the lcm of its
-    own denominators, a positive scale, which keeps the dual kernel.  The
-    dual entries are then a + b*sqrt(d) with integer a and b, d the
-    operator's radicand, and full_rank_prime ranks them mod the first
-    prime p of PRIMES at which d has a nonzero square root; full rank mod
-    p proves full rank over the field.
+    row_scaled puts each row k_i of the record's integer pairs over the lcm
+    of its own denominators, a positive scale, which keeps the dual kernel.
+    The dual entries are then a + b*sqrt(d) with integer a and b, d the
+    operator's radicand, and full_rank_prime ranks them mod the first prime
+    p of PRIMES at which d has a nonzero square root; full rank mod p
+    proves full rank over the field.
 
     When no prime is usable or the rank drops mod p, pair_kernel_basis
     rebuilds the reduced dual kernel from the same pair rows, starting
@@ -298,14 +308,17 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     whole dual: each forced unknown is a pivot column whose reduced row is
     its unit row, and the other reduced rows are those of the reduced
     system.  S0 gives the witness X = K*S0*K^T, computed on the records'
-    pairs with K^T as `columns`, and re-verified by verify_sap_witness,
-    whose M*X = 0 check builds no scalar when X is valid, before it is
-    reported.  X is also the first canonical kernel vector of the primal
-    system: X[f_a][f_b] = S[a][b], and row u of K is zero at each a with
-    f_a < u, so X is zero at every pair after (f_a, f_b) when S is zero at
-    every pair after (a, b).  The map (a, b) -> (f_a, f_b) keeps pair
-    order, so the last nonzero entry of X is 1 at the image of S0's last
-    nonzero entry, and S0 minimises that entry over the dual kernel.
+    pairs with K^T as `columns`.  Those pairs stand over the product of
+    the records' denominators, kernel.scale^2 * dual.scale, and become
+    the witness matrix as they are, with no scalar built.
+    verify_sap_witness, whose M*X = 0 check builds no scalar when X is
+    valid, re-checks X before it is reported.  X is also the first
+    canonical kernel vector of the primal system: X[f_a][f_b] = S[a][b],
+    and row u of K is zero at each a with f_a < u, so X is zero at every
+    pair after (f_a, f_b) when S is zero at every pair after (a, b).  The
+    map (a, b) -> (f_a, f_b) keeps pair order, so the last nonzero entry
+    of X is 1 at the image of S0's last nonzero entry, and S0 minimises
+    that entry over the dual kernel.
 
     Raises SystemTooLarge before any elimination when the whole dual or
     its kernel (at most c(c+1)/2 vectors of that length) would exceed
@@ -349,10 +362,7 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
         (u, v) for u, v in graph.edges if u not in is_free and v not in is_free
     ]
     d = op.matrix.radicand
-    k = kernel.rows
-    if kernel.scale != 1:
-        g = [gcd(kernel.scale, *(v for x in row.values() for v in x)) for row in k]
-        k = [{a: (x // h, y // h) for a, (x, y) in row.items()} for h, row in zip(g, k)]
+    k = row_scaled(kernel.rows, kernel.scale)
     first = full_rank_prime(_dual_rows(k, pairs, column, d), len(unknowns), d, PRIMES)
     if first is not None and len(first[1]) == len(unknowns):
         return SapCertificate(
@@ -365,11 +375,8 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     x0 = {j: row[0] for j, row in enumerate(dual.rows) if 0 in row}
     s0 = [{b: x0[j] for b, j in enumerate(js) if j in x0} for js in column]
     columns = [{i: r[a] for i, r in enumerate(kernel.rows) if a in r} for a in range(c)]
-    q, out = kernel.scale**2 * dual.scale, []
-    for row in kernel.rows:
-        x = pair_product(pair_product(row, s0, d), columns, d)
-        out.append({j: QuadScalar(a, b, d, q=q) for j, (a, b) in x.items()})
-    witness = ExactMatrix(n, out)
+    x = [pair_product(pair_product(row, s0, d), columns, d) for row in kernel.rows]
+    witness = ExactMatrix(n, x, kernel.scale**2 * dual.scale, d)
     verify_sap_witness(op, witness)
     return SapCertificate(
         False, primal_rank, rows, cols, witness, dual_shape=dual_shape
@@ -408,7 +415,7 @@ def verify_sap_witness(op: SchrodingerOperator, witness: ExactMatrix) -> None:
     if not witness.is_symmetric():
         raise ValueError("witness is not symmetric")
     adj = op.graph.adjacency()
-    for u, row in enumerate(witness.row_dicts):
+    for u, row in enumerate(witness.pairs):
         for v in row:
             if v == u:
                 raise ValueError(f"witness has nonzero diagonal at {u}")

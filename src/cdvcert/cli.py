@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import cdvcore, certify, exactlinalg, groups, maps
 from .certify import RunReport
@@ -90,16 +91,7 @@ def cmd_q1(args, report: RunReport) -> None:
         outcome = cdvcore.verify_q1_counterexample()
     report.results["graph"] = cdvcore.build_q1_graph().to_json_dict()
     report.results["positive_roots"] = outcome.positive_roots
-    report.results["samples"] = [
-        {
-            "a": s.a,
-            "x": s.x,
-            "row_gap": s.row_gap,
-            "gap_nonzero": s.gap_nonzero,
-            "pattern_ok": s.pattern_ok,
-        }
-        for s in outcome.samples
-    ]
+    report.results["samples"] = [asdict(s) for s in outcome.samples]
     report.verdict("graph_shape", outcome.graph_ok)
     report.verdict("cubic_identities", outcome.factored_identity and outcome.scaled_identity)
     report.verdict("no_positive_roots", outcome.positive_roots == 0)

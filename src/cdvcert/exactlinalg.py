@@ -1,34 +1,35 @@
 """Exact linear algebra over Q[sqrt(d)]: kernels, ranks mod p, inertia,
 charpoly.
 
-Matrices store each row's nonzero QuadScalar entries, and this module
-reads only their int fields, never the Fraction parts .a and .b.
-Products run on cleared integer pairs (a, b) for a + b*sqrt(d): each row
-of the left factor and the whole right factor are scaled by the lcm of
-their denominators q, the sums stay plain ints, and a QuadScalar is
-built straight from ints only for a nonzero entry of the result, so
-proving M*X = 0 builds none.  The one elimination is a sparse reduced
-echelon over F_p, on the residues of pair_rows (each row cleared to
-integer pairs) under sqrt(d) -> a root of d mod p, p from one table of
-primes below 2^30.  It gives ranks mod p and kernels, rebuilt from
-several primes by rational reconstruction and proved by the same
+A matrix is integer pairs over one denominator: entry (i, j) is (a +
+b*sqrt(d))/scale for the pair (a, b) stored at column j of row i, and
+the builders clear the entries' denominators once, when the matrix is
+made.  Every layer here runs on those pairs, and builds a QuadScalar
+only when an entry is asked for; a kernel first puts each row over its
+own scale (row_scaled), a gcd per row and nothing when the scale is 1.
+A product multiplies the pairs of its factors, sums plain ints and
+divides by the product of the two scales, so proving M*X = 0 builds no
+scalar.  The one elimination is a sparse reduced echelon over F_p, on
+the residues of the pairs under sqrt(d) -> a root of d mod p, p from one
+table of primes below 2^30.  It gives ranks mod p and kernels, rebuilt
+from several primes by rational reconstruction and proved by the same
 integer product: the matrix times the kernel is zero.  For a kernel the
 rows enter the echelon by descending leading column, which cuts the
 back-reduction.  A matrix's kernel is kept on it as a Kernel record of
 integer pairs, and kernel_basis builds QuadScalars from it on request.
 Inertia takes that kernel: its free columns are the zeros, and the
 nonsingular block on the other columns gives the signs by symmetric
-congruence elimination on cleared-denominator integer pairs, so the
-kernel directions are never eliminated.  A set of pairwise
-non-adjacent pivots with nonzero diagonal goes first, in one Schur
-step over all of them, then one fused Bareiss step per pivot with
-exact division by the previous pivot.  The characteristic polynomial
-comes from the division-free Berkowitz scheme: each term R*B^k*w is
-the dot product of a left and a right Krylov vector, about k/2 sparse
-matrix-vector products each, in which an entry 1 or -1 adds or
-subtracts without a multiplication, and a symmetric matrix reuses its
-right vectors as its left ones.  The real roots of a linear or
-quadratic factor are exact QuadScalars.  No floating point anywhere.
+congruence elimination on the pairs, so the kernel directions are never
+eliminated.  A set of pairwise non-adjacent pivots with nonzero diagonal
+goes first, in one Schur step over all of them, then one fused Bareiss
+step per pivot with exact division by the previous pivot.  The
+characteristic polynomial comes from the division-free Berkowitz scheme:
+each term R*B^k*w is the dot product of a left and a right Krylov
+vector, about k/2 sparse matrix-vector products each, in which an entry
+1 or -1 adds or subtracts without a multiplication, and a symmetric
+matrix reuses its right vectors as its left ones.  The real roots of a
+linear or quadratic factor are exact QuadScalars.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from itertools import chain
 from operator import mul
 from typing import NamedTuple
 
-from .exactfield import ONE, ZERO, FieldMismatch, QuadScalar, pair_sign
+from .exactfield import ZERO, FieldMismatch, QuadScalar, pair_sign, squarefree_split
 
 
 class NotSymmetric(ValueError):
@@ -59,103 +60,130 @@ class Inertia(NamedTuple):
     positives: int
 
 
-def _coerce(value) -> QuadScalar:
-    if isinstance(value, QuadScalar):
-        return value
-    if isinstance(value, (int, Fraction)):
-        # Most entries of a graph's matrix are 0 and the rest often 1; the
-        # shared ZERO and ONE save building one QuadScalar each.
-        if value == 0:
-            return ZERO
-        return ONE if value == 1 else QuadScalar(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a matrix entry")
-
-
 class ExactMatrix:
-    """Sparse matrix of QuadScalar entries: `row_dicts` holds one
-    {column: nonzero entry} dict per row, and every other entry is zero.
+    """Sparse matrix over Q[sqrt(d)] on integer pairs: `pairs` holds one
+    {column: (a, b)} dict per row for the nonzero entries (a +
+    b*sqrt(d))/scale, and every other entry is zero.
 
-    All irrational entries must share one radicand d; `radicand` is that d,
-    or 1 for a rational matrix.  Instances are not mutated after build,
-    so kernel_record keeps the kernel it computes in the `_kernel` slot.
+    ExactMatrix(cols, pairs, scale, radicand) takes the pairs as they are
+    and brings them to a normal form: scale > 0, the gcd of scale and
+    every a and b is 1, and `radicand` is 1 exactly when every b is 0, a
+    squarefree d > 1 otherwise.  So equal matrices have equal fields.
+    from_rows, symmetric and from_dicts build one from scalar entries.
+    Instances are not mutated after build, so kernel_record keeps the
+    kernel it computes in the `_kernel` slot.
     """
 
-    __slots__ = ("rows", "cols", "row_dicts", "radicand", "_kernel")
+    __slots__ = ("rows", "cols", "pairs", "scale", "radicand", "_kernel")
 
-    def __init__(self, cols: int, row_dicts, radicand: int | None = None):
-        row_dicts = tuple(row_dicts)
-        for row in row_dicts:
-            for j, e in row.items():
+    def __init__(self, cols: int, pairs, scale: int = 1, radicand: int = 1):
+        pairs = tuple(pairs)
+        if not scale:
+            raise ValueError("scale must be nonzero")
+        g, irrational = abs(scale), False
+        for row in pairs:
+            for j, (a, b) in row.items():
                 if not 0 <= j < cols:
                     raise ValueError(f"column {j} is outside [0, {cols})")
-                if not e:
+                if not (a or b):
                     raise ValueError(f"zero stored at column {j}")
-        if radicand is None:
+                irrational = irrational or b != 0
+                if g != 1:
+                    g = math.gcd(g, a, b)
+        if scale < 0:
+            g = -g
+        if g != 1:
+            scale //= g
+            pairs = tuple(
+                {j: (a // g, b // g) for j, (a, b) in row.items()} for row in pairs
+            )
+        if not irrational:
             radicand = 1
-            for row in row_dicts:
-                for e in row.values():
-                    if e.r:
-                        if radicand == 1:
-                            radicand = e.d
-                        elif e.d != radicand:
-                            raise FieldMismatch(
-                                f"entries mix sqrt({radicand}) and sqrt({e.d})"
-                            )
-        object.__setattr__(self, "rows", len(row_dicts))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "row_dicts", row_dicts)
-        object.__setattr__(self, "radicand", radicand)
-        object.__setattr__(self, "_kernel", None)
+        elif radicand < 2 or squarefree_split(radicand)[0] != 1:
+            raise ValueError(f"radicand {radicand} is not a squarefree d > 1")
+        values = (len(pairs), cols, pairs, scale, radicand, None)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
+    def from_dicts(cls, cols: int, rows) -> "ExactMatrix":
+        """The matrix with `cols` columns and x at (i, j) for each j: x in
+        the dict rows[i], x an int, Fraction or QuadScalar, and zero
+        elsewhere.  The entries are cleared once, by the lcm of their
+        denominators.  Irrational entries over two radicands raise
+        FieldMismatch."""
+        scale, d, parts = 1, 1, []
+        for row in rows:
+            out = {}
+            for j, x in row.items():
+                if isinstance(x, QuadScalar):
+                    n, r, q, e = x.n, x.r, x.q, x.d
+                elif isinstance(x, int):
+                    n, r, q, e = x, 0, 1, 1
+                elif isinstance(x, Fraction):
+                    n, r, q, e = x.numerator, 0, x.denominator, 1
+                else:
+                    raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
+                if r:
+                    if d not in (1, e):
+                        raise FieldMismatch(f"entries mix sqrt({d}) and sqrt({e})")
+                    d = e
+                elif not n:
+                    continue
+                if scale % q:
+                    scale = math.lcm(scale, q)
+                out[j] = (n, r, q)
+            parts.append(out)
+        pairs = [
+            {j: (n * (f := scale // q), r * f) for j, (n, r, q) in row.items()}
+            for row in parts
+        ]
+        return cls(cols, pairs, scale, d)
+
+    @classmethod
     def from_rows(cls, rows: list) -> "ExactMatrix":
         ncols = len(rows[0]) if rows else 0
-        row_dicts = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            row_dicts.append({j: e for j, x in enumerate(r) if (e := _coerce(x))})
-        return cls(ncols, row_dicts)
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        return cls.from_dicts(ncols, [dict(enumerate(r)) for r in rows])
 
     @classmethod
     def symmetric(cls, n: int, entries: dict) -> "ExactMatrix":
         """n x n matrix with x at (i, j) and at (j, i) for each (i, j): x in
         entries, and zero everywhere else."""
-        row_dicts = [{} for _ in range(n)]
+        rows = [{} for _ in range(n)]
         for (i, j), x in entries.items():
-            if e := _coerce(x):
-                row_dicts[i][j] = row_dicts[j][i] = e
-        return cls(n, row_dicts)
+            rows[i][j] = rows[j][i] = x
+        return cls.from_dicts(n, rows)
 
     def entry(self, i: int, j: int) -> QuadScalar:
-        return self.row_dicts[i].get(j, ZERO)
+        x = self.pairs[i].get(j)
+        return ZERO if x is None else QuadScalar(*x, self.radicand, q=self.scale)
 
     def row(self, i: int) -> list:
-        r = self.row_dicts[i]
-        return [r.get(j, ZERO) for j in range(self.cols)]
+        return [self.entry(i, j) for j in range(self.cols)]
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
-            self.row_dicts[j].get(i) == e
-            for i, row in enumerate(self.row_dicts)
-            for j, e in row.items()
+            self.pairs[j].get(i) == x
+            for i, row in enumerate(self.pairs)
+            for j, x in row.items()
         )
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.cols == other.cols and self.row_dicts == other.row_dicts
+        fields = ("cols", "scale", "radicand", "pairs")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        """The exact product, computed on integer pairs: each row of self
-        is cleared by the lcm of its denominators, other once by the lcm
-        of all of its own, and a QuadScalar is built only for a nonzero
-        entry of the product, divided back by the two scales.  Factors
-        over two different irrational fields raise FieldMismatch, even
-        where their irrational entries never meet."""
+        """The exact product: pair_product of each row of self with the
+        rows of other, over the product of the two scales.  Factors over
+        two different irrational fields raise FieldMismatch, even where
+        their irrational entries never meet."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         d = self.radicand
@@ -165,17 +193,11 @@ class ExactMatrix:
                     f"cannot multiply sqrt({d}) by sqrt({other.radicand}) entries"
                 )
             d = other.radicand
-        scale, right = _cleared(other.row_dicts)
-        out = []
-        for row in self.row_dicts:
-            row_scale, (pairs,) = _cleared((row,))
-            q = row_scale * scale
-            prod = pair_product(pairs, right, d)
-            out.append({j: QuadScalar(a, b, d, q=q) for j, (a, b) in prod.items()})
-        return ExactMatrix(other.cols, out)
+        out = [pair_product(row, other.pairs, d) for row in self.pairs]
+        return ExactMatrix(other.cols, out, self.scale * other.scale, d)
 
     def is_zero(self) -> bool:
-        return not any(self.row_dicts)
+        return not any(self.pairs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -254,13 +276,6 @@ def _echelon(rows, cols: int, p: int) -> dict:
     return pivots
 
 
-def pair_rows(matrix: ExactMatrix) -> list:
-    """The rows of matrix as {column: (a, b)} dicts of integers, a + b*sqrt(d)
-    standing for the entry times the lcm of its row's denominators.  A
-    positive scale per row keeps the rank and the right kernel."""
-    return [_cleared((row,))[1][0] for row in matrix.row_dicts]
-
-
 def _residues(pairs, p: int, r: int):
     """Pair rows mod p under sqrt(d) -> r, as {column: residue} dicts with
     zero residues dropped, each made only when the elimination asks for
@@ -328,12 +343,25 @@ class Kernel(NamedTuple):
         return self.free
 
 
+def row_scaled(rows: list, scale: int) -> list:
+    """rows, {column: (a, b)} integer pairs over the positive scale, each
+    divided by its gcd with scale, so over the lcm of its own denominators:
+    a prime dividing scale but none of those leaves the row nonzero mod p."""
+    if scale == 1:
+        return rows
+    gs = [math.gcd(scale, *chain.from_iterable(row.values())) for row in rows]
+    return [
+        r if g == 1 else {j: (a // g, b // g) for j, (a, b) in r.items()}
+        for g, r in zip(gs, rows)
+    ]
+
+
 def kernel_record(matrix: ExactMatrix) -> Kernel:
-    """The Kernel record of matrix: pair_kernel_basis on its pair_rows,
-    which scale each row of M by a positive integer and keep the kernel,
-    computed on the first call for a matrix and kept on it."""
+    """The Kernel record of matrix: pair_kernel_basis on its row_scaled
+    pairs, computed on the first call for a matrix and kept on it."""
     if matrix._kernel is None:
-        kernel = pair_kernel_basis(pair_rows(matrix), matrix.cols, matrix.radicand)
+        rows = row_scaled(matrix.pairs, matrix.scale)
+        kernel = pair_kernel_basis(rows, matrix.cols, matrix.radicand)
         object.__setattr__(matrix, "_kernel", kernel)
     return matrix._kernel
 
@@ -495,24 +523,6 @@ def _reconstruct(u: int, m: int, bound: int) -> tuple | None:
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _cleared(rows) -> tuple:
-    """(L, pair rows) for a sequence of {column: scalar} dicts: L is the
-    lcm of all their denominators q, and each pair row maps the same
-    columns to (n*L/q, r*L/q) as ints for the (n + r*sqrt(d))/q there."""
-    # One lcm call per scalar: math.lcm(*generator) builds its argument
-    # tuple by resizing, which leaves the freed tuples in the interpreter's
-    # free lists and raised the peak memory of the bipartite sweep by 1 MB.
-    scale = 1
-    for row in rows:
-        for x in row.values():
-            if scale % x.q:
-                scale = math.lcm(scale, x.q)
-    return scale, [
-        {j: (x.n * (f := scale // x.q), x.r * f) for j, x in row.items()}
-        for row in rows
-    ]
-
-
 def pair_product(row: dict, right: list, d: int) -> dict:
     """The nonzero entries of one row of a product, on integer pairs (a, b)
     for a + b*sqrt(d): row is a {k: pair} row of the left factor, and
@@ -574,7 +584,9 @@ def _bareiss_step(W: list, sp: int, prev: tuple, d: int) -> list:
 
 def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     """Exact (negatives, zeros, positives) from the proved kernel and a
-    congruence elimination of the nonsingular block it leaves.
+    congruence elimination of the nonsingular block it leaves.  Both run
+    on the matrix's pairs, scale*M with scale > 0, which has the kernel
+    and the inertia of M.
 
     kernel_record gives K with MK = 0 proved exactly.  F is the set of its
     free columns, checked by Kernel.unit_columns, and P the other columns.
@@ -619,14 +631,9 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     matrix on rows not yet eliminated, so it keeps the inertia and the
     leading minors, and the next division stays exact.
     """
-    _, rows = _cleared(matrix.row_dicts)
-    # One common scale clears every entry, so the matrix is symmetric
-    # exactly when its integer pairs are.
-    if matrix.rows != matrix.cols or any(
-        rows[j].get(i) != pair for i, row in enumerate(rows) for j, pair in row.items()
-    ):
+    if not matrix.is_symmetric():
         raise NotSymmetric(f"the {matrix.rows}x{matrix.cols} matrix is not symmetric")
-    d = matrix.radicand
+    d, rows = matrix.radicand, matrix.pairs
     free = set(kernel_record(matrix).unit_columns())
     block = [j for j in range(matrix.cols) if j not in free]
     W = [[rows[i].get(j, (0, 0)) for j in block] for i in block]
@@ -858,25 +865,18 @@ def charpoly(matrix: ExactMatrix) -> IntPolynomial:
     """
     if matrix.rows != matrix.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
-    rows = []
-    for row in matrix.row_dicts:
-        ints = {}
-        for j, e in row.items():
-            if e.r or e.q != 1:
-                raise NonIntegerEntries(f"entry {e.render()} is not an integer")
-            ints[j] = e.n
-        rows.append(ints)
-    symmetric = all(
-        rows[j].get(i) == a for i, row in enumerate(rows) for j, a in row.items()
-    )
+    if matrix.scale != 1 or matrix.radicand != 1:
+        raise NonIntegerEntries("charpoly needs integer entries")
+    # The pairs are (a, 0) for the integer entries a.
+    rows, zero, symmetric = matrix.pairs, (0, 0), matrix.is_symmetric()
     # B and, unless B is symmetric, its transpose, each as (ones, negs, rest).
     block = ([], [], [])
     transposed = block if symmetric else ([], [], [])
     v = [1]
     for r, row in enumerate(rows):
-        t = [1, -row.get(r, 0)]
-        right = [[rows[i].get(r, 0) for i in range(r)]]
-        left = right if symmetric else [[row.get(j, 0) for j in range(r)]]
+        t = [1, -row.get(r, zero)[0]]
+        right = [[rows[i].get(r, zero)[0] for i in range(r)]]
+        left = right if symmetric else [[row.get(j, zero)[0] for j in range(r)]]
         if any(left[0]) and any(right[0]):
             for k in range(r):
                 h = k // 2
@@ -890,8 +890,8 @@ def charpoly(matrix: ExactMatrix) -> IntPolynomial:
         # Lower-triangular Toeplitz product: keep the first len(v)+1
         # convolution coefficients only.
         v = [sum(map(mul, t[k::-1], v)) for k in range(len(t))]
-        new = [(i, r, a) for i in range(r) if (a := rows[i].get(r))]
-        new += [(r, j, a) for j, a in row.items() if j <= r]
+        new = [(i, r, x[0]) for i in range(r) if (x := rows[i].get(r))]
+        new += [(r, j, a) for j, (a, _) in row.items() if j <= r]
         _split_entries(new, block, symmetric)
         if not symmetric:
             _split_entries([(j, i, a) for i, j, a in new], transposed, False)

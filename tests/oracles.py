@@ -129,10 +129,15 @@ def matvec(matrix: ExactMatrix, vec: list) -> list:
     ]
 
 
+def scalar_rows(matrix: ExactMatrix) -> list:
+    """The rows of matrix as {column: nonzero QuadScalar} dicts."""
+    return [{j: matrix.entry(i, j) for j in row} for i, row in enumerate(matrix.pairs)]
+
+
 def rank_markowitz(matrix: ExactMatrix) -> int:
     """Destructive sparse elimination picking the sparsest column, then
     the sparsest row within it."""
-    live = [r for r in matrix.row_dicts if r]
+    live = [r for r in scalar_rows(matrix) if r]
     rank = 0
     while live:
         counts: dict = {}
@@ -244,14 +249,14 @@ def determinant(matrix: ExactMatrix):
 def inertia_dense(matrix: ExactMatrix) -> tuple:
     """(negatives, zeros, positives) of a symmetric matrix by textbook
     symmetric elimination over the field, on FractionQuad entries read
-    from row_dicts: a nonzero diagonal pivot p of the remaining block
+    from scalar_rows: a nonzero diagonal pivot p of the remaining block
     counts its sign, and the block becomes its Schur complement
     W - w*w^T/p.  When the whole diagonal is zero but W[i][j] is not,
     adding row and column j to row and column i makes W[i][i] = 2 W[i][j],
     a congruence.  A zero block counts its size as zeros."""
     n = matrix.rows
     W = [[FractionQuad() for _ in range(n)] for _ in range(n)]
-    for i, row in enumerate(matrix.row_dicts):
+    for i, row in enumerate(scalar_rows(matrix)):
         for j, x in row.items():
             W[i][j] = FractionQuad(Fraction(x.n, x.q), Fraction(x.r, x.q), x.d)
     counts = [0, 0, 0]
@@ -343,17 +348,18 @@ def build_sap_system(op) -> tuple:
     )
     col_id = {pair: i for i, pair in enumerate(col_pairs)}
     # The pair {t, w} is a column only for t != w not adjacent to w.
-    row_dicts = [
+    m = op.matrix
+    rows = [
         {
-            col: e
-            for t, e in op.matrix.row_dicts[u].items()
+            col: x
+            for t, x in m.pairs[u].items()
             if (col := col_id.get((t, w) if t < w else (w, t))) is not None
         }
         for w in range(n)
         for u in range(n)
         if u != w
     ]
-    return ExactMatrix(len(col_pairs), row_dicts), col_pairs
+    return ExactMatrix(len(col_pairs), rows, m.scale, m.radicand), col_pairs
 
 
 def coset_enumerate_by_tracing(presentation, subgroup=(), max_cosets=100000):

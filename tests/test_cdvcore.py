@@ -10,6 +10,7 @@ from oracles import (
     rank_dense,
     spans_match_by_rank,
 )
+from specs import KLEIN, map_graph
 from cdvcert import cdvcore, exactfield, exactlinalg
 from cdvcert.cdvcore import (
     MAX_OPERATOR_VERTICES,
@@ -30,9 +31,16 @@ from cdvcert.cdvcore import (
     verify_q1_counterexample,
     verify_sap_witness,
 )
-from cdvcert.certify import MapSpec, RunReport, certify_map, charpoly_inertia
+from cdvcert.certify import GENUS10, RunReport, certify_map, charpoly_inertia
 from cdvcert.exactfield import QuadScalar, parse_scalar
-from cdvcert.exactlinalg import ExactMatrix, IntPolynomial, kernel_basis, kernel_record
+from cdvcert.exactlinalg import (
+    ExactMatrix,
+    IntPolynomial,
+    charpoly,
+    kernel_basis,
+    kernel_record,
+    poly_expand_product,
+)
 from cdvcert.maps import SimpleGraph
 
 PATH4 = SimpleGraph(4, ((0, 1), (1, 2), (2, 3)))
@@ -315,9 +323,9 @@ class TestSap:
             dense = _dense_sap_matrix(op)
             assert system == dense
             fields = dict(vars(op))
-            row_dicts = [dict(row) for row in op.matrix.row_dicts]
+            pairs = [dict(row) for row in op.matrix.pairs]
             assert check_sap(op).rank == rank_dense(dense)
-            assert vars(op) == fields and list(op.matrix.row_dicts) == row_dicts
+            assert vars(op) == fields and list(op.matrix.pairs) == pairs
 
     def test_klein_dual_matches_the_primal(self, monkeypatch):
         op = certify_map(KLEIN, RunReport("klein"), sap=False)
@@ -528,23 +536,6 @@ def sap_operators(draw):
     return build_operator(graph, diagonal, weights)
 
 
-# Klein's quartic as the (3,7) triangulation of genus 3: PSL(2,7) with y
-# of order 3 (faces), z of order 7 (vertices) and y*z of order 2 (edges).
-# Its graph has spectrum 7, -1^7, (+-sqrt 7)^8, so sqrt(7) I - A has
-# corank 8, no more than the genus-3 embedding bound 8.
-KLEIN = MapSpec(
-    presentation="< y, z | y^3, z^7, (y*z)^2, (z^-1*y^-1*z*y)^4 >",
-    order=168,
-    element_orders=(3, 7, 2),
-    shift=QuadScalar.root(7),
-    charpoly=(
-        (IntPolynomial((-7, 1)), 1),
-        (IntPolynomial((1, 1)), 7),
-        (IntPolynomial((-7, 0, 1)), 8),
-    ),
-)
-
-
 def failed_verdicts(result):
     return {name for name, ok in result.verdicts.items() if not ok}
 
@@ -593,6 +584,28 @@ class TestCertifyMap:
         assert result.results["operator"]["inertia"] == [16, 8, 0]
         assert charpoly_inertia(spec.charpoly, spec.shift) == (16, 8, 0)
         assert not result.verdicts["inertia"]
+
+    @pytest.mark.parametrize("spec", [KLEIN, GENUS10], ids=["klein", "genus10"])
+    @given(data=st.data())
+    @settings(max_examples=5)
+    def test_verdicts_hold_on_relabelled_maps(self, spec, data):
+        # Labels are arbitrary: every verdict on the operator must hold
+        # under any vertex permutation, which reorders every matrix they
+        # read and sends some kernels through two primes.
+        graph = map_graph(spec.presentation)
+        label = data.draw(st.permutations(range(graph.n)), label="label")
+        relabelled = SimpleGraph(
+            graph.n,
+            tuple(tuple(sorted((label[u], label[v]))) for u, v in graph.edges),
+        )
+        adjacency = ExactMatrix.symmetric(graph.n, dict.fromkeys(relabelled.edges, 1))
+        assert charpoly(adjacency) == poly_expand_product(spec.charpoly)
+        spectral = charpoly_inertia(spec.charpoly, spec.shift)
+        op = build_shift_operator(relabelled, spec.shift)
+        assert check_membership(op) == spectral
+        assert op.corank == spectral[1] == len(kernel_record(op.matrix).free)
+        cert = check_sap(op)
+        assert cert.full_rank and cert.rank == cert.cols
 
     def test_charpoly_inertia(self):
         double_root = ((IntPolynomial((1, 2, 1)), 2), (IntPolynomial((-3, 1)), 1))
@@ -790,11 +803,12 @@ class TestBipartite:
         # has a zero rational part.
         op, witness = build_sap_witness(4, 5)
         unit = ExactMatrix.symmetric(9, {(5, 6): QuadScalar.root(2)})
+        assert witness.scale == unit.scale == 1
         x = ExactMatrix(
-            9, [{**w, **e} for w, e in zip(witness.row_dicts, unit.row_dicts)]
+            9, [{**w, **e} for w, e in zip(witness.pairs, unit.pairs)], 1, 2
         )
         product = op.matrix.matmul(x)
-        assert all(e.a == 0 for row in product.row_dicts for e in row.values())
+        assert all(a == 0 for row in product.pairs for a, _ in row.values())
         with pytest.raises(ValueError, match="M\\*X is not zero"):
             verify_sap_witness(op, x)
 
@@ -812,7 +826,7 @@ class TestBipartite:
         monkeypatch.setattr(QuadScalar, "__init__", counting_init)
         verify_sap_witness(op, witness)
         assert built == []
-        op.matrix.matmul(op.matrix)
+        witness.to_json_dict()
         assert built
 
     def test_spans_and_a_full_rank_check_build_no_scalar(self, monkeypatch):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cdvcert import cdvcore, cli, exactlinalg
+from cdvcert import cdvcore, cli, exactfield, exactlinalg
 from cdvcert.cdvcore import MAX_OPERATOR_VERTICES, MAX_SAP_SLOTS
 
 
@@ -201,6 +201,31 @@ class TestBipartite:
         assert report["passed"] is False
         assert report["inputs"]["operator"] == str(path)
         assert report["results"]["error"]["stage"] == "setup"
+
+    @pytest.mark.parametrize("field_d", [4, 0, -3, 2**40])
+    def test_a_field_d_that_names_no_field_is_refused(
+        self, capsys, tmp_path, monkeypatch, field_d
+    ):
+        # Rational entries never meet the declared radicand, so the loader
+        # itself must refuse one that is not squarefree in [1, MAX_RADICAND],
+        # and must do so without factoring a value above the bound.
+        factored = []
+        split = exactfield.squarefree_split
+        monkeypatch.setattr(
+            cdvcore, "squarefree_split", lambda n: factored.append(n) or split(n)
+        )
+        operator = {
+            "graph": {"n": 2, "edges": [[0, 1]]},
+            "field_d": field_d,
+            "diagonal": ["0", "0"],
+        }
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(operator))
+        code, report = run(capsys, "sap", str(path), "--no-timings")
+        assert code == 1 and report["passed"] is False
+        error = report["results"]["error"]
+        assert error["stage"] == "setup" and "field_d" in error["detail"]
+        assert all(n <= exactfield.MAX_RADICAND for n in factored)
 
     def test_non_operator_json_is_reported(self, capsys, tmp_path):
         path = tmp_path / "junk.json"

@@ -98,5 +98,22 @@ def test_no_elimination_in_the_field(name):
     assert calls == []
 
 
+def test_only_the_field_and_the_matrix_trust_a_radicand():
+    """QuadScalar(n, r, d, q=q) trusts d without checking it, so only
+    exactfield, which checked it, and exactlinalg, whose matrices read it
+    from checked entries or the checked ExactMatrix constructor, build
+    scalars that way; the integer-pair format stays behind exactlinalg."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name not in ("exactfield.py", "exactlinalg.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "QuadScalar"
+        and any(k.arg == "q" for k in node.keywords)
+    ]
+    assert calls == []
+
+
 def test_every_module_is_checked():
     assert {p.name for p in SOURCES} >= {"__init__.py", "cdvcore.py", "exactlinalg.py"}

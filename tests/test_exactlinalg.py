@@ -18,9 +18,10 @@ from oracles import (
     rank_markowitz,
     transpose,
 )
-from cdvcert import cdvcore, exactlinalg, groups, maps
+from specs import KLEIN_PRESENTATION, map_graph
+from cdvcert import cdvcore, exactlinalg
 from cdvcert.certify import GENUS10
-from cdvcert.exactfield import ONE, FieldMismatch, QuadScalar, pair_sign
+from cdvcert.exactfield import ZERO, FieldMismatch, QuadScalar, pair_sign
 from cdvcert.exactlinalg import (
     ExactMatrix,
     IntPolynomial,
@@ -29,7 +30,6 @@ from cdvcert.exactlinalg import (
     charpoly,
     inertia_symmetric,
     kernel_basis,
-    pair_rows,
     poly_expand_product,
     _echelon,
     factor_roots,
@@ -216,19 +216,15 @@ def sparse_symmetric(draw):
 def pair_block(m):
     """The whole symmetric matrix m as the dense pair block that
     inertia_symmetric eliminates."""
-    _, rows = exactlinalg._cleared(m.row_dicts)
+    rows = m.pairs
     return [[rows[i].get(j, (0, 0)) for j in range(m.cols)] for i in range(m.rows)]
-
-
-KLEIN_PRESENTATION = "< y, z | y^3, z^7, (y*z)^2, (z^-1*y^-1*z*y)^4 >"
 
 
 def map_adjacency(presentation, seed=None):
     """The 0/1 adjacency of the map graph of a presentation, as certify_map
     builds it, with its vertices shuffled by random.Random(seed) unless
     seed is None."""
-    parsed = groups.parse_presentation(presentation)
-    graph = maps.genus10_map(parsed, groups.coset_enumerate(parsed)).graph
+    graph = map_graph(presentation)
     label = list(range(graph.n))
     if seed is not None:
         random.Random(seed).shuffle(label)
@@ -262,12 +258,19 @@ class TestExactMatrix:
         m = ExactMatrix.from_rows([[1, QuadScalar.root(7)], [0, 2]])
         assert m.radicand == 7
 
-    @pytest.mark.parametrize(
-        "row", [{0: QuadScalar(0)}, {2: QuadScalar(1)}, {-1: QuadScalar(1)}]
-    )
+    @pytest.mark.parametrize("row", [{0: (0, 0)}, {2: (1, 0)}, {-1: (1, 0)}])
     def test_rejects_a_stored_zero_and_an_outside_column(self, row):
         with pytest.raises(ValueError, match="zero stored|outside"):
-            ExactMatrix(2, [{1: QuadScalar(1)}, row])
+            ExactMatrix(2, [{1: (1, 0)}, row])
+
+    @pytest.mark.parametrize(
+        "scale,radicand", [(0, 1), (1, 1), (1, 4), (1, 0), (1, -3)]
+    )
+    def test_pairs_refuse_a_zero_scale_and_a_radicand_that_names_no_field(
+        self, scale, radicand
+    ):
+        with pytest.raises(ValueError, match="scale|radicand"):
+            ExactMatrix(1, [{0: (1, 1)}], scale, radicand)
 
     def test_identity_is_neutral(self):
         m = ExactMatrix.from_rows([[1, 2], [3, 4]])
@@ -290,8 +293,7 @@ class TestExactMatrix:
         )
     )
     def test_matmul_matches_the_dense_product(self, case):
-        # ExactMatrix equality ignores the radicand, so compare it too: a
-        # product that cancels to rationals has radicand 1.
+        # A product that cancels to rationals has radicand 1.
         left, right = case
         product, expected = left.matmul(right), matmul_dense(left, right)
         assert product == expected
@@ -327,26 +329,77 @@ class TestExactMatrix:
         with pytest.raises(ValueError, match="ragged"):
             ExactMatrix.from_rows([[1, 0], [0]])
         m = ExactMatrix.from_rows([[0, Fraction(0), QuadScalar(0), 2]])
-        assert m.row_dicts == ({3: QuadScalar(2)},)
+        assert m.pairs == ({3: (2, 0)},)
 
-    def test_an_entry_one_is_the_shared_one(self):
-        # Like 0, an entry 1 builds no QuadScalar, so a 0/1 adjacency builds
-        # none; the matrices are equal to those with fresh scalars.
-        assert ExactMatrix.from_rows([[1]]).entry(0, 0) is ONE
-        m = ExactMatrix.symmetric(2, {(0, 1): Fraction(1), (1, 1): -1})
-        assert m.entry(1, 0) is ONE
-        assert m == ExactMatrix(
-            2, [{1: QuadScalar(1)}, {0: QuadScalar(1), 1: QuadScalar(-1)}]
+    def test_an_integer_adjacency_builds_no_scalar(self, monkeypatch):
+        # Integer entries go straight to pairs over scale 1; a scalar is
+        # built only when an entry is read, and an absent one is ZERO.
+        built = []
+        init = QuadScalar.__init__
+        monkeypatch.setattr(
+            QuadScalar,
+            "__init__",
+            lambda s, *a, **k: built.append(a) or init(s, *a, **k),
         )
-        assert ExactMatrix.from_rows([[1, 2], [0, 1]]) == ExactMatrix(
-            2, [{0: QuadScalar(1), 1: QuadScalar(2)}, {1: QuadScalar(1)}]
+        m = ExactMatrix.symmetric(3, {(0, 1): 1, (1, 2): Fraction(-2), (2, 2): 5})
+        rows = ExactMatrix.from_rows([[0, 1, 0], [1, 0, -2], [0, -2, 5]])
+        assert built == []
+        assert m == rows
+        assert m.pairs == (
+            {1: (1, 0)},
+            {0: (1, 0), 2: (-2, 0)},
+            {1: (-2, 0), 2: (5, 0)},
         )
+        assert (m.scale, m.radicand) == (1, 1)
+        assert m.entry(0, 2) is ZERO and built == []
+        assert m.entry(1, 2) == QuadScalar(-2) and built
+
+    @given(
+        st.sampled_from([1, 2, 7]).flatmap(
+            lambda d: matrices(d, max_side=4, square=True)
+        ),
+        st.integers(-6, 6).filter(bool),
+    )
+    @settings(max_examples=100)
+    def test_equal_values_give_equal_matrices(self, m, k):
+        # Every builder brings its pairs to the one normal form, so the same
+        # values give the same fields: from_rows, from_dicts, a product by
+        # the identity over k, the pair constructor given every pair and the
+        # scale times k, and symmetric on the upper triangle.
+        n = m.rows
+        rows = [m.row(i) for i in range(n)]
+        eye = ExactMatrix.symmetric(n, {(i, i): Fraction(1, k) for i in range(n)})
+        same = [
+            ExactMatrix.from_rows(rows),
+            ExactMatrix.from_dicts(n, [dict(enumerate(row)) for row in rows]),
+            ExactMatrix.from_rows([[k * x for x in row] for row in rows]).matmul(eye),
+            eye.matmul(ExactMatrix.from_rows([[x * k for x in row] for row in rows])),
+            ExactMatrix(
+                n,
+                [{j: (k * a, k * b) for j, (a, b) in row.items()} for row in m.pairs],
+                k * m.scale,
+                m.radicand,
+            ),
+        ]
+        # Equality compares the fields: cols, pairs, scale and radicand.
+        assert same == [m] * len(same)
+        upper = {(i, j): rows[i][j] for i in range(n) for j in range(i, n)}
+        mirrored = ExactMatrix.symmetric(n, upper)
+        assert mirrored == ExactMatrix.from_rows(
+            [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        )
+        assert mirrored.is_symmetric()
 
     def test_json_dict_uses_render_strings(self):
         m = ExactMatrix.from_rows([[QuadScalar.root(2)]])
         data = m.to_json_dict()
         assert data["field_d"] == 2
         assert all(isinstance(e, str) for e in data["entries"])
+
+
+def fresh(m):
+    """A fresh matrix equal to m, which keeps no kernel yet."""
+    return ExactMatrix(m.cols, m.pairs, m.scale, m.radicand)
 
 
 def rank(m):
@@ -425,12 +478,12 @@ class TestRankKernel:
         # Row 1 is reduced by pivot row 0, and row 2 by the pivot row of
         # column 1, which then back-reduces pivot row 0.
         m = ExactMatrix.from_rows([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, r2]])
-        # QuadScalar is immutable, so copying each row dict copies deeply.
-        before = [dict(row) for row in m.row_dicts]
+        # Pairs are tuples, so copying each row dict copies deeply.
+        before = [dict(row) for row in m.pairs]
         assert rank(m) == 3
-        assert m.row_dicts == tuple(before)
+        assert m.pairs == tuple(before)
         assert kernel_basis(m) == [[r2, -r2, -r2, QuadScalar(1)]]
-        assert m.row_dicts == tuple(before)
+        assert m.pairs == tuple(before)
         rows = [{0: 1, 1: 1}, {0: 1, 2: 1}, {1: 1, 3: 5}]
         copies = [dict(row) for row in rows]
         assert len(_echelon(rows, 4, 7)) == 3
@@ -495,11 +548,11 @@ def _kernel_with_primes(m):
 
 def _cap(m):
     """kernel_basis's prime cap 2^(3*bits + 1): bits adds up, over the
-    rows cleared by pair_rows, the bit length of the sum of 2(a^2 + d*b^2)."""
+    rows of m.pairs, the bit length of the sum of 2(a^2 + d*b^2)."""
     d = m.radicand
     bits = sum(
         (2 * sum(a * a + d * b * b for a, b in row.values())).bit_length()
-        for row in pair_rows(m)
+        for row in m.pairs
     )
     return 2 ** (3 * bits + 1)
 
@@ -518,13 +571,8 @@ class TestKernelModP:
     def test_matches_the_exact_elimination(self, m):
         basis = kernel_basis_dense(m)
         assert kernel_basis(m) == basis
-        rebuilt = ExactMatrix(
-            m.cols,
-            [
-                {j: QuadScalar(a, b, m.radicand) for j, (a, b) in row.items()}
-                for row in pair_rows(m)
-            ],
-        )
+        # The pairs are scale*m, which has m's kernel.
+        rebuilt = ExactMatrix(m.cols, m.pairs, 1, m.radicand)
         assert kernel_basis_dense(rebuilt) == basis
 
     @given(
@@ -583,7 +631,7 @@ class TestKernelModP:
         # prime, and it alone reconstructs the kernel.  The fixture's
         # matrix already keeps its kernel, so a fresh copy is eliminated.
         m = g10_operator.matrix
-        basis, usable = _kernel_with_primes(ExactMatrix(m.cols, m.row_dicts))
+        basis, usable = _kernel_with_primes(fresh(m))
         assert usable == [exactlinalg.PRIMES[1]] == [1073741723]
         assert basis == kernel_basis_dense(g10_operator.matrix)
         assert len(basis) == 16
@@ -601,9 +649,9 @@ class TestKernelModP:
         relabelled = ExactMatrix.symmetric(
             54,
             {
-                (perm[i], perm[j]): e
-                for i, row in enumerate(m.row_dicts)
-                for j, e in row.items()
+                (perm[i], perm[j]): m.entry(i, j)
+                for i, row in enumerate(m.pairs)
+                for j in row
             },
         )
         basis, usable = _kernel_with_primes(relabelled)
@@ -874,7 +922,7 @@ class TestInertia:
             lambda W: picks.append((len(W), pick(W))) or picks[-1][1],
         )
         m = g10_operator.matrix
-        assert inertia_symmetric(ExactMatrix(m.cols, m.row_dicts)) == (1, 16, 37)
+        assert inertia_symmetric(fresh(m)) == (1, 16, 37)
         assert [(n, len(chosen)) for n, chosen in picks] == [(38, 12)]
         assert sizes == list(range(26, 0, -1))
 

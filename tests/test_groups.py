@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import coset_enumerate_by_tracing
+from specs import KLEIN_PRESENTATION
 from cdvcert import exactfield
 from cdvcert.groups import (
     GAMMA10_TEXT,
@@ -93,15 +94,13 @@ KNOWN_ORDERS = [
     ("< a | >", None),                        # infinite cyclic
 ]
 
-KLEIN_TEXT = "< y, z | y^3, z^7, (y*z)^2, (z^-1*y^-1*z*y)^4 >"
-
 # (presentation, subgroup words, index) for the oracle comparison.
 ORACLE_CASES = [(text, (), order) for text, order in KNOWN_ORDERS if order] + [
     (GAMMA10_TEXT, (), 432),
     (GAMMA10_TEXT, ("z",), 54),
     (GAMMA10_TEXT, ("y*z",), 216),
     (GAMMA10_TEXT, ("y",), 144),
-    (KLEIN_TEXT, (), 168),
+    (KLEIN_PRESENTATION, (), 168),
     ("< a, b | a^2, b^3, (a*b)^5 >", (), 60),  # A5
     ("< a, b | b^-1*a*b*a^-2, a^-1*b*a*b^-2 >", (), 1),  # trivial
     # the Fibonacci group F(2,5), cyclic of order 11
@@ -191,7 +190,7 @@ class TestEnumeration:
         assert coset_enumerate(trivial, max_cosets=MAX_TABLE_SLOTS // 200).count == 1
 
     @pytest.mark.parametrize(
-        "text,cap,order", [(GAMMA10_TEXT, 1200, 432), (KLEIN_TEXT, 600, 168)]
+        "text,cap,order", [(GAMMA10_TEXT, 1200, 432), (KLEIN_PRESENTATION, 600, 168)]
     )
     def test_regular_tables_fit_small_caps(self, text, cap, order):
         # Tracing every relator forward needs 2,853 rows for gamma10 and
@@ -204,7 +203,7 @@ class TestEnumeration:
         assert is_standard(table)
         assert not is_standard(CosetTable(table.generators, (), table.action[::-1]))
 
-    @pytest.mark.parametrize("text", [GAMMA10_TEXT, KLEIN_TEXT])
+    @pytest.mark.parametrize("text", [GAMMA10_TEXT, KLEIN_PRESENTATION])
     def test_relator_order_and_rotation_keep_the_action(self, text):
         pres = parse_presentation(text)
         shuffled = Presentation(

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from specs import KLEIN_PRESENTATION
 from cdvcert.groups import coset_enumerate, parse_presentation
 from cdvcert.maps import (
     CombinatorialMap,
@@ -135,9 +136,7 @@ class TestPlatonicMaps:
         assert (report["v"], report["e"], report["f"]) == (8, 12, 6)
 
     def test_klein_quartic(self):
-        surface = rotation_map(
-            "< y, z | y^3, z^7, (y*z)^2, (z^-1*y^-1*z*y)^4 >"
-        )
+        surface = rotation_map(KLEIN_PRESENTATION)
         report = map_report(surface)
         assert (report["v"], report["e"], report["f"]) == (24, 84, 56)
         assert report["chi"] == -4 and report["genus"] == 3

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from specs import KLEIN_PRESENTATION
 from cdvcert.exactfield import parse_scalar
 from cdvcert.groups import GAMMA10_TEXT, Presentation, parse_presentation
 
@@ -33,7 +34,7 @@ PRESENTATION_EXAMPLES = [
     "< a, b | a^2, b^3, (a*b)^2 >", "< a, b | a^2 = b^3 = 1 >", "< x | x^-3 >",
     "< a, b | >", "< a | >", "< a | a^ >", "a | b", "< a", "< a | (a >",
     "< | a >", "< a, | >", "< a | a^6 >", "< a, b | a^4, a^2*b^-2, b^-1*a*b*a >",
-    "< y, z | y^3, z^7, (y*z)^2, (z^-1*y^-1*z*y)^4 >", GAMMA10_TEXT,
+    KLEIN_PRESENTATION, GAMMA10_TEXT,
     "< a, a | >", "< a | a > b", "< a | a, >", "< a | a b >", "",
 ]
 
