@@ -49,7 +49,6 @@ from .cdvcore import (
     check_membership,
     check_sap,
     complete_bipartite,
-    verify_q1_counterexample,
     verify_sap_witness,
 )
 
@@ -90,7 +89,6 @@ __all__ = [
     "check_membership",
     "check_sap",
     "complete_bipartite",
-    "verify_q1_counterexample",
     "verify_sap_witness",
     "__version__",
 ]

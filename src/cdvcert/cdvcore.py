@@ -20,15 +20,12 @@ from fractions import Fraction
 from .exactfield import (
     MAX_RADICAND, ONE, ZERO, QuadScalar, parse_scalar, squarefree_split
 )
-from .exactlinalg import (  # noqa: F401 (kernel_basis stays importable here)
+from .exactlinalg import (
     PRIMES,
     ExactMatrix,
     Inertia,
-    IntPolynomial,
-    factor_roots,
     full_rank_prime,
     inertia_symmetric,
-    kernel_basis,
     kernel_record,
     pair_kernel_basis,
     pair_product,
@@ -536,7 +533,8 @@ def build_sap_witness(a: int, b: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The seven-vertex eigenvector obstruction.
+# The seven-vertex eigenvector obstruction: its graph and operator family,
+# which certify.certify_q1 checks.
 
 
 def build_q1_graph() -> SimpleGraph:
@@ -552,7 +550,7 @@ def build_q1_graph() -> SimpleGraph:
     return SimpleGraph(7, edges)
 
 
-def _q1_operator(graph: SimpleGraph, a: Fraction, x: Fraction) -> SchrodingerOperator:
+def q1_operator(graph: SimpleGraph, a: Fraction, x: Fraction) -> SchrodingerOperator:
     """The one-parameter family of candidate operators forced by symmetry:
     triangle rows carry (a, a, a, a4), leaf rows (a, a, a) plus a4/3 on
     their own block, the center row a4 with diagonal -a4^3/(3a^2)."""
@@ -567,90 +565,3 @@ def _q1_operator(graph: SimpleGraph, a: Fraction, x: Fraction) -> SchrodingerOpe
             overrides[u, v] = a
     diagonal = [0, 0, 0, a4 / 3, a4 / 3, a4 / 3, -(a4**3) / (3 * a * a)]
     return build_operator(graph, diagonal, overrides)
-
-
-@dataclass(frozen=True)
-class Q1Sample:
-    a: str
-    x: str
-    row_gap: str
-    gap_nonzero: bool
-    pattern_ok: bool
-
-
-@dataclass(frozen=True)
-class Q1Report:
-    graph_ok: bool
-    factored_identity: bool
-    scaled_identity: bool
-    positive_roots: int
-    samples: tuple
-
-
-def verify_q1_counterexample() -> Q1Report:
-    """Show no operator of the forced family has the all-ones vector as an
-    eigenvector: the first and last row sums differ at every admissible
-    parameter choice, because equality would need a positive root of
-    x^3 - 6x + 9 = (x + 3)(x^2 - 3x + 3), whose only real root is -3."""
-    graph = build_q1_graph()
-    comp = [
-        (u, v)
-        for u in range(7)
-        for v in range(u + 1, 7)
-        if not graph.has_edge(u, v)
-    ]
-    graph_ok = (
-        graph.n == 7
-        and graph.edge_count == 15
-        and graph.is_connected()
-        and sorted(comp) == [(0, 1), (0, 2), (1, 2), (3, 6), (4, 6), (5, 6)]
-    )
-
-    cubic = IntPolynomial((9, -6, 0, 1))
-    factors = (IntPolynomial((3, 1)), IntPolynomial((3, -3, 1)))
-    factored_identity = factors[0] * factors[1] == cubic
-    scaled = [Fraction(-3), Fraction(2), Fraction(0), Fraction(-1, 3)]
-    scaled_identity = [Fraction(-3) * c for c in scaled] == [
-        Fraction(c) for c in cubic.coeffs
-    ]
-    positive_roots = sum(
-        root.sign() > 0 for factor in factors for root in factor_roots(factor)
-    )
-
-    samples = []
-    for a in (Fraction(-1), Fraction(-1, 2), Fraction(-2)):
-        for x in (
-            Fraction(1, 10),
-            Fraction(1, 2),
-            Fraction(1),
-            Fraction(2),
-            Fraction(3),
-            Fraction(5),
-        ):
-            op = _q1_operator(graph, a, x)
-            m = op.matrix
-            pattern_ok = all(w.sign() < 0 for w in op.weights)
-            first = sum((m.entry(0, j) for j in range(7)), ZERO)
-            last = sum((m.entry(6, j) for j in range(7)), ZERO)
-            gap = first - last
-            # The gap collapses to (a/3) * cubic(x); keep both routes
-            # honest against each other.
-            check = QuadScalar(a * cubic(x) / 3)
-            if gap != check:
-                raise AssertionError("row-gap identity failed")
-            samples.append(
-                Q1Sample(
-                    a=str(a),
-                    x=str(x),
-                    row_gap=gap.render(),
-                    gap_nonzero=bool(gap),
-                    pattern_ok=pattern_ok,
-                )
-            )
-    return Q1Report(
-        graph_ok=graph_ok,
-        factored_identity=factored_identity,
-        scaled_identity=scaled_identity,
-        positive_roots=positive_roots,
-        samples=tuple(samples),
-    )

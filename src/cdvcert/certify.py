@@ -1,12 +1,14 @@
-"""One map certificate, driven by data, and the report it fills.
+"""The map and seven-vertex certificates, and the report they fill.
 
 `RunReport` collects one command's results, verdicts and stage wall
 times; its `timed(name)` is the package's one stage timer.
 `certify_map` checks the coset map of a `MapSpec` and the operator on
 its graph against expectations derived from the spec's group facts and
 factored characteristic polynomial, so the layers are checked against
-each other, not against constants.  It writes into the report as it
-goes, so a fault leaves the report at the stage that raised it, with
+each other, not against constants; a verdict that would only re-read a
+value another one fixed is left out.  `certify_q1` checks the
+seven-vertex eigenvector obstruction.  Both write into the report as
+they go, so a fault leaves the report at the stage that raised it, with
 every verdict reached before."""
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import cdvcore, exactlinalg, groups, maps
-from .exactfield import QuadScalar
+from .exactfield import ZERO, QuadScalar
 from .exactlinalg import IntPolynomial
 
 SCHEMA_VERSION = 1
@@ -125,9 +128,13 @@ def certify_map(
 
     With y, z, y*z of orders p, q, r in a group of order N, the map has
     (v, e, f) = (N/q, N/r, N/p), chi = v - e + f, genus 1 - chi/2 and
-    type (p, q) on a q-regular graph; the transversality system is
-    v(v-1) x (v(v-1)/2 - e).  Results, verdicts and stage times go into
-    the report; the operator is returned."""
+    type (p, q) on a q-regular graph.  The operator's verdicts set the
+    elimination against the charpoly: the congruence inertia against the
+    signs of shift - root, and the corank, the kernel's dimension, against
+    the multiplicity of the shift as a root.  `full_rank` is check_sap's
+    verdict alone; the shape of its system follows from v and e, which
+    `map_counts` checks.  Results, verdicts and stage times go into the
+    report; the operator is returned."""
     results, verdict = report.results, report.verdict
     p, q, r = spec.element_orders
     v, e, f = spec.order // q, spec.order // r, spec.order // p
@@ -170,25 +177,21 @@ def certify_map(
             inertia = cdvcore.check_membership(operator)
         except cdvcore.NotOneNegative as exc:
             inertia = exc.inertia
-        kernel_dim = len(exactlinalg.kernel_record(operator.matrix).free)
     corank = inertia.zeros
     results["operator"] = {
         "shift": spec.shift.render(),
         "inertia": list(inertia),
         "corank": corank,
-        "kernel_dim": kernel_dim,
     }
     # operator.inertia is set only when membership holds.
     verdict("inertia", operator.inertia is not None and inertia == spectral)
-    verdict("corank", corank == spectral[1] == kernel_dim)
+    verdict("corank", corank == spectral[1])
 
     if sap and operator.inertia is not None:
         with report.timed("transversality"):
             cert = cdvcore.check_sap(operator)
         results["transversality"] = dict(rows=cert.rows, cols=cert.cols, rank=cert.rank)
-        cols = v * (v - 1) // 2 - e
-        verdict("system_shape", (cert.rows, cert.cols) == (v * (v - 1), cols))
-        verdict("full_rank", cert.full_rank and cert.rank == cols)
+        verdict("full_rank", cert.full_rank)
     else:
         results["transversality"] = "skipped"
 
@@ -203,3 +206,60 @@ def certify_map(
     }
     verdict("exceeds_embedding_bound", corank > embedding_bound)
     return operator
+
+
+def certify_q1(report: RunReport) -> None:
+    """Show that no operator of the forced seven-vertex family has the
+    all-ones vector as an eigenvector: the first and last row sums differ
+    at every admissible parameter choice, because equality would need a
+    positive root of x^3 - 6x + 9 = (x + 3)(x^2 - 3x + 3), whose only real
+    root is -3.  Each of 18 sample operators has its row gap computed
+    from its matrix and checked against (a/3)*cubic(x); a mismatch raises
+    RuntimeError.  Results and verdicts go into the report."""
+    results, verdict = report.results, report.verdict
+    graph = cdvcore.build_q1_graph()
+    results["graph"] = graph.to_json_dict()
+    missing = [
+        (u, v) for u in range(7) for v in range(u + 1, 7) if not graph.has_edge(u, v)
+    ]
+    verdict(
+        "graph_shape",
+        graph.n == 7
+        and graph.edge_count == 15
+        and graph.is_connected()
+        and missing == [(0, 1), (0, 2), (1, 2), (3, 6), (4, 6), (5, 6)],
+    )
+
+    cubic = IntPolynomial((9, -6, 0, 1))
+    factors = (IntPolynomial((3, 1)), IntPolynomial((3, -3, 1)))
+    verdict("cubic_identities", factors[0] * factors[1] == cubic)
+    positive_roots = results["positive_roots"] = sum(
+        root.sign() > 0
+        for factor in factors
+        for root in exactlinalg.factor_roots(factor)
+    )
+    verdict("no_positive_roots", positive_roots == 0)
+
+    samples = results["samples"] = []
+    for a in map(Fraction, ("-1", "-1/2", "-2")):
+        for x in map(Fraction, ("1/10", "1/2", "1", "2", "3", "5")):
+            op = cdvcore.q1_operator(graph, a, x)
+            m = op.matrix
+            gap = sum((m.entry(0, j) - m.entry(6, j) for j in range(7)), ZERO)
+            if gap != QuadScalar(a * cubic(x) / 3):
+                raise RuntimeError(
+                    f"row gap {gap.render()} at a = {a}, x = {x} "
+                    "contradicts (a/3)*(x^3 - 6x + 9)"
+                )
+            samples.append(
+                {
+                    "a": str(a),
+                    "x": str(x),
+                    "row_gap": gap.render(),
+                    "gap_nonzero": bool(gap),
+                    "pattern_ok": all(w.sign() < 0 for w in op.weights),
+                }
+            )
+    verdict(
+        "row_gaps_nonzero", all(s["gap_nonzero"] and s["pattern_ok"] for s in samples)
+    )

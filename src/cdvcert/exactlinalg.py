@@ -23,13 +23,12 @@ congruence elimination on the pairs, so the kernel directions are never
 eliminated.  A set of pairwise non-adjacent pivots with nonzero diagonal
 goes first, in one Schur step over all of them, then one fused Bareiss
 step per pivot with exact division by the previous pivot.  The
-characteristic polynomial comes from the division-free Berkowitz scheme:
-each term R*B^k*w is the dot product of a left and a right Krylov
-vector, about k/2 sparse matrix-vector products each, in which an entry
-1 or -1 adds or subtracts without a multiplication, and a symmetric
-matrix reuses its right vectors as its left ones.  The real roots of a
-linear or quadratic factor are exact QuadScalars.  No floating point
-anywhere.
+characteristic polynomial of a symmetric integer matrix comes from the
+division-free Berkowitz scheme: each term R*B^k*R^T is the dot product
+of two Krylov vectors, about k/2 sparse matrix-vector products, in
+which an entry 1 or -1 adds or subtracts without a multiplication.  The
+real roots of a linear or quadratic factor are exact QuadScalars.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -847,88 +846,76 @@ def factor_roots(factor: IntPolynomial) -> list:
 
 
 def charpoly(matrix: ExactMatrix) -> IntPolynomial:
-    """Characteristic polynomial det(xI - A) of a square integer matrix,
-    computed division-free by the Berkowitz scheme.  Always monic.
+    """Characteristic polynomial det(xI - A) of a symmetric integer
+    matrix, computed division-free by the Berkowitz scheme.  Always
+    monic; any other matrix raises NotSymmetric or NonIntegerEntries.
 
-    Step r takes row r and column r of A up to index r, R and w, and the
-    numbers t_k = R*B^k*w, k < r, with the leading r x r block B.  t_k is
-    the dot product of l_h = R*B^h and u_(k-h) = B^(k-h)*w for h = k // 2,
-    so step r makes about r/2 left and r/2 right matrix-vector products.
-    When A is symmetric, R = w^T and B = B^T, so l_h = u_h and the right
-    products alone serve.  B gains row r and column r after step r and is
-    kept as three lists of its nonzeros: the index pairs of its entries 1
-    and of its entries -1, whose products only add or subtract, and
-    (row, column, value) triples for the rest.  A symmetric B keeps each
-    unit pair off the diagonal once and updates both ends; otherwise the
-    left products use the same lists for B's transpose.  So each product
-    costs the nonzeros of B, not r^2, and a 0/1 adjacency multiplies none.
+    Step r takes row r of A up to index r, R, and the numbers
+    t_k = R*B^k*R^T, k < r, with the leading r x r block B.  B is
+    symmetric, so t_k is the dot product of u_h and u_(k-h), with
+    u_i = B^i*R^T and h = k // 2, and step r makes about r/2
+    matrix-vector products.  B gains row and column r after step r and is
+    kept as three lists of its nonzeros: the index pairs (i, j), i < j,
+    of its entries 1 and of its entries -1 off the diagonal, each of
+    which adds or subtracts at both ends, and (row, column, value)
+    triples for the rest.  So each product costs the nonzeros of B, not
+    r^2, and a 0/1 adjacency multiplies none.
     """
-    if matrix.rows != matrix.cols:
-        raise ValueError("characteristic polynomial needs a square matrix")
+    if not matrix.is_symmetric():
+        raise NotSymmetric("charpoly needs a symmetric matrix")
     if matrix.scale != 1 or matrix.radicand != 1:
         raise NonIntegerEntries("charpoly needs integer entries")
     # The pairs are (a, 0) for the integer entries a.
-    rows, zero, symmetric = matrix.pairs, (0, 0), matrix.is_symmetric()
-    # B and, unless B is symmetric, its transpose, each as (ones, negs, rest).
-    block = ([], [], [])
-    transposed = block if symmetric else ([], [], [])
+    zero, block = (0, 0), ([], [], [])
     v = [1]
-    for r, row in enumerate(rows):
+    for r, row in enumerate(matrix.pairs):
         t = [1, -row.get(r, zero)[0]]
-        right = [[rows[i].get(r, zero)[0] for i in range(r)]]
-        left = right if symmetric else [[row.get(j, zero)[0] for j in range(r)]]
-        if any(left[0]) and any(right[0]):
+        u = [[row.get(j, zero)[0] for j in range(r)]]
+        if any(u[0]):
             for k in range(r):
                 h = k // 2
-                if h == len(left):
-                    left.append(_block_times(left[-1], *transposed, symmetric))
-                if k - h == len(right):
-                    right.append(_block_times(right[-1], *block, symmetric))
-                t.append(-sum(map(mul, left[h], right[k - h])))
+                if k - h == len(u):
+                    u.append(_block_times(u[-1], *block))
+                t.append(-sum(map(mul, u[h], u[k - h])))
         else:
             t += [0] * r
         # Lower-triangular Toeplitz product: keep the first len(v)+1
         # convolution coefficients only.
         v = [sum(map(mul, t[k::-1], v)) for k in range(len(t))]
-        new = [(i, r, x[0]) for i in range(r) if (x := rows[i].get(r))]
-        new += [(r, j, a) for j, (a, _) in row.items() if j <= r]
-        _split_entries(new, block, symmetric)
-        if not symmetric:
-            _split_entries([(j, i, a) for i, j, a in new], transposed, False)
+        _split_entries(r, row, block)
     return IntPolynomial(tuple(reversed(v)))
 
 
-def _split_entries(entries, lists: tuple, mirror: bool) -> None:
-    """Append each (i, j, a) of entries to lists = (ones, negs, rest): (i, j)
-    to ones for a = 1 and to negs for a = -1, (i, j, a) to rest otherwise.
-    With mirror, an entry 1 or -1 off the diagonal is kept once, as its
-    (i, j) with i < j, and stands for (j, i) as well; every diagonal entry
-    goes to rest, so none is counted twice."""
+def _split_entries(r: int, row: dict, lists: tuple) -> None:
+    """Add row r of a symmetric A, up to its diagonal, to the block held as
+    lists = (ones, negs, rest): an entry 1 or -1 at column j < r goes to
+    ones or negs as (j, r) and stands for (r, j) as well; any other entry
+    off the diagonal goes to rest as (j, r, a) and (r, j, a), and the
+    diagonal entry once."""
     ones, negs, rest = lists
-    for i, j, a in entries:
-        if (a != 1 and a != -1) or (mirror and i == j):
-            rest.append((i, j, a))
-        elif not mirror or i < j:
-            (ones if a == 1 else negs).append((i, j))
+    for j, (a, _) in row.items():
+        if j < r:
+            if a == 1:
+                ones.append((j, r))
+            elif a == -1:
+                negs.append((j, r))
+            else:
+                rest += ((j, r, a), (r, j, a))
+        elif j == r:
+            rest.append((r, r, a))
 
 
-def _block_times(u: list, ones: list, negs: list, rest: list, mirror: bool) -> list:
-    """B*u for the block B held by _split_entries as ones, negs and rest:
-    the unit entries add or subtract a coordinate of u, and only the rest
-    multiply."""
+def _block_times(u: list, ones: list, negs: list, rest: list) -> list:
+    """B*u for the symmetric block B held by _split_entries as ones, negs
+    and rest: the unit entries add or subtract a coordinate of u, and only
+    the rest multiply."""
     out = [0] * len(u)
-    if mirror:
-        for i, j in ones:
-            out[i] += u[j]
-            out[j] += u[i]
-        for i, j in negs:
-            out[i] -= u[j]
-            out[j] -= u[i]
-    else:
-        for i, j in ones:
-            out[i] += u[j]
-        for i, j in negs:
-            out[i] -= u[j]
+    for i, j in ones:
+        out[i] += u[j]
+        out[j] += u[i]
+    for i, j in negs:
+        out[i] -= u[j]
+        out[j] -= u[i]
     for i, j, a in rest:
         out[i] += a * u[j]
     return out

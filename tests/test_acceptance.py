@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 import conftest
 from oracles import determinant, matvec, rank_dense, rank_markowitz, transpose
 from cdvcert import cdvcore, exactlinalg, groups, maps
+from cdvcert.certify import RunReport, certify_q1
 from cdvcert.exactfield import QuadScalar
 from cdvcert.exactlinalg import ExactMatrix, IntPolynomial
 from cdvcert.maps import SimpleGraph
@@ -89,7 +90,11 @@ def test_criterion_3_spectral_pipeline(g10_certificate):
 
 def test_criterion_4_operator_pipeline(g10_certificate):
     op = g10_certificate.results["operator"]
-    ok = op["inertia"] == [1, 16, 37] and op["corank"] == op["kernel_dim"] == 16
+    ok = (
+        op["inertia"] == [1, 16, 37]
+        and op["corank"] == 16
+        and g10_certificate.verdicts["corank"]
+    )
     detail = f"inertia={tuple(op['inertia'])} corank={op['corank']} over Q[sqrt(7)]"
     elapsed = g10_certificate.timings["operator"]
     record(4, "operator pipeline", ok, detail, elapsed, budget=600)
@@ -122,21 +127,21 @@ def test_criterion_6_heawood_arithmetic():
 
 def test_criterion_7_seven_vertex_counterexample():
     start = time.monotonic()
-    report = cdvcore.verify_q1_counterexample()
+    report = RunReport("q1")
+    certify_q1(report)
     elapsed = time.monotonic() - start
+    samples = report.results["samples"]
     ok = (
-        report.graph_ok
-        and report.factored_identity
-        and report.scaled_identity
-        and report.positive_roots == 0
-        and all(s.gap_nonzero and s.pattern_ok for s in report.samples)
+        report.passed
+        and report.results["positive_roots"] == 0
+        and all(s["gap_nonzero"] and s["pattern_ok"] for s in samples)
     )
     record(
         7,
         "eigenvector obstruction",
         ok,
-        f"identities hold, positive roots={report.positive_roots}, "
-        f"{len(report.samples)} sample gaps all nonzero",
+        f"identities hold, positive roots={report.results['positive_roots']}, "
+        f"{len(samples)} sample gaps all nonzero",
         elapsed,
         budget=5,
     )

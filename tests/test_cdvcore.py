@@ -28,10 +28,15 @@ from cdvcert.cdvcore import (
     check_sap,
     complete_bipartite,
     spans_match,
-    verify_q1_counterexample,
     verify_sap_witness,
 )
-from cdvcert.certify import GENUS10, RunReport, certify_map, charpoly_inertia
+from cdvcert.certify import (
+    GENUS10,
+    RunReport,
+    certify_map,
+    certify_q1,
+    charpoly_inertia,
+)
 from cdvcert.exactfield import QuadScalar, parse_scalar
 from cdvcert.exactlinalg import (
     ExactMatrix,
@@ -654,7 +659,7 @@ class TestDualAgainstPrimal:
         def refuse(*args):
             raise AssertionError("elimination run for corank 0")
 
-        monkeypatch.setattr(cdvcore, "kernel_basis", refuse)
+        monkeypatch.setattr(cdvcore, "full_rank_prime", refuse)
         monkeypatch.setattr(cdvcore, "pair_kernel_basis", refuse)
         cert = check_sap(op)
         assert cert.full_rank and (cert.rows, cert.cols, cert.rank) == (12, 3, 3)
@@ -908,12 +913,14 @@ class TestQ1:
                 assert g.has_edge(i, j) == ((i, j) not in non_edges)
 
     def test_full_verification(self):
-        report = verify_q1_counterexample()
-        assert report.graph_ok
-        assert report.factored_identity and report.scaled_identity
-        assert report.positive_roots == 0
-        assert len(report.samples) == 18
-        assert all(s.gap_nonzero and s.pattern_ok for s in report.samples)
+        report = RunReport("q1")
+        certify_q1(report)
+        names = ("graph_shape", "cubic_identities", "no_positive_roots", "row_gaps_nonzero")
+        assert report.verdicts == dict.fromkeys(names, True)
+        assert report.results["positive_roots"] == 0
+        samples = report.results["samples"]
+        assert len(samples) == 18
+        assert all(s["gap_nonzero"] and s["pattern_ok"] for s in samples)
 
 
 connected_graphs = st.integers(min_value=2, max_value=6).flatmap(

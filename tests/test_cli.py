@@ -98,6 +98,25 @@ class TestQ1:
         _, report = run(capsys, "q1", "--no-timings")
         assert no_floats(report)
 
+    def test_a_row_gap_off_the_cubic_is_reported_at_verify(
+        self, capsys, monkeypatch
+    ):
+        # One diagonal entry raised by 1 moves the first row sum off
+        # (a/3)*cubic(x); the cross-check must fail the report, not crash.
+        q1_operator = cdvcore.q1_operator
+
+        def shifted(graph, a, x):
+            op = q1_operator(graph, a, x)
+            diagonal = [op.diagonal[0] + 1, *op.diagonal[1:]]
+            return cdvcore.SchrodingerOperator(graph, diagonal, op.weights)
+
+        monkeypatch.setattr(cdvcore, "q1_operator", shifted)
+        code, report = run(capsys, "q1", "--no-timings")
+        assert code == 1 and report["passed"] is False
+        error = report["results"]["error"]
+        assert error["stage"] == "verify"
+        assert "RuntimeError" in error["detail"] and "row gap" in error["detail"]
+
 
 class TestBipartite:
     def test_corank_and_kernel(self, capsys):
@@ -107,6 +126,24 @@ class TestBipartite:
         assert code == 0
         assert report["results"]["corank"] == 3
         assert report["verdict"]["kernel_description"] is True
+
+    def test_a_corank_off_the_formula_is_reported_at_build(
+        self, capsys, monkeypatch
+    ):
+        # build_bipartite_operator checks the corank a + b - 2 - |S|
+        # itself; an inertia with one zero too many must fail there.
+        inertia = exactlinalg.inertia_symmetric
+        monkeypatch.setattr(
+            cdvcore,
+            "inertia_symmetric",
+            lambda m: (i := inertia(m))._replace(zeros=i.zeros + 1),
+        )
+        code, report = run(
+            capsys, "bipartite", "3", "4", "--s", "0", "3", "--no-timings"
+        )
+        assert code == 1 and report["passed"] is False
+        error = report["results"]["error"]
+        assert error["stage"] == "build" and "contradicts" in error["detail"]
 
     def test_bad_sides_fail(self, capsys):
         code, report = run(capsys, "bipartite", "3", "2", "--no-timings")
@@ -268,7 +305,7 @@ class TestBipartite:
 
 def _run_edgeless(capsys, tmp_path, monkeypatch, rest):
     """`cdvcert sap` on 70 isolated vertices with diagonal (-1, rest, ...,
-    rest), with check_sap's kernel_basis and pair_kernel_basis made to
+    rest), with check_sap's full_rank_prime and pair_kernel_basis made to
     fail if called, so that an oversized system must be refused before
     check_sap eliminates anything."""
     n = 70
@@ -283,7 +320,7 @@ def _run_edgeless(capsys, tmp_path, monkeypatch, rest):
     def refuse(*args):
         raise AssertionError("a kernel was computed")
 
-    monkeypatch.setattr(cdvcore, "kernel_basis", refuse)
+    monkeypatch.setattr(cdvcore, "full_rank_prime", refuse)
     monkeypatch.setattr(cdvcore, "pair_kernel_basis", refuse)
     return run(capsys, "sap", str(path), "--no-timings")
 
@@ -293,8 +330,21 @@ class TestWitness:
         code, report = run(capsys, "witness", "3", "4", "--no-timings")
         assert code == 0
         assert report["results"]["corank"] == 4
-        assert report["verdict"]["witness_valid"] is True
-        assert report["verdict"]["transversality_fails"] is True
+        assert report["verdict"] == {"transversality_fails": True}
+
+    def test_a_witness_that_fails_its_check_is_reported_at_build(
+        self, capsys, monkeypatch
+    ):
+        # build_sap_witness verifies its witness itself; the report has
+        # no verdict of its own for it.
+        def reject(operator, witness):
+            raise ValueError("injected: M*X is not zero")
+
+        monkeypatch.setattr(cdvcore, "verify_sap_witness", reject)
+        code, report = run(capsys, "witness", "3", "4", "--no-timings")
+        assert code == 1 and report["passed"] is False
+        error = report["results"]["error"]
+        assert error["stage"] == "build" and "injected" in error["detail"]
 
     def test_oversized_sides_are_refused_at_build(self, capsys):
         # 200 + 201 is one vertex above MAX_OPERATOR_VERTICES = 400.

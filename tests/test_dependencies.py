@@ -115,5 +115,28 @@ def test_only_the_field_and_the_matrix_trust_a_radicand():
     assert calls == []
 
 
+def _asserts(node) -> bool:
+    """An `assert` statement, or a `raise` that names AssertionError."""
+    if isinstance(node, ast.Assert):
+        return True
+    return isinstance(node, ast.Raise) and node.exc is not None and any(
+        isinstance(n, ast.Name) and n.id == "AssertionError"
+        for n in ast.walk(node.exc)
+    )
+
+
+def test_no_assertion_reaches_the_cli():
+    """cli.main reports ValueError, RuntimeError and OSError as a failed
+    report; an AssertionError, raised or from an `assert`, would escape it
+    as a traceback."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _asserts(node)
+    ]
+    assert found == []
+
+
 def test_every_module_is_checked():
     assert {p.name for p in SOURCES} >= {"__init__.py", "cdvcore.py", "exactlinalg.py"}
