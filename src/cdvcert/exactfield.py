@@ -5,12 +5,12 @@ q > 0, gcd(n, r, q) = 1, d a squarefree positive integer, and r = 0
 exactly when d = 1.  Rationals are tagged d = 1 and mix freely with any
 extension; two genuinely irrational scalars must share the same d.  The
 normal form is unique, so equality compares the four ints.  Arithmetic,
-signs, inverses and comparisons run on ints with one gcd per result, and
-a result takes the d of its operands, which was checked squarefree when
-they were built.  Fraction appears only at the edges: the public
-constructor takes Fraction parts, `.a` and `.b` return the rational and
-irrational coefficients as Fractions, and `render` prints them.  No
-floating point anywhere on the certified paths.
+signs and inverses run on ints with one gcd per result, and order is the
+sign of a difference.  A result takes the d of its operands, which was
+checked squarefree when they were built.  Fraction appears only at the
+edges: the public constructor takes Fraction parts, `.a` and `.b` return
+the rational and irrational coefficients as Fractions, and `render`
+prints them.  No floating point anywhere on the certified paths.
 """
 
 from __future__ import annotations
@@ -198,12 +198,6 @@ class QuadScalar:
     def __neg__(self):
         return QuadScalar(-self.n, -self.r, self.d, q=self.q)
 
-    def __pos__(self):
-        return self
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
-
     def inverse(self) -> "QuadScalar":
         # q/(n + r*sqrt(d)) = q*(n - r*sqrt(d))/(n^2 - d*r^2).  The field
         # norm n^2 - d*r^2 vanishes only at zero when d is squarefree, so
@@ -220,25 +214,6 @@ class QuadScalar:
         if not y:
             raise DivisionByZero("division by zero")
         return x * y.inverse()
-
-    def __rtruediv__(self, other):
-        if not self:
-            raise DivisionByZero("division by zero")
-        return self.inverse() * other
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = QuadScalar(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}: q > 0, so the sign of n + r*sqrt(d)."""
@@ -270,24 +245,6 @@ class QuadScalar:
         if self.r:
             return hash((self.n, self.r, self.q, self.d))
         return hash(self.n) if self.q == 1 else hash(Fraction(self.n, self.q))
-
-    def _cmp(self, other) -> int:
-        x, y = self._match(other)
-        if x is NotImplemented:
-            raise TypeError(f"cannot compare QuadScalar with {type(other).__name__}")
-        return (x - y).sign()
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     def render(self) -> str:
         """Canonical text form, re-parseable by parse_scalar."""

@@ -20,9 +20,10 @@ integer pairs, and kernel_basis builds QuadScalars from it on request.
 Inertia takes that kernel: its free columns are the zeros, and the
 nonsingular block on the other columns gives the signs by symmetric
 congruence elimination on the pairs, so the kernel directions are never
-eliminated.  A set of pairwise non-adjacent pivots with nonzero diagonal
-goes first, in one Schur step over all of them, then one fused Bareiss
-step per pivot with exact division by the previous pivot.  The
+eliminated.  The elimination is Bareiss's multistep one, in rounds: each
+takes, in order, the nonzero diagonal pivots with zeros between them and
+eliminates them all in one step, with exact division by a power of the
+previous leading minor.  The
 characteristic polynomial of a symmetric integer matrix comes from the
 division-free Berkowitz scheme: each term R*B^k*R^T is the dot product
 of two Krylov vectors, about k/2 sparse matrix-vector products, in
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, islice
 from operator import mul
 from typing import NamedTuple
 
@@ -538,49 +539,6 @@ def pair_product(row: dict, right: list, d: int) -> dict:
 # Inertia by symmetric congruence.
 
 
-def _swap_symmetric(W: list, i: int, j: int) -> None:
-    W[i], W[j] = W[j], W[i]
-    for row in W:
-        row[i], row[j] = row[j], row[i]
-
-
-def _bareiss_step(W: list, sp: int, prev: tuple, d: int) -> list:
-    """One symmetric Bareiss step on the pair block W, whose pivot W[0][0]
-    has sign sp: entry (i, j) of the result is (|p|*W[i][j] -
-    sp*W[i][0]*W[0][j]) / prev for i, j >= 1, each a single integer
-    expression on (a, b) pairs.  Dividing by prev multiplies by its
-    conjugate and divides by its norm; a remainder means the elimination
-    chain is broken and raises RuntimeError.  W is symmetric, so only
-    j >= i is computed and the rest is mirrored."""
-    top = W[0]
-    sa, sb = sp * top[0][0], sp * top[0][1]
-    qa, qb = prev
-    # x / prev = x * (ka + kb*sqrt(d)) / norm.
-    if qb:
-        ka, kb, norm = qa, -qb, qa * qa - d * qb * qb
-    else:
-        ka, kb, norm = 1, 0, qa
-    out = []
-    for i in range(1, len(W)):
-        ca, cb = top[i]
-        ca, cb = sp * ca, sp * cb
-        new = [row[i - 1] for row in out]
-        for (wa, wb), (ea, eb) in zip(W[i][i:], top[i:]):
-            x = wa * sa + d * (wb * sb - cb * eb) - ca * ea
-            y = wa * sb + wb * sa - ca * eb - cb * ea
-            if kb:
-                x, y = x * ka + d * y * kb, y * ka + x * kb
-            # A zero part, such as every irrational part of a rational
-            # matrix, divides to zero and needs no division.
-            x, rx = divmod(x, norm) if x else (0, 0)
-            y, ry = divmod(y, norm) if y else (0, 0)
-            if rx or ry:
-                raise RuntimeError("inexact division in the congruence chain")
-            new.append((x, y))
-        out.append(new)
-    return out
-
-
 def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     """Exact (negatives, zeros, positives) from the proved kernel and a
     congruence elimination of the nonsingular block it leaves.  Both run
@@ -604,31 +562,26 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     not on the mod-p argument that found K.  A singular M_PP, which only
     a kernel missing a vector can leave, raises RuntimeError.
 
-    The first pivots are a set I of P whose diagonal entries m_i are
-    nonzero and whose off-diagonal entries M_ij (i, j in I) are all zero,
-    chosen by _independent_pivots, and _schur_step eliminates them at
-    once: it gives W = L*S on J = P minus I, S = M_JJ - M_JI M_II^-1 M_IJ
-    the Schur complement and L = |prod of the m_i| > 0.  Then:
+    The elimination is Bareiss's multistep one (Math. Comp. 22, 1968), in
+    rounds on a pair block W that starts as M_PP with prev = 1.  Each
+    round takes the independent pivots I of W that _independent_pivots
+    chooses, nonzero diagonal entries m_i with zeros between them, and
+    _congruence_step eliminates them all: W becomes (L*W_JJ - sum over i
+    of c_i W_Ji W_iJ) / prev^|I| on the other indices J, with L = prod
+    |m_i| and c_i = L/m_i, and prev becomes L / prev^(|I|-1).
 
-    - W is exactly the Bareiss state after I's pivots, taken one by one
-      with I first: by Sylvester's identity that state is |det M_II|
-      times the Schur complement, and det M_II is the product of the m_i
-      as M_II is diagonal.  So the loop below continues with prev = L and
-      its later divisions stay exact.
-    - In(M_PP) = In(M_II) + In(S) (Haynsworth), In(M_II) is the count of
-      the signs of the m_i, and W = L*S with L > 0 has the inertia of S.
-    - A singular S means a singular M_PP and raises the same RuntimeError
-      below.  With I empty, W = M_PP and prev = 1.
-
-    Each step takes a 1x1 pivot p from the diagonal of the remaining block,
-    scales the Schur step by |p| and divides by the previous |p|.  The
-    block then holds |leading minor| times the Schur complement, so the
-    division is exact (Bareiss) and entries stay at minor size; the scaling
-    is positive, hence a congruence.  When the whole diagonal vanishes but
-    W[i][j] does not, adding row and column j to row and column i makes
-    W[i][i] = 2 W[i][j].  That is a congruence by a unimodular integer
-    matrix on rows not yet eliminated, so it keeps the inertia and the
-    leading minors, and the next division stays exact.
+    - W is |det D| times the Schur complement of D in M_PP, and prev is
+      |det D|, for D the block of the pivots taken so far (Sylvester's
+      identity).  A round adds the diagonal W_II to D, so every new entry
+      is a minor of M_PP up to sign, and each division is exact.
+    - The factor |det D| > 0 keeps the signs, so by Haynsworth's
+      additivity In(M_PP) is the count of the signs of all the m_i.
+    - When the whole diagonal of W vanishes but W[k][j] does not, adding
+      row and column j to row and column k makes W[k][k] = 2 W[k][j], the
+      round's one pivot.  That is a congruence by a unimodular integer
+      matrix on rows not yet eliminated, so it keeps the inertia and the
+      leading minors, and the divisions stay exact.  A W that is all zero
+      is singular and raises the RuntimeError above.
     """
     if not matrix.is_symmetric():
         raise NotSymmetric(f"the {matrix.rows}x{matrix.cols} matrix is not symmetric")
@@ -636,14 +589,11 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     free = set(kernel_record(matrix).unit_columns())
     block = [j for j in range(matrix.cols) if j not in free]
     W = [[rows[i].get(j, (0, 0)) for j in block] for i in block]
-    pivots = _independent_pivots(W)
-    neg = sum(pair_sign(*W[i][i], d) < 0 for i in pivots)
-    pos = len(pivots) - neg
-    W, prev = _schur_step(W, pivots, d)
+    neg, prev = 0, (1, 0)
     while W:
-        m = len(W)
-        k = next((i for i in range(m) if W[i][i] != (0, 0)), None)
-        if k is None:
+        pivots = _independent_pivots(W)
+        if not pivots:
+            m = len(W)
             hot = next(
                 ((i, j) for i in range(m) for j in range(m) if W[i][j] != (0, 0)),
                 None,
@@ -657,76 +607,105 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
             W[k] = [(x[0] + y[0], x[1] + y[1]) for x, y in zip(W[k], W[j])]
             for row in W:
                 row[k] = (row[k][0] + row[j][0], row[k][1] + row[j][1])
-        if k:
-            _swap_symmetric(W, 0, k)
-        p = W[0][0]
-        sp = pair_sign(p[0], p[1], d)
-        if sp < 0:
-            neg += 1
-        else:
-            pos += 1
-        W = _bareiss_step(W, sp, prev, d)
-        prev = (sp * p[0], sp * p[1])
-    return Inertia(neg, len(free), pos)
+            pivots = [k]
+        signs = [pair_sign(*W[i][i], d) for i in pivots]
+        neg += signs.count(-1)
+        if len(pivots) == len(W):
+            break  # the last round leaves no block to rewrite
+        W, prev = _congruence_step(W, pivots, signs, prev, d)
+    return Inertia(neg, len(free), len(block) - neg)
 
 
 def _independent_pivots(W: list) -> list:
-    """Sorted indices I of the symmetric pair block W with W[i][i] nonzero
-    and W[i][j] zero for i != j in I, so W_II is diagonal and nonsingular.
-    Greedy: among the candidates left, take the one with the fewest
-    candidate neighbours (the least index on a tie) and drop those
-    neighbours."""
-    live = {k for k in range(len(W)) if W[k][k] != (0, 0)}
-    nbrs = {k: {c for c in live if c != k and W[k][c] != (0, 0)} for k in live}
-    chosen = []
+    """The indices I of the symmetric pair block W taken in order: k joins
+    when W[k][k] is nonzero and W[k][i] is zero for every i taken before
+    it, so W_II is diagonal and nonsingular.  Each pivot taken drops its
+    neighbours from the candidates left."""
+    chosen, live = [], [k for k, row in enumerate(W) if row[k] != (0, 0)]
     while live:
-        k = min(live, key=lambda c: (len(nbrs[c]), c))
-        chosen.append(k)
-        gone = nbrs[k] | {k}
-        live -= gone
-        for x in gone:
-            for y in nbrs[x]:
-                nbrs[y].discard(x)
-    return sorted(chosen)
+        row = W[live[0]]
+        chosen.append(live[0])
+        live = [j for j in live if row[j] == (0, 0)]
+    return chosen
 
 
 def _pair_mul(x: tuple, y: tuple, d: int) -> tuple:
     return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
-def _schur_step(W: list, pivots: list, d: int) -> tuple:
-    """(L*S, L) for the symmetric pair block W and independent pivots I
-    (as _independent_pivots gives), where S = W_JJ - W_JI W_II^-1 W_IJ is
-    the Schur complement on the other indices J, in order, and L =
-    |prod of the m_i = W[i][i]|.  As W_II is diagonal, L*S = L*W_JJ -
-    sum over i of (L/m_i) W_Ji W_iJ, with L/m_i = sign(m_i) times the
-    product of the |m_k|, k != i, from prefix and suffix products, and
-    each outer product runs over the nonzeros of column i.  With no
-    pivots this is (W, (1, 0))."""
-    if not pivots:
-        return W, (1, 0)
-    signs = [pair_sign(*W[i][i], d) for i in pivots]
-    sizes = [(s * W[i][i][0], s * W[i][i][1]) for s, i in zip(signs, pivots)]
-    prefix = [(1, 0)]
-    for m in sizes:
-        prefix.append(_pair_mul(prefix[-1], m, d))
-    coefs, suffix = [], (1, 0)
-    for k in reversed(range(len(pivots))):
-        c = _pair_mul(prefix[k], suffix, d)
-        coefs.append((signs[k] * c[0], signs[k] * c[1]))
-        suffix = _pair_mul(suffix, sizes[k], d)
-    L = prefix[-1]
-    chosen = set(pivots)
-    others = [j for j in range(len(W)) if j not in chosen]
-    out = [[_pair_mul(L, W[a][b], d) for b in others] for a in others]
-    for c, i in zip(reversed(coefs), pivots):
-        column = [(k, W[a][i]) for k, a in enumerate(others) if W[a][i] != (0, 0)]
-        for a, x in column:
-            cx, row = _pair_mul(c, x, d), out[a]
-            for b, y in column:
-                z, w = _pair_mul(cx, y, d), row[b]
-                row[b] = (w[0] - z[0], w[1] - z[1])
-    return out, L
+def _quotient(x: int, y: int, ka: int, kb: int, norm: int, d: int) -> tuple:
+    """The pair (x + y*sqrt(d)) / q for the pair q with conjugate ka +
+    kb*sqrt(d) and the int norm = q * conjugate, as _congruence_step
+    divides its entries.  A remainder means the elimination chain is
+    broken and raises RuntimeError."""
+    if kb:
+        x, y = x * ka + d * y * kb, y * ka + x * kb
+    x, rx = divmod(x, norm) if x else (0, 0)
+    y, ry = divmod(y, norm) if y else (0, 0)
+    if rx or ry:
+        raise RuntimeError("inexact division in the congruence chain")
+    return x, y
+
+
+def _congruence_step(W: list, pivots: list, signs: list, prev: tuple, d: int) -> tuple:
+    """(W', prev') after one multistep round on the symmetric pair block W
+    over independent pivots I, as _independent_pivots gives, whose m_i =
+    W[i][i] have the signs s_i:
+
+        W' = (L*W_JJ - sum over i of c_i W_Ji W_iJ) / prev^|I|
+        prev' = L / prev^(|I|-1)
+
+    on the other indices J, in order, with L = prod |m_i| and c_i = L/m_i
+    = s_i * prod |m_k| over k != i.  Row a of W' is one fused pass of
+    (L*W_aJ - t*e) / prev^|I|, each entry one integer expression on the
+    pairs with _quotient inlined: t = c_i W_ai and e = W_iJ for the first
+    pivot i, and each further pivot j with W_aj nonzero is summed into e
+    first, with t = 1 after it.  W' is symmetric, so only its entries on
+    and above the diagonal are computed and the rest is mirrored."""
+    keep = [True] * len(W)
+    for i in pivots:
+        keep[i] = False
+    # L, Q = prev^|I| and the c_i, built pivot by pivot.
+    s, i = signs[0], pivots[0]
+    L, Q, coefs = (s * W[i][i][0], s * W[i][i][1]), prev, [(s, 0)]
+    for s, i in zip(signs[1:], pivots[1:]):
+        m = (s * W[i][i][0], s * W[i][i][1])
+        coefs = [_pair_mul(c, m, d) for c in coefs] + [(s * L[0], s * L[1])]
+        L, Q = _pair_mul(L, m, d), _pair_mul(Q, prev, d)
+    # x / Q = x * (ka + kb*sqrt(d)) / norm.
+    qa, qb = Q
+    ka, kb, norm = (qa, -qb, qa * qa - d * qb * qb) if qb else (1, 0, qa)
+    terms = [(c, i, list(compress(W[i], keep))) for c, i in zip(coefs, pivots)]
+    ((ca, cb), i, h), rest = terms[0], terms[1:]
+    La, Lb = L
+    out = []
+    for r, row in enumerate(compress(W, keep)):
+        xa, xb = row[i]
+        ta, tb, e = ca * xa + d * cb * xb, ca * xb + cb * xa, h[r:]
+        for c, j, g in rest:
+            if row[j] != (0, 0):
+                ua, ub = _pair_mul(c, row[j], d)
+                e = [
+                    (ta * pa + d * tb * pb + ua * ya + d * ub * yb,
+                     ta * pb + tb * pa + ua * yb + ub * ya)
+                    for (pa, pb), (ya, yb) in zip(e, g[r:])
+                ]
+                ta, tb = 1, 0
+        new = [o[r] for o in out]
+        for (wa, wb), (ea, eb) in zip(islice(compress(row, keep), r, None), e):
+            x = La * wa + d * (Lb * wb - tb * eb) - ta * ea
+            y = La * wb + Lb * wa - ta * eb - tb * ea
+            if kb:
+                x, y = x * ka + d * y * kb, y * ka + x * kb
+            # A zero part, such as every irrational part of a rational
+            # matrix, divides to zero and needs no division.
+            x, rx = divmod(x, norm) if x else (0, 0)
+            y, ry = divmod(y, norm) if y else (0, 0)
+            if rx or ry:
+                raise RuntimeError("inexact division in the congruence chain")
+            new.append((x, y))
+        out.append(new)
+    return out, _quotient(*_pair_mul(L, prev, d), ka, kb, norm, d)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
     charpoly_dense,
@@ -203,6 +203,11 @@ def sparse_symmetric(draw):
         for j in range(i, n):
             entries[i, j] = draw(diagonal if i == j else off)
     return ExactMatrix.symmetric(n, entries)
+
+
+def pivot_signs(W, pivots, d):
+    """The signs of the pivots' diagonal entries in the pair block W."""
+    return [pair_sign(*W[i][i], d) for i in pivots]
 
 
 def pair_block(m):
@@ -875,17 +880,28 @@ class TestInertia:
         assert inertia.zeros == m.rows - rank_dense(m)
         assert inertia_symmetric(p.matmul(m).matmul(transpose(p))) == inertia
 
-    def test_bareiss_step_divides_through_the_conjugate(self):
-        # prev = 1 + sqrt(2) and (1 + sqrt(2))(3 + 2 sqrt(2)) = 7 + 5 sqrt(2).
+    def test_step_divides_through_the_conjugate(self):
+        # prev = 1 + sqrt(2) and (1 + sqrt(2))(3 + 2 sqrt(2)) = 7 + 5 sqrt(2);
+        # the next prev is L / prev^0 = 1.
         W = [[(1, 0), (0, 0)], [(0, 0), (7, 5)]]
-        assert exactlinalg._bareiss_step(W, 1, (1, 1), 2) == [[(3, 2)]]
+        step = exactlinalg._congruence_step(W, [0], [1], (1, 1), 2)
+        assert step == ([[(3, 2)]], (1, 0))
 
-    @pytest.mark.parametrize("prev,d", [((2, 0), 1), ((2, 1), 2)])
-    def test_bareiss_step_refuses_an_inexact_division(self, prev, d):
-        # The step's numerator is 1*2 - 1*1 = 1, which prev does not divide.
-        W = [[(1, 0), (1, 0)], [(1, 0), (2, 0)]]
+    @pytest.mark.parametrize(
+        "rows,pivots,prev,d",
+        [
+            # The numerator 1*2 - 1*1 = 1, which prev does not divide.
+            ([[1, 1], [1, 2]], [0], (2, 0), 1),
+            ([[1, 1], [1, 2]], [0], (2, 1), 2),
+            # Two pivots: the numerator 1*3 - 1*1 - 1*1 = 1 over prev^2 = 4.
+            ([[1, 0, 1], [0, 1, 1], [1, 1, 3]], [0, 1], (2, 0), 1),
+        ],
+        ids=["rational", "conjugate", "two-pivots"],
+    )
+    def test_step_refuses_an_inexact_division(self, rows, pivots, prev, d):
+        W = [[(x, 0) for x in row] for row in rows]
         with pytest.raises(RuntimeError, match="inexact division"):
-            exactlinalg._bareiss_step(W, 1, prev, d)
+            exactlinalg._congruence_step(W, pivots, [1] * len(pivots), prev, d)
 
     @given(forced_corank_symmetric())
     @settings(max_examples=150)
@@ -898,25 +914,19 @@ class TestInertia:
     def test_genus10_eliminates_only_the_block_off_the_kernel(
         self, g10_operator, monkeypatch
     ):
-        # Corank 16 of 54 leaves a 38 x 38 nonsingular block.  12 pairwise
-        # non-adjacent pivots go in one Schur step, and the Bareiss steps
-        # run on the other 26.
-        sizes, picks = [], []
-        step, pick = exactlinalg._bareiss_step, exactlinalg._independent_pivots
-        monkeypatch.setattr(
-            exactlinalg,
-            "_bareiss_step",
-            lambda W, *a: sizes.append(len(W)) or step(W, *a),
-        )
+        # Corank 16 of 54 leaves a 38 x 38 nonsingular block.  The first
+        # round takes 13 pairwise non-adjacent pivots, the second 3, and
+        # every later round one pivot of a block that has filled in.
+        rounds = []
+        pick = exactlinalg._independent_pivots
         monkeypatch.setattr(
             exactlinalg,
             "_independent_pivots",
-            lambda W: picks.append((len(W), pick(W))) or picks[-1][1],
+            lambda W: rounds.append((len(W), len(pick(W)))) or pick(W),
         )
         m = g10_operator.matrix
         assert inertia_symmetric(fresh(m)) == (1, 16, 37)
-        assert [(n, len(chosen)) for n, chosen in picks] == [(38, 12)]
-        assert sizes == list(range(26, 0, -1))
+        assert rounds == [(38, 13), (25, 3)] + [(n, 1) for n in range(22, 0, -1)]
 
     def test_genus10_builds_no_scalar(self, g10_operator, monkeypatch):
         # With the kernel kept, charpoly and inertia work on ints only.
@@ -935,7 +945,7 @@ class TestInertia:
         assert inertia_symmetric(m) == (1, 16, 37)
         assert built == []
 
-    @given(sparse_symmetric())
+    @given(sparse_symmetric(), st.booleans())
     # Three pivots, two of them negative and irrational, and a zero diagonal.
     @example(
         ExactMatrix.symmetric(
@@ -949,31 +959,45 @@ class TestInertia:
                 (2, 4): QuadScalar(0, 1, 7),
                 (3, 4): 1,
             },
-        )
+        ),
+        False,
     )
     # A zero diagonal: no independent pivot.
-    @example(ExactMatrix.symmetric(3, {(0, 1): 1, (1, 2): QuadScalar(1, 1, 2)}))
+    @example(ExactMatrix.symmetric(3, {(0, 1): 1, (1, 2): QuadScalar(1, 1, 2)}), False)
+    # The first round takes pivot 0 and leaves prev = 2 and the block
+    # [[5, 0, 2], [0, -2, 2], [2, 2, 0]], whose pivots 0 and 1 go together.
+    @example(
+        ExactMatrix.from_rows([[2, 1, 2, 0], [1, 3, 1, 1], [2, 1, 1, 1], [0, 1, 1, 0]]),
+        True,
+    )
     @settings(max_examples=150)
-    def test_schur_step_is_the_bareiss_state_after_its_pivots(self, m):
-        W, d = pair_block(m), m.radicand
-        pivots = exactlinalg._independent_pivots(W)
+    def test_one_step_is_single_steps_over_its_pivots_in_order(self, m, later):
+        step, pick = exactlinalg._congruence_step, exactlinalg._independent_pivots
+        W, d, prev = pair_block(m), m.radicand, (1, 0)
+        if later:
+            # Start where a first round leaves off, so that the step divides
+            # by a power of prev != 1.
+            pivots = pick(W)
+            assume(0 < len(pivots) < len(W))
+            W, prev = step(W, pivots, pivot_signs(W, pivots, d), prev, d)
+            assume(prev != (1, 0))
+        pivots = pick(W)
         candidates = [k for k in range(len(W)) if W[k][k] != (0, 0)]
         assert set(pivots) <= set(candidates)
         assert all(W[i][j] == (0, 0) for i in pivots for j in pivots if i != j)
-        # Maximal: every candidate left out has a chosen neighbour.
+        # In order: a candidate is left out for a neighbour taken before it.
         assert all(
-            any(W[k][i] != (0, 0) for i in pivots)
+            any(W[k][i] != (0, 0) for i in pivots if i < k)
             for k in candidates
             if k not in pivots
         )
-        order = pivots + [j for j in range(len(W)) if j not in pivots]
-        state, prev = [[W[i][j] for j in order] for i in order], (1, 0)
-        for _ in pivots:
-            p = state[0][0]
-            sp = pair_sign(*p, d)
-            state = exactlinalg._bareiss_step(state, sp, prev, d)
-            prev = (sp * p[0], sp * p[1])
-        assert exactlinalg._schur_step(W, pivots, d) == (state, prev)
+        assume(pivots)
+        state, p = W, prev
+        for taken, i in enumerate(pivots):
+            # The single steps before this one removed `taken` lower indices.
+            one = [i - taken]
+            state, p = step(state, one, pivot_signs(state, one, d), p, d)
+        assert step(W, pivots, pivot_signs(W, pivots, d), prev, d) == (state, p)
 
     @given(sparse_symmetric())
     @settings(max_examples=150)
