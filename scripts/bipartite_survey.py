@@ -11,21 +11,8 @@ is where the explicit hand-built witnesses live.
 
 import argparse
 from collections import Counter
-from itertools import combinations
 
-from cdvcert import cdvcore
-
-
-def admissible_subsets(a, b):
-    n = a + b
-    side_a = frozenset(range(a))
-    side_b = frozenset(range(a, n))
-    for size in range(n - 1):
-        for combo in combinations(range(n), size):
-            s_set = frozenset(combo)
-            if side_a <= s_set or side_b <= s_set:
-                continue
-            yield s_set
+from cdvcert import cdvcore, certify
 
 
 def main():
@@ -43,7 +30,7 @@ def main():
         for b in range(a, args.max_side + 1):
             outcomes = Counter()
             per_size = {}
-            for s_set in admissible_subsets(a, b):
+            for s_set in cdvcore.admissible_subsets(a, b):
                 op = cdvcore.build_bipartite_operator(a, b, s_set)
                 cert = cdvcore.check_sap(op)
                 key = (len(s_set), op.corank, cert.full_rank)
@@ -67,12 +54,13 @@ def main():
     print()
     print("hand-built corank-4 witnesses:")
     for a, b in [(3, 4), (4, 5)]:
-        op, witness = cdvcore.build_sap_witness(a, b)
-        cdvcore.verify_sap_witness(op, witness)
-        cert = cdvcore.check_sap(op)
+        report = certify.RunReport("witness")
+        certify.certify_witness(a, b, report)
+        sap = report.results["transversality"]
         print(
-            f"  ({a},{b}): corank {op.corank}, system rank "
-            f"{cert.rank}/{cert.cols}, verified violation"
+            f"  ({a},{b}): corank {report.results['corank']}, system rank "
+            f"{sap['rank']}/{sap['cols']}, "
+            + ("verified violation" if report.passed else "NO violation")
         )
 
 

@@ -16,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .exactfield import (
     MAX_RADICAND, ONE, ZERO, QuadScalar, parse_scalar, squarefree_split
@@ -449,6 +450,17 @@ def _check_sides(a: int, b: int, s_set) -> tuple:
     if side_b <= s_set:
         raise BadS("S swallows the whole large side")
     return s_set, side_a, side_b
+
+
+def admissible_subsets(a: int, b: int):
+    """Every S that `_check_sides` admits: 2^(a+b) - 2^a - 2^b + 1 sets by
+    size, then `combinations` order.  Any a + b - 1 vertices hold a side."""
+    _, side_a, side_b = _check_sides(a, b, ())
+    for size in range(a + b - 1):
+        for combo in combinations(range(a + b), size):
+            s_set = frozenset(combo)
+            if not (side_a <= s_set or side_b <= s_set):
+                yield s_set
 
 
 def build_bipartite_operator(a: int, b: int, s_set) -> SchrodingerOperator:

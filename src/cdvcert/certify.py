@@ -1,4 +1,4 @@
-"""The map and seven-vertex certificates, and the report they fill.
+"""One certificate entry point per verdict family, and the report they fill.
 
 `RunReport` collects one command's results, verdicts and stage wall
 times; its `timed(name)` is the package's one stage timer.
@@ -6,10 +6,13 @@ times; its `timed(name)` is the package's one stage timer.
 its graph against expectations derived from the spec's group facts and
 factored characteristic polynomial, so the layers are checked against
 each other, not against constants; a verdict that would only re-read a
-value another one fixed is left out.  `certify_q1` checks the
-seven-vertex eigenvector obstruction.  Both write into the report as
-they go, so a fault leaves the report at the stage that raised it, with
-every verdict reached before."""
+value another one fixed is left out.  `certify_sap` checks a stored
+operator, `certify_bipartite` and `certify_witness` the bipartite
+families, and `certify_q1` the seven-vertex eigenvector obstruction.
+Each writes into the report as it goes, so a fault leaves the report at
+the stage that raised it, with every verdict reached before: the corank
+formula of `build_bipartite_operator` and the exact witness check of
+`build_sap_witness`, which raise on a mismatch, fail at stage `build`."""
 
 from __future__ import annotations
 
@@ -131,10 +134,11 @@ def certify_map(
     type (p, q) on a q-regular graph.  The operator's verdicts set the
     elimination against the charpoly: the congruence inertia against the
     signs of shift - root, and the corank, the kernel's dimension, against
-    the multiplicity of the shift as a root.  `full_rank` is check_sap's
-    verdict alone; the shape of its system follows from v and e, which
-    `map_counts` checks.  Results, verdicts and stage times go into the
-    report; the operator is returned."""
+    the multiplicity of the shift as a root; `corank` repeats one count of
+    a passing `inertia`, and stays to name the mismatch when membership
+    fails.  `full_rank` is check_sap's verdict alone; the shape of its
+    system follows from v and e, which `map_counts` checks.  Results,
+    verdicts and stage times go into the report; the operator is returned."""
     results, verdict = report.results, report.verdict
     p, q, r = spec.element_orders
     v, e, f = spec.order // q, spec.order // r, spec.order // p
@@ -206,6 +210,65 @@ def certify_map(
     }
     verdict("exceeds_embedding_bound", corank > embedding_bound)
     return operator
+
+
+def certify_sap(path: str, report: RunReport) -> None:
+    """Certify the operator stored at `path`: membership, then full rank
+    of its transversality system, with the witness when the rank falls
+    short.  The file is loaded before the first stage, so a missing or
+    malformed one is reported at stage `setup`."""
+    report.inputs["operator"] = path
+    operator = cdvcore.SchrodingerOperator.load(path)
+    with report.timed("membership"):
+        inertia = cdvcore.check_membership(operator)
+    report.results["inertia"] = list(inertia)
+    report.results["corank"] = operator.corank
+    with report.timed("transversality"):
+        cert = cdvcore.check_sap(operator)
+    report.results["transversality"] = dict(
+        rows=cert.rows, cols=cert.cols, rank=cert.rank, full_rank=cert.full_rank
+    )
+    if cert.witness is not None:
+        report.results["witness"] = cert.witness.to_json_dict()
+    report.verdict("full_rank", cert.full_rank)
+
+
+def certify_bipartite(
+    a: int, b: int, s_set, report: RunReport
+) -> cdvcore.SchrodingerOperator:
+    """Certify eps*1_S - A on K_{a,b}: its constructor checks membership
+    and the corank a + b - 2 - |S|, and `kernel_description` that the
+    combinatorial kernel spans the computed one.  Returns the operator."""
+    s_set = frozenset(s_set)
+    report.inputs.update(a=a, b=b, s=sorted(s_set))
+    with report.timed("build"):
+        operator = cdvcore.build_bipartite_operator(a, b, s_set)
+    report.results["epsilon"] = str(operator.epsilon)
+    report.results["inertia"] = list(operator.inertia)
+    report.results["corank"] = operator.corank
+    with report.timed("kernel"):
+        combinatorial = cdvcore.bipartite_kernel_basis(a, b, s_set)
+        computed = exactlinalg.kernel_basis(operator.matrix)
+    report.verdict("kernel_description", cdvcore.spans_match(combinatorial, computed))
+    return operator
+
+
+def certify_witness(a: int, b: int, report: RunReport) -> None:
+    """Certify that the corank-4 bipartite operator of `build_sap_witness`
+    fails transversality: the witness is verified exactly as it is built, and
+    check_sap must find the rank short on its own."""
+    report.inputs["a"], report.inputs["b"] = a, b
+    with report.timed("build"):
+        operator, witness = cdvcore.build_sap_witness(a, b)
+    report.results["epsilon"] = str(operator.epsilon)
+    report.results["corank"] = operator.corank
+    report.results["witness"] = witness.to_json_dict()
+    with report.timed("transversality"):
+        cert = cdvcore.check_sap(operator)
+    report.results["transversality"] = dict(
+        rank=cert.rank, cols=cert.cols, full_rank=cert.full_rank
+    )
+    report.verdict("transversality_fails", not cert.full_rank)
 
 
 def certify_q1(report: RunReport) -> None:

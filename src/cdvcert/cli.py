@@ -1,12 +1,9 @@
-"""Command-line front end: run the certificate pipelines and emit JSON.
+"""Command-line front end: parse arguments, run one certificate, emit JSON.
 
-Each subcommand builds a report with a verdicts block; the process exits 0
-exactly when every verdict in the report is true.  A fault reports the
-stage that raised it and fails the report: so the bipartite builder's
-corank formula and the witness builder's exact check, which raise on a
-mismatch, fail at stage `build`.  Reports are deterministic for fixed
-inputs once --no-timings is passed.
-"""
+Each subcommand but `heawood` and `coset` fills its `RunReport` through
+one entry point of `certify`.  The process exits 0 exactly when every
+verdict is true; a fault fails the report at the stage that raised it.
+Reports are byte-stable for fixed inputs under --no-timings."""
 
 from __future__ import annotations
 
@@ -14,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import cdvcore, certify, exactlinalg, groups, maps
+from . import certify, groups, maps
 from .certify import RunReport
 
 
@@ -23,60 +20,18 @@ def cmd_genus10(args, report: RunReport) -> None:
 
 
 def cmd_sap(args, report: RunReport) -> None:
-    report.inputs["operator"] = args.operator
-    operator = cdvcore.SchrodingerOperator.load(args.operator)
-    with report.timed("membership"):
-        inertia = cdvcore.check_membership(operator)
-    report.results["inertia"] = list(inertia)
-    report.results["corank"] = operator.corank
-    with report.timed("transversality"):
-        cert = cdvcore.check_sap(operator)
-    report.results["transversality"] = {
-        "rows": cert.rows,
-        "cols": cert.cols,
-        "rank": cert.rank,
-        "full_rank": cert.full_rank,
-    }
-    if cert.witness is not None:
-        report.results["witness"] = cert.witness.to_json_dict()
-    report.verdict("full_rank", cert.full_rank)
+    certify.certify_sap(args.operator, report)
 
 
 def cmd_bipartite(args, report: RunReport) -> None:
-    s_set = frozenset(args.s or [])
-    report.inputs["a"], report.inputs["b"] = args.a, args.b
-    report.inputs["s"] = sorted(s_set)
-    with report.timed("build"):
-        operator = cdvcore.build_bipartite_operator(args.a, args.b, s_set)
-    report.results["epsilon"] = str(operator.epsilon)
-    report.results["inertia"] = list(operator.inertia)
-    report.results["corank"] = operator.corank
-    with report.timed("kernel"):
-        combinatorial = cdvcore.bipartite_kernel_basis(args.a, args.b, s_set)
-        computed = exactlinalg.kernel_basis(operator.matrix)
-    report.verdict(
-        "kernel_description", cdvcore.spans_match(combinatorial, computed)
-    )
+    operator = certify.certify_bipartite(args.a, args.b, args.s or (), report)
     if args.out_operator:
         operator.save(args.out_operator)
         report.results["operator_path"] = args.out_operator
 
 
 def cmd_witness(args, report: RunReport) -> None:
-    report.inputs["a"], report.inputs["b"] = args.a, args.b
-    with report.timed("build"):
-        operator, witness = cdvcore.build_sap_witness(args.a, args.b)
-    report.results["epsilon"] = str(operator.epsilon)
-    report.results["corank"] = operator.corank
-    report.results["witness"] = witness.to_json_dict()
-    with report.timed("transversality"):
-        cert = cdvcore.check_sap(operator)
-    report.results["transversality"] = {
-        "rank": cert.rank,
-        "cols": cert.cols,
-        "full_rank": cert.full_rank,
-    }
-    report.verdict("transversality_fails", not cert.full_rank)
+    certify.certify_witness(args.a, args.b, report)
 
 
 def cmd_q1(args, report: RunReport) -> None:

@@ -228,7 +228,7 @@ PRIMES = (
 
 
 class PrimeCapExceeded(RuntimeError):
-    """kernel_basis passed its prime cap, which only a fault can cause."""
+    """pair_kernel_basis passed its prime cap, which only a fault can cause."""
 
 
 def _subtract_mod_p(row: dict, f: int, pivot: dict, p: int) -> None:

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 import conftest
 from oracles import determinant, matvec, rank_dense, rank_markowitz, transpose
 from cdvcert import cdvcore, exactlinalg, groups, maps
-from cdvcert.certify import RunReport, certify_q1
+from cdvcert.certify import RunReport, certify_bipartite, certify_q1, certify_witness
 from cdvcert.exactfield import QuadScalar
 from cdvcert.exactlinalg import ExactMatrix, IntPolynomial
 from cdvcert.maps import SimpleGraph
@@ -147,48 +147,31 @@ def test_criterion_7_seven_vertex_counterexample():
     )
 
 
-def _admissible_subsets(a, b):
-    n = a + b
-    side_a = set(range(a))
-    side_b = set(range(a, n))
-    for mask in range(1 << n):
-        s_set = frozenset(v for v in range(n) if mask >> v & 1)
-        if side_a <= s_set or side_b <= s_set:
-            continue
-        yield s_set
-
-
 def test_criterion_8_bipartite_constructions():
     start = time.monotonic()
     checked = 0
     ok = True
     for a in range(1, 6):
         for b in range(a, 6):
-            for s_set in _admissible_subsets(a, b):
-                operator = cdvcore.build_bipartite_operator(a, b, s_set)
-                target = a + b - 2 - len(s_set)
-                described = cdvcore.bipartite_kernel_basis(a, b, s_set)
-                computed = exactlinalg.kernel_basis(operator.matrix)
+            for s_set in cdvcore.admissible_subsets(a, b):
+                report = RunReport("bipartite")
+                certify_bipartite(a, b, s_set, report)
                 ok = (
                     ok
-                    and operator.corank == target
-                    and cdvcore.spans_match(described, computed)
+                    and report.passed
+                    and report.results["corank"] == a + b - 2 - len(s_set)
                 )
                 checked += 1
     witnesses_ok = True
     for pair in [(3, 4), (4, 5)]:
-        operator, witness = cdvcore.build_sap_witness(*pair)
-        try:
-            cdvcore.verify_sap_witness(operator, witness)
-        except ValueError:
-            witnesses_ok = False
-        cert = cdvcore.check_sap(operator)
-        witnesses_ok = witnesses_ok and not cert.full_rank
+        report = RunReport("witness")
+        certify_witness(*pair, report)
+        witnesses_ok = witnesses_ok and report.passed
     elapsed = time.monotonic() - start
     record(
         8,
         "bipartite constructions",
-        ok and witnesses_ok,
+        ok and witnesses_ok and checked == 2247,
         f"{checked} (a,b,S) corank+kernel certificates, "
         f"witnesses for (3,4) and (4,5) verified",
         elapsed,

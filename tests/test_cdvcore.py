@@ -768,6 +768,25 @@ class TestBipartite:
         with pytest.raises(BadS):
             build_bipartite_operator(2, 3, frozenset({7}))
 
+    def test_admissible_subsets_are_exactly_the_sets_check_sides_admits(self):
+        # S may hold neither side: 2^n - 2^a - 2^b + 1 of the 2^n subsets.
+        total = 0
+        for a in range(1, 6):
+            for b in range(a, 6):
+                n = a + b
+                swept = list(cdvcore.admissible_subsets(a, b))
+                admitted = set(swept)
+                assert len(admitted) == len(swept) == 2**n - 2**a - 2**b + 1
+                total += len(swept)
+                for mask in range(1 << n):
+                    s_set = frozenset(v for v in range(n) if mask >> v & 1)
+                    if s_set in admitted:
+                        assert cdvcore._check_sides(a, b, s_set)[0] == s_set
+                    else:
+                        with pytest.raises(BadS):
+                            cdvcore._check_sides(a, b, s_set)
+        assert total == 2247
+
     def test_corank_formula(self):
         op = build_bipartite_operator(3, 4, frozenset({0, 3}))
         assert op.corank == 3 + 4 - 2 - 2

@@ -40,6 +40,20 @@ def test_one_stage_timer():
     assert timers == ["certify.py"]
 
 
+def test_the_cli_computes_no_certificate():
+    """Every certificate the CLI reports comes from an entry point in
+    certify.py, so cli.py imports neither cdvcore nor exactlinalg."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            named.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                named.update(alias.name.split("."))
+    assert named & {"cdvcore", "exactlinalg"} == set()
+
+
 def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
