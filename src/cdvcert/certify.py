@@ -8,10 +8,12 @@ factored characteristic polynomial, so the layers are checked against
 each other, not against constants; a verdict that would only re-read a
 value another one fixed is left out.  `certify_sap` checks a stored
 operator, `certify_bipartite` and `certify_witness` the bipartite
-families, and `certify_q1` the seven-vertex eigenvector obstruction.
-Each writes into the report as it goes, so a fault leaves the report at
-the stage that raised it, with every verdict reached before: the corank
-formula of `build_bipartite_operator` and the exact witness check of
+families, and `certify_q1` the seven-vertex eigenvector obstruction;
+`certify_heawood` reports the embedding-bound arithmetic and
+`certify_coset` a coset enumeration.  Each writes into the report as it
+goes, so a fault leaves the report at the stage that raised it, with
+every verdict reached before: the corank formula of
+`build_bipartite_operator` and the exact witness check of
 `build_sap_witness`, which raise on a mismatch, fail at stage `build`."""
 
 from __future__ import annotations
@@ -278,51 +280,92 @@ def certify_q1(report: RunReport) -> None:
     positive root of x^3 - 6x + 9 = (x + 3)(x^2 - 3x + 3), whose only real
     root is -3.  Each of 18 sample operators has its row gap computed
     from its matrix and checked against (a/3)*cubic(x); a mismatch raises
-    RuntimeError.  Results and verdicts go into the report."""
-    results, verdict = report.results, report.verdict
-    graph = cdvcore.build_q1_graph()
-    results["graph"] = graph.to_json_dict()
-    missing = [
-        (u, v) for u in range(7) for v in range(u + 1, 7) if not graph.has_edge(u, v)
-    ]
-    verdict(
-        "graph_shape",
-        graph.n == 7
-        and graph.edge_count == 15
-        and graph.is_connected()
-        and missing == [(0, 1), (0, 2), (1, 2), (3, 6), (4, 6), (5, 6)],
-    )
+    RuntimeError.  Results and verdicts go into the report, at stage
+    `verify`."""
+    with report.timed("verify"):
+        results, verdict = report.results, report.verdict
+        graph = cdvcore.build_q1_graph()
+        results["graph"] = graph.to_json_dict()
+        missing = [
+            (u, v)
+            for u in range(7)
+            for v in range(u + 1, 7)
+            if not graph.has_edge(u, v)
+        ]
+        verdict(
+            "graph_shape",
+            graph.n == 7
+            and graph.edge_count == 15
+            and graph.is_connected()
+            and missing == [(0, 1), (0, 2), (1, 2), (3, 6), (4, 6), (5, 6)],
+        )
 
-    cubic = IntPolynomial((9, -6, 0, 1))
-    factors = (IntPolynomial((3, 1)), IntPolynomial((3, -3, 1)))
-    verdict("cubic_identities", factors[0] * factors[1] == cubic)
-    positive_roots = results["positive_roots"] = sum(
-        root.sign() > 0
-        for factor in factors
-        for root in exactlinalg.factor_roots(factor)
-    )
-    verdict("no_positive_roots", positive_roots == 0)
+        cubic = IntPolynomial((9, -6, 0, 1))
+        factors = (IntPolynomial((3, 1)), IntPolynomial((3, -3, 1)))
+        verdict("cubic_identities", factors[0] * factors[1] == cubic)
+        positive_roots = results["positive_roots"] = sum(
+            root.sign() > 0
+            for factor in factors
+            for root in exactlinalg.factor_roots(factor)
+        )
+        verdict("no_positive_roots", positive_roots == 0)
 
-    samples = results["samples"] = []
-    for a in map(Fraction, ("-1", "-1/2", "-2")):
-        for x in map(Fraction, ("1/10", "1/2", "1", "2", "3", "5")):
-            op = cdvcore.q1_operator(graph, a, x)
-            m = op.matrix
-            gap = sum((m.entry(0, j) - m.entry(6, j) for j in range(7)), ZERO)
-            if gap != QuadScalar(a * cubic(x) / 3):
-                raise RuntimeError(
-                    f"row gap {gap.render()} at a = {a}, x = {x} "
-                    "contradicts (a/3)*(x^3 - 6x + 9)"
+        samples = results["samples"] = []
+        for a in map(Fraction, ("-1", "-1/2", "-2")):
+            for x in map(Fraction, ("1/10", "1/2", "1", "2", "3", "5")):
+                op = cdvcore.q1_operator(graph, a, x)
+                m = op.matrix
+                gap = sum((m.entry(0, j) - m.entry(6, j) for j in range(7)), ZERO)
+                if gap != QuadScalar(a * cubic(x) / 3):
+                    raise RuntimeError(
+                        f"row gap {gap.render()} at a = {a}, x = {x} "
+                        "contradicts (a/3)*(x^3 - 6x + 9)"
+                    )
+                samples.append(
+                    {
+                        "a": str(a),
+                        "x": str(x),
+                        "row_gap": gap.render(),
+                        "gap_nonzero": bool(gap),
+                        "pattern_ok": all(w.sign() < 0 for w in op.weights),
+                    }
                 )
-            samples.append(
-                {
-                    "a": str(a),
-                    "x": str(x),
-                    "row_gap": gap.render(),
-                    "gap_nonzero": bool(gap),
-                    "pattern_ok": all(w.sign() < 0 for w in op.weights),
-                }
-            )
-    verdict(
-        "row_gaps_nonzero", all(s["gap_nonzero"] and s["pattern_ok"] for s in samples)
+        verdict(
+            "row_gaps_nonzero",
+            all(s["gap_nonzero"] and s["pattern_ok"] for s in samples),
+        )
+
+
+def certify_heawood(chi: int, klein_bottle: bool, mu, report: RunReport) -> None:
+    """Report the embedding bound heawood_gamma(chi) and, for a given mu,
+    the chi window below chi where the bound stays under mu."""
+    report.inputs["chi"] = chi
+    report.inputs["klein_bottle"] = klein_bottle
+    report.results["heawood"] = maps.heawood_gamma(chi, klein_bottle=klein_bottle)
+    if mu is not None:
+        report.inputs["mu"] = mu
+        window = maps.counterexample_range(mu, base_chi=chi)
+        report.results["range"] = list(window) if window else None
+        report.verdict("range_nonempty", window is not None)
+    report.verdict("computed", True)
+
+
+def certify_coset(
+    presentation: str, subgroup, word, max_cosets: int, report: RunReport
+) -> None:
+    """Enumerate the cosets of the subgroup generated by the `subgroup`
+    words in the presentation text, or the builtin `gamma10`, and report
+    their count and, for a given word, the coset that word lands in."""
+    subgroup = list(subgroup)
+    report.inputs.update(presentation=presentation, subgroup=subgroup, word=word)
+    if presentation == "gamma10":
+        group = groups.gamma10()
+    else:
+        group = groups.parse_presentation(presentation)
+    table = groups.coset_enumerate(
+        group, tuple(group.word(w) for w in subgroup), max_cosets=max_cosets
     )
+    report.results["cosets"] = table.count
+    if word is not None:
+        report.results["coset_of_word"] = table.apply(0, group.word(word))
+    report.verdict("enumerated", True)

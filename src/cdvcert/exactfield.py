@@ -96,7 +96,8 @@ class QuadScalar:
     checks that d is squarefree.  QuadScalar(n, r, d, q=q) is
     (n + r*sqrt(d))/q for ints n, r and q != 0, and trusts d: arithmetic
     builds its results this way from operands whose d was checked.  Both
-    reduce the value to the normal form of the module docstring.
+    reduce the value to the normal form of the module docstring.  A
+    rational compares and hashes equal to its int or Fraction value.
     """
 
     __slots__ = ("n", "r", "q", "d")
@@ -293,7 +294,8 @@ class Tokens:
     kind by the named group that matched.  A token is (kind, value,
     position); an 'int' token's value is an int, any other is its text.
     Parentheses nested deeper than MAX_NESTING and integer literals longer
-    than MAX_INT_DIGITS are parse errors.
+    than MAX_INT_DIGITS are parse errors.  The scalar grammar here and the
+    presentation grammar of groups share this cursor and ParseError.
     """
 
     def __init__(self, pattern: re.Pattern, text: str):
@@ -413,7 +415,9 @@ def _factor(tokens: Tokens) -> QuadScalar:
 
 
 def parse_scalar(text: str) -> QuadScalar:
-    """Parse an exact scalar expression like '1 + sqrt(7)' or '-3/4'."""
+    """Parse an exact scalar expression like '1 + sqrt(7)' or '-3/4'.  A
+    division by zero and a sqrt radicand above MAX_RADICAND are
+    ParseErrors at their position, as is text outside the grammar."""
     if not isinstance(text, str):
         raise ParseError(f"scalar data must be text, got {type(text).__name__}", 0)
     if not text.strip():

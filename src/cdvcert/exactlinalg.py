@@ -1,35 +1,11 @@
-"""Exact linear algebra over Q[sqrt(d)]: kernels, ranks mod p, inertia,
-charpoly.
+"""Exact linear algebra over Q[sqrt(d)]: the matrix format, ranks and
+proved kernels from one sparse echelon over F_p, inertia by exact integer
+congruence, and characteristic polynomials of integer matrices.
 
-A matrix is integer pairs over one denominator: entry (i, j) is (a +
-b*sqrt(d))/scale for the pair (a, b) stored at column j of row i, and
-the builders clear the entries' denominators once, when the matrix is
-made.  Every layer here runs on those pairs, and builds a QuadScalar
-only when an entry is asked for; a kernel first puts each row over its
-own scale (row_scaled), a gcd per row and nothing when the scale is 1.
-A product multiplies the pairs of its factors, sums plain ints and
-divides by the product of the two scales, so proving M*X = 0 builds no
-scalar.  The one elimination is a sparse reduced echelon over F_p, on
-the residues of the pairs under sqrt(d) -> a root of d mod p, p from one
-table of primes below 2^30.  It gives ranks mod p and kernels, rebuilt
-from several primes by rational reconstruction and proved by the same
-integer product: the matrix times the kernel is zero.  For a kernel the
-rows enter the echelon by descending leading column, which cuts the
-back-reduction.  A matrix's kernel is kept on it as a Kernel record of
-integer pairs, and kernel_basis builds QuadScalars from it on request.
-Inertia takes that kernel: its free columns are the zeros, and the
-nonsingular block on the other columns gives the signs by symmetric
-congruence elimination on the pairs, so the kernel directions are never
-eliminated.  The elimination is Bareiss's multistep one, in rounds: each
-takes, in order, the nonzero diagonal pivots with zeros between them and
-eliminates them all in one step, with exact division by a power of the
-previous leading minor.  The
-characteristic polynomial of a symmetric integer matrix comes from the
-division-free Berkowitz scheme: each term R*B^k*R^T is the dot product
-of two Krylov vectors, about k/2 sparse matrix-vector products, in
-which an entry 1 or -1 adds or subtracts without a multiplication.  The
-real roots of a linear or quadratic factor are exact QuadScalars.  No
-floating point anywhere.
+A matrix is integer pairs over one denominator (ExactMatrix), and every
+layer here runs on those pairs, building a QuadScalar only when an entry
+is asked for.  Nothing inverts in the field and no floating point is used
+anywhere; each entry point's docstring holds its mechanism and proof.
 """
 
 from __future__ import annotations
@@ -68,7 +44,8 @@ class ExactMatrix:
     ExactMatrix(cols, pairs, scale, radicand) takes the pairs as they are
     and brings them to a normal form: scale > 0, the gcd of scale and
     every a and b is 1, and `radicand` is 1 exactly when every b is 0, a
-    squarefree d > 1 otherwise.  So equal matrices have equal fields.
+    squarefree d > 1 otherwise.  So equal matrices have equal fields.  A
+    stored zero or a column outside [0, cols) raises ValueError.
     from_rows, symmetric and from_dicts build one from scalar entries.
     Instances are not mutated after build, so kernel_record keeps the
     kernel it computes in the `_kernel` slot.
@@ -113,8 +90,8 @@ class ExactMatrix:
         """The matrix with `cols` columns and x at (i, j) for each j: x in
         the dict rows[i], x an int, Fraction or QuadScalar, and zero
         elsewhere.  The entries are cleared once, by the lcm of their
-        denominators.  Irrational entries over two radicands raise
-        FieldMismatch."""
+        denominators, and int entries build no QuadScalar.  Irrational
+        entries over two radicands raise FieldMismatch."""
         scale, d, parts = 1, 1, []
         for row in rows:
             out = {}
@@ -145,6 +122,8 @@ class ExactMatrix:
 
     @classmethod
     def from_rows(cls, rows: list) -> "ExactMatrix":
+        """from_dicts on dense rows of equal length; ragged rows raise
+        ValueError."""
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
@@ -181,9 +160,9 @@ class ExactMatrix:
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         """The exact product: pair_product of each row of self with the
-        rows of other, over the product of the two scales.  Factors over
-        two different irrational fields raise FieldMismatch, even where
-        their irrational entries never meet."""
+        rows of other, over the product of the two scales, so it builds
+        no scalar.  Factors over two different irrational fields raise
+        FieldMismatch, even where their irrational entries never meet."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         d = self.radicand
@@ -346,7 +325,8 @@ class Kernel(NamedTuple):
 def row_scaled(rows: list, scale: int) -> list:
     """rows, {column: (a, b)} integer pairs over the positive scale, each
     divided by its gcd with scale, so over the lcm of its own denominators:
-    a prime dividing scale but none of those leaves the row nonzero mod p."""
+    a prime dividing scale but none of those leaves the row nonzero mod p.
+    At scale 1 the rows come back as they are."""
     if scale == 1:
         return rows
     gs = [math.gcd(scale, *chain.from_iterable(row.values())) for row in rows]
@@ -358,7 +338,9 @@ def row_scaled(rows: list, scale: int) -> list:
 
 def kernel_record(matrix: ExactMatrix) -> Kernel:
     """The Kernel record of matrix: pair_kernel_basis on its row_scaled
-    pairs, computed on the first call for a matrix and kept on it."""
+    pairs, which have its kernel, as each row is the matrix row times a
+    positive number.  Computed on the first call for a matrix and kept
+    on it."""
     if matrix._kernel is None:
         rows = row_scaled(matrix.pairs, matrix.scale)
         kernel = pair_kernel_basis(rows, matrix.cols, matrix.radicand)

@@ -25,6 +25,7 @@ COMMANDS = {
     "witness_3_4": ["witness", "3", "4"],
     "q1": ["q1"],
     "coset_gamma10_subgroup_z": ["coset", "gamma10", "--subgroup", "z"],
+    "heawood_minus18_mu_16": ["heawood", "-18", "--mu", "16"],
 }
 
 # `cdvcert sap tests/golden/sap_input_NAME.json` reports, with their exit
