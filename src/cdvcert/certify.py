@@ -240,7 +240,10 @@ def certify_bipartite(
 ) -> cdvcore.SchrodingerOperator:
     """Certify eps*1_S - A on K_{a,b}: its constructor checks membership
     and the corank a + b - 2 - |S|, and `kernel_description` that the
-    combinatorial kernel spans the computed one.  Returns the operator."""
+    combinatorial kernel spans the computed one.  Both families have a
+    unit column for each vector, e_v - e_first at v and the canonical
+    basis at its free column, so spans_match compares them by coordinates
+    and eliminates neither.  Returns the operator."""
     s_set = frozenset(s_set)
     report.inputs.update(a=a, b=b, s=sorted(s_set))
     with report.timed("build"):
@@ -338,16 +341,24 @@ def certify_q1(report: RunReport) -> None:
 
 def certify_heawood(chi: int, klein_bottle: bool, mu, report: RunReport) -> None:
     """Report the embedding bound heawood_gamma(chi) and, for a given mu,
-    the chi window below chi where the bound stays under mu."""
+    the chi window below chi where the bound stays under mu.
+
+    `computed` checks the reported value against the formula:
+    gamma = floor((7 + sqrt(49 - 24*chi)) / 2) is the one integer with
+    (2*gamma - 7)^2 <= 49 - 24*chi < (2*gamma - 5)^2, as 2*gamma - 7 >= 1
+    for every chi <= 2.  The Klein bottle's value is one lower, so
+    gamma + 1 is checked there."""
     report.inputs["chi"] = chi
     report.inputs["klein_bottle"] = klein_bottle
-    report.results["heawood"] = maps.heawood_gamma(chi, klein_bottle=klein_bottle)
+    gamma = maps.heawood_gamma(chi, klein_bottle=klein_bottle)
+    report.results["heawood"] = gamma
     if mu is not None:
         report.inputs["mu"] = mu
         window = maps.counterexample_range(mu, base_chi=chi)
         report.results["range"] = list(window) if window else None
         report.verdict("range_nonempty", window is not None)
-    report.verdict("computed", True)
+    twice = 2 * gamma + (2 if klein_bottle else 0)
+    report.verdict("computed", (twice - 7) ** 2 <= 49 - 24 * chi < (twice - 5) ** 2)
 
 
 def certify_coset(

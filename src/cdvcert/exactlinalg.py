@@ -48,10 +48,12 @@ class ExactMatrix:
     stored zero or a column outside [0, cols) raises ValueError.
     from_rows, symmetric and from_dicts build one from scalar entries.
     Instances are not mutated after build, so kernel_record keeps the
-    kernel it computes in the `_kernel` slot.
+    kernel it computes in the `_kernel` slot, and `symmetric` marks what it
+    builds in the `_symmetric` slot, which inertia_symmetric and charpoly
+    read in place of the is_symmetric scan.
     """
 
-    __slots__ = ("rows", "cols", "pairs", "scale", "radicand", "_kernel")
+    __slots__ = ("rows", "cols", "pairs", "scale", "radicand", "_kernel", "_symmetric")
 
     def __init__(self, cols: int, pairs, scale: int = 1, radicand: int = 1):
         pairs = tuple(pairs)
@@ -78,7 +80,7 @@ class ExactMatrix:
             radicand = 1
         elif radicand < 2 or squarefree_split(radicand)[0] != 1:
             raise ValueError(f"radicand {radicand} is not a squarefree d > 1")
-        values = (len(pairs), cols, pairs, scale, radicand, None)
+        values = (len(pairs), cols, pairs, scale, radicand, None, False)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -132,11 +134,14 @@ class ExactMatrix:
     @classmethod
     def symmetric(cls, n: int, entries: dict) -> "ExactMatrix":
         """n x n matrix with x at (i, j) and at (j, i) for each (i, j): x in
-        entries, and zero everywhere else."""
+        entries, and zero everywhere else.  Each x is written to both
+        places, so the matrix is symmetric by construction and says so."""
         rows = [{} for _ in range(n)]
         for (i, j), x in entries.items():
             rows[i][j] = rows[j][i] = x
-        return cls.from_dicts(n, rows)
+        matrix = cls.from_dicts(n, rows)
+        object.__setattr__(matrix, "_symmetric", True)
+        return matrix
 
     def entry(self, i: int, j: int) -> QuadScalar:
         x = self.pairs[i].get(j)
@@ -565,7 +570,7 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
       leading minors, and the divisions stay exact.  A W that is all zero
       is singular and raises the RuntimeError above.
     """
-    if not matrix.is_symmetric():
+    if not (matrix._symmetric or matrix.is_symmetric()):
         raise NotSymmetric(f"the {matrix.rows}x{matrix.cols} matrix is not symmetric")
     d, rows = matrix.radicand, matrix.pairs
     free = set(kernel_record(matrix).unit_columns())
@@ -822,7 +827,7 @@ def charpoly(matrix: ExactMatrix) -> IntPolynomial:
     triples for the rest.  So each product costs the nonzeros of B, not
     r^2, and a 0/1 adjacency multiplies none.
     """
-    if not matrix.is_symmetric():
+    if not (matrix._symmetric or matrix.is_symmetric()):
         raise NotSymmetric("charpoly needs a symmetric matrix")
     if matrix.scale != 1 or matrix.radicand != 1:
         raise NonIntegerEntries("charpoly needs integer entries")

@@ -713,7 +713,7 @@ def span_pairs(draw):
     their spans are known to match or to differ (None when random)."""
     d = draw(st.sampled_from([1, 5]))
     n = draw(st.integers(2, 4))
-    kind = draw(st.sampled_from(["random", "recombined", "different"]))
+    kind = draw(st.sampled_from(["random", "recombined", "different", "unit"]))
 
     def family(k):
         return draw(
@@ -722,6 +722,34 @@ def span_pairs(draw):
             )
         )
 
+    def unit_family():
+        """k < n vectors with an identity block at k random columns, and
+        those columns."""
+        k = draw(st.integers(1, n - 1))
+        units = draw(st.permutations(range(n)))[:k]
+        vectors = family(k)
+        for i, row in enumerate(vectors):
+            for j, u in enumerate(units):
+                row[u] = QuadScalar(int(i == j))
+        return vectors, units
+
+    if kind == "unit":
+        # Unit columns on both sides take spans_match's coordinate path,
+        # unless the two families land over different radicands.
+        vectors, units = unit_family()
+        other = draw(st.sampled_from(["permuted", "changed", "unrelated"]))
+        event(f"unit family against {other}")
+        if other == "permuted":
+            return vectors, draw(st.permutations(vectors)), True
+        if other == "unrelated":
+            return vectors, unit_family()[0], None
+        # An entry off every unit column: the changed vector keeps its
+        # coordinates, so it lies in the old span only if it did not change.
+        changed = [list(row) for row in vectors]
+        i = draw(st.integers(0, len(vectors) - 1))
+        j = draw(st.sampled_from([j for j in range(n) if j not in units]))
+        changed[i][j] += draw(_scalars(d, nonzero=True))
+        return vectors, changed, False
     if kind == "random":
         return family(draw(st.integers(0, 3))), family(draw(st.integers(0, 3))), None
     if kind == "recombined":
@@ -813,6 +841,47 @@ class TestBipartite:
         if expected is not None:
             assert verdict is expected
 
+    @pytest.mark.parametrize("control", ["dropped", "changed", "doubled"])
+    def test_bipartite_negative_controls_keep_the_kernel_verdict(self, control):
+        # Each control against the computed kernel gets the verdict of the
+        # canonical-kernel comparison.  A doubled vector shares its unit
+        # column, so that family takes the kernel path itself.
+        s_set = frozenset({0, 4})
+        described = bipartite_kernel_basis(4, 5, s_set)
+        computed = kernel_basis(build_bipartite_operator(4, 5, s_set).matrix)
+        if control == "dropped":
+            family, expected = described[1:], False
+        elif control == "changed":
+            family, expected = [list(v) for v in described], False
+            family[0][0] = QuadScalar(1)  # vertex 0 is in S
+        else:
+            family, expected = described + described[:1], True
+        units = cdvcore._unit_columns(ExactMatrix.from_rows(family))
+        assert (units is None) == (control == "doubled")
+        by_kernel = kernel_record(ExactMatrix.from_rows(family)) == kernel_record(
+            ExactMatrix.from_rows(computed)
+        )
+        assert spans_match(family, computed) is spans_match(computed, family)
+        assert spans_match(family, computed) is by_kernel is expected
+
+    def test_every_swept_kernel_has_unit_columns_on_both_sides(self):
+        # The coordinate path of spans_match covers the whole sweep: the
+        # combinatorial family has e_v - e_first, and the computed one its
+        # canonical unit rows.
+        cases = 0
+        for a in range(1, 6):
+            for b in range(a, 6):
+                for s_set in cdvcore.admissible_subsets(a, b):
+                    op = build_bipartite_operator(a, b, s_set)
+                    for family in (
+                        bipartite_kernel_basis(a, b, s_set),
+                        kernel_basis(op.matrix),
+                    ):
+                        matrix = ExactMatrix.from_rows(family)
+                        assert cdvcore._unit_columns(matrix) is not None
+                    cases += 1
+        assert cases == 2247
+
     @pytest.mark.parametrize("a,b", [(3, 4), (4, 5)])
     def test_witness_construction(self, a, b):
         op, witness = build_sap_witness(a, b)
@@ -854,9 +923,10 @@ class TestBipartite:
         assert built
 
     def test_spans_and_a_full_rank_check_build_no_scalar(self, monkeypatch):
-        # Kernels stay integer pairs: spans_match compares two kernel
-        # records, and a full-rank check reads the operator's record and
-        # ranks the dual mod p; a return to QuadScalar kernels fails here.
+        # Kernels stay integer pairs: spans_match compares the two
+        # families' pairs at their unit columns, and a full-rank check
+        # reads the operator's record and ranks the dual mod p; a return
+        # to QuadScalar kernels fails here.
         op = build_bipartite_operator(3, 4, {3})
         described = bipartite_kernel_basis(3, 4, {3})
         computed = kernel_basis(op.matrix)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cdvcert import cdvcore, cli, exactfield, exactlinalg
+from cdvcert import cdvcore, cli, exactfield, exactlinalg, maps
 from cdvcert.cdvcore import MAX_OPERATOR_VERTICES, MAX_SAP_SLOTS
 
 
@@ -39,6 +39,17 @@ class TestHeawood:
         code, report = run(capsys, "heawood", "0", "--klein-bottle", "--no-timings")
         assert code == 0
         assert report["results"]["heawood"] == 6
+
+    @pytest.mark.parametrize("argv", [["-18"], ["0", "--klein-bottle"], ["2"]])
+    def test_a_wrong_bound_fails_computed(self, capsys, monkeypatch, argv):
+        # `computed` checks the reported value against the formula, so a
+        # bound one too large is reported with passed false.
+        gamma = maps.heawood_gamma
+        monkeypatch.setattr(maps, "heawood_gamma", lambda *a, **k: gamma(*a, **k) + 1)
+        code, report = run(capsys, "heawood", *argv, "--no-timings")
+        assert code == 1
+        assert report["verdict"] == {"computed": False}
+        assert report["passed"] is False
 
     def test_invalid_chi_fails_cleanly(self, capsys):
         code, report = run(capsys, "heawood", "5", "--no-timings")
