@@ -2,12 +2,13 @@
 
 An operator M on a graph G is symmetric, strictly negative on edges, zero
 on non-adjacent pairs, unconstrained on the diagonal, and must have
-exactly one negative eigenvalue.  It is stored as what is free in it: the
-graph, the diagonal and one weight per edge.  The certified quantities
-are its corank, and full rank of the transversality system: the linear
-map sending a symmetric matrix X supported on non-adjacent pairs to the
-off-diagonal entries of M*X.  Full rank rules out any nonzero such X with
-M*X = 0 and is what makes the corank a genuine lower-bound certificate.
+exactly one negative eigenvalue.  It is built from what is free in it, the
+graph, the diagonal and one weight per edge, and stored once, as its exact
+matrix over integer pairs.  The certified quantities are its corank, and
+full rank of the transversality system: the linear map sending a
+symmetric matrix X supported on non-adjacent pairs to the off-diagonal
+entries of M*X.  Full rank rules out any nonzero such X with M*X = 0 and
+is what makes the corank a genuine lower-bound certificate.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .exactfield import (
-    MAX_RADICAND, ONE, ZERO, QuadScalar, parse_scalar, squarefree_split
-)
+from .exactfield import MAX_RADICAND, pair_sign, parse_scalar, squarefree_split
 from .exactlinalg import (
     PRIMES,
     ExactMatrix,
@@ -80,39 +79,34 @@ MAX_OPERATOR_VERTICES = 400
 # genus-10 dual is 270 x 136: 36,720 slots.
 MAX_SAP_SLOTS = 5_000_000
 
-_MINUS_ONE = QuadScalar(-1)
-
-
-def _scalars(values) -> tuple:
-    return tuple(x if isinstance(x, QuadScalar) else QuadScalar(x) for x in values)
-
 
 @dataclass
 class SchrodingerOperator:
-    """A graph, its diagonal, and one weight per edge in graph.edges order.
+    """A graph and its operator matrix, built from a diagonal and one
+    weight per edge in graph.edges order: init-only int, Fraction or
+    QuadScalar entries, read once into `matrix` and not kept.
 
     Every other off-diagonal entry is zero by construction.  `matrix` is
-    built once from these fields, and keeps its kernel once kernel_record
-    has computed it, so membership, check_sap and any caller share one
-    kernel.  inertia starts as None and is filled by check_membership.
+    the one stored copy of the operator's numbers, and keeps its kernel
+    once kernel_record has computed it, so membership, check_sap and any
+    caller share one kernel.  inertia starts as None and is filled by
+    check_membership.
     """
 
     graph: SimpleGraph
-    diagonal: tuple
-    weights: tuple
+    diagonal: InitVar[list]
+    weights: InitVar[list]
     epsilon: Fraction | None = None
     inertia: Inertia | None = None
-    matrix: ExactMatrix = field(init=False, repr=False, compare=False)
+    matrix: ExactMatrix = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.diagonal = _scalars(self.diagonal)
-        self.weights = _scalars(self.weights)
-        if len(self.diagonal) != self.graph.n:
+    def __post_init__(self, diagonal, weights):
+        if len(diagonal) != self.graph.n:
             raise ValueError("diagonal length does not match the graph")
-        if len(self.weights) != self.graph.edge_count:
+        if len(weights) != self.graph.edge_count:
             raise ValueError("weights length does not match the edge count")
-        entries = dict(zip(self.graph.edges, self.weights))
-        entries.update(((i, i), x) for i, x in enumerate(self.diagonal))
+        entries = dict(zip(self.graph.edges, weights))
+        entries.update(((i, i), x) for i, x in enumerate(diagonal))
         self.matrix = ExactMatrix.symmetric(self.graph.n, entries)
 
     @property
@@ -121,15 +115,16 @@ class SchrodingerOperator:
         return None if self.inertia is None else self.inertia.zeros
 
     def to_json_dict(self) -> dict:
+        m = self.matrix
         off = {
             f"{u},{v}": w.render()
-            for (u, v), w in zip(self.graph.edges, self.weights)
-            if w != -1
+            for u, v in self.graph.edges
+            if (w := m.entry(u, v)) != -1
         }
         data = {
             "graph": self.graph.to_json_dict(),
-            "field_d": self.matrix.radicand,
-            "diagonal": [x.render() for x in self.diagonal],
+            "field_d": m.radicand,
+            "diagonal": [m.entry(i, i).render() for i in range(m.rows)],
         }
         if off:
             data["off_diagonal"] = off
@@ -172,8 +167,6 @@ class SchrodingerOperator:
             edge = tuple(sorted(int(t) for t in m.groups())) if m else None
             if edge is None or edge in overrides:
                 raise ValueError(f"{_OFF_DIAGONAL_FORMAT}; got key {key!r}")
-            if not graph.has_edge(*edge):
-                raise ValueError(f"off-diagonal override {key} is not an edge")
             overrides[edge] = parse_scalar(text)
         op = build_operator(graph, diagonal, overrides)
         d = op.matrix.radicand
@@ -200,7 +193,7 @@ def build_operator(graph: SimpleGraph, diagonal, overrides=None) -> SchrodingerO
     for key in overrides:
         if not graph.has_edge(*key):
             raise ValueError(f"override key {key} is not an edge")
-    weights = [overrides.get(e, _MINUS_ONE) for e in graph.edges]
+    weights = [overrides.get(e, -1) for e in graph.edges]
     return SchrodingerOperator(graph, diagonal, weights)
 
 
@@ -211,13 +204,16 @@ def build_shift_operator(graph: SimpleGraph, shift) -> SchrodingerOperator:
 
 def check_membership(op: SchrodingerOperator) -> Inertia:
     """Certify negative edge weights and exactly one negative eigenvalue;
-    fills inertia, and with it corank, on success.  Entries off the graph
-    are zero by construction.  The inertia computes the kernel of
-    op.matrix, which the matrix keeps for check_sap."""
-    for (u, v), w in zip(op.graph.edges, op.weights):
-        if w.sign() >= 0:
+    fills inertia, and with it corank, on success.  Each edge's sign is
+    read from op.matrix's integer pair over its positive scale, where an
+    edge entry of zero is stored as no pair at all and fails too.  Entries
+    off the graph are zero by construction.  The inertia computes the
+    kernel of op.matrix, which the matrix keeps for check_sap."""
+    m = op.matrix
+    for u, v in op.graph.edges:
+        if pair_sign(*m.pairs[u].get(v, (0, 0)), m.radicand) >= 0:
             raise SignPatternViolation(
-                f"edge ({u},{v}) entry {w.render()} is not negative"
+                f"edge ({u},{v}) entry {m.entry(u, v).render()} is not negative"
             )
     inertia = inertia_symmetric(op.matrix)
     if inertia.negatives != 1:
@@ -481,7 +477,7 @@ def build_bipartite_operator(a: int, b: int, s_set) -> SchrodingerOperator:
     """
     s_set, _, _ = _check_sides(a, b, s_set)
     eps = Fraction(1, 4 * (a + b))
-    diagonal = [eps if v in s_set else ZERO for v in range(a + b)]
+    diagonal = [eps if v in s_set else 0 for v in range(a + b)]
     op = build_operator(complete_bipartite(a, b), diagonal)
     op.epsilon = eps
     check_membership(op)
@@ -491,18 +487,18 @@ def build_bipartite_operator(a: int, b: int, s_set) -> SchrodingerOperator:
 
 
 def bipartite_kernel_basis(a: int, b: int, s_set) -> list:
-    """The combinatorial kernel: mean-zero vectors on each side's
-    complement of S, vanishing on S.  One difference vector per side per
-    extra free vertex."""
+    """The combinatorial kernel as int lists: mean-zero vectors on each
+    side's complement of S, vanishing on S.  One difference vector
+    e_v - e_first per side per extra free vertex, of entries 0, 1 and -1."""
     s_set, side_a, side_b = _check_sides(a, b, s_set)
     n = a + b
     basis = []
     for side in (side_a, side_b):
         free = sorted(side - s_set)
         for v in free[1:]:
-            vec = [ZERO] * n
-            vec[free[0]] = _MINUS_ONE
-            vec[v] = ONE
+            vec = [0] * n
+            vec[free[0]] = -1
+            vec[v] = 1
             basis.append(vec)
     return basis
 
@@ -591,7 +587,7 @@ def build_sap_witness(a: int, b: int) -> tuple:
     # X = x y^T + y x^T with x = e1 - e2, y = e3 - e4 touches only the
     # large side, which is an independent set.
     witness = ExactMatrix.symmetric(
-        a + b, {(v1, v3): ONE, (v2, v4): ONE, (v1, v4): -ONE, (v2, v3): -ONE}
+        a + b, {(v1, v3): 1, (v2, v4): 1, (v1, v4): -1, (v2, v3): -1}
     )
     verify_sap_witness(op, witness)
     return op, witness

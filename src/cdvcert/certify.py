@@ -330,7 +330,9 @@ def certify_q1(report: RunReport) -> None:
                         "x": str(x),
                         "row_gap": gap.render(),
                         "gap_nonzero": bool(gap),
-                        "pattern_ok": all(w.sign() < 0 for w in op.weights),
+                        "pattern_ok": all(
+                            m.entry(u, v).sign() < 0 for u, v in graph.edges
+                        ),
                     }
                 )
         verdict(

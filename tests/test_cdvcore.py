@@ -117,6 +117,39 @@ class TestOperator:
         assert loaded.matrix == op.matrix
         assert loaded.graph == op.graph
 
+    def test_written_file_keeps_only_the_overrides_off_minus_one(self, tmp_path):
+        # An irrational override, an explicit -1 and a Fraction diagonal
+        # entry: the writer renders the matrix's entries and leaves every
+        # edge at -1 out of off_diagonal.
+        op = build_operator(
+            PATH4,
+            [Fraction(1, 3), 0, -2, 1 + QuadScalar.root(7)],
+            overrides={(0, 1): -1 - QuadScalar.root(7), (1, 2): Fraction(-1)},
+        )
+        assert op.to_json_dict() == {
+            "graph": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+            "field_d": 7,
+            "diagonal": ["1/3", "0", "-2", "1 + sqrt(7)"],
+            "off_diagonal": {"0,1": "-1 - sqrt(7)"},
+        }
+        path = tmp_path / "op.json"
+        op.save(path)
+        assert type(op).load(path).matrix == op.matrix
+
+    def test_an_operator_stores_its_numbers_once(self):
+        op = build_operator(PATH4, [0] * 4)
+        assert not hasattr(op, "diagonal") and not hasattr(op, "weights")
+        assert build_operator(PATH4, [1, 0, 0, 0]) != op
+
+    def test_a_file_override_off_the_graph_is_refused(self):
+        data = {
+            "graph": PATH4.to_json_dict(),
+            "diagonal": ["0"] * 4,
+            "off_diagonal": {"0,3": "-2"},
+        }
+        with pytest.raises(ValueError, match="not an edge"):
+            SchrodingerOperator.from_json_dict(data)
+
     @pytest.mark.parametrize(
         "diagonal,weights", [([0] * 3, [-1] * 3), ([0] * 4, [-1] * 2)]
     )
@@ -511,8 +544,9 @@ def sap_operators(draw):
         u = draw(st.lists(positive, min_size=a, max_size=a))
         v = draw(st.lists(positive, min_size=b, max_size=b))
         op = _rank_one_bipartite(u, v)
-        graph, diagonal = op.graph, list(op.diagonal)
-        weights = dict(zip(graph.edges, op.weights))
+        graph, m = op.graph, op.matrix
+        diagonal = [m.entry(i, i) for i in range(graph.n)]
+        weights = {(i, j): m.entry(i, j) for i, j in graph.edges}
     else:
         graph = _assemble_graph(draw(connected_graphs))
         weights = {e: -draw(positive) for e in graph.edges}

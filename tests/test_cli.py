@@ -117,9 +117,10 @@ class TestQ1:
         q1_operator = cdvcore.q1_operator
 
         def shifted(graph, a, x):
-            op = q1_operator(graph, a, x)
-            diagonal = [op.diagonal[0] + 1, *op.diagonal[1:]]
-            return cdvcore.SchrodingerOperator(graph, diagonal, op.weights)
+            m = q1_operator(graph, a, x).matrix
+            diagonal = [m.entry(0, 0) + 1, *(m.entry(i, i) for i in range(1, 7))]
+            weights = [m.entry(u, v) for u, v in graph.edges]
+            return cdvcore.SchrodingerOperator(graph, diagonal, weights)
 
         monkeypatch.setattr(cdvcore, "q1_operator", shifted)
         code, report = run(capsys, "q1", "--no-timings")
@@ -239,6 +240,11 @@ class TestBipartite:
             {"graph": {"n": 1, "edges": []}, "field_d": "x", "diagonal": ["0"]},
             {"graph": {"n": 1, "edges": []}, "field_d": True, "diagonal": ["sqrt(7)"]},
             {"graph": {"n": 1, "edges": []}, "field_d": 5, "diagonal": ["sqrt(7)"]},
+            {
+                "graph": {"n": 3, "edges": [[0, 1], [1, 2]]},
+                "diagonal": ["0", "0", "0"],
+                "off_diagonal": {"0,2": "-2"},
+            },
         ],
     )
     def test_malformed_operator_is_reported(self, capsys, tmp_path, operator):

@@ -132,6 +132,31 @@ def test_only_the_field_and_the_matrix_trust_a_radicand():
     assert calls == []
 
 
+def test_the_operator_module_builds_no_scalar():
+    """An operator stores its numbers once, as its matrix's integer
+    pairs, so cdvcore names no QuadScalar or scalar constant and takes
+    from exactfield only the bound, the pair sign and the parsers."""
+    path = PACKAGE / "cdvcore.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names, imported = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            names.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            names += [(node.lineno, alias.name) for alias in node.names]
+            if (node.module or "").split(".")[-1] == "exactfield":
+                imported.update(alias.name for alias in node.names)
+    scalars = [
+        f"line {line}: {name}"
+        for line, name in names
+        if name in ("QuadScalar", "ZERO", "ONE")
+    ]
+    assert scalars == []
+    assert imported == {"MAX_RADICAND", "pair_sign", "parse_scalar", "squarefree_split"}
+
+
 def _asserts(node) -> bool:
     """An `assert` statement, or a `raise` that names AssertionError."""
     if isinstance(node, ast.Assert):
