@@ -25,6 +25,8 @@ from .exactlinalg import (
     PRIMES,
     ExactMatrix,
     Inertia,
+    Kernel,
+    adopt_kernel,
     full_rank_prime,
     inertia_symmetric,
     kernel_record,
@@ -473,33 +475,49 @@ def build_bipartite_operator(a: int, b: int, s_set) -> SchrodingerOperator:
       vanish on S and sum to zero on each side.
     - -A has one negative eigenvalue, and adding eps*I_S >= 0 adds none.
     - The all-ones vector gives 1^T M 1 <= eps*(a+b) - 2ab < 0.
-    check_membership certifies the operator exactly all the same.
+    check_membership certifies the operator exactly all the same.  The
+    matrix is handed the combinatorial kernel of bipartite_kernel_basis
+    as its record (adopt_kernel checks its shape and MK = 0 exactly), so
+    no kernel is eliminated for it, and membership's congruence then
+    proves the record spans the kernel.  Its |free| is the corank formula
+    by construction.  A wrong vector raises RuntimeError at the hand-over
+    and a missing one at the congruence, so no operator is returned with
+    a record the congruence has not completed.
     """
-    s_set, _, _ = _check_sides(a, b, s_set)
+    s_set, side_a, side_b = _check_sides(a, b, s_set)
     eps = Fraction(1, 4 * (a + b))
     diagonal = [eps if v in s_set else 0 for v in range(a + b)]
     op = build_operator(complete_bipartite(a, b), diagonal)
     op.epsilon = eps
+    adopt_kernel(op.matrix, _bipartite_kernel(a + b, s_set, side_a, side_b))
     check_membership(op)
-    if op.corank != a + b - 2 - len(s_set):
-        raise RuntimeError(f"corank {op.corank} contradicts a + b - 2 - |S|")
     return op
+
+
+def _bipartite_kernel(n: int, s_set, side_a, side_b) -> Kernel:
+    """The combinatorial kernel as a Kernel record over scale 1: one
+    difference vector e_v - e_first per side per extra free vertex, in
+    side order, of entries 0, 1 and -1.  Vector a has its unit row at v,
+    the free column, and -1 at first < v, a column no vector is free at."""
+    free, rows = [], [{} for _ in range(n)]
+    for side in (side_a, side_b):
+        first, *rest = sorted(side - s_set)
+        for v in rest:
+            rows[first][len(free)] = (-1, 0)
+            rows[v][len(free)] = (1, 0)
+            free.append(v)
+    return Kernel(tuple(free), rows, 1, 1)
 
 
 def bipartite_kernel_basis(a: int, b: int, s_set) -> list:
     """The combinatorial kernel as int lists: mean-zero vectors on each
-    side's complement of S, vanishing on S.  One difference vector
-    e_v - e_first per side per extra free vertex, of entries 0, 1 and -1."""
-    s_set, side_a, side_b = _check_sides(a, b, s_set)
-    n = a + b
-    basis = []
-    for side in (side_a, side_b):
-        free = sorted(side - s_set)
-        for v in free[1:]:
-            vec = [0] * n
-            vec[free[0]] = -1
-            vec[v] = 1
-            basis.append(vec)
+    side's complement of S, vanishing on S, the vectors of
+    _bipartite_kernel."""
+    kernel = _bipartite_kernel(a + b, *_check_sides(a, b, s_set))
+    basis = [[0] * (a + b) for _ in kernel.free]
+    for i, row in enumerate(kernel.rows):
+        for k, (x, _) in row.items():
+            basis[k][i] = x
     return basis
 
 

@@ -12,7 +12,7 @@ families, and `certify_q1` the seven-vertex eigenvector obstruction;
 `certify_heawood` reports the embedding-bound arithmetic and
 `certify_coset` a coset enumeration.  Each writes into the report as it
 goes, so a fault leaves the report at the stage that raised it, with
-every verdict reached before: the corank formula of
+every verdict reached before: the kernel hand-over of
 `build_bipartite_operator` and the exact witness check of
 `build_sap_witness`, which raise on a mismatch, fail at stage `build`."""
 
@@ -238,12 +238,15 @@ def certify_sap(path: str, report: RunReport) -> None:
 def certify_bipartite(
     a: int, b: int, s_set, report: RunReport
 ) -> cdvcore.SchrodingerOperator:
-    """Certify eps*1_S - A on K_{a,b}: its constructor checks membership
-    and the corank a + b - 2 - |S|, and `kernel_description` that the
-    combinatorial kernel spans the computed one.  Both families have a
-    unit column for each vector, e_v - e_first at v and the canonical
-    basis at its free column, so spans_match compares them by coordinates
-    and eliminates neither.  Returns the operator."""
+    """Certify eps*1_S - A on K_{a,b}: its constructor checks membership,
+    and `kernel_description` that the combinatorial kernel spans ker M.
+    What backs that verdict is the constructor: it hands the combinatorial
+    family to the matrix as its kernel record, checked for unit rows and
+    MK = 0 exactly, and membership's congruence proves the family spans
+    the kernel, so the corank is a + b - 2 - |S| by construction.  The
+    verdict itself compares the family with that kept record by
+    coordinates in spans_match (each vector has a unit column), and
+    eliminates nothing.  Returns the operator."""
     s_set = frozenset(s_set)
     report.inputs.update(a=a, b=b, s=sorted(s_set))
     with report.timed("build"):

@@ -345,12 +345,65 @@ def kernel_record(matrix: ExactMatrix) -> Kernel:
     """The Kernel record of matrix: pair_kernel_basis on its row_scaled
     pairs, which have its kernel, as each row is the matrix row times a
     positive number.  Computed on the first call for a matrix and kept
-    on it."""
+    on it, unless a caller that knows the kernel handed it over first
+    with adopt_kernel."""
     if matrix._kernel is None:
         rows = row_scaled(matrix.pairs, matrix.scale)
         kernel = pair_kernel_basis(rows, matrix.cols, matrix.radicand)
         object.__setattr__(matrix, "_kernel", kernel)
     return matrix._kernel
+
+
+def adopt_kernel(matrix: ExactMatrix, kernel: Kernel) -> None:
+    """Keep a candidate record as matrix's kernel, in place of the one
+    kernel_record would compute, once it is checked exactly; any failed
+    check raises RuntimeError and keeps nothing.  The matrix must keep no
+    record yet.
+
+    - Shape: kernel.unit_columns, so row free[a] is the unit vector e_a
+      and the free columns are distinct, and every other entry of vector
+      a stands at a column that is not free and comes before free[a].
+    - Form: scale > 0 with no factor common to scale and every x and y,
+      and d is the matrix's radicand when some y is nonzero, else 1.
+    - MK = 0 on the matrix's own pairs, by the test _lift ends with.
+
+    So the vectors are independent, lie in the kernel, and vector a has
+    its last nonzero entry at free[a].  What is left to prove is that
+    they span it: nullity(M) <= |free|.  inertia_symmetric proves that
+    when its congruence finds |P| nonzero pivots on M_PP, and a kernel
+    missing a vector makes it raise instead.  Once it is proved, each
+    free[a] is a free column of the reduced echelon form (column free[a]
+    is a combination of earlier ones), there are |free| of them, and
+    vector a is the one kernel vector with 1 at free[a] and 0 at the
+    other free columns.  So the record is the one pair_kernel_basis
+    would return.  Until then it is only a candidate, so a caller that
+    adopts a record runs inertia_symmetric before it lets the matrix go.
+    """
+    if matrix._kernel is not None:
+        raise RuntimeError("the matrix already keeps a kernel record")
+    rows, scale = kernel.rows, kernel.scale
+    if len(rows) != matrix.cols:
+        raise RuntimeError(f"kernel rows {len(rows)} do not match {matrix.cols} columns")
+    free = kernel.unit_columns()
+    is_free = set(free)
+    for i, row in enumerate(rows):
+        if i not in is_free and any(i >= free[a] for a in row):
+            raise RuntimeError(
+                f"kernel basis is not canonical: row {i} holds an entry at or "
+                "after its vector's free column"
+            )
+    irrational = any(y for row in rows for _, y in row.values())
+    values = chain.from_iterable(chain.from_iterable(row.values() for row in rows))
+    if (
+        scale < 1
+        or math.gcd(scale, *values) != 1
+        or kernel.d != (matrix.radicand if irrational else 1)
+        or irrational and kernel.d == 1
+    ):
+        raise RuntimeError("kernel record is not in normal form")
+    if not _annihilates(matrix.pairs, rows, matrix.radicand):
+        raise RuntimeError("kernel candidate fails MK = 0")
+    object.__setattr__(matrix, "_kernel", kernel)
 
 
 def kernel_basis(matrix: ExactMatrix) -> list:
@@ -491,9 +544,15 @@ def _lift(images: dict, modulus: int, pivots: dict, pairs: list, cols: int, d: i
     vector = {f: a for a, f in enumerate(free)}
     for c, f, (na, qa), (nb, qb) in parts:
         rows[c][vector[f]] = (na * (scale // qa), nb * (scale // qb))
-    if any(pair_product(row, rows, d) for row in pairs):
+    if not _annihilates(pairs, rows, d):
         return None
     return Kernel(free, rows, scale, d if any(b[0] for *_, b in parts) else 1)
+
+
+def _annihilates(pairs, rows: list, d: int) -> bool:
+    """DM*K = 0 exactly, for the pair rows of DM and the rows of K: every
+    row's pair_product with K is empty."""
+    return not any(pair_product(row, rows, d) for row in pairs)
 
 
 def _reconstruct(u: int, m: int, bound: int) -> tuple | None:
@@ -547,7 +606,10 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
 
     The corank thus rests on two exact facts that check each other, and
     not on the mod-p argument that found K.  A singular M_PP, which only
-    a kernel missing a vector can leave, raises RuntimeError.
+    a kernel missing a vector can leave, raises RuntimeError.  The same
+    two facts complete a record handed over by adopt_kernel, which checks
+    the unit rows and MK = 0 but not that K spans the kernel: the |P|
+    pivots prove nullity(M) <= |F|.
 
     The elimination is Bareiss's multistep one (Math. Comp. 22, 1968), in
     rounds on a pair block W that starts as M_PP with prev = 1.  Each

@@ -8,7 +8,8 @@ test, the primal transversality system and a trace-and-define coset
 enumerator.  The library needs none of them;
 the tests check QuadScalar and the library's rank, inertia, charpoly,
 kernels, sparse product, spans_match, check_sap and coset_enumerate
-against them.
+against them.  Two kernel faults the tests inject, a record missing its
+last vector and one repeating it, close the file.
 """
 
 from fractions import Fraction
@@ -459,3 +460,17 @@ def coset_enumerate_by_tracing(presentation, subgroup=(), max_cosets=100000):
     table = CosetTable(presentation.generators, subgroup, action)
     table.verify(presentation)
     return table
+
+
+def drop_last_vector(kernel):
+    """The Kernel record without its last vector and free column."""
+    last = len(kernel.free) - 1
+    rows = [{a: x for a, x in row.items() if a != last} for row in kernel.rows]
+    return kernel._replace(free=kernel.free[:-1], rows=rows)
+
+
+def repeat_last_vector(kernel):
+    """The Kernel record with its last vector twice, at one free column."""
+    last = len(kernel.free) - 1
+    rows = [{**row, last + 1: row[last]} if last in row else row for row in kernel.rows]
+    return kernel._replace(free=kernel.free + kernel.free[-1:], rows=rows)

@@ -6,8 +6,10 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 from oracles import (
     build_sap_system,
+    drop_last_vector,
     free_columns_dense,
     rank_dense,
+    repeat_last_vector,
     spans_match_by_rank,
 )
 from specs import KLEIN, map_graph
@@ -700,6 +702,26 @@ class TestDualAgainstPrimal:
         assert cert.prime is None and cert.dual_shape is None
 
 
+def _bipartite_operators() -> list:
+    """Every swept bipartite operator with a <= b <= 5, then the two
+    witness operators."""
+    ops = [
+        build_bipartite_operator(a, b, s_set)
+        for a in range(1, 6)
+        for b in range(a, 6)
+        for s_set in cdvcore.admissible_subsets(a, b)
+    ]
+    return ops + [build_sap_witness(a, b)[0] for a, b in ((3, 4), (4, 5))]
+
+
+def _unadopted_bipartite_matrix(a: int, b: int, s_set) -> ExactMatrix:
+    """The matrix of build_bipartite_operator(a, b, s_set), keeping no
+    kernel record."""
+    eps = Fraction(1, 4 * (a + b))
+    diagonal = [eps if v in s_set else 0 for v in range(a + b)]
+    return build_operator(complete_bipartite(a, b), diagonal).matrix
+
+
 @st.composite
 def bipartite_cases(draw):
     """Admissible (a, b, S) with a <= b <= 6: S leaves a vertex on each side."""
@@ -900,7 +922,7 @@ class TestBipartite:
 
     def test_every_swept_kernel_has_unit_columns_on_both_sides(self):
         # The coordinate path of spans_match covers the whole sweep: the
-        # combinatorial family has e_v - e_first, and the computed one its
+        # combinatorial family has e_v - e_first, and the kept record its
         # canonical unit rows.
         cases = 0
         for a in range(1, 6):
@@ -915,6 +937,73 @@ class TestBipartite:
                         assert cdvcore._unit_columns(matrix) is not None
                     cases += 1
         assert cases == 2247
+
+    def test_every_bipartite_operator_builds_with_no_kernel_elimination(
+        self, monkeypatch
+    ):
+        # Each matrix is handed its combinatorial kernel, so membership
+        # never asks pair_kernel_basis for one.
+        def refuse(*args):
+            raise AssertionError("kernel eliminated for a bipartite operator")
+
+        monkeypatch.setattr(exactlinalg, "pair_kernel_basis", refuse)
+        assert len(_bipartite_operators()) == 2247 + 2
+
+    def test_every_kept_record_is_the_eliminated_one(self):
+        # The handed record equals the canonical kernel of the same
+        # matrix's pairs, and a fresh copy that eliminates its own kernel
+        # has the same inertia.
+        for op in _bipartite_operators():
+            m = op.matrix
+            rows = exactlinalg.row_scaled(m.pairs, m.scale)
+            eliminated = exactlinalg.pair_kernel_basis(rows, m.cols, m.radicand)
+            assert kernel_record(m) == eliminated
+            copy = ExactMatrix(m.cols, m.pairs, m.scale, m.radicand)
+            assert exactlinalg.inertia_symmetric(copy) == op.inertia
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            ("changed", "MK = 0"),
+            ("doubled", "distinct"),
+            ("late", "at or after"),
+        ],
+    )
+    def test_a_wrong_family_is_refused_at_the_hand_over(self, fault, message):
+        # K_{4,5} with S = {0, 4}: the family is e2 - e1, e3 - e1, e6 - e5,
+        # e7 - e5 and e8 - e5, with free columns 2, 3, 6, 7 and 8.
+        sides = cdvcore._check_sides(4, 5, {0, 4})
+        kernel = cdvcore._bipartite_kernel(9, *sides)
+        rows = [dict(row) for row in kernel.rows]
+        if fault == "changed":
+            rows[1][0] = (-2, 0)  # 2*e2 - e1 is not in the kernel
+            kernel = kernel._replace(rows=rows)
+        elif fault == "doubled":
+            kernel = repeat_last_vector(kernel)
+        else:
+            # e5 - e8, e6 - e8 and e7 - e8 span the same space, with their
+            # other entry after their free columns 5, 6 and 7.
+            for row in rows[5:]:
+                row.clear()
+            for a, v in enumerate((5, 6, 7), start=2):
+                rows[v][a], rows[8][a] = (1, 0), (-1, 0)
+            kernel = kernel._replace(free=(2, 3, 5, 6, 7), rows=rows)
+        m = _unadopted_bipartite_matrix(4, 5, {0, 4})
+        with pytest.raises(RuntimeError, match=message):
+            exactlinalg.adopt_kernel(m, kernel)
+        assert m._kernel is None
+
+    def test_a_family_missing_a_vector_fails_at_the_congruence(self, monkeypatch):
+        # Without its last vector the family passes the hand-over, and
+        # membership finds the block off its free columns singular.
+        sides = cdvcore._check_sides(4, 5, {0, 4})
+        short = drop_last_vector(cdvcore._bipartite_kernel(9, *sides))
+        m = _unadopted_bipartite_matrix(4, 5, {0, 4})
+        exactlinalg.adopt_kernel(m, short)
+        assert kernel_record(m) is short
+        monkeypatch.setattr(cdvcore, "_bipartite_kernel", lambda *a: short)
+        with pytest.raises(RuntimeError, match="singular"):
+            build_bipartite_operator(4, 5, {0, 4})
 
     @pytest.mark.parametrize("a,b", [(3, 4), (4, 5)])
     def test_witness_construction(self, a, b):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import drop_last_vector
 from cdvcert import cdvcore, cli, exactfield, exactlinalg, maps
 from cdvcert.cdvcore import MAX_OPERATOR_VERTICES, MAX_SAP_SLOTS
 
@@ -139,23 +140,24 @@ class TestBipartite:
         assert report["results"]["corank"] == 3
         assert report["verdict"]["kernel_description"] is True
 
-    def test_a_corank_off_the_formula_is_reported_at_build(
+    def test_a_kernel_missing_a_vector_is_reported_at_build(
         self, capsys, monkeypatch
     ):
-        # build_bipartite_operator checks the corank a + b - 2 - |S|
-        # itself; an inertia with one zero too many must fail there.
-        inertia = exactlinalg.inertia_symmetric
+        # The family handed to the matrix passes the hand-over without
+        # its last vector, so the congruence finds the block it eliminates
+        # singular, inside build_bipartite_operator.
+        kernel = cdvcore._bipartite_kernel
         monkeypatch.setattr(
-            cdvcore,
-            "inertia_symmetric",
-            lambda m: (i := inertia(m))._replace(zeros=i.zeros + 1),
+            cdvcore, "_bipartite_kernel", lambda *a: drop_last_vector(kernel(*a))
         )
         code, report = run(
             capsys, "bipartite", "3", "4", "--s", "0", "3", "--no-timings"
         )
         assert code == 1 and report["passed"] is False
         error = report["results"]["error"]
-        assert error["stage"] == "build" and "contradicts" in error["detail"]
+        assert error["stage"] == "build"
+        assert "RuntimeError" in error["detail"] and "singular" in error["detail"]
+        assert "inertia" not in report["results"]
 
     def test_bad_sides_fail(self, capsys):
         code, report = run(capsys, "bipartite", "3", "2", "--no-timings")
@@ -189,13 +191,10 @@ class TestBipartite:
     ):
         # K_{1,4} plus an isolated vertex has corank 4.  Without its last
         # kernel vector, inertia finds the block it eliminates singular.
-        def short(pairs, cols, d, f=exactlinalg.pair_kernel_basis):
-            kernel = f(pairs, cols, d)
-            last = len(kernel.free) - 1
-            rows = [{a: x for a, x in row.items() if a != last} for row in kernel.rows]
-            return kernel._replace(free=kernel.free[:-1], rows=rows)
-
-        monkeypatch.setattr(exactlinalg, "pair_kernel_basis", short)
+        kernel = exactlinalg.pair_kernel_basis
+        monkeypatch.setattr(
+            exactlinalg, "pair_kernel_basis", lambda *a: drop_last_vector(kernel(*a))
+        )
         path = Path(__file__).parent / "golden" / "sap_input_star_isolated.json"
         code, report = run(capsys, "sap", str(path), "--no-timings")
         assert code == 1 and report["passed"] is False

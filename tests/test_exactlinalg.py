@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from oracles import (
     charpoly_dense,
     determinant,
+    drop_last_vector,
     free_columns_dense,
     inertia_dense,
     kernel_basis_dense,
@@ -16,6 +17,7 @@ from oracles import (
     matvec,
     rank_dense,
     rank_markowitz,
+    repeat_last_vector,
     transpose,
 )
 from specs import KLEIN_PRESENTATION, map_graph
@@ -806,20 +808,6 @@ class TestKernelModP:
         assert len(primes) > 10
 
 
-def _drop_last_vector(kernel):
-    """The Kernel record without its last vector and free column."""
-    last = len(kernel.free) - 1
-    rows = [{a: x for a, x in row.items() if a != last} for row in kernel.rows]
-    return kernel._replace(free=kernel.free[:-1], rows=rows)
-
-
-def _repeat_last_vector(kernel):
-    """The Kernel record with its last vector twice, at one free column."""
-    last = len(kernel.free) - 1
-    rows = [{**row, last + 1: row[last]} if last in row else row for row in kernel.rows]
-    return kernel._replace(free=kernel.free + kernel.free[-1:], rows=rows)
-
-
 class TestInertia:
     def test_diagonal_matrix(self):
         m = ExactMatrix.from_rows(
@@ -1030,8 +1018,8 @@ class TestInertia:
     @pytest.mark.parametrize(
         "fault,message",
         [
-            (_drop_last_vector, "singular"),
-            (_repeat_last_vector, "distinct"),
+            (drop_last_vector, "singular"),
+            (repeat_last_vector, "distinct"),
         ],
         ids=["missing", "repeated"],
     )
@@ -1042,6 +1030,79 @@ class TestInertia:
         )
         with pytest.raises(RuntimeError, match=message):
             inertia_symmetric(ExactMatrix.from_rows(rows))
+
+
+def _rescaled(kernel, k):
+    """The record with scale and every entry multiplied by k."""
+    rows = [{a: (k * x, k * y) for a, (x, y) in row.items()} for row in kernel.rows]
+    return kernel._replace(rows=rows, scale=k * kernel.scale)
+
+
+class TestAdoptKernel:
+    @given(st.sampled_from([1, 7]).flatmap(matrices))
+    @settings(max_examples=60)
+    def test_the_eliminated_record_is_kept(self, m):
+        kernel = exactlinalg.kernel_record(m)
+        copy = fresh(m)
+        exactlinalg.adopt_kernel(copy, kernel)
+        assert exactlinalg.kernel_record(copy) is kernel
+
+    @given(sparse_symmetric())
+    @settings(max_examples=60)
+    def test_inertia_completes_an_adopted_record(self, m):
+        copy = fresh(m)
+        exactlinalg.adopt_kernel(copy, exactlinalg.kernel_record(m))
+        assert inertia_symmetric(copy) == inertia_symmetric(fresh(m))
+
+    def test_a_matrix_keeps_one_record(self):
+        m = ExactMatrix.from_rows([[3, 1]])
+        kernel = exactlinalg.kernel_record(m)
+        with pytest.raises(RuntimeError, match="already keeps"):
+            exactlinalg.adopt_kernel(m, kernel)
+
+    @pytest.mark.parametrize(
+        "rows,fault,message",
+        [
+            # [3 1] has the kernel vector (-1/3, 1): scale 3.
+            ([[3, 1]], lambda k: _rescaled(k, 2), "normal form"),
+            ([[3, 1]], lambda k: _rescaled(k, -1), "normal form"),
+            ([[3, 1]], lambda k: k._replace(d=7), "normal form"),
+            ([[3, 1]], lambda k: k._replace(rows=k.rows + [{}]), "do not match"),
+            ([[3, 1]], lambda k: k._replace(rows=[{0: (-2, 0)}, k.rows[1]]), "MK = 0"),
+            # [1 sqrt(2)] has (-sqrt(2), 1), over d = 2.
+            ([[1, QuadScalar.root(2)]], lambda k: k._replace(d=1), "normal form"),
+            ([[1, QuadScalar.root(2)]], lambda k: k._replace(d=3), "normal form"),
+            # (1, 1) spans the kernel of [1 -1], but at free column 0 it
+            # has its other entry after it: not the canonical shape.
+            ([[1, -1]], lambda k: k._replace(free=(0,), rows=k.rows[::-1]), "at or after"),
+            ([[1, 1], [1, 1]], repeat_last_vector, "distinct"),
+        ],
+        ids=[
+            "doubled-scale",
+            "negative-scale",
+            "irrational-d-on-rationals",
+            "extra-row",
+            "changed-entry",
+            "rational-d-on-irrationals",
+            "other-d",
+            "entry-after-free-column",
+            "repeated-vector",
+        ],
+    )
+    def test_a_wrong_record_is_refused_and_nothing_kept(self, rows, fault, message):
+        m = ExactMatrix.from_rows(rows)
+        candidate = fault(exactlinalg.kernel_record(fresh(m)))
+        with pytest.raises(RuntimeError, match=message):
+            exactlinalg.adopt_kernel(m, candidate)
+        assert m._kernel is None
+
+    def test_a_missing_vector_passes_the_hand_over_but_not_the_congruence(self):
+        m = ExactMatrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 0]])
+        short = drop_last_vector(exactlinalg.kernel_record(fresh(m)))
+        exactlinalg.adopt_kernel(m, short)
+        assert exactlinalg.kernel_record(m) is short
+        with pytest.raises(RuntimeError, match="singular"):
+            inertia_symmetric(m)
 
 
 class TestDeterminant:
