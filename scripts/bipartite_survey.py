@@ -4,9 +4,22 @@
 For each side pair (a, b) and each admissible diagonal support S, build
 eps*1_S - A, certify the corank, and check the transversality rank. The
 interesting output is the |S| threshold where transversality starts to
-fail: corank <= 2 always passes, corank 3 fails exactly when a side has
-enough free vertices to host a kernel-aligned perturbation, and corank 4
-is where the explicit hand-built witnesses live.
+fail, which the following lemma fixes exactly; corank 4 is where the
+explicit hand-built witnesses live.
+
+Lemma: let m_A and m_B be the vertices of each side outside S. The
+transversality system has nullity max(0, m_A(m_A - 3)/2) +
+max(0, m_B(m_B - 3)/2). An admissible X is zero on every edge, so zero
+between the sides. For u on one side and w on the other, (MX)_uw is minus
+the sum of X_tw over t on w's side, so each column of a side's block sums
+to 0; for u != w on one side, (MX)_uw = eps*1_S(u)*X_uw, so the block
+vanishes on the rows and columns in S. What is left on a side is the
+symmetric m x m matrices with zero diagonal and zero row sums, the kernel
+of the vertex-edge incidence map of K_m, which has rank m for m >= 3
+(K_m is connected and not bipartite): dimension m(m - 1)/2 - m, and 0 for
+m <= 2. So transversality fails exactly when a side keeps four or more
+vertices outside S. tests/test_cdvcore.py checks the formula on every
+case this survey prints at its default size.
 """
 
 import argparse

@@ -20,6 +20,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 
+from . import check
 from .exactfield import MAX_RADICAND, pair_sign, parse_scalar, squarefree_split
 from .exactlinalg import (
     PRIMES,
@@ -277,15 +278,14 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     vector e_a at the a-th free column f_a of M, so k_{f_a}^T*S*k_{f_b} =
     S[a][b] = X[f_a][f_b].  The dual rows of a free diagonal (f_a, f_a)
     and of an edge between two free vertices are therefore unit rows that
-    force their unknown to zero.  check_sap checks the unit rows of K on
-    the record's pairs, raising RuntimeError when one is missing, drops
-    those rows and the forced unknowns from every other row, and ranks the
-    rest: one unknown S[a][b] per pair a < b of non-adjacent free columns,
-    in the order of the full dual (of 36 unknowns at Klein's corank 8, 17
-    are left; of 136 at genus 10's corank 16, 101).  The dual's kernel is
-    the reduced kernel with zeros at the forced unknowns, so the two
-    systems have the same nullity.  When no unknown is left, as at every
-    corank 1, full rank holds by proof.
+    force their unknown to zero.  check_sap checks K's unit rows with
+    check.unit_rows, drops those dual rows and the forced unknowns from
+    every other row, and ranks the rest: one unknown S[a][b] per pair a <
+    b of non-adjacent free columns, in the order of the full dual (of 36
+    unknowns at Klein's corank 8, 17 are left; of 136 at genus 10's corank
+    16, 101).  The dual's kernel is the reduced kernel with zeros at the
+    forced unknowns, so the two systems have the same nullity.  When no
+    unknown is left, as at every corank 1, full rank holds by proof.
 
     The rows come sparsest first: the edges with one free endpoint, whose
     rows have at most c - 1 entries, then the other diagonals, then the
@@ -343,7 +343,7 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
         )
     dual_shape = (dual_rows, dual_cols)
     kernel = kernel_record(op.matrix)
-    free = kernel.unit_columns()
+    free = check.unit_rows(kernel)
     graph = op.graph
     unknowns = [
         (a, b)
@@ -404,26 +404,9 @@ def _dual_rows(k: list, pairs: list, column: list, d: int):
 
 
 def verify_sap_witness(op: SchrodingerOperator, witness: ExactMatrix) -> None:
-    """Confirm the witness refutes transversality: nonzero, symmetric,
-    supported on non-adjacent pairs only, and M*X = 0 exactly.  The
-    product multiplies M's own entries by those of X on integer pairs, so
-    it shares no state with the code that built X."""
-    n = op.graph.n
-    if witness.rows != n or witness.cols != n:
-        raise ValueError("witness shape does not match the graph")
-    if witness.is_zero():
-        raise ValueError("witness is zero")
-    if not witness.is_symmetric():
-        raise ValueError("witness is not symmetric")
-    adj = op.graph.adjacency()
-    for u, row in enumerate(witness.pairs):
-        for v in row:
-            if v == u:
-                raise ValueError(f"witness has nonzero diagonal at {u}")
-            if v in adj[u]:
-                raise ValueError(f"witness is nonzero on edge ({u},{v})")
-    if not op.matrix.matmul(witness).is_zero():
-        raise ValueError("M*X is not zero")
+    """check.sap_witness on op's graph and the pairs of M and X."""
+    m, x, adjacency = op.matrix, witness, op.graph.adjacency()
+    check.sap_witness(adjacency, m.pairs, m.radicand, x.pairs, x.cols, x.radicand)
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +459,12 @@ def build_bipartite_operator(a: int, b: int, s_set) -> SchrodingerOperator:
     - -A has one negative eigenvalue, and adding eps*I_S >= 0 adds none.
     - The all-ones vector gives 1^T M 1 <= eps*(a+b) - 2ab < 0.
     check_membership certifies the operator exactly all the same.  The
-    matrix is handed the combinatorial kernel of bipartite_kernel_basis
-    as its record (adopt_kernel checks its shape and MK = 0 exactly), so
-    no kernel is eliminated for it, and membership's congruence then
-    proves the record spans the kernel.  Its |free| is the corank formula
-    by construction.  A wrong vector raises RuntimeError at the hand-over
-    and a missing one at the congruence, so no operator is returned with
-    a record the congruence has not completed.
+    matrix is handed the combinatorial kernel as its record through
+    adopt_kernel, so none is eliminated for it, and membership's
+    congruence then proves the record spans the kernel.  Its |free| is
+    the corank formula by construction.  A wrong vector raises
+    RuntimeError at the hand-over and a missing one at the congruence, so
+    no operator leaves with a record the congruence has not completed.
     """
     s_set, side_a, side_b = _check_sides(a, b, s_set)
     eps = Fraction(1, 4 * (a + b))

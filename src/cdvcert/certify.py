@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import cdvcore, exactlinalg, groups, maps
+from . import cdvcore, check, exactlinalg, groups, maps
 from .exactfield import ZERO, QuadScalar
 from .exactlinalg import IntPolynomial
 
@@ -240,13 +240,11 @@ def certify_bipartite(
 ) -> cdvcore.SchrodingerOperator:
     """Certify eps*1_S - A on K_{a,b}: its constructor checks membership,
     and `kernel_description` that the combinatorial kernel spans ker M.
-    What backs that verdict is the constructor: it hands the combinatorial
-    family to the matrix as its kernel record, checked for unit rows and
-    MK = 0 exactly, and membership's congruence proves the family spans
-    the kernel, so the corank is a + b - 2 - |S| by construction.  The
-    verdict itself compares the family with that kept record by
-    coordinates in spans_match (each vector has a unit column), and
-    eliminates nothing.  Returns the operator."""
+    What backs that verdict is the constructor, which proves the family
+    is the matrix's kept kernel record, so the corank is a + b - 2 - |S|
+    by construction.  The verdict itself compares the family with that
+    record by coordinates in spans_match (each vector has a unit column),
+    and eliminates nothing.  Returns the operator."""
     s_set = frozenset(s_set)
     report.inputs.update(a=a, b=b, s=sorted(s_set))
     with report.timed("build"):
@@ -346,13 +344,8 @@ def certify_q1(report: RunReport) -> None:
 
 def certify_heawood(chi: int, klein_bottle: bool, mu, report: RunReport) -> None:
     """Report the embedding bound heawood_gamma(chi) and, for a given mu,
-    the chi window below chi where the bound stays under mu.
-
-    `computed` checks the reported value against the formula:
-    gamma = floor((7 + sqrt(49 - 24*chi)) / 2) is the one integer with
-    (2*gamma - 7)^2 <= 49 - 24*chi < (2*gamma - 5)^2, as 2*gamma - 7 >= 1
-    for every chi <= 2.  The Klein bottle's value is one lower, so
-    gamma + 1 is checked there."""
+    the chi window below chi where the bound stays under mu.  `computed`
+    checks the reported value against the formula with check.heawood."""
     report.inputs["chi"] = chi
     report.inputs["klein_bottle"] = klein_bottle
     gamma = maps.heawood_gamma(chi, klein_bottle=klein_bottle)
@@ -362,8 +355,7 @@ def certify_heawood(chi: int, klein_bottle: bool, mu, report: RunReport) -> None
         window = maps.counterexample_range(mu, base_chi=chi)
         report.results["range"] = list(window) if window else None
         report.verdict("range_nonempty", window is not None)
-    twice = 2 * gamma + (2 if klein_bottle else 0)
-    report.verdict("computed", (twice - 7) ** 2 <= 49 - 24 * chi < (twice - 5) ** 2)
+    report.verdict("computed", check.heawood(chi, gamma, klein_bottle))
 
 
 def certify_coset(

@@ -17,6 +17,7 @@ from itertools import chain, compress, islice
 from operator import mul
 from typing import NamedTuple
 
+from . import check
 from .exactfield import ZERO, FieldMismatch, QuadScalar, pair_sign, squarefree_split
 
 
@@ -50,7 +51,7 @@ class ExactMatrix:
     Instances are not mutated after build, so kernel_record keeps the
     kernel it computes in the `_kernel` slot, and `symmetric` marks what it
     builds in the `_symmetric` slot, which inertia_symmetric and charpoly
-    read in place of the is_symmetric scan.
+    read in place of the check.symmetric scan.
     """
 
     __slots__ = ("rows", "cols", "pairs", "scale", "radicand", "_kernel", "_symmetric")
@@ -150,38 +151,11 @@ class ExactMatrix:
     def row(self, i: int) -> list:
         return [self.entry(i, j) for j in range(self.cols)]
 
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.pairs[j].get(i) == x
-            for i, row in enumerate(self.pairs)
-            for j, x in row.items()
-        )
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         fields = ("cols", "scale", "radicand", "pairs")
         return all(getattr(self, f) == getattr(other, f) for f in fields)
-
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        """The exact product: pair_product of each row of self with the
-        rows of other, over the product of the two scales, so it builds
-        no scalar.  Factors over two different irrational fields raise
-        FieldMismatch, even where their irrational entries never meet."""
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        d = self.radicand
-        if other.radicand != 1:
-            if d not in (1, other.radicand):
-                raise FieldMismatch(
-                    f"cannot multiply sqrt({d}) by sqrt({other.radicand}) entries"
-                )
-            d = other.radicand
-        out = [pair_product(row, other.pairs, d) for row in self.pairs]
-        return ExactMatrix(other.cols, out, self.scale * other.scale, d)
-
-    def is_zero(self) -> bool:
-        return not any(self.pairs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -315,17 +289,6 @@ class Kernel(NamedTuple):
     scale: int
     d: int
 
-    def unit_columns(self) -> tuple:
-        """free, once each row free[a] is found to be the unit vector e_a,
-        so the vectors are independent; else RuntimeError."""
-        for a, f in enumerate(self.free):
-            if self.rows[f] != {a: (self.scale, 0)}:
-                raise RuntimeError(
-                    f"kernel basis is not canonical: vector {a} has no unit row "
-                    "at a distinct free column"
-                )
-        return self.free
-
 
 def row_scaled(rows: list, scale: int) -> list:
     """rows, {column: (a, b)} integer pairs over the positive scale, each
@@ -356,53 +319,24 @@ def kernel_record(matrix: ExactMatrix) -> Kernel:
 
 def adopt_kernel(matrix: ExactMatrix, kernel: Kernel) -> None:
     """Keep a candidate record as matrix's kernel, in place of the one
-    kernel_record would compute, once it is checked exactly; any failed
-    check raises RuntimeError and keeps nothing.  The matrix must keep no
-    record yet.
+    kernel_record would compute, once check.kernel_candidate accepts it on
+    the matrix's own pairs; a failed check raises RuntimeError and keeps
+    nothing.  The matrix must keep no record yet.
 
-    - Shape: kernel.unit_columns, so row free[a] is the unit vector e_a
-      and the free columns are distinct, and every other entry of vector
-      a stands at a column that is not free and comes before free[a].
-    - Form: scale > 0 with no factor common to scale and every x and y,
-      and d is the matrix's radicand when some y is nonzero, else 1.
-    - MK = 0 on the matrix's own pairs, by the test _lift ends with.
-
-    So the vectors are independent, lie in the kernel, and vector a has
-    its last nonzero entry at free[a].  What is left to prove is that
-    they span it: nullity(M) <= |free|.  inertia_symmetric proves that
-    when its congruence finds |P| nonzero pivots on M_PP, and a kernel
-    missing a vector makes it raise instead.  Once it is proved, each
-    free[a] is a free column of the reduced echelon form (column free[a]
-    is a combination of earlier ones), there are |free| of them, and
-    vector a is the one kernel vector with 1 at free[a] and 0 at the
-    other free columns.  So the record is the one pair_kernel_basis
-    would return.  Until then it is only a candidate, so a caller that
-    adopts a record runs inertia_symmetric before it lets the matrix go.
+    What is left to prove is that the vectors span the kernel: nullity(M)
+    <= |free|.  inertia_symmetric proves that when its congruence finds
+    |P| nonzero pivots on M_PP, and a kernel missing a vector makes it
+    raise instead.  Once it is proved, each free[a] is a free column of
+    the reduced echelon form (column free[a] is a combination of earlier
+    ones), there are |free| of them, and vector a is the one kernel
+    vector with 1 at free[a] and 0 at the other free columns.  So the
+    record is the one pair_kernel_basis would return.  Until then it is
+    only a candidate, so a caller that adopts a record runs
+    inertia_symmetric before it lets the matrix go.
     """
     if matrix._kernel is not None:
         raise RuntimeError("the matrix already keeps a kernel record")
-    rows, scale = kernel.rows, kernel.scale
-    if len(rows) != matrix.cols:
-        raise RuntimeError(f"kernel rows {len(rows)} do not match {matrix.cols} columns")
-    free = kernel.unit_columns()
-    is_free = set(free)
-    for i, row in enumerate(rows):
-        if i not in is_free and any(i >= free[a] for a in row):
-            raise RuntimeError(
-                f"kernel basis is not canonical: row {i} holds an entry at or "
-                "after its vector's free column"
-            )
-    irrational = any(y for row in rows for _, y in row.values())
-    values = chain.from_iterable(chain.from_iterable(row.values() for row in rows))
-    if (
-        scale < 1
-        or math.gcd(scale, *values) != 1
-        or kernel.d != (matrix.radicand if irrational else 1)
-        or irrational and kernel.d == 1
-    ):
-        raise RuntimeError("kernel record is not in normal form")
-    if not _annihilates(matrix.pairs, rows, matrix.radicand):
-        raise RuntimeError("kernel candidate fails MK = 0")
+    check.kernel_candidate(matrix.pairs, matrix.cols, matrix.radicand, kernel)
     object.__setattr__(matrix, "_kernel", kernel)
 
 
@@ -544,15 +478,9 @@ def _lift(images: dict, modulus: int, pivots: dict, pairs: list, cols: int, d: i
     vector = {f: a for a, f in enumerate(free)}
     for c, f, (na, qa), (nb, qb) in parts:
         rows[c][vector[f]] = (na * (scale // qa), nb * (scale // qb))
-    if not _annihilates(pairs, rows, d):
+    if not check.annihilates(pairs, rows, d):
         return None
     return Kernel(free, rows, scale, d if any(b[0] for *_, b in parts) else 1)
-
-
-def _annihilates(pairs, rows: list, d: int) -> bool:
-    """DM*K = 0 exactly, for the pair rows of DM and the rows of K: every
-    row's pair_product with K is empty."""
-    return not any(pair_product(row, rows, d) for row in pairs)
 
 
 def _reconstruct(u: int, m: int, bound: int) -> tuple | None:
@@ -592,12 +520,10 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     and the inertia of M.
 
     kernel_record gives K with MK = 0 proved exactly.  F is the set of its
-    free columns, checked by Kernel.unit_columns, and P the other columns.
-    Elimination runs on the block M_PP only:
+    free columns and P the other columns.  Elimination runs on M_PP only:
 
-    - Row f_a of K is the unit vector e_a at the free column f_a of each
-      vector a, so the vectors are independent, and MK = 0 gives
-      nullity(M) >= |F|.
+    - check.unit_rows finds row f_a of K to be the unit vector e_a, so the
+      vectors are independent, and MK = 0 gives nullity(M) >= |F|.
     - The elimination below finds |P| nonzero pivots on M_PP, so M_PP is
       nonsingular and rank(M) >= |P|.
     - So rank(M) = |P|, the Schur complement M_FF - M_FP M_PP^-1 M_PF is
@@ -606,10 +532,8 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
 
     The corank thus rests on two exact facts that check each other, and
     not on the mod-p argument that found K.  A singular M_PP, which only
-    a kernel missing a vector can leave, raises RuntimeError.  The same
-    two facts complete a record handed over by adopt_kernel, which checks
-    the unit rows and MK = 0 but not that K spans the kernel: the |P|
-    pivots prove nullity(M) <= |F|.
+    a kernel missing a vector can leave, raises RuntimeError, and that
+    completes a record handed over by adopt_kernel.
 
     The elimination is Bareiss's multistep one (Math. Comp. 22, 1968), in
     rounds on a pair block W that starts as M_PP with prev = 1.  Each
@@ -632,10 +556,10 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
       leading minors, and the divisions stay exact.  A W that is all zero
       is singular and raises the RuntimeError above.
     """
-    if not (matrix._symmetric or matrix.is_symmetric()):
+    if not (matrix._symmetric or check.symmetric(matrix.pairs, matrix.cols)):
         raise NotSymmetric(f"the {matrix.rows}x{matrix.cols} matrix is not symmetric")
     d, rows = matrix.radicand, matrix.pairs
-    free = set(kernel_record(matrix).unit_columns())
+    free = set(check.unit_rows(kernel_record(matrix)))
     block = [j for j in range(matrix.cols) if j not in free]
     W = [[rows[i].get(j, (0, 0)) for j in block] for i in block]
     neg, prev = 0, (1, 0)
@@ -889,7 +813,7 @@ def charpoly(matrix: ExactMatrix) -> IntPolynomial:
     triples for the rest.  So each product costs the nonzeros of B, not
     r^2, and a 0/1 adjacency multiplies none.
     """
-    if not (matrix._symmetric or matrix.is_symmetric()):
+    if not (matrix._symmetric or check.symmetric(matrix.pairs, matrix.cols)):
         raise NotSymmetric("charpoly needs a symmetric matrix")
     if matrix.scale != 1 or matrix.radicand != 1:
         raise NonIntegerEntries("charpoly needs integer entries")

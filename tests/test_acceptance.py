@@ -13,7 +13,14 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 import conftest
-from oracles import determinant, matvec, rank_dense, rank_markowitz, transpose
+from oracles import (
+    determinant,
+    matmul_dense,
+    matvec,
+    rank_dense,
+    rank_markowitz,
+    transpose,
+)
 from cdvcert import cdvcore, exactlinalg, groups, maps
 from cdvcert.certify import RunReport, certify_bipartite, certify_q1, certify_witness
 from cdvcert.exactfield import QuadScalar
@@ -303,7 +310,9 @@ def _inertia_congruence_invariant(case):
         [p_vals[i * n : (i + 1) * n] for i in range(n)]
     )
     assume(determinant(basis_change) != QuadScalar.ZERO)
-    transformed = transpose(basis_change).matmul(matrix).matmul(basis_change)
+    transformed = matmul_dense(
+        matmul_dense(transpose(basis_change), matrix), basis_change
+    )
     assert exactlinalg.inertia_symmetric(transformed) == exactlinalg.inertia_symmetric(
         matrix
     )

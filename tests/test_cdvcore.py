@@ -8,6 +8,7 @@ from oracles import (
     build_sap_system,
     drop_last_vector,
     free_columns_dense,
+    matmul_dense,
     rank_dense,
     repeat_last_vector,
     spans_match_by_rank,
@@ -714,6 +715,20 @@ def _bipartite_operators() -> list:
     return ops + [build_sap_witness(a, b)[0] for a, b in ((3, 4), (4, 5))]
 
 
+def _sides_outside_s(op) -> tuple:
+    """(m_A, m_B) for a bipartite operator on K_{a,b}: the vertices of
+    each side outside S, which are those with a zero diagonal entry.
+    Vertex 0 is on the small side, so its degree is b."""
+    n = op.graph.n
+    a = n - op.graph.degrees()[0]
+    outside = [v for v in range(n) if v not in op.matrix.pairs[v]]
+    return sum(v < a for v in outside), sum(v >= a for v in outside)
+
+
+def _side_nullity(m: int) -> int:
+    return max(0, m * (m - 3) // 2)
+
+
 def _unadopted_bipartite_matrix(a: int, b: int, s_set) -> ExactMatrix:
     """The matrix of build_bipartite_operator(a, b, s_set), keeping no
     kernel record."""
@@ -1005,6 +1020,36 @@ class TestBipartite:
         with pytest.raises(RuntimeError, match="singular"):
             build_bipartite_operator(4, 5, {0, 4})
 
+    def test_sap_nullity_is_the_closed_form(self):
+        """Lemma: let m_A and m_B be the vertices of each side outside S.
+        The transversality system of M = eps*1_S - A on K_{a,b} has nullity
+        max(0, m_A(m_A - 3)/2) + max(0, m_B(m_B - 3)/2).
+
+        Proof.  An admissible X is zero on every edge, so it is zero
+        between the sides.  For u on one side and w on the other, (MX)_uw
+        = -sum of X_tw over t on w's side, so every column of each side's
+        block of X sums to 0.  For u != w on one side, (MX)_uw =
+        eps*1_S(u)*X_uw, so each block vanishes on the rows and columns in
+        S.  What is left on a side is the symmetric m x m matrices with
+        zero diagonal and zero row sums: the kernel of the vertex-edge
+        incidence map of K_m.  For m >= 3 that map has rank m, as K_m is
+        connected and not bipartite, so the dimension is m(m - 1)/2 - m;
+        for m <= 2 it is 0.  So transversality holds exactly when each
+        side keeps at most three vertices outside S.
+
+        check_sap's rank must agree on every case of the sweep and on both
+        witness operators (m_A = 2, m_B = 4: nullity 2), and a formula off
+        by one at m = 3 must not."""
+        ops = _bipartite_operators()
+        cases = [(_sides_outside_s(op), check_sap(op)) for op in ops]
+        nullity = [cert.cols - cert.rank for _, cert in cases]
+        assert nullity == [_side_nullity(p) + _side_nullity(q) for (p, q), _ in cases]
+        assert [cert.full_rank for _, cert in cases] == [k == 0 for k in nullity]
+        assert sum(cert.full_rank for _, cert in cases[:-2]) == 1690
+        assert nullity[-2:] == [2, 2]
+        off = [_side_nullity(m) + (m == 3) for m in range(7)]
+        assert nullity != [off[p] + off[q] for (p, q), _ in cases]
+
     @pytest.mark.parametrize("a,b", [(3, 4), (4, 5)])
     def test_witness_construction(self, a, b):
         op, witness = build_sap_witness(a, b)
@@ -1023,9 +1068,17 @@ class TestBipartite:
         x = ExactMatrix(
             9, [{**w, **e} for w, e in zip(witness.pairs, unit.pairs)], 1, 2
         )
-        product = op.matrix.matmul(x)
+        product = matmul_dense(op.matrix, x)
         assert all(a == 0 for row in product.pairs for a, _ in row.values())
         with pytest.raises(ValueError, match="M\\*X is not zero"):
+            verify_sap_witness(op, x)
+
+    def test_verifier_refuses_a_witness_over_another_radicand(self):
+        # An admissible X over Q[sqrt(2)] for an operator over Q[sqrt(5)]:
+        # the two fields share no product, whatever X's entries are.
+        op = build_shift_operator(cycle(5), CYCLE_SHIFTS[1][1])
+        x = ExactMatrix.symmetric(5, {(0, 2): QuadScalar.root(2)})
+        with pytest.raises(ValueError, match=r"cannot multiply sqrt\(5\) by sqrt\(2\)"):
             verify_sap_witness(op, x)
 
     def test_verifying_a_witness_builds_no_scalar(self, monkeypatch):

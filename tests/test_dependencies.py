@@ -180,5 +180,24 @@ def test_no_assertion_reaches_the_cli():
     assert found == []
 
 
+def test_the_checks_stand_alone():
+    """check.py is the trusted base a reader can take alone: it imports the
+    standard library only, by absolute name, and nothing of the package."""
+    path = PACKAGE / "check.py"
+    relative = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level
+    ]
+    names = _absolute_imports(path)
+    assert relative == []
+    assert [n for n in names if n.split(".")[0] not in sys.stdlib_module_names] == []
+
+
 def test_every_module_is_checked():
-    assert {p.name for p in SOURCES} >= {"__init__.py", "cdvcore.py", "exactlinalg.py"}
+    assert {p.name for p in SOURCES} >= {
+        "__init__.py",
+        "cdvcore.py",
+        "check.py",
+        "exactlinalg.py",
+    }

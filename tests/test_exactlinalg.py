@@ -21,7 +21,7 @@ from oracles import (
     transpose,
 )
 from specs import KLEIN_PRESENTATION, map_graph
-from cdvcert import cdvcore, exactlinalg
+from cdvcert import cdvcore, check, exactlinalg
 from cdvcert.certify import GENUS10
 from cdvcert.exactfield import ZERO, FieldMismatch, QuadScalar, pair_sign
 from cdvcert.exactlinalg import (
@@ -274,8 +274,8 @@ class TestExactMatrix:
     def test_identity_is_neutral(self):
         m = ExactMatrix.from_rows([[1, 2], [3, 4]])
         eye = ExactMatrix.symmetric(2, {(0, 0): 1, (1, 1): 1})
-        assert m.matmul(eye) == m
-        assert eye.matmul(m) == m
+        assert matmul_dense(m, eye) == m
+        assert matmul_dense(eye, m) == m
 
     @given(product_cases)
     @settings(max_examples=100)
@@ -291,27 +291,40 @@ class TestExactMatrix:
             ExactMatrix.from_rows([[QuadScalar.root(7), 0], [-1, Fraction(1, 3)]]),
         )
     )
-    def test_matmul_matches_the_dense_product(self, case):
-        # A product that cancels to rationals has radicand 1.
+    @example(
+        (
+            ExactMatrix.from_rows([[1, QuadScalar.root(2)]]),
+            ExactMatrix.from_rows([[QuadScalar.root(2)], [-1]]),
+        )
+    )
+    @example(
+        (
+            ExactMatrix.from_rows([[1, QuadScalar.root(2)]]),
+            ExactMatrix.from_rows([[QuadScalar.root(2)], [1]]),
+        )
+    )
+    def test_annihilates_matches_the_dense_product(self, case):
+        # The examples' products are 1; (0, sqrt(7)/3), one entry cancelled
+        # and one nonzero only at sqrt(d); 0; and 2*sqrt(2), whose rational
+        # part is zero.  The scales are positive, so they never matter.
         left, right = case
-        product, expected = left.matmul(right), matmul_dense(left, right)
-        assert product == expected
-        assert product.radicand == expected.radicand
-
-    def test_matmul_refuses_two_irrational_fields(self):
-        left = ExactMatrix.from_rows([[1, QuadScalar.root(2)]])
-        right = ExactMatrix.from_rows([[0], [QuadScalar.root(3)]])
-        with pytest.raises(FieldMismatch):
-            left.matmul(right)
+        d = right.radicand if left.radicand == 1 else left.radicand
+        zero = not any(matmul_dense(left, right).pairs)
+        assert check.annihilates(left.pairs, right.pairs, d) is zero
 
     @given(matrices(2, max_side=4))
     def test_transpose_involution(self, m):
         assert transpose(transpose(m)) == m
 
     def test_symmetry_check(self):
-        assert ExactMatrix.from_rows([[0, 1], [1, 0]]).is_symmetric()
-        assert not ExactMatrix.from_rows([[0, 1], [2, 0]]).is_symmetric()
-        assert not ExactMatrix.from_rows([[0, 1], [0, 0]]).is_symmetric()
+        for rows, symmetric in [
+            ([[0, 1], [1, 0]], True),
+            ([[0, 1], [2, 0]], False),
+            ([[0, 1], [0, 0]], False),
+            ([[0, 1]], False),
+        ]:
+            m = ExactMatrix.from_rows(rows)
+            assert check.symmetric(m.pairs, m.cols) is symmetric
 
     def test_symmetric_writes_both_halves(self):
         m = ExactMatrix.symmetric(3, {(0, 2): Fraction(-1, 2), (1, 1): 4})
@@ -325,10 +338,10 @@ class TestExactMatrix:
         # 176-188 ms over the bipartite sweep's operators.
         m = ExactMatrix.symmetric(3, {(0, 1): -1, (1, 2): -1, (0, 0): 2})
 
-        def refuse(self):
+        def refuse(*args):
             raise AssertionError("symmetry scanned")
 
-        monkeypatch.setattr(ExactMatrix, "is_symmetric", refuse)
+        monkeypatch.setattr(check, "symmetric", refuse)
         assert inertia_symmetric(m) == (1, 0, 2)
         assert charpoly(m) == charpoly_dense(m)
 
@@ -388,11 +401,12 @@ class TestExactMatrix:
         n = m.rows
         rows = [m.row(i) for i in range(n)]
         eye = ExactMatrix.symmetric(n, {(i, i): Fraction(1, k) for i in range(n)})
+        scaled = ExactMatrix.from_rows([[k * x for x in row] for row in rows])
         same = [
             ExactMatrix.from_rows(rows),
             ExactMatrix.from_dicts(n, [dict(enumerate(row)) for row in rows]),
-            ExactMatrix.from_rows([[k * x for x in row] for row in rows]).matmul(eye),
-            eye.matmul(ExactMatrix.from_rows([[x * k for x in row] for row in rows])),
+            matmul_dense(scaled, eye),
+            matmul_dense(eye, scaled),
             ExactMatrix(
                 n,
                 [{j: (k * a, k * b) for j, (a, b) in row.items()} for row in m.pairs],
@@ -407,7 +421,7 @@ class TestExactMatrix:
         assert mirrored == ExactMatrix.from_rows(
             [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
         )
-        assert mirrored.is_symmetric()
+        assert check.symmetric(mirrored.pairs, mirrored.cols)
 
     def test_json_dict_uses_render_strings(self):
         m = ExactMatrix.from_rows([[QuadScalar.root(2)]])
@@ -886,7 +900,8 @@ class TestInertia:
         m, p = case
         inertia = inertia_symmetric(m)
         assert inertia.zeros == m.rows - rank_dense(m)
-        assert inertia_symmetric(p.matmul(m).matmul(transpose(p))) == inertia
+        transformed = matmul_dense(matmul_dense(p, m), transpose(p))
+        assert inertia_symmetric(transformed) == inertia
 
     def test_step_divides_through_the_conjugate(self):
         # prev = 1 + sqrt(2) and (1 + sqrt(2))(3 + 2 sqrt(2)) = 7 + 5 sqrt(2);

@@ -23,7 +23,7 @@ def test_quick_start_runs():
     cert = names["cert"]
     assert cert.full_rank and cert.rank == cert.cols == 5
     op4, witness = names["op4"], names["witness"]
-    assert op4.corank == 4 and not witness.is_zero()
+    assert op4.corank == 4 and any(witness.pairs)
     assert names["cdvcore"].verify_sap_witness(op4, witness) is None
 
 
