@@ -92,15 +92,17 @@ class SchrodingerOperator:
     Every other off-diagonal entry is zero by construction.  `matrix` is
     the one stored copy of the operator's numbers, and keeps its kernel
     once kernel_record has computed it, so membership, check_sap and any
-    caller share one kernel.  inertia starts as None and is filled by
-    check_membership.
+    caller share one kernel.  inertia and epsilon are never passed in:
+    check_membership sets inertia once it holds, and
+    build_bipartite_operator sets epsilon, so each stays None until the
+    code that proves it has run.
     """
 
     graph: SimpleGraph
     diagonal: InitVar[list]
     weights: InitVar[list]
-    epsilon: Fraction | None = None
-    inertia: Inertia | None = None
+    epsilon: Fraction | None = field(default=None, init=False)
+    inertia: Inertia | None = field(default=None, init=False)
     matrix: ExactMatrix = field(init=False, repr=False)
 
     def __post_init__(self, diagonal, weights):

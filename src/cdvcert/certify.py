@@ -34,15 +34,17 @@ SCHEMA_VERSION = 1
 @dataclass
 class RunReport:
     """Accumulates results, verdicts and stage timings for one command;
-    with `progress`, each stage's name goes to stderr as it starts."""
+    with `progress`, each stage's name goes to stderr as it starts.  Only
+    the entry points below fill its fields, so a report starts empty and
+    passes once it holds at least one verdict and every verdict is true."""
 
     command: str
-    inputs: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
-    stage: str = "setup"
     progress: bool = False
+    inputs: dict = field(default_factory=dict, init=False)
+    results: dict = field(default_factory=dict, init=False)
+    verdicts: dict = field(default_factory=dict, init=False)
+    timings: dict = field(default_factory=dict, init=False)
+    stage: str = field(default="setup", init=False)
 
     def verdict(self, name: str, ok: bool) -> bool:
         self.verdicts[name] = bool(ok)
@@ -50,7 +52,7 @@ class RunReport:
 
     @property
     def passed(self) -> bool:
-        return all(self.verdicts.values())
+        return bool(self.verdicts) and all(self.verdicts.values())
 
     @contextmanager
     def timed(self, name: str):
@@ -123,13 +125,11 @@ def charpoly_inertia(charpoly, shift: QuadScalar) -> tuple:
     return tuple(counts)
 
 
-def certify_map(
-    spec: MapSpec, report: RunReport, sap: bool = True
-) -> cdvcore.SchrodingerOperator:
+def certify_map(spec: MapSpec, report: RunReport) -> cdvcore.SchrodingerOperator:
     """Certify the map whose vertices, edges and faces are the cosets of
-    <z>, <y*z> and <y>, and shift*I - A on its graph; sap=False skips
-    transversality, as does an operator without exactly one negative
-    eigenvalue, which fails the inertia verdict.
+    <z>, <y*z> and <y>, and shift*I - A on its graph.  Transversality runs
+    on every operator that passes membership; one without exactly one
+    negative eigenvalue fails the inertia verdict and skips it.
 
     With y, z, y*z of orders p, q, r in a group of order N, the map has
     (v, e, f) = (N/q, N/r, N/p), chi = v - e + f, genus 1 - chi/2 and
@@ -193,7 +193,7 @@ def certify_map(
     verdict("inertia", operator.inertia is not None and inertia == spectral)
     verdict("corank", corank == spectral[1])
 
-    if sap and operator.inertia is not None:
+    if operator.inertia is not None:
         with report.timed("transversality"):
             cert = cdvcore.check_sap(operator)
         results["transversality"] = dict(rows=cert.rows, cols=cert.cols, rank=cert.rank)

@@ -1,9 +1,9 @@
 """Command-line front end: parse arguments, run one certificate, emit JSON.
 
 Each subcommand fills its `RunReport` through one entry point of
-`certify`.  The process exits 0 exactly when every verdict is true; a
-fault fails the report at the stage that raised it.  Reports are
-byte-stable for fixed inputs under --no-timings."""
+`certify`.  The process exits 0 exactly when the report holds a verdict
+and every verdict is true; a fault fails the report at the stage that
+raised it.  Reports are byte-stable for fixed inputs under --no-timings."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from .certify import RunReport
 
 
 def cmd_genus10(args, report: RunReport) -> None:
-    certify.certify_map(certify.GENUS10, report, sap=not args.skip_sap)
+    certify.certify_map(certify.GENUS10, report)
 
 
 def cmd_sap(args, report: RunReport) -> None:
@@ -73,11 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         "genus10",
         parents=[common],
         help="run the full genus-10 corank-16 certificate",
-    )
-    p.add_argument(
-        "--skip-sap",
-        action="store_true",
-        help="stop after the corank stage; skip the transversality check",
     )
     p.set_defaults(func=cmd_genus10)
 

@@ -404,11 +404,9 @@ def coset_enumerate(
     return table
 
 
-def element_order(presentation: Presentation, word, table: CosetTable | None = None) -> int:
-    """Order of the element in the enumerated group (regular action)."""
-    if table is None:
-        table = coset_enumerate(presentation)
-    elif table.subgroup_words:
+def element_order(presentation: Presentation, word, table: CosetTable) -> int:
+    """Order of the element in the group, read from its regular table."""
+    if table.subgroup_words:
         raise ValueError("element order needs the regular table")
     return math.lcm(*map(len, cycles(table.permutation(word))))
 

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -43,6 +44,7 @@ from cdvcert.certify import (
 from cdvcert.exactfield import QuadScalar, parse_scalar
 from cdvcert.exactlinalg import (
     ExactMatrix,
+    Inertia,
     IntPolynomial,
     charpoly,
     kernel_basis,
@@ -51,6 +53,7 @@ from cdvcert.exactlinalg import (
 )
 from cdvcert.maps import SimpleGraph
 
+GOLDEN = Path(__file__).parent / "golden"
 PATH4 = SimpleGraph(4, ((0, 1), (1, 2), (2, 3)))
 
 
@@ -369,7 +372,7 @@ class TestSap:
             assert vars(op) == fields and list(op.matrix.pairs) == pairs
 
     def test_klein_dual_matches_the_primal(self, monkeypatch):
-        op = certify_map(KLEIN, RunReport("klein"), sap=False)
+        op = certify_map(KLEIN, RunReport("klein"))
         assert op.corank == 8
         system, _ = build_sap_system(op)
         ranked = _record_ranked_columns(monkeypatch)
@@ -576,6 +579,43 @@ def sap_operators(draw):
         diagonal = diagonal + laplacian
         weights.update(path)
     return build_operator(graph, diagonal, weights)
+
+
+def _star_entries():
+    """The graph, diagonal and edge weights of the stored K_{1,4} plus an
+    isolated vertex: inertia (1, 4, 1), transversality fails."""
+    op = SchrodingerOperator.load(str(GOLDEN / "sap_input_star_isolated.json"))
+    m = op.matrix
+    diagonal = [m.entry(i, i) for i in range(m.rows)]
+    return op.graph, diagonal, [m.entry(u, v) for u, v in op.graph.edges]
+
+
+class TestOnlyTheLibrarySetsWhatAVerdictRestsOn:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # A forged corank 0 would let check_sap report full rank unbuilt.
+            lambda: SchrodingerOperator(*_star_entries(), inertia=Inertia(1, 0, 5)),
+            lambda: SchrodingerOperator(*_star_entries(), epsilon=Fraction(1, 20)),
+            lambda: RunReport("x", verdicts={"full_rank": True}),
+            lambda: RunReport("x", inputs={}),
+            lambda: RunReport("x", results={}),
+            lambda: RunReport("x", timings={}),
+            lambda: RunReport("x", stage="transversality"),
+        ],
+        ids=[
+            "inertia", "epsilon", "verdicts", "inputs", "results", "timings", "stage"
+        ],
+    )
+    def test_a_proved_value_is_not_an_init_parameter(self, build):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            build()
+
+    def test_a_report_with_no_verdict_does_not_pass(self):
+        report = RunReport("y")
+        assert not report.passed
+        report.verdict("computed", True)
+        assert report.passed
 
 
 def failed_verdicts(result):
@@ -1049,6 +1089,48 @@ class TestBipartite:
         assert nullity[-2:] == [2, 2]
         off = [_side_nullity(m) + (m == 3) for m in range(7)]
         assert nullity != [off[p] + off[q] for (p, q), _ in cases]
+
+    def test_a_dual_short_of_its_vertex_rows_is_caught_by_the_witness_check(
+        self, monkeypatch
+    ):
+        """Negative control for the closed form: drop dual rows in
+        _dual_rows and check_sap again on the same sweep.
+
+        Dropping the first row, the last row or every edge row changes no
+        nullity.  Every free pair across the two sides is an edge, so its
+        unknown is forced and no edge row keeps an unknown to rank.
+        Dropping every vertex row (the diagonals (i, i) of non-free i)
+        leaves the rank short on many cases, and there the witness built
+        from the short dual is nonzero on the diagonal, which
+        verify_sap_witness refuses.  So the check that catches a missing
+        dual row is the witness re-check: no case returns a nullity off
+        the closed form."""
+        ops = _bipartite_operators()
+        dual_rows = cdvcore._dual_rows
+        drops = {
+            "first": lambda pairs: pairs[1:],
+            "last": lambda pairs: pairs[:-1],
+            "edges": lambda pairs: [(i, j) for i, j in pairs if i == j],
+            "vertices": lambda pairs: [(i, j) for i, j in pairs if i != j],
+        }
+        for name, drop in drops.items():
+            monkeypatch.setattr(
+                cdvcore,
+                "_dual_rows",
+                lambda k, pairs, column, d: dual_rows(k, drop(pairs), column, d),
+            )
+            raised = off = 0
+            for op in ops:
+                try:
+                    cert = check_sap(op)
+                except ValueError as exc:
+                    assert "witness has nonzero diagonal" in str(exc), name
+                    raised += 1
+                    continue
+                p, q = _sides_outside_s(op)
+                off += cert.cols - cert.rank != _side_nullity(p) + _side_nullity(q)
+            assert off == 0, name
+            assert (raised > 0) == (name == "vertices"), name
 
     @pytest.mark.parametrize("a,b", [(3, 4), (4, 5)])
     def test_witness_construction(self, a, b):

@@ -76,11 +76,17 @@ class TestGenus10:
         assert cols.count(54) == 1
 
     def test_progress_names_every_stage(self, capsys):
-        cli.main(["genus10", "--skip-sap", "--progress", "--no-timings"])
+        cli.main(["genus10", "--progress", "--no-timings"])
         captured = capsys.readouterr()
         stages = re.findall(r"^\[(\w+)\] ", captured.err, re.M)
-        assert stages == ["enumerate", "map", "charpoly", "operator"]
+        assert stages == ["enumerate", "map", "charpoly", "operator", "transversality"]
         json.loads(captured.out)
+
+    def test_transversality_cannot_be_skipped(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["genus10", "--skip-sap"])
+        assert exc.value.code == 2
+        assert "--skip-sap" in capsys.readouterr().err
 
     def test_a_fault_keeps_its_stage_and_the_verdicts_before_it(
         self, capsys, monkeypatch

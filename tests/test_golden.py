@@ -19,7 +19,6 @@ GOLDEN = Path(__file__).parent / "golden"
 
 COMMANDS = {
     "genus10": ["genus10"],
-    "genus10_skip_sap": ["genus10", "--skip-sap"],
     "bipartite_2_3": ["bipartite", "2", "3"],
     "bipartite_4_5_s_0_4": ["bipartite", "4", "5", "--s", "0", "4"],
     "witness_3_4": ["witness", "3", "4"],

@@ -252,10 +252,11 @@ class TestEnumeration:
 class TestElementOrder:
     def test_orders_in_dihedral(self):
         pres = parse_presentation("< r, s | r^4, s^2, (r*s)^2 >")
-        assert element_order(pres, pres.word("r")) == 4
-        assert element_order(pres, pres.word("s")) == 2
-        assert element_order(pres, pres.word("r^2")) == 2
-        assert element_order(pres, ()) == 1
+        table = coset_enumerate(pres)
+        assert element_order(pres, pres.word("r"), table=table) == 4
+        assert element_order(pres, pres.word("s"), table=table) == 2
+        assert element_order(pres, pres.word("r^2"), table=table) == 2
+        assert element_order(pres, (), table=table) == 1
 
 
 @pytest.fixture(scope="module")
