@@ -23,12 +23,10 @@ from itertools import chain, combinations
 from . import check
 from .exactfield import MAX_RADICAND, pair_sign, parse_scalar, squarefree_split
 from .exactlinalg import (
-    PRIMES,
     ExactMatrix,
     Inertia,
     Kernel,
     adopt_kernel,
-    full_rank_prime,
     inertia_symmetric,
     kernel_record,
     pair_kernel_basis,
@@ -239,10 +237,9 @@ class SapCertificate:
     per vertex and per edge and one column per unknown of the symmetric
     c x c matrix S, set for every corank c >= 1, though check_sap ranks
     only the part its canonical kernel leaves free.  prime is the prime
-    modulo which that part had full rank.  prime is None in three cases:
-    corank 0 (dual_shape None too) and no unknown left to rank, where full
-    rank holds by proof and nothing is eliminated, and the exact path,
-    where the verdict comes from the exact dual kernel.
+    whose image had full rank; None when nothing was ranked (corank 0,
+    where dual_shape is None too, or no unknown left, where full rank
+    holds by proof) or the rank falls short.
     """
 
     full_rank: bool
@@ -280,14 +277,15 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     vector e_a at the a-th free column f_a of M, so k_{f_a}^T*S*k_{f_b} =
     S[a][b] = X[f_a][f_b].  The dual rows of a free diagonal (f_a, f_a)
     and of an edge between two free vertices are therefore unit rows that
-    force their unknown to zero.  check_sap checks K's unit rows with
-    check.unit_rows, drops those dual rows and the forced unknowns from
-    every other row, and ranks the rest: one unknown S[a][b] per pair a <
-    b of non-adjacent free columns, in the order of the full dual (of 36
-    unknowns at Klein's corank 8, 17 are left; of 136 at genus 10's corank
-    16, 101).  The dual's kernel is the reduced kernel with zeros at the
-    forced unknowns, so the two systems have the same nullity.  When no
-    unknown is left, as at every corank 1, full rank holds by proof.
+    force their unknown to zero.  K's unit rows were checked with
+    check.unit_rows when M kept K, so check_sap drops those dual rows and
+    the forced unknowns from every other row, and ranks the rest: one
+    unknown S[a][b] per pair a < b of non-adjacent free columns, in the
+    order of the full dual (of 36 unknowns at Klein's corank 8, 17 are
+    left; of 136 at genus 10's corank 16, 101).  The dual's kernel is the
+    reduced kernel with zeros at the forced unknowns, so the two systems
+    have the same nullity.  When no unknown is left, as at every corank
+    1, full rank holds by proof.
 
     The rows come sparsest first: the edges with one free endpoint, whose
     rows have at most c - 1 entries, then the other diagonals, then the
@@ -299,23 +297,23 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     row_scaled puts each row k_i of the record's integer pairs over the lcm
     of its own denominators, a positive scale, which keeps the dual kernel.
     The dual entries are then a + b*sqrt(d) with integer a and b, d the
-    operator's radicand, and full_rank_prime ranks them mod the first prime
-    p of PRIMES at which d has a nonzero square root; full rank mod p
-    proves full rank over the field.  The kernel's elimination walks the
-    same PRIMES, so the genus-10 kernel and dual share p = 1073741723, the
-    first of them at which 7 is a square.
+    operator's radicand, and one pair_kernel_basis call ranks or kernels
+    them.  It ranks them mod its first prime at which d has a nonzero
+    square root, and full rank there, or at a later prime, proves full
+    rank over the field.  The operator's kernel walks the same primes, so
+    the genus-10 kernel and dual share p = 1073741723, the first of them
+    at which 7 is a square.
 
-    When no prime is usable or the rank drops mod p, pair_kernel_basis
-    rebuilds the reduced dual kernel from the same pair rows, starting
-    from the echelon mod p, and proves it exactly.  An empty kernel is
-    full rank.  Otherwise its first vector, padded with zeros at the
-    forced unknowns, is the first vector S0 of the canonical kernel of the
-    whole dual: each forced unknown is a pivot column whose reduced row is
-    its unit row, and the other reduced rows are those of the reduced
-    system.  S0 gives the witness X = K*S0*K^T, computed on the records'
-    pairs with K^T as `columns`.  Those pairs stand over the product of
-    the records' denominators, kernel.scale^2 * dual.scale, and become
-    the witness matrix as they are, with no scalar built.
+    Short of full rank, pair_kernel_basis goes on from the rows the first
+    image drew to the reduced dual kernel and proves it exactly.  Its
+    first vector, padded with zeros at the forced unknowns, is the first
+    vector S0 of the canonical kernel of the whole dual: each forced
+    unknown is a pivot column whose reduced row is its unit row, and the
+    other reduced rows are those of the reduced system.  S0 gives the
+    witness X = K*S0*K^T, computed on the records' pairs with K^T as
+    `columns`.  Those pairs stand over the product of the records'
+    denominators, kernel.scale^2 * dual.scale, and become the witness
+    matrix as they are, with no scalar built.
     verify_sap_witness, whose M*X = 0 check builds no scalar when X is
     valid, re-checks X before it is reported.  X is also the first
     canonical kernel vector of the primal system: X[f_a][f_b] = S[a][b],
@@ -345,8 +343,7 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
         )
     dual_shape = (dual_rows, dual_cols)
     kernel = kernel_record(op.matrix)
-    free = check.unit_rows(kernel)
-    graph = op.graph
+    free, graph = kernel.free, op.graph
     unknowns = [
         (a, b)
         for a in range(c)
@@ -366,15 +363,11 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     ]
     d = op.matrix.radicand
     k = row_scaled(kernel.rows, kernel.scale)
-    first = full_rank_prime(_dual_rows(k, pairs, column, d), len(unknowns), d, PRIMES)
-    if first is not None and len(first[1]) == len(unknowns):
-        return SapCertificate(
-            True, cols, rows, cols, prime=first[0], dual_shape=dual_shape
-        )
-    dual = pair_kernel_basis(_dual_rows(k, pairs, column, d), len(unknowns), d, first)
-    primal_rank = cols - len(dual.free)
+    dual, prime = pair_kernel_basis(_dual_rows(k, pairs, column, d), len(unknowns), d)
     if not dual.free:
-        return SapCertificate(True, primal_rank, rows, cols, dual_shape=dual_shape)
+        return SapCertificate(
+            True, cols, rows, cols, prime=prime, dual_shape=dual_shape
+        )
     x0 = {j: row[0] for j, row in enumerate(dual.rows) if 0 in row}
     s0 = [{b: x0[j] for b, j in enumerate(js) if j in x0} for js in column]
     columns = [{i: r[a] for i, r in enumerate(kernel.rows) if a in r} for a in range(c)]
@@ -382,7 +375,7 @@ def check_sap(op: SchrodingerOperator) -> SapCertificate:
     witness = ExactMatrix(n, x, kernel.scale**2 * dual.scale, d)
     verify_sap_witness(op, witness)
     return SapCertificate(
-        False, primal_rank, rows, cols, witness, dual_shape=dual_shape
+        False, cols - len(dual.free), rows, cols, witness, dual_shape=dual_shape
     )
 
 

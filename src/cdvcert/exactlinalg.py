@@ -250,22 +250,6 @@ def _root_mod_p(d: int, p: int) -> int:
     return r if r and r * r % p == d % p else 0
 
 
-def full_rank_prime(pairs, cols: int, d: int, primes) -> tuple | None:
-    """(p, the _echelon of the pair rows mod p under sqrt(d) -> r) for the
-    first prime p of primes at which sqrt(d) has a nonzero root r, or None.
-    a + b*sqrt(d) -> a + b*r mod p is a ring homomorphism on integer pairs,
-    so it maps each maximal minor to the same minor mod p, and full rank
-    mod p (cols pivots) proves full rank over the field.  pairs may be any
-    iterable of pair rows, such as a generator: the elimination draws rows
-    from it one at a time and stops at full rank, so the rows after that
-    point are never made, and none at all when no prime is usable."""
-    for p in primes:
-        r = _root_mod_p(d, p)
-        if r:
-            return p, _echelon(_residues(pairs, p, r), cols, p)
-    return None
-
-
 def _primes_below(n: int):
     """The primes p = 3 (mod 4) below n, largest first: Miller-Rabin to the
     prime bases up to 37 is exact below 3.3e24 (Sorenson and Webster).  As
@@ -307,12 +291,18 @@ def row_scaled(rows: list, scale: int) -> list:
 def kernel_record(matrix: ExactMatrix) -> Kernel:
     """The Kernel record of matrix: pair_kernel_basis on its row_scaled
     pairs, which have its kernel, as each row is the matrix row times a
-    positive number.  Computed on the first call for a matrix and kept
-    on it, unless a caller that knows the kernel handed it over first
-    with adopt_kernel."""
+    positive number.  The rows go in by descending leading column, empty
+    ones left out: the reduced form is the same in any row order, and a
+    new pivot then often falls before every pivot stored, none of which
+    holds an entry in its column to back-reduce.  Computed on the first
+    call for a matrix and kept on it once check.unit_rows finds row
+    free[a] to be e_a, unless a caller that knows the kernel handed it
+    over first with adopt_kernel, whose check does the same."""
     if matrix._kernel is None:
         rows = row_scaled(matrix.pairs, matrix.scale)
-        kernel = pair_kernel_basis(rows, matrix.cols, matrix.radicand)
+        rows = sorted(filter(None, rows), key=min, reverse=True)
+        kernel, _ = pair_kernel_basis(rows, matrix.cols, matrix.radicand)
+        check.unit_rows(kernel)
         object.__setattr__(matrix, "_kernel", kernel)
     return matrix._kernel
 
@@ -355,22 +345,27 @@ def kernel_basis(matrix: ExactMatrix) -> list:
     return basis
 
 
-def pair_kernel_basis(pairs, cols: int, d: int, first=None) -> Kernel:
-    """The Kernel record of kernel_basis for the matrix DM with `cols`
-    columns whose rows are the {column: (a, b)} dicts of pairs, a and b
-    integers standing for a + b*sqrt(d); d counts as 1 when every b is 0.
-    pairs may be any iterable of rows, such as a generator.  first, from
-    full_rank_prime on the same rows, is the first prime and its image.
+def pair_kernel_basis(pairs, cols: int, d: int) -> tuple:
+    """(K, p), K the Kernel record of kernel_basis for the matrix DM with
+    `cols` columns whose rows are the {column: (a, b)} dicts of pairs, a
+    and b integers standing for a + b*sqrt(d); d counts as 1 when every b
+    is 0.  p is the prime whose image had full rank, so K is empty; None
+    when the rank falls short.  This one call ranks or kernels DM.
 
     It is computed mod primes and proved exactly.  The primes are
     PRIMES and then _primes_below the last of them; p is usable
-    when d has a nonzero root r mod p.  The reduced echelon form of DM mod
-    p under sqrt(d) -> r and, for d > 1, -r gives the residues of the
-    rational parts a and b of each entry of K.  Its rows go in by
-    descending leading column, empty ones left out: the reduced form is
-    the same in any row order, and a new pivot then often falls before
-    every pivot stored, none of which holds an entry in its column to
-    back-reduce.  A prime is skipped when its two images have different
+    when d has a nonzero root r mod p.  a + b*sqrt(d) -> a + b*r mod p is
+    a ring homomorphism on integer pairs, so it maps each maximal minor
+    to the same minor mod p, and full rank mod p (cols pivots) proves
+    full rank over the field.  pairs may be any iterable of rows, such as
+    a generator: the first image draws rows from it one at a time and
+    stops at full rank, so the rows after that point are never made.
+    Short of full rank it has drawn every row, and the nonempty ones are
+    kept for every later image, the lift and the cap.
+
+    The reduced echelon form of DM mod p under sqrt(d) -> r and, for
+    d > 1, -r gives the residues of the rational parts a and b of each
+    entry of K.  A prime is skipped when its two images have different
     pivot sets, or fewer pivots than the best seen, or later ones at equal
     rank (compared as sorted lists); a better pivot set restarts the
     accumulation.  The residues are combined by the Chinese remainder
@@ -399,22 +394,28 @@ def pair_kernel_basis(pairs, cols: int, d: int, first=None) -> Kernel:
     2^(3*bits + 1), P exceeds 2^(2*bits + 1), every reconstruction is true
     and the check passes.  Past that cap the loop raises PrimeCapExceeded.
     """
-    pairs = sorted(filter(None, pairs), key=min, reverse=True)
-    if d != 1 and not any(b for row in pairs for _, b in row.values()):
-        d = 1
+    kept = []
+    rows = (kept.append(row) or row for row in pairs if row)
     best = images = cap = None
     modulus = used = 1
-    handed, ready = first or (None, None)
-    walk = (p for p in chain(PRIMES, _primes_below(PRIMES[-1])) if p != handed)
-    for p in walk if first is None else chain((handed,), walk):
+    for p in chain(PRIMES, _primes_below(PRIMES[-1])):
         r = _root_mod_p(d, p)
         if not r:
             continue
         used *= p
-        plus = ready if p == handed else _echelon(_residues(pairs, p, r), cols, p)
+        plus = _echelon(_residues(rows, p, r), cols, p)
         if len(plus) == cols:
-            return Kernel((), [{} for _ in range(cols)], 1, 1)
-        minus = plus if d == 1 else _echelon(_residues(pairs, p, p - r), cols, p)
+            return Kernel((), [{} for _ in range(cols)], 1, 1), p
+        if cap is None:
+            rows = kept
+            if d != 1 and not any(b for row in kept for _, b in row.values()):
+                d = 1
+            bits = sum(
+                (2 * sum(a * a + d * b * b for a, b in row.values())).bit_length()
+                for row in kept
+            )
+            cap = 1 << 3 * bits + 1
+        minus = plus if d == 1 else _echelon(_residues(kept, p, p - r), cols, p)
         if minus.keys() == plus.keys():
             key = (-len(plus), sorted(plus))
             if best is None or key < best:
@@ -422,15 +423,9 @@ def pair_kernel_basis(pairs, cols: int, d: int, first=None) -> Kernel:
             if key == best:
                 images = _accumulate(images, modulus, plus, minus, p, r)
                 modulus *= p
-                kernel = _lift(images, modulus, plus, pairs, cols, d)
+                kernel = _lift(images, modulus, plus, kept, cols, d)
                 if kernel is not None:
-                    return kernel
-        if cap is None:
-            bits = sum(
-                (2 * sum(a * a + d * b * b for a, b in row.values())).bit_length()
-                for row in pairs
-            )
-            cap = 1 << 3 * bits + 1
+                    return kernel, None
         if used > cap:
             break
     raise PrimeCapExceeded(f"no proved kernel from {used.bit_length()} bits of primes")
@@ -522,8 +517,9 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     kernel_record gives K with MK = 0 proved exactly.  F is the set of its
     free columns and P the other columns.  Elimination runs on M_PP only:
 
-    - check.unit_rows finds row f_a of K to be the unit vector e_a, so the
-      vectors are independent, and MK = 0 gives nullity(M) >= |F|.
+    - check.unit_rows found row f_a of K to be the unit vector e_a when
+      the matrix kept K, so the vectors are independent, and MK = 0 gives
+      nullity(M) >= |F|.
     - The elimination below finds |P| nonzero pivots on M_PP, so M_PP is
       nonsingular and rank(M) >= |P|.
     - So rank(M) = |P|, the Schur complement M_FF - M_FP M_PP^-1 M_PF is
@@ -559,7 +555,7 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     if not (matrix._symmetric or check.symmetric(matrix.pairs, matrix.cols)):
         raise NotSymmetric(f"the {matrix.rows}x{matrix.cols} matrix is not symmetric")
     d, rows = matrix.radicand, matrix.pairs
-    free = set(check.unit_rows(kernel_record(matrix)))
+    free = set(kernel_record(matrix).free)
     block = [j for j in range(matrix.cols) if j not in free]
     W = [[rows[i].get(j, (0, 0)) for j in block] for i in block]
     neg, prev = 0, (1, 0)

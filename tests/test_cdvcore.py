@@ -71,6 +71,18 @@ CYCLE_SHIFTS = [
     (8, QuadScalar.root(2)),
 ]
 
+# Operators whose duals fall short of full rank, with the number of
+# images, under sqrt(d) -> r and -r, that their dual kernel takes.
+RANK_DEFICIENT = [
+    (build_sap_witness(3, 4)[0], 1),
+    (
+        build_operator(
+            complete_bipartite(1, 4), [0] * 5, {(0, 4): -QuadScalar.root(2)}
+        ),
+        2,
+    ),
+]
+
 
 def _dense_sap_matrix(op):
     """The transversality system entry by entry from the docstring of
@@ -285,18 +297,22 @@ class TestSap:
         # C12 shifted by its eigenvalue sqrt(3): corank 2.  sqrt(3) has only
         # the root 0 mod 3, so the dual is ranked mod 11, where 5^2 = 3.
         # The cycle runs 0-...-8-11-9-10, which keeps the free columns 10
-        # and 11 of M apart, so one dual unknown is left to rank.
+        # and 11 of M apart, so one dual unknown is left to rank.  M keeps
+        # its kernel from membership, so the patched table reaches only the
+        # dual.
         order = list(range(9)) + [11, 9, 10]
         edges = sorted(tuple(sorted(e)) for e in zip(order, order[1:] + order[:1]))
         op = build_shift_operator(SimpleGraph(12, tuple(edges)), QuadScalar.root(3))
         check_membership(op)
         assert op.corank == 2 and _unknowns_left(op) == 1
-        monkeypatch.setattr(cdvcore, "PRIMES", (3, 11))
+        primes = exactlinalg.PRIMES
+        usual = check_sap(op).prime
+        monkeypatch.setattr(exactlinalg, "PRIMES", (3, 11) + primes)
         cert = check_sap(op)
         assert cert.full_rank and cert.prime == 11
-        monkeypatch.setattr(cdvcore, "PRIMES", (3,))
+        monkeypatch.setattr(exactlinalg, "PRIMES", (3,) + primes)
         cert = check_sap(op)
-        assert cert.full_rank and cert.prime is None
+        assert cert.full_rank and cert.prime == usual in primes
 
     def test_stored_kernel_is_reused(self, monkeypatch):
         # Membership computes the operator's kernel record, the matrix
@@ -320,19 +336,25 @@ class TestSap:
 
     def test_a_non_canonical_kernel_is_refused(self, monkeypatch):
         # A rescaled basis spans the same kernel, but its row at a free
-        # column is no longer a unit vector, so S[a][b] = X[f_a][f_b] fails.
-        op = build_shift_operator(cycle(8), QuadScalar.root(2))
-        check_membership(op)
-        kernel = kernel_record(op.matrix)
+        # column is no longer a unit vector, so S[a][b] = X[f_a][f_b] would
+        # fail.  A matrix keeps a record only once its unit rows are
+        # checked, whether it eliminates the record or is handed it.
+        m = build_shift_operator(cycle(8), QuadScalar.root(2)).matrix
+        kernel = kernel_record(m)
         rescaled = kernel._replace(
             rows=[
                 {a: (2 * x, 2 * y) if a == 0 else (x, y) for a, (x, y) in row.items()}
                 for row in kernel.rows
             ]
         )
-        monkeypatch.setattr(cdvcore, "kernel_record", lambda m: rescaled)
-        with pytest.raises(RuntimeError, match="not canonical"):
-            check_sap(op)
+        monkeypatch.setattr(
+            exactlinalg, "pair_kernel_basis", lambda *a: (rescaled, None)
+        )
+        for keep in (kernel_record, lambda c: exactlinalg.adopt_kernel(c, rescaled)):
+            copy = ExactMatrix(m.cols, m.pairs, m.scale, m.radicand)
+            with pytest.raises(RuntimeError, match="not canonical"):
+                keep(copy)
+            assert copy._kernel is None
 
     @pytest.mark.parametrize(
         "op",
@@ -347,10 +369,10 @@ class TestSap:
         def refuse(*args):
             raise AssertionError("dual ranked at corank 1")
 
-        monkeypatch.setattr(cdvcore, "full_rank_prime", refuse)
         check_membership(op)
+        monkeypatch.setattr(cdvcore, "pair_kernel_basis", refuse)
         assert op.corank == 1
-        cert, calls = _check_sap_counting(op, cdvcore.PRIMES)
+        cert, calls = _check_sap_counting(op, exactlinalg.PRIMES)
         assert cert.full_rank and cert.prime is None and calls == 1
 
     def test_sparse_system_matches_definition(self):
@@ -385,37 +407,27 @@ class TestSap:
         assert ranked == [_unknowns_left(op)] and ranked[0] < 36
 
     def test_genus10_primal_agrees_with_the_dual(self, monkeypatch, g10_operator):
+        # The dual has rank 27 of 101 mod 3, so an unlucky first prime 3
+        # hands on to the usual one, where 7 is a square.
         ranked = _record_ranked_columns(monkeypatch)
         modular = check_sap(g10_operator)
-        monkeypatch.setattr(cdvcore, "PRIMES", ())
-        exact = check_sap(g10_operator)
-        assert modular.prime is not None and exact.prime is None
+        monkeypatch.setattr(exactlinalg, "PRIMES", (3,) + exactlinalg.PRIMES)
+        unlucky = check_sap(g10_operator)
+        assert modular.prime == unlucky.prime == 1073741723
         assert ranked[0] == ranked[1] < 136
-        for cert in (modular, exact):
+        for cert in (modular, unlucky):
             assert cert.full_rank and cert.dual_shape == (54 + 216, 136)
             assert (cert.rows, cert.cols, cert.rank) == (2862, 1215, 1215)
         system, _ = build_sap_system(g10_operator)
         assert (system.rows, system.cols) == (2862, 1215)
         assert system.cols - len(kernel_basis(system)) == 1215
 
-    @pytest.mark.parametrize(
-        "op,images",
-        [
-            (build_sap_witness(3, 4)[0], 1),
-            (
-                build_operator(
-                    complete_bipartite(1, 4), [0] * 5, {(0, 4): -QuadScalar.root(2)}
-                ),
-                2,
-            ),
-        ],
-        ids=["rational", "sqrt2"],
-    )
+    @pytest.mark.parametrize("op,images", RANK_DEFICIENT, ids=["rational", "sqrt2"])
     def test_a_rank_deficient_dual_is_eliminated_once_per_image(
         self, monkeypatch, op, images
     ):
-        # full_rank_prime hands its echelon to pair_kernel_basis, which then
-        # eliminates only the image under -r, and none for d = 1.
+        # The image that ranks the dual under sqrt(d) -> r also serves its
+        # kernel, so only the image under -r is added, and none for d = 1.
         check_membership(op)
         calls = []
         echelon = exactlinalg._echelon
@@ -427,49 +439,79 @@ class TestSap:
         assert len(calls) == images
 
     @pytest.mark.parametrize(
-        "u,v",
+        "u,v,prime",
         [
             # Full rank, but the dual has rank 9 of 10 mod 3.
-            ((1, 1, 1), (1, 2, 3)),
+            ((1, 1, 1), (1, 2, 3), exactlinalg.PRIMES[0]),
             # Full rank; K has entries -1/3, but its rows are cleared of
             # denominators first, and the dual keeps full rank mod 3.
-            ((1, 1, 1), (3, 1, 1)),
+            ((1, 1, 1), (3, 1, 1), 3),
             # A four-leaf star: rank deficient, and K has entries -1/3.
-            ((1,), (3, 1, 1, 1)),
+            ((1,), (3, 1, 1, 1), None),
         ],
     )
-    def test_unlucky_prime_takes_the_exact_fallback(self, u, v):
+    def test_unlucky_prime_takes_the_exact_fallback(self, u, v, prime):
         op = _rank_one_bipartite(u, v)
         check_membership(op)
         system, col_pairs = build_sap_system(op)
         primal_kernel = kernel_basis(system)
         if not primal_kernel:
             assert check_sap(op).prime is not None
-        cert, calls = _check_sap_counting(op, (3,))
-        assert (cert.prime is None) == (v != (3, 1, 1))
+        cert, calls = _check_sap_counting(op, (3,) + exactlinalg.PRIMES)
+        assert cert.prime == prime
         _assert_matches_the_primal(op, cert, calls, system, col_pairs, primal_kernel)
+
+    def test_a_full_rank_dual_reports_the_prime_that_showed_it(self, monkeypatch):
+        # The dual has rank 9 of 10 mod 3, so the rank is shown at the next
+        # prime, which the certificate names.
+        op = _rank_one_bipartite((1, 1, 1), (1, 2, 3))
+        check_membership(op)
+        primes, taken, echelon = exactlinalg.PRIMES, [], exactlinalg._echelon
+        monkeypatch.setattr(exactlinalg, "PRIMES", (3,) + primes)
+        monkeypatch.setattr(
+            exactlinalg, "_echelon", lambda *a: taken.append(a[2]) or echelon(*a)
+        )
+        cert = check_sap(op)
+        assert cert.full_rank and taken == [3, cert.prime] == [3, primes[0]]
+
+    @pytest.mark.parametrize(
+        "op", [op for op, _ in RANK_DEFICIENT], ids=["rational", "sqrt2"]
+    )
+    def test_a_rank_deficient_dual_builds_each_row_once(self, monkeypatch, op):
+        # The rows the first image drew serve every later image and the
+        # kernel's proof.
+        check_membership(op)
+        asked, built, dual_rows = [], [], cdvcore._dual_rows
+
+        def counting(k, pairs, column, d):
+            asked.append(len(pairs))
+            for row in dual_rows(k, pairs, column, d):
+                built.append(row)
+                yield row
+
+        monkeypatch.setattr(cdvcore, "_dual_rows", counting)
+        assert not check_sap(op).full_rank
+        assert len(asked) == 1 and len(built) == asked[0]
 
 
 def _record_ranked_columns(monkeypatch) -> list:
-    """Wrap cdvcore.full_rank_prime so that each call records the column
+    """Wrap cdvcore.pair_kernel_basis so that each call records the column
     count of the dual it ranks; the list of counts is returned."""
-    ranked = []
-    full_rank_prime = cdvcore.full_rank_prime
-
-    def recording(pairs, cols, d, primes):
-        ranked.append(cols)
-        return full_rank_prime(pairs, cols, d, primes)
-
-    monkeypatch.setattr(cdvcore, "full_rank_prime", recording)
+    ranked, pair_kernel = [], cdvcore.pair_kernel_basis
+    monkeypatch.setattr(
+        cdvcore,
+        "pair_kernel_basis",
+        lambda pairs, cols, d: ranked.append(cols) or pair_kernel(pairs, cols, d),
+    )
     return ranked
 
 
 def _check_sap_counting(op, primes) -> tuple:
-    """check_sap with PRIMES set to primes, and the number of
+    """check_sap with exactlinalg.PRIMES set to primes, and the number of
     kernel_record and pair_kernel_basis calls it made."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cdvcore, "PRIMES", primes)
+        mp.setattr(exactlinalg, "PRIMES", primes)
         for name in ("kernel_record", "pair_kernel_basis"):
             kernel = getattr(cdvcore, name)
             mp.setattr(
@@ -481,10 +523,9 @@ def _check_sap_counting(op, primes) -> tuple:
 def _assert_matches_the_primal(op, cert, calls, system, col_pairs, primal_kernel):
     """The certificate agrees with the primal oracle system in shape, rank,
     verdict and witness, which is the first canonical primal kernel vector.
-    dual_shape is set for every corank >= 1.  With no dual unknown left to
-    rank, full rank holds by proof: prime is None and K is the only
-    kernel call.  Otherwise prime is None exactly when the dual kernel
-    was computed exactly: a second kernel call, pair_kernel_basis."""
+    dual_shape is set for every corank >= 1.  prime is set exactly when a
+    dual with an unknown left to rank has full rank.  K is one kernel call,
+    and the dual one more, pair_kernel_basis, whenever an unknown is left."""
     c = op.corank
     assert (cert.rows, cert.cols) == (system.rows, system.cols)
     assert cert.rank == system.cols - len(primal_kernel)
@@ -492,13 +533,10 @@ def _assert_matches_the_primal(op, cert, calls, system, col_pairs, primal_kernel
     if c:
         assert cert.dual_shape == (op.graph.n + op.graph.edge_count, c * (c + 1) // 2)
         left = _unknowns_left(op)
-        if not left:
-            assert cert.full_rank and cert.prime is None
-        assert calls == (2 if cert.prime is None and left else 1)
+        assert (cert.prime is not None) == (cert.full_rank and left > 0)
+        assert calls == (2 if left else 1)
     else:
-        assert cert.dual_shape is None and calls == 0
-    if cert.prime is not None:
-        assert cert.full_rank
+        assert cert.dual_shape is None and cert.prime is None and calls == 0
     if primal_kernel:
         x = ExactMatrix.symmetric(op.graph.n, dict(zip(col_pairs, primal_kernel[0])))
         assert cert.witness == x
@@ -707,15 +745,17 @@ class TestDualAgainstPrimal:
             assume(False)
         system, col_pairs = build_sap_system(op)
         primal_kernel = kernel_basis(system)
-        modular, calls = _check_sap_counting(op, cdvcore.PRIMES)
-        exact, exact_calls = _check_sap_counting(op, ())
+        primes = exactlinalg.PRIMES
+        modular, calls = _check_sap_counting(op, primes)
+        unlucky, unlucky_calls = _check_sap_counting(op, (3,) + primes)
         event(f"corank {min(op.corank, 2)}{'+' if op.corank >= 2 else ''}")
         event("connected" if op.graph.is_connected() else "disconnected")
         event("mod p" if modular.prime else "exact dual")
-        assert exact.prime is None
+        event(f"prime 3 {'kept' if unlucky.prime == 3 else 'passed over'}")
+        assert unlucky.prime in (3, modular.prime)
         _assert_matches_the_primal(op, modular, calls, system, col_pairs, primal_kernel)
         _assert_matches_the_primal(
-            op, exact, exact_calls, system, col_pairs, primal_kernel
+            op, unlucky, unlucky_calls, system, col_pairs, primal_kernel
         )
 
     @given(sap_operators())
@@ -736,7 +776,6 @@ class TestDualAgainstPrimal:
         def refuse(*args):
             raise AssertionError("elimination run for corank 0")
 
-        monkeypatch.setattr(cdvcore, "full_rank_prime", refuse)
         monkeypatch.setattr(cdvcore, "pair_kernel_basis", refuse)
         cert = check_sap(op)
         assert cert.full_rank and (cert.rows, cert.cols, cert.rank) == (12, 3, 3)
@@ -1011,7 +1050,7 @@ class TestBipartite:
         for op in _bipartite_operators():
             m = op.matrix
             rows = exactlinalg.row_scaled(m.pairs, m.scale)
-            eliminated = exactlinalg.pair_kernel_basis(rows, m.cols, m.radicand)
+            eliminated, _ = exactlinalg.pair_kernel_basis(rows, m.cols, m.radicand)
             assert kernel_record(m) == eliminated
             copy = ExactMatrix(m.cols, m.pairs, m.scale, m.radicand)
             assert exactlinalg.inertia_symmetric(copy) == op.inertia

@@ -199,7 +199,9 @@ class TestBipartite:
         # kernel vector, inertia finds the block it eliminates singular.
         kernel = exactlinalg.pair_kernel_basis
         monkeypatch.setattr(
-            exactlinalg, "pair_kernel_basis", lambda *a: drop_last_vector(kernel(*a))
+            exactlinalg,
+            "pair_kernel_basis",
+            lambda *a: (drop_last_vector(kernel(*a)[0]), None),
         )
         path = Path(__file__).parent / "golden" / "sap_input_star_isolated.json"
         code, report = run(capsys, "sap", str(path), "--no-timings")
@@ -327,9 +329,9 @@ class TestBipartite:
 
 def _run_edgeless(capsys, tmp_path, monkeypatch, rest):
     """`cdvcert sap` on 70 isolated vertices with diagonal (-1, rest, ...,
-    rest), with check_sap's full_rank_prime and pair_kernel_basis made to
-    fail if called, so that an oversized system must be refused before
-    check_sap eliminates anything."""
+    rest), with check_sap's pair_kernel_basis made to fail if called, so
+    that an oversized system must be refused before check_sap eliminates
+    anything."""
     n = 70
     path = tmp_path / "op.json"
     path.write_text(
@@ -342,7 +344,6 @@ def _run_edgeless(capsys, tmp_path, monkeypatch, rest):
     def refuse(*args):
         raise AssertionError("a kernel was computed")
 
-    monkeypatch.setattr(cdvcore, "full_rank_prime", refuse)
     monkeypatch.setattr(cdvcore, "pair_kernel_basis", refuse)
     return run(capsys, "sap", str(path), "--no-timings")
 

@@ -194,6 +194,29 @@ def test_the_checks_stand_alone():
     assert [n for n in names if n.split(".")[0] not in sys.stdlib_module_names] == []
 
 
+def _names(path) -> set:
+    """Every name, attribute and imported name the module's code uses."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def test_the_primes_and_the_elimination_stay_in_exactlinalg():
+    """The prime table and the elimination mod p stay behind one module:
+    no other module names them, so every rank or kernel of a pair system
+    is one pair_kernel_basis call."""
+    hidden = {"PRIMES", "_echelon", "_residues", "_root_mod_p"}
+    named = {p.name: _names(p) & hidden for p in SOURCES}
+    assert named.pop("exactlinalg.py") == hidden
+    assert {name: found for name, found in named.items() if found} == {}
+
+
 def test_every_module_is_checked():
     assert {p.name for p in SOURCES} >= {
         "__init__.py",

@@ -1041,7 +1041,9 @@ class TestInertia:
     def test_a_faulty_kernel_raises(self, monkeypatch, rows, fault, message):
         pair_kernel = exactlinalg.pair_kernel_basis
         monkeypatch.setattr(
-            exactlinalg, "pair_kernel_basis", lambda *a: fault(pair_kernel(*a))
+            exactlinalg,
+            "pair_kernel_basis",
+            lambda *a: (fault(pair_kernel(*a)[0]), None),
         )
         with pytest.raises(RuntimeError, match=message):
             inertia_symmetric(ExactMatrix.from_rows(rows))
