@@ -26,7 +26,6 @@ from .exactlinalg import (
     ExactMatrix,
     Inertia,
     Kernel,
-    adopt_kernel,
     inertia_symmetric,
     kernel_record,
     pair_kernel_basis,
@@ -205,20 +204,22 @@ def build_shift_operator(graph: SimpleGraph, shift) -> SchrodingerOperator:
     return build_operator(graph, [shift] * graph.n)
 
 
-def check_membership(op: SchrodingerOperator) -> Inertia:
+def check_membership(op: SchrodingerOperator, kernel: Kernel | None = None) -> Inertia:
     """Certify negative edge weights and exactly one negative eigenvalue;
     fills inertia, and with it corank, on success.  Each edge's sign is
     read from op.matrix's integer pair over its positive scale, where an
     edge entry of zero is stored as no pair at all and fails too.  Entries
-    off the graph are zero by construction.  The inertia computes the
-    kernel of op.matrix, which the matrix keeps for check_sap."""
+    off the graph are zero by construction.  The inertia proves the kernel
+    of op.matrix, which the matrix keeps for check_sap: kernel_record's,
+    or a candidate `kernel` handed in, which inertia_symmetric keeps only
+    once its checks and congruence have proved it."""
     m = op.matrix
     for u, v in op.graph.edges:
         if pair_sign(*m.pairs[u].get(v, (0, 0)), m.radicand) >= 0:
             raise SignPatternViolation(
                 f"edge ({u},{v}) entry {m.entry(u, v).render()} is not negative"
             )
-    inertia = inertia_symmetric(op.matrix)
+    inertia = inertia_symmetric(op.matrix, kernel)
     if inertia.negatives != 1:
         raise NotOneNegative(inertia)
     op.inertia = inertia
@@ -453,21 +454,20 @@ def build_bipartite_operator(a: int, b: int, s_set) -> SchrodingerOperator:
       vanish on S and sum to zero on each side.
     - -A has one negative eigenvalue, and adding eps*I_S >= 0 adds none.
     - The all-ones vector gives 1^T M 1 <= eps*(a+b) - 2ab < 0.
-    check_membership certifies the operator exactly all the same.  The
-    matrix is handed the combinatorial kernel as its record through
-    adopt_kernel, so none is eliminated for it, and membership's
-    congruence then proves the record spans the kernel.  Its |free| is
-    the corank formula by construction.  A wrong vector raises
-    RuntimeError at the hand-over and a missing one at the congruence, so
-    no operator leaves with a record the congruence has not completed.
+    check_membership certifies the operator exactly all the same, handed
+    the combinatorial kernel as its candidate, so none is eliminated for
+    it: the candidate checks and membership's congruence prove the family
+    is the kernel's canonical basis, and only then does the matrix keep
+    it.  Its |free| is the corank formula by construction.  A wrong
+    vector raises RuntimeError at the candidate checks and a missing one
+    at the congruence, and either leaves no record kept.
     """
     s_set, side_a, side_b = _check_sides(a, b, s_set)
     eps = Fraction(1, 4 * (a + b))
     diagonal = [eps if v in s_set else 0 for v in range(a + b)]
     op = build_operator(complete_bipartite(a, b), diagonal)
     op.epsilon = eps
-    adopt_kernel(op.matrix, _bipartite_kernel(a + b, s_set, side_a, side_b))
-    check_membership(op)
+    check_membership(op, _bipartite_kernel(a + b, s_set, side_a, side_b))
     return op
 
 

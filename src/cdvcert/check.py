@@ -43,14 +43,16 @@ def unit_rows(kernel: tuple) -> tuple:
 
 
 def kernel_candidate(pairs: list, cols: int, d: int, kernel: tuple) -> None:
-    """Check a record K = (free, rows, scale, e) as the kernel of the matrix
-    M with these pair rows and `cols` columns over sqrt(d), raising
-    RuntimeError at the first failure: a row per column and unit_rows;
-    every other entry of vector a at a column not free and before
-    free[a]; scale > 0 with no factor common to it and every x and y, and
-    e = d when some y is nonzero, else 1; and MK = 0 on M's own pairs.
-    So the vectors are independent, lie in the kernel, and vector a has
-    its last nonzero entry at free[a]."""
+    """Check a candidate record K = (free, rows, scale, e), handed over by
+    a caller that knows the kernel, as the kernel of the matrix M with
+    these pair rows and `cols` columns over sqrt(d), raising RuntimeError
+    at the first failure: a row per column and unit_rows; every other
+    entry of vector a at a column not free and before free[a]; scale > 0
+    with no factor common to it and every x and y, and e = d when some y
+    is nonzero, else 1; and MK = 0 on M's own pairs.  So the vectors are
+    independent, lie in the kernel, and vector a has its last nonzero
+    entry at free[a].  That they span the kernel is left to the
+    congruence that counts M's inertia."""
     free, rows, scale, e = kernel
     if len(rows) != cols:
         raise RuntimeError(f"kernel rows {len(rows)} do not match {cols} columns")

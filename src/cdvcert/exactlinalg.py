@@ -48,10 +48,11 @@ class ExactMatrix:
     squarefree d > 1 otherwise.  So equal matrices have equal fields.  A
     stored zero or a column outside [0, cols) raises ValueError.
     from_rows, symmetric and from_dicts build one from scalar entries.
-    Instances are not mutated after build, so kernel_record keeps the
-    kernel it computes in the `_kernel` slot, and `symmetric` marks what it
-    builds in the `_symmetric` slot, which inertia_symmetric and charpoly
-    read in place of the check.symmetric scan.
+    Instances are not mutated after build, so the `_kernel` slot keeps a
+    kernel record once kernel_record or inertia_symmetric has proved it,
+    and `symmetric` marks what it builds in the `_symmetric` slot, which
+    inertia_symmetric and charpoly read in place of the check.symmetric
+    scan.
     """
 
     __slots__ = ("rows", "cols", "pairs", "scale", "radicand", "_kernel", "_symmetric")
@@ -296,8 +297,9 @@ def kernel_record(matrix: ExactMatrix) -> Kernel:
     new pivot then often falls before every pivot stored, none of which
     holds an entry in its column to back-reduce.  Computed on the first
     call for a matrix and kept on it once check.unit_rows finds row
-    free[a] to be e_a, unless a caller that knows the kernel handed it
-    over first with adopt_kernel, whose check does the same."""
+    free[a] to be e_a.  A matrix keeps no other record than a candidate
+    inertia_symmetric has proved, so whatever record this returns is
+    the kernel's canonical basis."""
     if matrix._kernel is None:
         rows = row_scaled(matrix.pairs, matrix.scale)
         rows = sorted(filter(None, rows), key=min, reverse=True)
@@ -305,29 +307,6 @@ def kernel_record(matrix: ExactMatrix) -> Kernel:
         check.unit_rows(kernel)
         object.__setattr__(matrix, "_kernel", kernel)
     return matrix._kernel
-
-
-def adopt_kernel(matrix: ExactMatrix, kernel: Kernel) -> None:
-    """Keep a candidate record as matrix's kernel, in place of the one
-    kernel_record would compute, once check.kernel_candidate accepts it on
-    the matrix's own pairs; a failed check raises RuntimeError and keeps
-    nothing.  The matrix must keep no record yet.
-
-    What is left to prove is that the vectors span the kernel: nullity(M)
-    <= |free|.  inertia_symmetric proves that when its congruence finds
-    |P| nonzero pivots on M_PP, and a kernel missing a vector makes it
-    raise instead.  Once it is proved, each free[a] is a free column of
-    the reduced echelon form (column free[a] is a combination of earlier
-    ones), there are |free| of them, and vector a is the one kernel
-    vector with 1 at free[a] and 0 at the other free columns.  So the
-    record is the one pair_kernel_basis would return.  Until then it is
-    only a candidate, so a caller that adopts a record runs
-    inertia_symmetric before it lets the matrix go.
-    """
-    if matrix._kernel is not None:
-        raise RuntimeError("the matrix already keeps a kernel record")
-    check.kernel_candidate(matrix.pairs, matrix.cols, matrix.radicand, kernel)
-    object.__setattr__(matrix, "_kernel", kernel)
 
 
 def kernel_basis(matrix: ExactMatrix) -> list:
@@ -508,18 +487,21 @@ def pair_product(row: dict, right: list, d: int) -> dict:
 # Inertia by symmetric congruence.
 
 
-def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
+def inertia_symmetric(matrix: ExactMatrix, kernel: Kernel | None = None) -> Inertia:
     """Exact (negatives, zeros, positives) from the proved kernel and a
     congruence elimination of the nonsingular block it leaves.  Both run
     on the matrix's pairs, scale*M with scale > 0, which has the kernel
     and the inertia of M.
 
-    kernel_record gives K with MK = 0 proved exactly.  F is the set of its
+    K is kernel_record(matrix), with MK = 0 proved exactly, or else the
+    candidate `kernel` of a caller that knows it, such as a combinatorial
+    basis.  A matrix that keeps a record already refuses a candidate, and
+    check.kernel_candidate checks one on the matrix's own pairs: unit
+    rows, canonical shape, normal form and MK = 0.  F is the set of K's
     free columns and P the other columns.  Elimination runs on M_PP only:
 
-    - check.unit_rows found row f_a of K to be the unit vector e_a when
-      the matrix kept K, so the vectors are independent, and MK = 0 gives
-      nullity(M) >= |F|.
+    - check.unit_rows found row f_a of K to be the unit vector e_a, so the
+      vectors are independent, and MK = 0 gives nullity(M) >= |F|.
     - The elimination below finds |P| nonzero pivots on M_PP, so M_PP is
       nonsingular and rank(M) >= |P|.
     - So rank(M) = |P|, the Schur complement M_FF - M_FP M_PP^-1 M_PF is
@@ -528,8 +510,14 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
 
     The corank thus rests on two exact facts that check each other, and
     not on the mod-p argument that found K.  A singular M_PP, which only
-    a kernel missing a vector can leave, raises RuntimeError, and that
-    completes a record handed over by adopt_kernel.
+    a kernel missing a vector can leave, raises RuntimeError.  A candidate
+    is kept as the matrix's record only once the pivots are found: then
+    nullity(M) = |F|, each free[a] is a free column of the reduced
+    echelon form (vector a ends at free[a], so that column is a
+    combination of earlier ones), and vector a is the one kernel vector
+    with 1 at free[a] and 0 at the other free columns.  So the record is
+    the one kernel_record would compute, and a failed check or a
+    singular block keeps nothing.
 
     The elimination is Bareiss's multistep one (Math. Comp. 22, 1968), in
     rounds on a pair block W that starts as M_PP with prev = 1.  Each
@@ -554,8 +542,14 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
     """
     if not (matrix._symmetric or check.symmetric(matrix.pairs, matrix.cols)):
         raise NotSymmetric(f"the {matrix.rows}x{matrix.cols} matrix is not symmetric")
+    if kernel is None:
+        kernel = kernel_record(matrix)
+    elif matrix._kernel is not None:
+        raise RuntimeError("the matrix already keeps a kernel record")
+    else:
+        check.kernel_candidate(matrix.pairs, matrix.cols, matrix.radicand, kernel)
     d, rows = matrix.radicand, matrix.pairs
-    free = set(kernel_record(matrix).free)
+    free = set(kernel.free)
     block = [j for j in range(matrix.cols) if j not in free]
     W = [[rows[i].get(j, (0, 0)) for j in block] for i in block]
     neg, prev = 0, (1, 0)
@@ -582,6 +576,7 @@ def inertia_symmetric(matrix: ExactMatrix) -> Inertia:
         if len(pivots) == len(W):
             break  # the last round leaves no block to rewrite
         W, prev = _congruence_step(W, pivots, signs, prev, d)
+    object.__setattr__(matrix, "_kernel", kernel)
     return Inertia(neg, len(free), len(block) - neg)
 
 
@@ -803,18 +798,17 @@ def charpoly(matrix: ExactMatrix) -> IntPolynomial:
     symmetric, so t_k is the dot product of u_h and u_(k-h), with
     u_i = B^i*R^T and h = k // 2, and step r makes about r/2
     matrix-vector products.  B gains row and column r after step r and is
-    kept as three lists of its nonzeros: the index pairs (i, j), i < j,
-    of its entries 1 and of its entries -1 off the diagonal, each of
-    which adds or subtracts at both ends, and (row, column, value)
-    triples for the rest.  So each product costs the nonzeros of B, not
-    r^2, and a 0/1 adjacency multiplies none.
+    kept as two lists of its nonzeros: the index pairs (i, j), i < j, of
+    its entries 1 off the diagonal, each of which adds at both ends, and
+    (row, column, value) triples for the rest.  So each product costs
+    the nonzeros of B, not r^2, and a 0/1 adjacency multiplies none.
     """
     if not (matrix._symmetric or check.symmetric(matrix.pairs, matrix.cols)):
         raise NotSymmetric("charpoly needs a symmetric matrix")
     if matrix.scale != 1 or matrix.radicand != 1:
         raise NonIntegerEntries("charpoly needs integer entries")
     # The pairs are (a, 0) for the integer entries a.
-    zero, block = (0, 0), ([], [], [])
+    zero, block = (0, 0), ([], [])
     v = [1]
     for r, row in enumerate(matrix.pairs):
         t = [1, -row.get(r, zero)[0]]
@@ -836,34 +830,29 @@ def charpoly(matrix: ExactMatrix) -> IntPolynomial:
 
 def _split_entries(r: int, row: dict, lists: tuple) -> None:
     """Add row r of a symmetric A, up to its diagonal, to the block held as
-    lists = (ones, negs, rest): an entry 1 or -1 at column j < r goes to
-    ones or negs as (j, r) and stands for (r, j) as well; any other entry
-    off the diagonal goes to rest as (j, r, a) and (r, j, a), and the
-    diagonal entry once."""
-    ones, negs, rest = lists
+    lists = (ones, rest): an entry 1 at column j < r goes to ones as
+    (j, r) and stands for (r, j) as well; any other entry off the
+    diagonal goes to rest as (j, r, a) and (r, j, a), and the diagonal
+    entry once."""
+    ones, rest = lists
     for j, (a, _) in row.items():
         if j < r:
             if a == 1:
                 ones.append((j, r))
-            elif a == -1:
-                negs.append((j, r))
             else:
                 rest += ((j, r, a), (r, j, a))
         elif j == r:
             rest.append((r, r, a))
 
 
-def _block_times(u: list, ones: list, negs: list, rest: list) -> list:
-    """B*u for the symmetric block B held by _split_entries as ones, negs
-    and rest: the unit entries add or subtract a coordinate of u, and only
-    the rest multiply."""
+def _block_times(u: list, ones: list, rest: list) -> list:
+    """B*u for the symmetric block B held by _split_entries as ones and
+    rest: each entry 1 adds a coordinate of u, and only the rest
+    multiply."""
     out = [0] * len(u)
     for i, j in ones:
         out[i] += u[j]
         out[j] += u[i]
-    for i, j in negs:
-        out[i] -= u[j]
-        out[j] -= u[i]
     for i, j, a in rest:
         out[i] += a * u[j]
     return out

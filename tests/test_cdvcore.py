@@ -338,7 +338,7 @@ class TestSap:
         # A rescaled basis spans the same kernel, but its row at a free
         # column is no longer a unit vector, so S[a][b] = X[f_a][f_b] would
         # fail.  A matrix keeps a record only once its unit rows are
-        # checked, whether it eliminates the record or is handed it.
+        # checked, whether it eliminates the record or inertia is handed it.
         m = build_shift_operator(cycle(8), QuadScalar.root(2)).matrix
         kernel = kernel_record(m)
         rescaled = kernel._replace(
@@ -350,7 +350,10 @@ class TestSap:
         monkeypatch.setattr(
             exactlinalg, "pair_kernel_basis", lambda *a: (rescaled, None)
         )
-        for keep in (kernel_record, lambda c: exactlinalg.adopt_kernel(c, rescaled)):
+        for keep in (
+            kernel_record,
+            lambda c: exactlinalg.inertia_symmetric(c, rescaled),
+        ):
             copy = ExactMatrix(m.cols, m.pairs, m.scale, m.radicand)
             with pytest.raises(RuntimeError, match="not canonical"):
                 keep(copy)
@@ -691,9 +694,9 @@ class TestCertifyMap:
         calls = []
         inertia_symmetric = exactlinalg.inertia_symmetric
 
-        def counting(matrix):
+        def counting(matrix, kernel=None):
             calls.append(matrix)
-            return inertia_symmetric(matrix)
+            return inertia_symmetric(matrix, kernel)
 
         monkeypatch.setattr(exactlinalg, "inertia_symmetric", counting)
         monkeypatch.setattr(cdvcore, "inertia_symmetric", counting)
@@ -808,12 +811,12 @@ def _side_nullity(m: int) -> int:
     return max(0, m * (m - 3) // 2)
 
 
-def _unadopted_bipartite_matrix(a: int, b: int, s_set) -> ExactMatrix:
-    """The matrix of build_bipartite_operator(a, b, s_set), keeping no
-    kernel record."""
+def _unproved_bipartite_operator(a: int, b: int, s_set):
+    """The operator of build_bipartite_operator(a, b, s_set) before
+    membership: no inertia, and a matrix keeping no kernel record."""
     eps = Fraction(1, 4 * (a + b))
     diagonal = [eps if v in s_set else 0 for v in range(a + b)]
-    return build_operator(complete_bipartite(a, b), diagonal).matrix
+    return build_operator(complete_bipartite(a, b), diagonal)
 
 
 @st.composite
@@ -1082,19 +1085,23 @@ class TestBipartite:
             for a, v in enumerate((5, 6, 7), start=2):
                 rows[v][a], rows[8][a] = (1, 0), (-1, 0)
             kernel = kernel._replace(free=(2, 3, 5, 6, 7), rows=rows)
-        m = _unadopted_bipartite_matrix(4, 5, {0, 4})
+        op = _unproved_bipartite_operator(4, 5, {0, 4})
         with pytest.raises(RuntimeError, match=message):
-            exactlinalg.adopt_kernel(m, kernel)
-        assert m._kernel is None
+            check_membership(op, kernel)
+        assert op.matrix._kernel is None and op.inertia is None
 
     def test_a_family_missing_a_vector_fails_at_the_congruence(self, monkeypatch):
         # Without its last vector the family passes the hand-over, and
-        # membership finds the block off its free columns singular.
+        # membership finds the block off its free columns singular: the
+        # matrix keeps nothing, and then eliminates the whole family.
         sides = cdvcore._check_sides(4, 5, {0, 4})
-        short = drop_last_vector(cdvcore._bipartite_kernel(9, *sides))
-        m = _unadopted_bipartite_matrix(4, 5, {0, 4})
-        exactlinalg.adopt_kernel(m, short)
-        assert kernel_record(m) is short
+        family = cdvcore._bipartite_kernel(9, *sides)
+        short = drop_last_vector(family)
+        op = _unproved_bipartite_operator(4, 5, {0, 4})
+        with pytest.raises(RuntimeError, match="singular"):
+            check_membership(op, short)
+        assert op.matrix._kernel is None and op.inertia is None
+        assert kernel_record(op.matrix) == family
         monkeypatch.setattr(cdvcore, "_bipartite_kernel", lambda *a: short)
         with pytest.raises(RuntimeError, match="singular"):
             build_bipartite_operator(4, 5, {0, 4})

@@ -1,7 +1,7 @@
 """The checks of cdvcert.check on plain data: each accepts what holds and
 names the first defect it finds.  kernel_candidate is tested through
-adopt_kernel in test_exactlinalg.py, and annihilates against the dense
-product there too."""
+the candidate that inertia_symmetric is handed in test_exactlinalg.py,
+and annihilates against the dense product there too."""
 
 import pytest
 

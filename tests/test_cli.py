@@ -149,9 +149,9 @@ class TestBipartite:
     def test_a_kernel_missing_a_vector_is_reported_at_build(
         self, capsys, monkeypatch
     ):
-        # The family handed to the matrix passes the hand-over without
-        # its last vector, so the congruence finds the block it eliminates
-        # singular, inside build_bipartite_operator.
+        # The family handed to membership passes the candidate checks
+        # without its last vector, so the congruence finds the block it
+        # eliminates singular, inside build_bipartite_operator.
         kernel = cdvcore._bipartite_kernel
         monkeypatch.setattr(
             cdvcore, "_bipartite_kernel", lambda *a: drop_last_vector(kernel(*a))

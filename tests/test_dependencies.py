@@ -217,6 +217,26 @@ def test_the_primes_and_the_elimination_stay_in_exactlinalg():
     assert {name: found for name, found in named.items() if found} == {}
 
 
+def _names_the_kernel_slot(path) -> list:
+    """The lines that read or write `_kernel`, as an attribute or as the
+    name handed to setattr."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr == "_kernel")
+        or (isinstance(node, ast.Constant) and node.value == "_kernel")
+    ]
+
+
+def test_only_exactlinalg_names_the_kernel_slot():
+    """A matrix keeps a kernel record in its `_kernel` slot only once
+    exactlinalg has proved it, so the kernel cache stays the business of
+    that module: no other module names the slot."""
+    named = {p.name: _names_the_kernel_slot(p) for p in SOURCES}
+    assert named.pop("exactlinalg.py")
+    assert {name: lines for name, lines in named.items() if lines} == {}
+
+
 def test_every_module_is_checked():
     assert {p.name for p in SOURCES} >= {
         "__init__.py",
@@ -224,3 +244,4 @@ def test_every_module_is_checked():
         "check.py",
         "exactlinalg.py",
     }
+

@@ -1049,49 +1049,61 @@ class TestInertia:
             inertia_symmetric(ExactMatrix.from_rows(rows))
 
 
+# A symmetric matrix of rank 1 over Q[sqrt(2)].
+ROOT2_BLOCK = [[1, QuadScalar.root(2)], [QuadScalar.root(2), 2]]
+
+
 def _rescaled(kernel, k):
     """The record with scale and every entry multiplied by k."""
     rows = [{a: (k * x, k * y) for a, (x, y) in row.items()} for row in kernel.rows]
     return kernel._replace(rows=rows, scale=k * kernel.scale)
 
 
-class TestAdoptKernel:
+class TestHandedKernel:
     @given(st.sampled_from([1, 7]).flatmap(matrices))
     @settings(max_examples=60)
-    def test_the_eliminated_record_is_kept(self, m):
+    def test_every_eliminated_record_passes_the_candidate_checks(self, m):
         kernel = exactlinalg.kernel_record(m)
-        copy = fresh(m)
-        exactlinalg.adopt_kernel(copy, kernel)
-        assert exactlinalg.kernel_record(copy) is kernel
+        check.kernel_candidate(m.pairs, m.cols, m.radicand, kernel)
 
     @given(sparse_symmetric())
     @settings(max_examples=60)
-    def test_inertia_completes_an_adopted_record(self, m):
+    def test_the_eliminated_record_is_proved_and_kept(self, m):
+        kernel = exactlinalg.kernel_record(m)
         copy = fresh(m)
-        exactlinalg.adopt_kernel(copy, exactlinalg.kernel_record(m))
-        assert inertia_symmetric(copy) == inertia_symmetric(fresh(m))
+        assert inertia_symmetric(copy, kernel) == inertia_symmetric(m)
+        assert exactlinalg.kernel_record(copy) is kernel
 
     def test_a_matrix_keeps_one_record(self):
-        m = ExactMatrix.from_rows([[3, 1]])
+        m = ExactMatrix.from_rows([[9, 3], [3, 1]])
         kernel = exactlinalg.kernel_record(m)
         with pytest.raises(RuntimeError, match="already keeps"):
-            exactlinalg.adopt_kernel(m, kernel)
+            inertia_symmetric(m, kernel)
 
     @pytest.mark.parametrize(
         "rows,fault,message",
         [
-            # [3 1] has the kernel vector (-1/3, 1): scale 3.
-            ([[3, 1]], lambda k: _rescaled(k, 2), "normal form"),
-            ([[3, 1]], lambda k: _rescaled(k, -1), "normal form"),
-            ([[3, 1]], lambda k: k._replace(d=7), "normal form"),
-            ([[3, 1]], lambda k: k._replace(rows=k.rows + [{}]), "do not match"),
-            ([[3, 1]], lambda k: k._replace(rows=[{0: (-2, 0)}, k.rows[1]]), "MK = 0"),
-            # [1 sqrt(2)] has (-sqrt(2), 1), over d = 2.
-            ([[1, QuadScalar.root(2)]], lambda k: k._replace(d=1), "normal form"),
-            ([[1, QuadScalar.root(2)]], lambda k: k._replace(d=3), "normal form"),
-            # (1, 1) spans the kernel of [1 -1], but at free column 0 it
-            # has its other entry after it: not the canonical shape.
-            ([[1, -1]], lambda k: k._replace(free=(0,), rows=k.rows[::-1]), "at or after"),
+            # [[9 3] [3 1]] has the kernel vector (-1/3, 1): scale 3.
+            ([[9, 3], [3, 1]], lambda k: _rescaled(k, 2), "normal form"),
+            ([[9, 3], [3, 1]], lambda k: _rescaled(k, -1), "normal form"),
+            ([[9, 3], [3, 1]], lambda k: k._replace(d=7), "normal form"),
+            ([[9, 3], [3, 1]], lambda k: k._replace(rows=k.rows + [{}]), "do not match"),
+            (
+                [[9, 3], [3, 1]],
+                lambda k: k._replace(rows=[{0: (-2, 0)}, k.rows[1]]),
+                "MK = 0",
+            ),
+            # [[1 sqrt(2)] [sqrt(2) 2]] has (-sqrt(2), 1), over d = 2.
+            (ROOT2_BLOCK, lambda k: k._replace(d=1), "normal form"),
+            (ROOT2_BLOCK, lambda k: k._replace(d=3), "normal form"),
+            # (1, 1) spans the kernel of [[1 -1] [-1 1]], but at free
+            # column 0 it has its other entry after it: not the canonical
+            # shape.
+            (
+                [[1, -1], [-1, 1]],
+                lambda k: k._replace(free=(0,), rows=k.rows[::-1]),
+                "at or after",
+            ),
             ([[1, 1], [1, 1]], repeat_last_vector, "distinct"),
         ],
         ids=[
@@ -1110,16 +1122,21 @@ class TestAdoptKernel:
         m = ExactMatrix.from_rows(rows)
         candidate = fault(exactlinalg.kernel_record(fresh(m)))
         with pytest.raises(RuntimeError, match=message):
-            exactlinalg.adopt_kernel(m, candidate)
+            inertia_symmetric(m, candidate)
         assert m._kernel is None
 
     def test_a_missing_vector_passes_the_hand_over_but_not_the_congruence(self):
+        # The short record passes every candidate check, so only the
+        # congruence can refuse it: it raises, nothing is kept, and the
+        # matrix then eliminates its own kernel.
         m = ExactMatrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 0]])
-        short = drop_last_vector(exactlinalg.kernel_record(fresh(m)))
-        exactlinalg.adopt_kernel(m, short)
-        assert exactlinalg.kernel_record(m) is short
+        eliminated = exactlinalg.kernel_record(fresh(m))
+        short = drop_last_vector(eliminated)
+        check.kernel_candidate(m.pairs, m.cols, m.radicand, short)
         with pytest.raises(RuntimeError, match="singular"):
-            inertia_symmetric(m)
+            inertia_symmetric(m, short)
+        assert m._kernel is None
+        assert exactlinalg.kernel_record(m) == eliminated
 
 
 class TestDeterminant:
