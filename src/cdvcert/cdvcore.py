@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 
 from . import check
 from .exactfield import MAX_RADICAND, pair_sign, parse_scalar, squarefree_split
@@ -501,29 +500,9 @@ def bipartite_kernel_basis(a: int, b: int, s_set) -> list:
 def spans_match(vectors_a, vectors_b) -> bool:
     """Exact subspace equality of two families of vectors.
 
-    Both families become pair matrices A and B, each over its own scale.
-    When every vector of each has a unit column (_unit_columns) and the
-    two share one radicand, the answer is read off by coordinates, with
-    no elimination, no prime and no scalar built.  Let u_j be the unit
-    column of b_j:
-
-    - Unit columns make each family independent: the entry of sum c_j b_j
-      at u_k is c_k, so the sum vanishes only when every c_k does.
-    - So a vector v of span B has the unique coordinates v[u_j]: v = sum
-      c_j b_j gives v[u_k] = c_k.
-    - If |A| = |B| and each row a of A equals sum a[u_j] b_j, then span A
-      is inside span B and both have dimension |A| = |B|, so they are
-      equal.
-    - Either failure proves the spans differ: |A| != |B| gives two
-      dimensions, and a row a that is not sum a[u_j] b_j is not in span B
-      at all, as its coordinates there could only be the a[u_j].
-
-    The comparison multiplies the coordinates, A's pairs at the u_j, by
-    B's pairs with pair_product, so both sides stand over the product of
-    the two scales.
-
-    In every other case, such as a family with a repeated or a zero
-    vector, the spans are compared through canonical kernel bases.
+    Both families become pair matrices, each in its normal form, so equal
+    families give equal matrices and match at once.  Otherwise the spans
+    are compared through canonical kernel bases.
 
     The kernel of the matrix whose rows are a family A is the orthogonal
     complement of span A under the form sum x_i y_i.  That form is
@@ -540,31 +519,7 @@ def spans_match(vectors_a, vectors_b) -> bool:
     a, b = ExactMatrix.from_rows(vectors_a), ExactMatrix.from_rows(vectors_b)
     if a.cols != b.cols:
         raise ValueError("ragged rows")
-    units = _unit_columns(b)
-    if units is None or a.radicand != b.radicand or _unit_columns(a) is None:
-        return kernel_record(a) == kernel_record(b)
-    if a.rows != b.rows:
-        return False
-    d, s = b.radicand, b.scale
-    for row in a.pairs:
-        coords = {j: row[u] for j, u in enumerate(units) if u in row}
-        scaled = {k: (x * s, y * s) for k, (x, y) in row.items()}
-        if pair_product(coords, b.pairs, d) != scaled:
-            return False
-    return True
-
-
-def _unit_columns(matrix: ExactMatrix) -> list | None:
-    """For each row of matrix, a column where that row is exactly 1 and
-    every other row is 0, or None when some row has no such column."""
-    counts = Counter(chain.from_iterable(matrix.pairs))
-    one, units = (matrix.scale, 0), []
-    for row in matrix.pairs:
-        unit = next((j for j, x in row.items() if x == one and counts[j] == 1), None)
-        if unit is None:
-            return None
-        units.append(unit)
-    return units
+    return a == b or kernel_record(a) == kernel_record(b)
 
 
 def build_sap_witness(a: int, b: int) -> tuple:

@@ -242,9 +242,9 @@ def certify_bipartite(
     and `kernel_description` that the combinatorial kernel spans ker M.
     What backs that verdict is the constructor, which proves the family
     is the matrix's kept kernel record, so the corank is a + b - 2 - |S|
-    by construction.  The verdict itself compares the family with that
-    record by coordinates in spans_match (each vector has a unit column),
-    and eliminates nothing.  Returns the operator."""
+    by construction.  The verdict itself reads the family and that record
+    as equal matrices in spans_match, and eliminates nothing.  Returns
+    the operator."""
     s_set = frozenset(s_set)
     report.inputs.update(a=a, b=b, s=sorted(s_set))
     with report.timed("build"):

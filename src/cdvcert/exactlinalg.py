@@ -49,13 +49,12 @@ class ExactMatrix:
     stored zero or a column outside [0, cols) raises ValueError.
     from_rows, symmetric and from_dicts build one from scalar entries.
     Instances are not mutated after build, so the `_kernel` slot keeps a
-    kernel record once kernel_record or inertia_symmetric has proved it,
-    and `symmetric` marks what it builds in the `_symmetric` slot, which
-    inertia_symmetric and charpoly read in place of the check.symmetric
-    scan.
+    kernel record once kernel_record or inertia_symmetric has proved it.
+    Symmetry is not kept: inertia_symmetric and charpoly scan for it with
+    check.symmetric on every call.
     """
 
-    __slots__ = ("rows", "cols", "pairs", "scale", "radicand", "_kernel", "_symmetric")
+    __slots__ = ("rows", "cols", "pairs", "scale", "radicand", "_kernel")
 
     def __init__(self, cols: int, pairs, scale: int = 1, radicand: int = 1):
         pairs = tuple(pairs)
@@ -82,7 +81,7 @@ class ExactMatrix:
             radicand = 1
         elif radicand < 2 or squarefree_split(radicand)[0] != 1:
             raise ValueError(f"radicand {radicand} is not a squarefree d > 1")
-        values = (len(pairs), cols, pairs, scale, radicand, None, False)
+        values = (len(pairs), cols, pairs, scale, radicand, None)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -137,13 +136,11 @@ class ExactMatrix:
     def symmetric(cls, n: int, entries: dict) -> "ExactMatrix":
         """n x n matrix with x at (i, j) and at (j, i) for each (i, j): x in
         entries, and zero everywhere else.  Each x is written to both
-        places, so the matrix is symmetric by construction and says so."""
+        places, so the matrix is symmetric by construction."""
         rows = [{} for _ in range(n)]
         for (i, j), x in entries.items():
             rows[i][j] = rows[j][i] = x
-        matrix = cls.from_dicts(n, rows)
-        object.__setattr__(matrix, "_symmetric", True)
-        return matrix
+        return cls.from_dicts(n, rows)
 
     def entry(self, i: int, j: int) -> QuadScalar:
         x = self.pairs[i].get(j)
@@ -540,7 +537,7 @@ def inertia_symmetric(matrix: ExactMatrix, kernel: Kernel | None = None) -> Iner
       leading minors, and the divisions stay exact.  A W that is all zero
       is singular and raises the RuntimeError above.
     """
-    if not (matrix._symmetric or check.symmetric(matrix.pairs, matrix.cols)):
+    if not check.symmetric(matrix.pairs, matrix.cols):
         raise NotSymmetric(f"the {matrix.rows}x{matrix.cols} matrix is not symmetric")
     if kernel is None:
         kernel = kernel_record(matrix)
@@ -803,7 +800,7 @@ def charpoly(matrix: ExactMatrix) -> IntPolynomial:
     (row, column, value) triples for the rest.  So each product costs
     the nonzeros of B, not r^2, and a 0/1 adjacency multiplies none.
     """
-    if not (matrix._symmetric or check.symmetric(matrix.pairs, matrix.cols)):
+    if not check.symmetric(matrix.pairs, matrix.cols):
         raise NotSymmetric("charpoly needs a symmetric matrix")
     if matrix.scale != 1 or matrix.radicand != 1:
         raise NonIntegerEntries("charpoly needs integer entries")

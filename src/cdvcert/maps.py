@@ -242,6 +242,12 @@ def counterexample_range(mu_lower: int, base_chi: int):
     embedding bound stays under mu_lower for every surface, as (lo, hi);
     None if already at base_chi - 1 the bound is large enough.
 
+    With mu = mu_lower, heawood_gamma(chi) <= mu holds exactly when
+    isqrt(49 - 24*chi) < 2*mu - 5, that is when 49 - 24*chi < (2*mu - 5)^2
+    for mu >= 3, and never for mu < 3.  So lo is the least chi above
+    (49 - (2*mu - 5)^2)/24, found in constant time at any mu, and both of
+    its boundary values are checked with heawood_gamma.
+
     The Klein bottle never matters here: at each chi the binding bound is
     the larger one, and the Klein bottle's is the smaller of the two
     chi = 0 values.
@@ -251,12 +257,12 @@ def counterexample_range(mu_lower: int, base_chi: int):
     if base_chi > 2:
         raise InvalidChi(f"no surface has Euler characteristic {base_chi}")
     hi = base_chi - 1
-    chi = hi
-    lo = None
-    while heawood_gamma(chi) - 1 < mu_lower:
-        lo = chi
-        chi -= 1
-    return None if lo is None else (lo, hi)
+    lo = (49 - (2 * mu_lower - 5) ** 2) // 24 + 1
+    if mu_lower < 3 or lo > hi:
+        return None
+    if not heawood_gamma(lo) <= mu_lower < heawood_gamma(lo - 1):
+        raise ArithmeticError(f"chi = {lo} is not where the bound passes {mu_lower}")
+    return lo, hi
 
 
 def genus10_map(presentation: Presentation, table: CosetTable) -> CombinatorialMap:

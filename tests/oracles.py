@@ -4,12 +4,13 @@ also gives the free columns), a dense reduced echelon for the kernel
 basis, a determinant, a dense symmetric elimination for the inertia, a
 dense characteristic polynomial, a transpose, a
 matrix-vector product, a dense matrix product, a subspace-equality
-test, the primal transversality system and a trace-and-define coset
-enumerator.  The library needs none of them;
-the tests check QuadScalar and the library's rank, inertia, charpoly,
-kernels, sparse product, spans_match, check_sap and coset_enumerate
-against them.  Two kernel faults the tests inject, a record missing its
-last vector and one repeating it, close the file.
+test, the primal transversality system, a trace-and-define coset
+enumerator and a step-by-step Heawood window.  The library needs none of
+them; the tests check QuadScalar and the library's rank, inertia,
+charpoly, kernels, sparse product, spans_match, check_sap,
+coset_enumerate and counterexample_range against them.  Two kernel
+faults the tests inject, a record missing its last vector and one
+repeating it, close the file.
 """
 
 from fractions import Fraction
@@ -23,6 +24,7 @@ from cdvcert.exactfield import (
 )
 from cdvcert.exactlinalg import ExactMatrix, IntPolynomial, NonIntegerEntries
 from cdvcert.groups import CapExceeded, CosetTable, free_reduce
+from cdvcert.maps import heawood_gamma
 
 
 class FractionQuad:
@@ -330,6 +332,17 @@ def spans_match_by_rank(vectors_a, vectors_b) -> bool:
     rb = rank_dense(ExactMatrix.from_rows(vectors_b))
     rc = rank_dense(ExactMatrix.from_rows(list(vectors_a) + list(vectors_b)))
     return ra == rb == rc
+
+
+def counterexample_range_by_steps(mu_lower: int, base_chi: int):
+    """The chi window below base_chi where heawood_gamma(chi) - 1 stays
+    under mu_lower, found by walking chi down one step at a time."""
+    hi = base_chi - 1
+    chi, lo = hi, None
+    while heawood_gamma(chi) - 1 < mu_lower:
+        lo = chi
+        chi -= 1
+    return None if lo is None else (lo, hi)
 
 
 def build_sap_system(op) -> tuple:

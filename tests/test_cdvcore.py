@@ -866,7 +866,9 @@ def span_pairs(draw):
     their spans are known to match or to differ (None when random)."""
     d = draw(st.sampled_from([1, 5]))
     n = draw(st.integers(2, 4))
-    kind = draw(st.sampled_from(["random", "recombined", "different", "unit"]))
+    kind = draw(
+        st.sampled_from(["random", "recombined", "different", "unit", "equal copy"])
+    )
 
     def family(k):
         return draw(
@@ -886,9 +888,14 @@ def span_pairs(draw):
                 row[u] = QuadScalar(int(i == j))
         return vectors, units
 
+    if kind == "equal copy":
+        # Equal families give equal matrices, which spans_match accepts
+        # before it builds any kernel record.
+        vectors = family(draw(st.integers(1, 3)))
+        return vectors, [list(row) for row in vectors], True
     if kind == "unit":
-        # Unit columns on both sides take spans_match's coordinate path,
-        # unless the two families land over different radicands.
+        # Families with an identity block: a changed vector keeps its
+        # coordinates there, so only the canonical kernels tell them apart.
         vectors, units = unit_family()
         other = draw(st.sampled_from(["permuted", "changed", "unrelated"]))
         event(f"unit family against {other}")
@@ -997,8 +1004,7 @@ class TestBipartite:
     @pytest.mark.parametrize("control", ["dropped", "changed", "doubled"])
     def test_bipartite_negative_controls_keep_the_kernel_verdict(self, control):
         # Each control against the computed kernel gets the verdict of the
-        # canonical-kernel comparison.  A doubled vector shares its unit
-        # column, so that family takes the kernel path itself.
+        # canonical-kernel comparison, in either argument order.
         s_set = frozenset({0, 4})
         described = bipartite_kernel_basis(4, 5, s_set)
         computed = kernel_basis(build_bipartite_operator(4, 5, s_set).matrix)
@@ -1009,29 +1015,25 @@ class TestBipartite:
             family[0][0] = QuadScalar(1)  # vertex 0 is in S
         else:
             family, expected = described + described[:1], True
-        units = cdvcore._unit_columns(ExactMatrix.from_rows(family))
-        assert (units is None) == (control == "doubled")
         by_kernel = kernel_record(ExactMatrix.from_rows(family)) == kernel_record(
             ExactMatrix.from_rows(computed)
         )
         assert spans_match(family, computed) is spans_match(computed, family)
         assert spans_match(family, computed) is by_kernel is expected
 
-    def test_every_swept_kernel_has_unit_columns_on_both_sides(self):
-        # The coordinate path of spans_match covers the whole sweep: the
-        # combinatorial family has e_v - e_first, and the kept record its
-        # canonical unit rows.
+    def test_every_swept_family_equals_the_kept_record(self):
+        # spans_match answers the whole sweep by matrix equality: the
+        # combinatorial family is the kernel record the matrix keeps.
         cases = 0
         for a in range(1, 6):
             for b in range(a, 6):
                 for s_set in cdvcore.admissible_subsets(a, b):
                     op = build_bipartite_operator(a, b, s_set)
-                    for family in (
-                        bipartite_kernel_basis(a, b, s_set),
-                        kernel_basis(op.matrix),
-                    ):
-                        matrix = ExactMatrix.from_rows(family)
-                        assert cdvcore._unit_columns(matrix) is not None
+                    described = bipartite_kernel_basis(a, b, s_set)
+                    computed = kernel_basis(op.matrix)
+                    assert ExactMatrix.from_rows(described) == ExactMatrix.from_rows(
+                        computed
+                    )
                     cases += 1
         assert cases == 2247
 
@@ -1228,7 +1230,7 @@ class TestBipartite:
 
     def test_spans_and_a_full_rank_check_build_no_scalar(self, monkeypatch):
         # Kernels stay integer pairs: spans_match compares the two
-        # families' pairs at their unit columns, and a full-rank check
+        # families as pair matrices, and a full-rank check
         # reads the operator's record and ranks the dual mod p; a return
         # to QuadScalar kernels fails here.
         op = build_bipartite_operator(3, 4, {3})

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,15 @@ class TestHeawood:
         code, report = run(capsys, "heawood", "-18", "--mu", "16", "--no-timings")
         assert code == 0
         assert report["results"]["range"] == [-28, -19]
+
+    def test_a_huge_mu_answers_at_once(self, capsys):
+        # The window is found in closed form: a walk down from -19 would
+        # take about 1.7e11 steps here.
+        start = time.process_time()
+        code, report = run(capsys, "heawood", "-18", "--mu", "1000000", "--no-timings")
+        assert time.process_time() - start < 1
+        assert code == 0
+        assert report["results"]["range"] == [-166665833332, -19]
 
     def test_klein_flag(self, capsys):
         code, report = run(capsys, "heawood", "0", "--klein-bottle", "--no-timings")

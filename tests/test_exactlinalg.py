@@ -332,18 +332,17 @@ class TestExactMatrix:
             [[0, 0, Fraction(-1, 2)], [0, 4, 0], [Fraction(-1, 2), 0, 0]]
         )
 
-    def test_a_matrix_built_symmetric_skips_the_symmetry_scan(self, monkeypatch):
-        # `symmetric` marks what it builds, so inertia and charpoly take it
-        # as symmetric without the scan, which cost 17-19 ms of inertia's
-        # 176-188 ms over the bipartite sweep's operators.
-        m = ExactMatrix.symmetric(3, {(0, 1): -1, (1, 2): -1, (0, 0): 2})
-
-        def refuse(*args):
-            raise AssertionError("symmetry scanned")
-
-        monkeypatch.setattr(check, "symmetric", refuse)
-        assert inertia_symmetric(m) == (1, 0, 2)
-        assert charpoly(m) == charpoly_dense(m)
+    @pytest.mark.parametrize("half", [(0, 1), (1, 0)])
+    def test_a_symmetric_build_changed_afterwards_is_refused(self, half):
+        # Symmetry is scanned on every call, not taken from how the
+        # matrix was built, so one pair changed in its dict after the
+        # build, on either half, is refused by both checks.
+        for check in (inertia_symmetric, charpoly):
+            m = ExactMatrix.symmetric(3, {(0, 1): -1, (1, 2): -1, (0, 0): 2})
+            i, j = half
+            m.pairs[i][j] = (-2, 0)
+            with pytest.raises(NotSymmetric):
+                check(m)
 
     def test_the_constructor_marks_nothing_symmetric(self):
         # One asymmetric entry, built from pairs: both checks still scan.

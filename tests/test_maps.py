@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import counterexample_range_by_steps
 from specs import KLEIN_PRESENTATION
 from cdvcert.groups import coset_enumerate, parse_presentation
 from cdvcert.maps import (
@@ -231,3 +232,12 @@ class TestHeawood:
     def test_window_closes_for_small_bounds(self):
         assert counterexample_range(14, base_chi=-18) == (-19, -19)
         assert counterexample_range(4, base_chi=-18) is None
+
+    def test_window_matches_the_step_by_step_walk(self):
+        # The closed form against a walk down from base_chi, on every mu
+        # up to 119 and every base chi from 2 down to -399: empty windows,
+        # windows of one chi and windows hundreds of steps long.
+        for mu in range(1, 120):
+            for base_chi in range(2, -400, -1):
+                expected = counterexample_range_by_steps(mu, base_chi)
+                assert counterexample_range(mu, base_chi) == expected, (mu, base_chi)
